@@ -8,14 +8,11 @@
 //! ```
 
 use dft::bist::Bist;
-use dft::campaign::{CampaignResult, FaultCampaign, FaultRecord};
+use dft::campaign::{CampaignResult, EffectClasses, FaultCampaign, TierVerdict};
 use dft::dc_test::DcTest;
 use dft::report::{percent, render_table};
 use dft::scan_test::ScanTest;
-use link::netlists::functional_netlists;
 use link::synchronizer::RunConfig;
-use msim::effects::resolve_effect;
-use msim::fault::FaultUniverse;
 use msim::params::DesignParams;
 
 fn campaign_with_seed(p: &DesignParams, seed: u64) -> CampaignResult {
@@ -28,24 +25,12 @@ fn campaign_with_seed(p: &DesignParams, seed: u64) -> CampaignResult {
             ..RunConfig::paper_bist()
         },
     );
-    let blocks = functional_netlists();
-    let universe = FaultUniverse::enumerate(blocks.iter().map(|(b, n)| (*b, n)));
-    CampaignResult::from_records(
-        universe
-            .faults()
-            .iter()
-            .map(|&fault| {
-                let effect = resolve_effect(&fault, p);
-                FaultRecord {
-                    fault,
-                    effect,
-                    dc: dc.detects(&effect),
-                    scan: scan.detects(&effect),
-                    bist: bist.detects(&effect),
-                }
-            })
-            .collect(),
-    )
+    let universe = FaultCampaign::new(p).universe();
+    EffectClasses::of(&universe, p).decide(&universe, |effect| TierVerdict {
+        dc: dc.detects(effect),
+        scan: scan.detects(effect),
+        bist: bist.detects(effect),
+    })
 }
 
 fn main() {

@@ -9,9 +9,11 @@
 //! (including the instrumented-vs-plain PPSFP oracle, so the tier-1 gate
 //! also pins "observability does not perturb results", and the
 //! checkpoint-resume oracle, so it also pins "a killed campaign resumes
-//! byte-identically at 1/2/4/7 threads", and the time-expansion oracle,
-//! so it also pins "transition ATPG on the two-timeframe model agrees
-//! with launch-on-capture replay").
+//! byte-identically at 1/2/4/7 threads", the effect-collapse oracle, so
+//! it also pins "the class-collapsed campaign equals the per-fault route
+//! at 1/2/4/7 threads", and the time-expansion oracle, so it also pins
+//! "transition ATPG on the two-timeframe model agrees with
+//! launch-on-capture replay").
 //!
 //! Silent on success by default; run with `OBS=1` for the structured
 //! summary line (`rt::obs::log`).
@@ -21,7 +23,7 @@ use std::path::Path;
 use conform::corpus;
 use conform::fuzz::{fuzz, FuzzConfig};
 use conform::oracle::{
-    check_all, CheckpointResumeOracle, DiffOracle, InstrumentedPpsfpOracle,
+    check_all, CheckpointResumeOracle, DiffOracle, EffectCollapseOracle, InstrumentedPpsfpOracle,
     LogicVsTransitionOracle, PackedVsScalarOracle, ScanVsFunctionalOracle, TimeExpansionOracle,
 };
 use dft::chain_b::ChainB;
@@ -74,18 +76,21 @@ fn main() {
     // the campaign is behavioral (no per-pattern simulation), so the full
     // sweep stays well inside the smoke-gate time budget.
     let resume_oracle = CheckpointResumeOracle::new(&DesignParams::paper());
+    // Class-collapsed campaign vs the per-fault reference, 1/2/4/7 threads.
+    let collapse_oracle = EffectCollapseOracle::new(&DesignParams::paper());
     // Transition ATPG vs sequential replay on a small divider — narrowed
     // to two thread counts to stay inside the smoke-gate time budget (the
     // conformance suite runs the full 1/2/4/7 sweep on all chains).
     let expansion_oracle =
         TimeExpansionOracle::new(dsim::blocks::divider::Divider::new(2).circuit().clone())
             .with_threads(vec![1, 4]);
-    let oracles: [&dyn DiffOracle; 6] = [
+    let oracles: [&dyn DiffOracle; 7] = [
         &scan_oracle,
         &transition_oracle,
         &packed_oracle,
         &obs_oracle,
         &resume_oracle,
+        &collapse_oracle,
         &expansion_oracle,
     ];
     if let Err(divergence) = check_all(oracles) {

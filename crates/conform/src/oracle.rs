@@ -26,6 +26,11 @@
 //!   seeded shard panic and resumed from its `rt::exec` checkpoint
 //!   against an uninterrupted run: records byte-identical at every
 //!   probed thread count,
+//! * [`EffectCollapseOracle`] — the fault campaign, which simulates each
+//!   tier once per effect class, against a per-fault reference that
+//!   resolves every fault and runs the tiers on it directly: records and
+//!   `campaign.fault.*` counters identical at every probed thread count,
+//!   and fewer classes than faults (or the check is vacuous),
 //! * [`TimeExpansionOracle`] — broad-side transition ATPG
 //!   (`dsim::expand`): detection of every transition fault in the
 //!   two-timeframe gadget model (scalar simulation and the packed PPSFP
@@ -51,8 +56,11 @@
 //! assert!(oracle.check().is_ok());
 //! ```
 
-use dft::campaign::{CampaignExec, FaultCampaign};
+use dft::bist::Bist;
+use dft::campaign::{CampaignExec, FaultCampaign, FaultRecord};
 use dft::chain_b::ChainB;
+use dft::dc_test::DcTest;
+use dft::scan_test::ScanTest;
 use dsim::bitpar;
 use dsim::circuit::{Circuit, SimState};
 use dsim::expand::TimeExpansion;
@@ -63,7 +71,7 @@ use dsim::transition::{
     enumerate_transition_faults, launch_capture_response, responses_differ, TwoPatternTest,
 };
 use link::synchronizer::{decisions_from_trace, RunConfig, Synchronizer};
-use msim::effects::AnalogEffect;
+use msim::effects::{resolve_effect, AnalogEffect};
 use msim::params::DesignParams;
 use msim::sim::Trace;
 
@@ -810,6 +818,111 @@ impl DiffOracle for CheckpointResumeOracle {
                         straight.coverage_total(),
                     ),
                 });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Effect-class collapsing against the per-fault route: the behavioral
+/// campaign simulates each tier once per distinct effect and fans the
+/// verdicts out, so at every probed thread count its records must equal,
+/// fault for fault and bit for bit, a reference that resolves every fault
+/// and calls the DC, scan and BIST tiers on it directly. The run's
+/// `campaign.fault.*` counters must match the reference's per-fault
+/// counts, and the check is vacuous (an error) unless the campaign
+/// reports fewer `campaign.effect_classes` than faults simulated.
+#[derive(Debug, Clone)]
+pub struct EffectCollapseOracle {
+    params: DesignParams,
+    threads: Vec<usize>,
+}
+
+impl EffectCollapseOracle {
+    /// An oracle at the given design point probing 1/2/4/7 worker
+    /// threads.
+    pub fn new(params: &DesignParams) -> EffectCollapseOracle {
+        EffectCollapseOracle {
+            params: params.clone(),
+            threads: vec![1, 2, 4, 7],
+        }
+    }
+
+    /// The per-fault reference: every fault resolved and run through the
+    /// three tiers on its own.
+    fn reference(&self, campaign: &FaultCampaign) -> Vec<FaultRecord> {
+        let p = &self.params;
+        let (dc, scan, bist) = (DcTest::new(p), ScanTest::new(p), Bist::new(p));
+        campaign
+            .universe()
+            .iter()
+            .map(|&fault| {
+                let effect = resolve_effect(&fault, p);
+                FaultRecord {
+                    fault,
+                    effect,
+                    dc: dc.detects(&effect),
+                    scan: scan.detects(&effect),
+                    bist: bist.detects(&effect),
+                }
+            })
+            .collect()
+    }
+}
+
+impl DiffOracle for EffectCollapseOracle {
+    fn name(&self) -> &'static str {
+        "effect-collapse"
+    }
+
+    fn check(&self) -> Result<(), Divergence> {
+        let campaign = FaultCampaign::new(&self.params);
+        let reference = self.reference(&campaign);
+        let count = |pred: fn(&FaultRecord) -> bool| reference.iter().filter(|r| pred(r)).count();
+        let expected_counters = [
+            ("campaign.fault.simulated", reference.len()),
+            ("campaign.fault.detected.dc", count(|r| r.dc)),
+            ("campaign.fault.detected.scan", count(|r| r.scan)),
+            ("campaign.fault.detected.bist", count(|r| r.bist)),
+            ("campaign.fault.undetected", count(|r| !r.detected())),
+        ];
+        for &threads in &self.threads {
+            let (result, metrics, _) = rt::obs::observe(|| campaign.run_on(threads));
+            let counter = |name: &str| metrics.counter(name).unwrap_or(0) as usize;
+            let fail = |detail: String| Divergence {
+                oracle: self.name(),
+                detail: format!("{threads} threads: {detail}"),
+            };
+            let classes = counter("campaign.effect_classes");
+            let simulated = counter("campaign.fault.simulated");
+            if classes == 0 || classes >= simulated {
+                return Err(fail(format!(
+                    "{classes} effect classes for {simulated} simulated faults — \
+                     nothing was collapsed, the check is vacuous"
+                )));
+            }
+            if result.records().len() != reference.len() {
+                return Err(fail(format!(
+                    "{} records, per-fault reference has {}",
+                    result.records().len(),
+                    reference.len()
+                )));
+            }
+            for (i, (got, want)) in result.records().iter().zip(&reference).enumerate() {
+                if got != want || got.effect.key() != want.effect.key() {
+                    return Err(fail(format!(
+                        "fault #{i} ({}): collapsed {got:?}, per-fault {want:?}",
+                        want.fault
+                    )));
+                }
+            }
+            for (name, want) in expected_counters {
+                if counter(name) != want {
+                    return Err(fail(format!(
+                        "counter {name} = {}, per-fault reference counts {want}",
+                        counter(name)
+                    )));
+                }
             }
         }
         Ok(())

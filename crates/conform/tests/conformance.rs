@@ -6,9 +6,9 @@
 use conform::coverage::{batch_footprints, set_coverage, vector_coverage};
 use conform::fuzz::{fuzz, FuzzConfig};
 use conform::oracle::{
-    check_all, BehavioralVsGateOracle, CampaignSnapshotOracle, DiffOracle, InstrumentedPpsfpOracle,
-    LogicVsTransitionOracle, PackedVsScalarOracle, ScanVsFunctionalOracle, SeededMutant,
-    TimeExpansionOracle,
+    check_all, BehavioralVsGateOracle, CampaignSnapshotOracle, DiffOracle, EffectCollapseOracle,
+    InstrumentedPpsfpOracle, LogicVsTransitionOracle, PackedVsScalarOracle, ScanVsFunctionalOracle,
+    SeededMutant, TimeExpansionOracle,
 };
 use dft::chain_b::ChainB;
 use dsim::atpg::random_vectors;
@@ -71,6 +71,12 @@ fn seeded_mutant_is_caught_by_the_oracle() {
 #[test]
 fn campaign_matches_the_paper_snapshot() {
     let oracle = CampaignSnapshotOracle::new(&DesignParams::paper());
+    assert!(oracle.check().is_ok(), "{:?}", oracle.check());
+}
+
+#[test]
+fn collapsed_campaign_matches_the_per_fault_route() {
+    let oracle = EffectCollapseOracle::new(&DesignParams::paper());
     assert!(oracle.check().is_ok(), "{:?}", oracle.check());
 }
 

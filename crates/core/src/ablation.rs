@@ -19,13 +19,11 @@
 //! assert!(no_cp_bist.coverage_total() < full.coverage_total());
 //! ```
 
-use link::netlists::functional_netlists;
-use msim::effects::{resolve_effect, AnalogEffect};
-use msim::fault::FaultUniverse;
+use msim::effects::AnalogEffect;
 use msim::params::DesignParams;
 
 use crate::bist::Bist;
-use crate::campaign::{CampaignResult, FaultRecord};
+use crate::campaign::{CampaignResult, EffectClasses, FaultCampaign, TierVerdict};
 use crate::dc_test::DcTest;
 use crate::scan_test::ScanTest;
 
@@ -74,51 +72,39 @@ pub fn ablated_campaign(p: &DesignParams, options: DftOptions) -> CampaignResult
     let dc = DcTest::new(p);
     let scan = ScanTest::new(p);
     let bist = Bist::new(p);
-    let blocks = functional_netlists();
-    let universe = FaultUniverse::enumerate(blocks.iter().map(|(b, n)| (*b, n)));
-    let records = universe
-        .faults()
-        .iter()
-        .map(|&fault| {
-            let effect = resolve_effect(&fault, p);
-            let scan_hit = {
-                let masked_chain =
-                    !options.probe_ffs && matches!(effect, AnalogEffect::DataPathStuck);
-                let masked_dynamic = !options.dynamic_window
-                    && matches!(effect, AnalogEffect::DynamicImbalance { .. });
-                if masked_chain || masked_dynamic {
-                    // The element that would have caught it is absent;
-                    // check whether any *other* scan observation fires.
-                    match effect {
-                        // DataPathStuck is also seen by the toggling
-                        // comparators (if present): the line never toggles.
-                        AnalogEffect::DataPathStuck => options.dynamic_window,
-                        _ => false,
-                    }
-                } else {
-                    scan.detects(&effect)
+    let universe = FaultCampaign::new(p).universe();
+    // Detection depends on the effect and the element set only, so each
+    // effect class is decided once.
+    EffectClasses::of(&universe, p).decide(&universe, |effect| {
+        let scan_hit = {
+            let masked_chain = !options.probe_ffs && matches!(effect, AnalogEffect::DataPathStuck);
+            let masked_dynamic =
+                !options.dynamic_window && matches!(effect, AnalogEffect::DynamicImbalance { .. });
+            if masked_chain || masked_dynamic {
+                // The element that would have caught it is absent; check
+                // whether any *other* scan observation fires.
+                match effect {
+                    // DataPathStuck is also seen by the toggling
+                    // comparators (if present): the line never toggles.
+                    AnalogEffect::DataPathStuck => options.dynamic_window,
+                    _ => false,
                 }
-            };
-            let bist_hit = {
-                let v = bist.execute(&effect);
-                let vp = options.cp_bist_comparator && v.vp_flagged;
-                let data = if options.bist_data_check {
-                    !v.data_clean
-                } else {
-                    false
-                };
-                vp || data || v.lock_detector_saturated || !v.locked_in_budget
-            };
-            FaultRecord {
-                fault,
-                effect,
-                dc: dc.detects(&effect),
-                scan: scan_hit,
-                bist: bist_hit,
+            } else {
+                scan.detects(effect)
             }
-        })
-        .collect();
-    CampaignResult::from_records(records)
+        };
+        let bist_hit = {
+            let v = bist.execute(effect);
+            let vp = options.cp_bist_comparator && v.vp_flagged;
+            let data = options.bist_data_check && !v.data_clean;
+            vp || data || v.lock_detector_saturated || !v.locked_in_budget
+        };
+        TierVerdict {
+            dc: dc.detects(effect),
+            scan: scan_hit,
+            bist: bist_hit,
+        }
+    })
 }
 
 #[cfg(test)]

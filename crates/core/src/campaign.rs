@@ -1,8 +1,11 @@
 //! The structural fault campaign.
 //!
 //! Enumerates the full functional fault universe over the link's netlists,
-//! resolves every fault to its behavioral effect, simulates all three test
-//! tiers against it and aggregates the statistics the paper reports:
+//! resolves every fault to its behavioral effect, groups the faults into
+//! [`EffectClasses`] (one class per distinct effect: 603 faults, 75 classes
+//! at the paper's design point), simulates all three test tiers once per
+//! class, fans the verdicts back out to per-fault records and aggregates
+//! the statistics the paper reports:
 //!
 //! * the cumulative coverage ladder — DC ≈ 50 %, DC+scan ≈ 74 %,
 //!   DC+scan+BIST ≈ 95 % (Section IV),
@@ -20,6 +23,7 @@
 //! println!("total coverage {:.1} %", result.coverage_total() * 100.0);
 //! ```
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use dsim::atpg::random_vectors;
@@ -47,6 +51,8 @@ use crate::scan_test::ScanTest;
 /// Execution policy for a resumable campaign run: worker threads, retry
 /// budget for panicking shards, optional checkpoint file, and an optional
 /// seeded sabotage hook (chaos drills and the conformance suite only).
+/// For the behavioral [`FaultCampaign`] a shard is a run of effect
+/// classes, so a failed shard drops every fault of those classes.
 ///
 /// The policy never influences *what* a completed campaign computes —
 /// records are byte-identical across any thread count, retry budget or
@@ -119,10 +125,10 @@ impl FaultRecord {
 
 /// Aggregated campaign results.
 ///
-/// A result may be **partial**: shards that exhausted their retry budget
-/// under a fault-tolerant [`CampaignExec`] policy are listed in the
+/// A result may be **partial**: class shards that exhausted their retry
+/// budget under a fault-tolerant [`CampaignExec`] policy are listed in the
 /// [`CampaignResult::incomplete`] manifest, and every coverage figure is
-/// then computed over the completed shards only.
+/// then computed over the faults of the completed class shards only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
     records: Vec<FaultRecord>,
@@ -144,19 +150,20 @@ impl CampaignResult {
         &self.records
     }
 
-    /// Shards that exhausted their retry budget — empty for a complete
-    /// run. A non-empty manifest means every coverage figure is over the
-    /// completed shards only.
+    /// Class shards that exhausted their retry budget — empty for a
+    /// complete run. Each entry's `start`/`len` is a range of effect
+    /// classes, not of faults. A non-empty manifest means every coverage
+    /// figure is over the faults of the completed class shards only.
     pub fn incomplete(&self) -> &[ShardFailure] {
         &self.incomplete
     }
 
-    /// `true` when every planned shard delivered its records.
+    /// `true` when every planned class shard delivered its verdicts.
     pub fn is_complete(&self) -> bool {
         self.incomplete.is_empty()
     }
 
-    /// Universe size.
+    /// Number of records: the universe size for a complete run.
     pub fn total(&self) -> usize {
         self.records.len()
     }
@@ -233,23 +240,177 @@ impl CampaignResult {
     }
 }
 
-/// Fault-universe shard size for the resumable executor: small enough
-/// that a kill loses under a ninth of the paper universe, large enough
-/// that checkpoint frames stay negligible next to simulation time.
-const FAULT_SHARD_SIZE: usize = 64;
+/// The three tier verdicts for one effect, and so for every fault in its
+/// effect class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TierVerdict {
+    /// Detected by the DC tier.
+    pub dc: bool,
+    /// Detected by the scan tier.
+    pub scan: bool,
+    /// Detected by the BIST tier.
+    pub bist: bool,
+}
+
+impl TierVerdict {
+    /// The checkpoint flags byte `dc | scan << 1 | bist << 2`.
+    fn flags(self) -> u8 {
+        u8::from(self.dc) | u8::from(self.scan) << 1 | u8::from(self.bist) << 2
+    }
+
+    /// Decodes a flags byte; `None` for unknown bits.
+    fn from_flags(b: u8) -> Option<TierVerdict> {
+        (b <= 0b111).then_some(TierVerdict {
+            dc: b & 1 != 0,
+            scan: b & 2 != 0,
+            bist: b & 4 != 0,
+        })
+    }
+}
+
+/// The effect classes of a fault universe: the distinct [`AnalogEffect`]s
+/// its faults resolve to, in order of first appearance, each class's size,
+/// and every fault's class index.
+///
+/// This is the behavioral analogue of stuck-at fault collapsing
+/// (`dsim::collapse`). Every tier verdict is a pure function of
+/// `(DesignParams, AnalogEffect)`, so one simulation per class decides
+/// every fault in it. Faults are grouped by [`AnalogEffect::key`], which
+/// merges bit-identical effects only. The paper's 603 faults form 75
+/// classes.
+///
+/// # Examples
+///
+/// ```
+/// use dft::campaign::{EffectClasses, FaultCampaign};
+/// use msim::params::DesignParams;
+///
+/// let p = DesignParams::paper();
+/// let universe = FaultCampaign::new(&p).universe();
+/// let classes = EffectClasses::of(&universe, &p);
+/// assert_eq!((universe.len(), classes.len()), (603, 75));
+/// assert_eq!(classes.sizes().iter().sum::<usize>(), universe.len());
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct EffectClasses {
+    effects: Vec<AnalogEffect>,
+    sizes: Vec<usize>,
+    class_of: Vec<usize>,
+}
+
+impl EffectClasses {
+    /// Resolves every fault of `universe` at design point `p` once and
+    /// groups the faults by effect.
+    pub fn of(universe: &FaultUniverse, p: &DesignParams) -> EffectClasses {
+        EffectClasses::group(universe.iter().map(|f| resolve_effect(f, p)))
+    }
+
+    /// Groups a sequence of per-fault effects into classes.
+    fn group(effects: impl IntoIterator<Item = AnalogEffect>) -> EffectClasses {
+        let mut index = BTreeMap::new();
+        let mut classes = EffectClasses {
+            effects: Vec::new(),
+            sizes: Vec::new(),
+            class_of: Vec::new(),
+        };
+        for effect in effects {
+            let class = *index.entry(effect.key()).or_insert_with(|| {
+                classes.effects.push(effect);
+                classes.sizes.push(0);
+                classes.effects.len() - 1
+            });
+            classes.sizes[class] += 1;
+            classes.class_of.push(class);
+        }
+        classes
+    }
+
+    /// Number of classes.
+    pub fn len(&self) -> usize {
+        self.effects.len()
+    }
+
+    /// `true` for an empty universe.
+    pub fn is_empty(&self) -> bool {
+        self.effects.is_empty()
+    }
+
+    /// The distinct effects, indexed by class.
+    pub fn effects(&self) -> &[AnalogEffect] {
+        &self.effects
+    }
+
+    /// Faults per class, indexed by class.
+    pub fn sizes(&self) -> &[usize] {
+        &self.sizes
+    }
+
+    /// The class of every fault, in universe order.
+    pub fn class_of(&self) -> &[usize] {
+        &self.class_of
+    }
+
+    /// Fans per-class verdicts out to per-fault records in universe order.
+    /// A class whose verdict is `None` (its shard did not complete)
+    /// contributes no records.
+    fn fan_out(
+        &self,
+        universe: &FaultUniverse,
+        verdicts: &[Option<TierVerdict>],
+    ) -> Vec<FaultRecord> {
+        assert_eq!(universe.len(), self.class_of.len(), "foreign universe");
+        assert_eq!(verdicts.len(), self.len(), "one verdict per class");
+        universe
+            .iter()
+            .zip(&self.class_of)
+            .filter_map(|(&fault, &c)| {
+                verdicts[c].map(|v| FaultRecord {
+                    fault,
+                    effect: self.effects[c],
+                    dc: v.dc,
+                    scan: v.scan,
+                    bist: v.bist,
+                })
+            })
+            .collect()
+    }
+
+    /// Decides every class with `verdict`, once each on the calling
+    /// thread, and fans the verdicts out to a complete result: the route
+    /// for campaign variants that re-decide detection (DFT ablations,
+    /// BIST seed sweeps).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `universe` is not the universe the classes were built
+    /// from.
+    pub fn decide(
+        &self,
+        universe: &FaultUniverse,
+        verdict: impl FnMut(&AnalogEffect) -> TierVerdict,
+    ) -> CampaignResult {
+        let verdicts: Vec<Option<TierVerdict>> =
+            self.effects.iter().map(verdict).map(Some).collect();
+        CampaignResult::from_records(self.fan_out(universe, &verdicts))
+    }
+}
+
+/// Effect classes per shard for the resumable executor: ten shards for
+/// the paper's 75 classes, enough to balance a few workers over classes
+/// of uneven BIST cost, while a kill loses about a tenth of the classes.
+const CLASS_SHARD_SIZE: usize = 8;
 
 /// Base seed for the behavioral campaign's shard substreams.
 const FAULT_SHARD_SEED: u64 = 0xFA01;
 
-/// The behavioral campaign's shard job: one contiguous run of universe
-/// indices through all three test tiers. Checkpoint payloads are one
-/// flags byte per record (`dc | scan<<1 | bist<<2`) — the fault and its
-/// resolved effect are reconstructed from the universe index and the
-/// design point, so resumed records are byte-identical to recomputed
-/// ones.
+/// The behavioral campaign's shard job: one contiguous run of effect
+/// classes through all three test tiers, one simulation per class.
+/// Checkpoint payloads are one flags byte per class
+/// (`dc | scan << 1 | bist << 2`); the faults and their effects are
+/// reconstructed from the universe and its classes, so resumed records
+/// are byte-identical to recomputed ones.
 struct FaultJob<'a> {
-    faults: &'a [Fault],
-    p: &'a DesignParams,
+    classes: &'a EffectClasses,
     dc: DcTest,
     scan: ScanTest,
     bist: Bist,
@@ -257,62 +418,51 @@ struct FaultJob<'a> {
 }
 
 impl ShardJob for FaultJob<'_> {
-    type Record = FaultRecord;
+    type Record = TierVerdict;
 
-    fn run(&self, shard: &Shard) -> Vec<FaultRecord> {
+    fn run(&self, shard: &Shard) -> Vec<TierVerdict> {
         if let Some(s) = self.sabotage {
             s.trip(shard.index);
         }
         shard
             .range()
-            .map(|i| {
-                let fault = self.faults[i];
-                let effect = resolve_effect(&fault, self.p);
-                let record = FaultRecord {
-                    fault,
-                    effect,
-                    dc: self.dc.detects(&effect),
-                    scan: self.scan.detects(&effect),
-                    bist: self.bist.detects(&effect),
+            .map(|c| {
+                let effect = &self.classes.effects[c];
+                let v = TierVerdict {
+                    dc: self.dc.detects(effect),
+                    scan: self.scan.detects(effect),
+                    bist: self.bist.detects(effect),
                 };
-                // Per-tier coverage counters; zero-adds still register the
-                // keys so the metric set is identical on every run.
-                rt::obs::count("campaign.fault.simulated", 1);
-                rt::obs::count("campaign.fault.detected.dc", u64::from(record.dc));
-                rt::obs::count("campaign.fault.detected.scan", u64::from(record.scan));
-                rt::obs::count("campaign.fault.detected.bist", u64::from(record.bist));
-                rt::obs::count("campaign.fault.undetected", u64::from(!record.detected()));
-                record
+                // Per-tier coverage counters, weighted by class size so
+                // they keep their per-fault values; zero-adds still
+                // register the keys so the metric set is identical on
+                // every run.
+                let n = self.classes.sizes[c] as u64;
+                rt::obs::count("campaign.fault.simulated", n);
+                rt::obs::count("campaign.fault.detected.dc", n * u64::from(v.dc));
+                rt::obs::count("campaign.fault.detected.scan", n * u64::from(v.scan));
+                rt::obs::count("campaign.fault.detected.bist", n * u64::from(v.bist));
+                rt::obs::count(
+                    "campaign.fault.undetected",
+                    n * u64::from(!(v.dc || v.scan || v.bist)),
+                );
+                v
             })
             .collect()
     }
 
-    fn encode(&self, _shard: &Shard, records: &[FaultRecord], out: &mut Vec<u8>) {
-        for r in records {
-            out.push(u8::from(r.dc) | u8::from(r.scan) << 1 | u8::from(r.bist) << 2);
-        }
+    fn encode(&self, _shard: &Shard, records: &[TierVerdict], out: &mut Vec<u8>) {
+        out.extend(records.iter().map(|v| v.flags()));
     }
 
-    fn decode(&self, shard: &Shard, payload: &[u8]) -> Option<Vec<FaultRecord>> {
-        if payload.len() != shard.len || payload.iter().any(|&b| b > 0b111) {
+    fn decode(&self, shard: &Shard, payload: &[u8]) -> Option<Vec<TierVerdict>> {
+        if payload.len() != shard.len {
             return None;
         }
-        Some(
-            shard
-                .range()
-                .zip(payload)
-                .map(|(i, &b)| {
-                    let fault = self.faults[i];
-                    FaultRecord {
-                        fault,
-                        effect: resolve_effect(&fault, self.p),
-                        dc: b & 1 != 0,
-                        scan: b & 2 != 0,
-                        bist: b & 4 != 0,
-                    }
-                })
-                .collect(),
-        )
+        payload
+            .iter()
+            .map(|&b| TierVerdict::from_flags(b))
+            .collect()
     }
 }
 
@@ -334,10 +484,10 @@ impl FaultCampaign {
         FaultUniverse::enumerate(blocks.iter().map(|(b, n)| (*b, n)))
     }
 
-    /// Runs every fault through all three tiers, fanning the fault list
-    /// across all available cores. Records come back in universe order,
-    /// byte-identical to [`FaultCampaign::run_sequential`] — the chunked
-    /// executor preserves input order and each fault's simulation is
+    /// Runs every effect class through all three tiers, fanning the
+    /// classes across all available cores. Records come back in universe
+    /// order, byte-identical to [`FaultCampaign::run_sequential`] — the
+    /// shard plan preserves class order and each class's simulation is
     /// independent of its neighbours.
     pub fn run(&self) -> CampaignResult {
         self.run_on(rt::par::threads())
@@ -354,32 +504,38 @@ impl FaultCampaign {
         self.run_with(&CampaignExec::threads(threads))
     }
 
-    /// Number of shards a resumable run of this campaign plans — the
+    /// Number of class shards a resumable run of this campaign plans — the
     /// domain for a seeded [`Sabotage`] victim draw.
     pub fn shard_count(&self) -> usize {
-        self.universe().len().div_ceil(FAULT_SHARD_SIZE)
+        EffectClasses::of(&self.universe(), &self.p)
+            .len()
+            .div_ceil(CLASS_SHARD_SIZE)
     }
 
     /// The checkpoint fingerprint of this campaign: a resumed run must
-    /// prove it is the same universe, shard plan and design point before
-    /// any frame is trusted.
-    fn fingerprint(&self, universe_len: usize) -> u64 {
+    /// prove it is the same universe, class plan, shard plan and design
+    /// point before any frame is trusted. The class count and class shard
+    /// size make a per-fault checkpoint of the same universe foreign.
+    fn fingerprint(&self, universe_len: usize, class_count: usize) -> u64 {
         exec::fingerprint(&[
             u64::from(exec::CHECKPOINT_VERSION),
             universe_len as u64,
-            FAULT_SHARD_SIZE as u64,
+            class_count as u64,
+            CLASS_SHARD_SIZE as u64,
             FAULT_SHARD_SEED,
             u64::from(exec::crc32(format!("{:?}", self.p).as_bytes())),
         ])
     }
 
-    /// Runs the campaign under an explicit execution policy: the fault
-    /// universe is cut into deterministic shards, each shard runs
-    /// panic-isolated (retried per `policy.retry`, checkpointed when
-    /// `policy.checkpoint` is set), and records come back in universe
+    /// Runs the campaign under an explicit execution policy. The universe
+    /// is resolved once and grouped into [`EffectClasses`]; the classes
+    /// are cut into deterministic shards, each shard runs panic-isolated
+    /// (retried per `policy.retry`, checkpointed when `policy.checkpoint`
+    /// is set) and simulates every tier once per class, and the class
+    /// verdicts are fanned back out to per-fault records in universe
     /// order — byte-identical across thread counts, retries and
-    /// kill-and-resume schedules. Shards that exhaust the retry budget
-    /// degrade the result to a partial one carrying the
+    /// kill-and-resume schedules. Class shards that exhaust the retry
+    /// budget degrade the result to a partial one carrying the
     /// [`CampaignResult::incomplete`] manifest instead of aborting.
     ///
     /// # Panics
@@ -389,29 +545,43 @@ impl FaultCampaign {
     pub fn run_with(&self, policy: &CampaignExec) -> CampaignResult {
         let _span = rt::obs::span("campaign.fault");
         let universe = self.universe();
+        let classes = EffectClasses::of(&universe, &self.p);
+        rt::obs::count("campaign.effect_classes", classes.len() as u64);
         let job = FaultJob {
-            faults: universe.faults(),
-            p: &self.p,
+            classes: &classes,
             dc: DcTest::new(&self.p),
             scan: ScanTest::new(&self.p),
             bist: Bist::new(&self.p),
             sabotage: policy.sabotage.as_ref(),
         };
-        let shards = exec::plan(universe.len(), FAULT_SHARD_SIZE, FAULT_SHARD_SEED);
+        let shards = exec::plan(classes.len(), CLASS_SHARD_SIZE, FAULT_SHARD_SEED);
         let mut ck = policy.checkpoint.as_ref().map(|path| {
-            exec::Checkpoint::open(path, self.fingerprint(universe.len()))
+            exec::Checkpoint::open(path, self.fingerprint(universe.len(), classes.len()))
                 .unwrap_or_else(|e| panic!("checkpoint {}: {e}", path.display()))
         });
         let report = exec::run_shards(policy.threads, &policy.retry, ck.as_mut(), &shards, &job);
+        // Completed shards' verdicts arrive concatenated in plan order;
+        // failed shards leave their classes undecided.
+        let mut verdicts = vec![None; classes.len()];
+        let mut completed = report.records.into_iter();
+        for shard in &shards {
+            if report.incomplete.iter().all(|f| f.shard != shard.index) {
+                for c in shard.range() {
+                    verdicts[c] = completed.next();
+                }
+            }
+        }
         let result = CampaignResult {
-            records: report.records,
+            records: classes.fan_out(&universe, &verdicts),
             incomplete: report.incomplete,
         };
         rt::obs::log::info(
             "campaign",
             format!(
-                "fault campaign done faults={} dc={:.3} dc_scan={:.3} total={:.3} failed_shards={}",
+                "fault campaign done faults={} classes={} dc={:.3} dc_scan={:.3} total={:.3} \
+                 failed_shards={}",
                 result.total(),
+                classes.len(),
                 result.coverage_dc(),
                 result.coverage_dc_scan(),
                 result.coverage_total(),
@@ -1437,7 +1607,7 @@ mod tests {
         // A seeded mutant panics one shard once; with a retry budget the
         // campaign must recover the full result, byte-identical.
         let c = FaultCampaign::new(&DesignParams::paper());
-        let n_shards = c.universe().len().div_ceil(FAULT_SHARD_SIZE);
+        let n_shards = c.shard_count();
         let recovered = rt::check::quiet(|| {
             c.run_with(
                 &CampaignExec::threads(2)
@@ -1451,10 +1621,11 @@ mod tests {
 
     #[test]
     fn exhausted_retries_degrade_to_partial_result() {
-        // Without a retry budget a panicking shard must not abort the
-        // campaign: the result carries the manifest and coverage over the
-        // completed shards only.
-        let c = FaultCampaign::new(&DesignParams::paper());
+        // Without a retry budget a panicking class shard must not abort
+        // the campaign: exactly that shard lands in the manifest, and the
+        // records are exactly the faults whose class lies outside it.
+        let p = DesignParams::paper();
+        let c = FaultCampaign::new(&p);
         let partial = rt::check::quiet(|| {
             c.run_with(&CampaignExec::threads(2).with_sabotage(Sabotage::times(3, u32::MAX)))
         });
@@ -1462,19 +1633,134 @@ mod tests {
         assert_eq!(partial.incomplete().len(), 1);
         let failure = &partial.incomplete()[0];
         assert_eq!(failure.shard, 3);
-        assert_eq!(partial.total(), result().total() - failure.len);
+        assert_eq!(
+            (failure.start, failure.len),
+            (3 * CLASS_SHARD_SIZE, CLASS_SHARD_SIZE)
+        );
+        let lost = failure.start..failure.start + failure.len;
+        let classes = EffectClasses::of(&c.universe(), &p);
+        let lost_faults: usize = classes.sizes()[lost.clone()].iter().sum();
+        assert!(
+            lost_faults > failure.len,
+            "the failed shard held singletons only"
+        );
+        assert_eq!(partial.total(), result().total() - lost_faults);
         // Coverage over completed shards stays a meaningful fraction.
         assert!(partial.coverage_total() > 0.5);
         // The surviving records are exactly the straight run's minus the
-        // failed shard's range.
+        // failed classes' faults, in universe order.
         let expected: Vec<&FaultRecord> = result()
             .records()
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !(failure.start..failure.start + failure.len).contains(i))
-            .map(|(_, r)| r)
+            .zip(classes.class_of())
+            .filter(|(_, c)| !lost.contains(c))
+            .map(|(r, _)| r)
             .collect();
         assert_eq!(partial.records().iter().collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn paper_universe_collapses_to_75_effect_classes() {
+        let p = DesignParams::paper();
+        let universe = FaultCampaign::new(&p).universe();
+        let classes = EffectClasses::of(&universe, &p);
+        assert_eq!(classes.len(), 75);
+        assert_eq!(classes.sizes().iter().sum::<usize>(), universe.len());
+        assert_eq!(classes.class_of().len(), universe.len());
+        // Identical effects from different faults merge: every member of
+        // a class resolves to exactly its class's effect.
+        for (fault, &c) in universe.iter().zip(classes.class_of()) {
+            assert_eq!(resolve_effect(fault, &p).key(), classes.effects()[c].key());
+        }
+        let largest = *classes.sizes().iter().max().unwrap();
+        assert!(largest > 1, "no two faults share an effect");
+        // Classes are numbered in order of first appearance.
+        let mut seen = 0;
+        for &c in classes.class_of() {
+            assert!(c <= seen);
+            seen = seen.max(c + 1);
+        }
+    }
+
+    #[test]
+    fn grouping_merges_bit_identical_effects_only() {
+        let x = 0.25;
+        let classes = EffectClasses::group([
+            AnalogEffect::SwingScale { factor: x },
+            AnalogEffect::SwingScale {
+                factor: f64::from_bits(x.to_bits() + 1),
+            },
+            AnalogEffect::SwingScale { factor: x },
+            AnalogEffect::VcdlStuck { frac: 0.0 },
+            AnalogEffect::VcdlStuck { frac: -0.0 },
+            AnalogEffect::ClockDegraded { severity: f64::NAN },
+            AnalogEffect::ClockDegraded { severity: 0.5 },
+            AnalogEffect::ClockDegraded { severity: f64::NAN },
+        ]);
+        assert_eq!(classes.class_of(), &[0, 1, 0, 2, 3, 4, 5, 4]);
+        assert_eq!(classes.sizes(), &[2, 1, 1, 1, 2, 1]);
+    }
+
+    #[test]
+    fn campaign_counts_classes_and_keeps_per_fault_counters() {
+        let c = FaultCampaign::new(&DesignParams::paper());
+        let (r, m, _) = rt::obs::observe(|| c.run_on(2));
+        let counter = |k: &str| m.counter(k).unwrap_or(0) as usize;
+        assert_eq!(counter("campaign.effect_classes"), 75);
+        assert_eq!(counter("campaign.fault.simulated"), r.total());
+        assert_eq!(
+            counter("campaign.fault.detected.dc"),
+            r.records().iter().filter(|x| x.dc).count()
+        );
+        assert_eq!(
+            counter("campaign.fault.detected.scan"),
+            r.records().iter().filter(|x| x.scan).count()
+        );
+        assert_eq!(
+            counter("campaign.fault.detected.bist"),
+            r.records().iter().filter(|x| x.bist).count()
+        );
+        assert_eq!(counter("campaign.fault.undetected"), r.undetected().len());
+        // One or two BIST runs per class, never one per fault.
+        let bist = counter("bist.executions");
+        assert!((75..=150).contains(&bist), "bist.executions {bist}");
+    }
+
+    #[test]
+    fn per_fault_checkpoint_is_rejected() {
+        // A checkpoint in the older per-fault layout (64-fault shards,
+        // one flags byte per fault) carries a fingerprint without the
+        // class plan. Its frames, here forged to claim every class
+        // detected by every tier, must never be misread as class
+        // verdicts.
+        let p = DesignParams::paper();
+        let c = FaultCampaign::new(&p);
+        let universe_len = c.universe().len();
+        let per_fault_fp = exec::fingerprint(&[
+            u64::from(exec::CHECKPOINT_VERSION),
+            universe_len as u64,
+            64,
+            FAULT_SHARD_SEED,
+            u64::from(exec::crc32(format!("{p:?}").as_bytes())),
+        ]);
+        let frames: Vec<exec::Frame> = (0..c.shard_count())
+            .map(|i| exec::Frame {
+                shard: i as u32,
+                records: CLASS_SHARD_SIZE as u32,
+                payload: vec![0b111; CLASS_SHARD_SIZE],
+            })
+            .collect();
+        let path = temp_ck("per-fault");
+        std::fs::write(
+            &path,
+            exec::encode_checkpoint(per_fault_fp, &frames).unwrap(),
+        )
+        .unwrap();
+        let (resumed, m, _) =
+            rt::obs::observe(|| c.run_with(&CampaignExec::threads(2).with_checkpoint(&path)));
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(m.counter("exec.shards.resumed"), Some(0));
+        assert_eq!(&resumed, result());
     }
 
     #[test]

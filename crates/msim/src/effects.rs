@@ -247,6 +247,52 @@ impl fmt::Display for AnalogEffect {
     }
 }
 
+/// A total-order identity key for an [`AnalogEffect`]: the variant plus
+/// the raw bits of every field.
+///
+/// Two effects share a key exactly when they are bit-for-bit the same
+/// effect. Magnitudes one ulp apart, `0.0` and `-0.0`, and a NaN and any
+/// other value all key apart, so grouping faults by key never merges two
+/// effects a test tier could tell apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EffectKey {
+    variant: u8,
+    fields: [u64; 3],
+}
+
+impl AnalogEffect {
+    /// This effect's [`EffectKey`].
+    pub fn key(&self) -> EffectKey {
+        use AnalogEffect as E;
+        let v = |dv: Volt| dv.value().to_bits();
+        let (variant, fields) = match *self {
+            E::None => (0, [0; 3]),
+            E::LineArmStuck { arm, high } => (1, [arm as u64, u64::from(high), 0]),
+            E::ArmImbalance { dv } => (2, [v(dv), 0, 0]),
+            E::DynamicImbalance { dv } => (3, [v(dv), 0, 0]),
+            E::SwingScale { factor } => (4, [factor.to_bits(), 0, 0]),
+            E::CouplingDcShift { dv } => (5, [v(dv), 0, 0]),
+            E::CommonModeShift { dv } => (6, [v(dv), 0, 0]),
+            E::BiasShift { dv } => (7, [v(dv), 0, 0]),
+            E::DataPathStuck => (8, [0; 3]),
+            E::WindowStuck { side, output } => (9, [side as u64, u64::from(output), 0]),
+            E::WindowThresholdShift { side, dv } => (10, [side as u64, v(dv), 0]),
+            E::CpDead { pump, dir } => (11, [pump as u64, dir as u64, 0]),
+            E::CpAlwaysOn { pump, dir } => (12, [pump as u64, dir as u64, 0]),
+            E::CpCurrentScale { pump, dir, factor } => {
+                (13, [pump as u64, dir as u64, factor.to_bits()])
+            }
+            E::CpBalanceDrift { dv } => (14, [v(dv), 0, 0]),
+            E::LoopCapShort => (15, [0; 3]),
+            E::ClockPathDead => (16, [0; 3]),
+            E::ClockDegraded { severity } => (17, [severity.to_bits(), 0, 0]),
+            E::VcdlStuck { frac } => (18, [frac.to_bits(), 0, 0]),
+            E::VcdlRangeScale { factor } => (19, [factor.to_bits(), 0, 0]),
+        };
+        EffectKey { variant, fields }
+    }
+}
+
 /// Resolves one structural fault to its behavioral effect.
 ///
 /// Dispatches on the device role transcribed from the paper's schematics.
@@ -756,6 +802,88 @@ fn resolve_vcdl(role: DeviceRole, instance: u8, mf: MosFault) -> AnalogEffect {
 mod tests {
     use super::*;
     use crate::netlist::DeviceId;
+
+    #[test]
+    fn equal_effects_share_a_key() {
+        let a = AnalogEffect::ArmImbalance {
+            dv: Volt::from_mv(30.0),
+        };
+        assert_eq!(
+            a.key(),
+            AnalogEffect::ArmImbalance {
+                dv: Volt::from_mv(30.0)
+            }
+            .key()
+        );
+        assert_eq!(AnalogEffect::None.key(), AnalogEffect::None.key());
+        // Same field bits under another variant is another effect.
+        assert_ne!(
+            a.key(),
+            AnalogEffect::DynamicImbalance {
+                dv: Volt::from_mv(30.0)
+            }
+            .key()
+        );
+        assert_ne!(AnalogEffect::None.key(), AnalogEffect::DataPathStuck.key());
+        let up = AnalogEffect::CpDead {
+            pump: Pump::Weak,
+            dir: PumpDir::Up,
+        };
+        let down = AnalogEffect::CpDead {
+            pump: Pump::Weak,
+            dir: PumpDir::Down,
+        };
+        assert_ne!(up.key(), down.key());
+    }
+
+    #[test]
+    fn one_ulp_or_the_sign_of_zero_splits_keys() {
+        let x: f64 = 0.03;
+        let next = f64::from_bits(x.to_bits() + 1);
+        assert_ne!(
+            AnalogEffect::SwingScale { factor: x }.key(),
+            AnalogEffect::SwingScale { factor: next }.key()
+        );
+        assert_ne!(
+            AnalogEffect::BiasShift {
+                dv: Volt::from_mv(x)
+            }
+            .key(),
+            AnalogEffect::BiasShift {
+                dv: Volt::from_mv(next)
+            }
+            .key()
+        );
+        // `==` calls the two zeros equal; the key does not.
+        let (pos, neg) = (
+            AnalogEffect::VcdlStuck { frac: 0.0 },
+            AnalogEffect::VcdlStuck { frac: -0.0 },
+        );
+        assert_eq!(pos, neg);
+        assert_ne!(pos.key(), neg.key());
+    }
+
+    #[test]
+    fn a_nan_magnitude_keys_apart_from_every_other_effect() {
+        let nan = AnalogEffect::ClockDegraded { severity: f64::NAN };
+        for other in [
+            AnalogEffect::ClockDegraded { severity: 0.0 },
+            AnalogEffect::ClockDegraded { severity: 1.0 },
+            AnalogEffect::ClockDegraded {
+                severity: f64::INFINITY,
+            },
+            AnalogEffect::ClockDegraded {
+                severity: -f64::NAN,
+            },
+            AnalogEffect::VcdlStuck { frac: f64::NAN },
+            AnalogEffect::None,
+        ] {
+            assert_ne!(nan.key(), other.key(), "{other:?}");
+        }
+        // A NaN is never `==` itself, but a bit-identical NaN is the same
+        // effect and keys the same.
+        assert_eq!(nan.key(), nan.key());
+    }
 
     fn fault(block: BlockKind, role: DeviceRole, instance: u8, kind: FaultKind) -> Fault {
         Fault {
