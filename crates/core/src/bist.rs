@@ -12,6 +12,11 @@
 //!   balance-arm/amplifier faults and the scan-masked drain–source shorts
 //!   the paper highlights.
 //!
+//! Every execution replays one random stimulus: the jitter/transition
+//! stream depends only on the run's `(seed, cycles)`, so a [`Bist`] draws
+//! it once, on its first execution, and replays it in every lock run
+//! after that (see [`link::synchronizer::Stimulus`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -27,7 +32,10 @@
 //! assert!(bist.detects(&AnalogEffect::CpBalanceDrift { dv: Volt::from_mv(400.0) }));
 //! ```
 
-use link::synchronizer::{LockOutcome, RunConfig, Synchronizer};
+use std::fmt;
+use std::sync::OnceLock;
+
+use link::synchronizer::{LockOutcome, RunConfig, Stimulus, Synchronizer};
 use msim::blocks::comparator::{WindowComparator, WindowDecision};
 use msim::blocks::vcdl::Vcdl;
 use msim::effects::AnalogEffect;
@@ -69,24 +77,48 @@ impl BistVerdict {
 }
 
 /// The BIST tier.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The run's [`Stimulus`] depends only on its `(seed, cycles)`, so it is
+/// drawn once per `Bist`, lazily on the first execution (never in
+/// [`Bist::new`]), and every execution after that replays it. Sharing one
+/// `Bist` across threads shares the stimulus. Equality and `Debug` see
+/// only the design point and the run configuration, never whether the
+/// stimulus has been drawn yet.
+#[derive(Clone)]
 pub struct Bist {
     p: DesignParams,
     run: RunConfig,
+    stimulus: OnceLock<Stimulus>,
+}
+
+impl PartialEq for Bist {
+    fn eq(&self, other: &Bist) -> bool {
+        self.p == other.p && self.run == other.run
+    }
+}
+
+impl fmt::Debug for Bist {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Bist")
+            .field("p", &self.p)
+            .field("run", &self.run)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Bist {
     /// Creates the tier with the paper's BIST run configuration.
     pub fn new(p: &DesignParams) -> Bist {
-        Bist {
-            p: p.clone(),
-            run: RunConfig::paper_bist(),
-        }
+        Bist::with_run(p, RunConfig::paper_bist())
     }
 
     /// Creates the tier with a custom run configuration.
     pub fn with_run(p: &DesignParams, run: RunConfig) -> Bist {
-        Bist { p: p.clone(), run }
+        Bist {
+            p: p.clone(),
+            run,
+            stimulus: OnceLock::new(),
+        }
     }
 
     /// The run configuration.
@@ -148,7 +180,8 @@ impl Bist {
         let mut sync = self.build(effect).with_initial_phase(initial_phase);
         let mut rc = self.run.clone();
         rc.eye_half_width_ui *= self.margin_factor(effect);
-        let outcome = sync.run(&rc, None);
+        let stimulus = self.stimulus.get_or_init(|| Stimulus::draw(&self.run));
+        let outcome = sync.replay(&rc, stimulus, None);
 
         let cp_window = WindowComparator::centered(self.p.vp_nominal, self.p.cp_bist_window);
         let vp_flagged = cp_window.evaluate(outcome.vp) != WindowDecision::Inside;
@@ -312,6 +345,27 @@ mod tests {
         // lock depending on where the eye sits — just require a sane
         // verdict here.
         let _ = v.pass();
+    }
+
+    #[test]
+    fn executed_bist_equals_a_fresh_one() {
+        let p = DesignParams::paper();
+        let used = Bist::new(&p);
+        let fresh_debug = format!("{used:?}");
+        let first = used.execute(&AnalogEffect::None);
+        assert_eq!(used, Bist::new(&p));
+        assert_eq!(Bist::new(&p), used);
+        assert_eq!(format!("{used:?}"), fresh_debug);
+        // Replaying the drawn stimulus gives the same verdict again, and
+        // the same as a clone and a fresh tier.
+        assert_eq!(used.execute(&AnalogEffect::None), first);
+        assert_eq!(used.clone().execute(&AnalogEffect::None), first);
+        assert_eq!(Bist::new(&p).execute(&AnalogEffect::None), first);
+        let other_seed = RunConfig {
+            seed: 7,
+            ..RunConfig::paper_bist()
+        };
+        assert_ne!(used, Bist::with_run(&p, other_seed));
     }
 
     #[test]

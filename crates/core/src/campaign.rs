@@ -1727,6 +1727,34 @@ mod tests {
     }
 
     #[test]
+    fn shared_bist_stimulus_keeps_records_and_metrics_thread_invariant() {
+        // Every worker thread replays the one stimulus of the campaign's
+        // Bist; records and every captured metric must not depend on how
+        // many threads drew or replayed it.
+        let c = FaultCampaign::new(&DesignParams::paper());
+        let (seq, seq_metrics, _) = rt::obs::observe(|| c.run_on(1));
+        for threads in [2, 4, 7] {
+            let (r, m, _) = rt::obs::observe(|| c.run_on(threads));
+            assert_eq!(r, seq, "records diverged at {threads} threads");
+            assert_eq!(m, seq_metrics, "metrics diverged at {threads} threads");
+        }
+        // The lock-run counters and histograms pinned from the campaign
+        // whose synchronizer drew its stimulus inline in every run.
+        let counter = |k: &str| seq_metrics.counter(k);
+        assert_eq!(counter("bist.executions"), Some(96));
+        assert_eq!(counter("bist.lock_failures"), Some(37));
+        assert_eq!(counter("bist.locked_in_budget"), Some(59));
+        assert_eq!(counter("bist.lock_detector_saturated"), Some(9));
+        assert_eq!(counter("bist.vp_flagged"), Some(15));
+        let hist = |k: &str| {
+            let h = seq_metrics.histogram(k).expect(k);
+            (h.count(), h.sum(), h.min(), h.max())
+        };
+        assert_eq!(hist("bist.lock_cycles"), (59, 75_258, Some(0), Some(3783)));
+        assert_eq!(hist("bist.corrections"), (96, 865, Some(0), Some(480)));
+    }
+
+    #[test]
     fn per_fault_checkpoint_is_rejected() {
         // A checkpoint in the older per-fault layout (64-fault shards,
         // one flags byte per fault) carries a fingerprint without the

@@ -18,6 +18,13 @@
 //! carries its fault hooks from `msim`, so the same simulation that
 //! regenerates Fig. 2 also decides BIST detection for injected faults.
 //!
+//! The random part of a run — one standard-normal jitter draw and one
+//! data-transition bit per cycle — never depends on loop state, only on
+//! the run's `(seed, cycles)`. It is a value, [`Stimulus`]:
+//! [`Synchronizer::run`] draws it and replays it, and a caller that runs
+//! many loops under one seed (the BIST tier, once per effect class) draws
+//! it once and hands it to [`Synchronizer::replay`] every time.
+//!
 //! # Examples
 //!
 //! ```
@@ -78,6 +85,47 @@ impl RunConfig {
             lock_window: 500,
             seed: 0x1057,
         }
+    }
+}
+
+/// The per-cycle random stimulus of a run: the raw standard-normal jitter
+/// draw and the data-transition bit of every cycle, drawn from
+/// `Rng::seed_from_u64(seed)` in simulation order (gaussian first, then
+/// the bit). It depends only on `(seed, cycles)`; the jitter is scaled by
+/// `jitter_rms_ui` inside the loop, so configs that differ in anything
+/// else share one stimulus.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Stimulus {
+    seed: u64,
+    jitter: Vec<f64>,
+    transitions: Vec<bool>,
+}
+
+impl Stimulus {
+    /// Draws the stimulus for `rc.seed` and `rc.cycles`.
+    pub fn draw(rc: &RunConfig) -> Stimulus {
+        let mut rng = Rng::seed_from_u64(rc.seed);
+        let (jitter, transitions) = (0..rc.cycles)
+            .map(|_| {
+                let jitter = rng.gaussian();
+                (jitter, rng.next_bool())
+            })
+            .unzip();
+        Stimulus {
+            seed: rc.seed,
+            jitter,
+            transitions,
+        }
+    }
+
+    /// The seed it was drawn for.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The number of cycles it was drawn for.
+    pub fn cycles(&self) -> u64 {
+        self.jitter.len() as u64
     }
 }
 
@@ -229,9 +277,32 @@ impl Synchronizer {
 
     /// Runs the loop for `rc.cycles` bit times. When `trace` is provided,
     /// records channels `vc`, `phase`, `vl` and `vh` once per UI — the
-    /// data behind the paper's Fig. 2.
-    pub fn run(&mut self, rc: &RunConfig, mut trace: Option<&mut Trace>) -> LockOutcome {
-        let mut rng = Rng::seed_from_u64(rc.seed);
+    /// data behind the paper's Fig. 2. Draws the run's [`Stimulus`] and
+    /// replays it.
+    pub fn run(&mut self, rc: &RunConfig, trace: Option<&mut Trace>) -> LockOutcome {
+        self.replay(rc, &Stimulus::draw(rc), trace)
+    }
+
+    /// [`Synchronizer::run`] against a stimulus drawn beforehand:
+    /// bit-identical to `run(rc, trace)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stimulus` was drawn for another seed or cycle count.
+    pub fn replay(
+        &mut self,
+        rc: &RunConfig,
+        stimulus: &Stimulus,
+        mut trace: Option<&mut Trace>,
+    ) -> LockOutcome {
+        assert!(
+            stimulus.seed == rc.seed && stimulus.cycles() == rc.cycles,
+            "stimulus drawn for seed {} and {} cycles replayed against seed {} and {} cycles",
+            stimulus.seed,
+            stimulus.cycles(),
+            rc.seed,
+            rc.cycles
+        );
         let ui = self.p.ui();
         let divider = self.p.divider_ratio as u64;
         let eff_half = rc.eye_half_width_ui * (1.0 - self.clock_degradation);
@@ -246,8 +317,9 @@ impl Synchronizer {
         // fresh coarse-correction request.
         let mut last_outside: Option<bool> = None;
 
-        for cycle in 0..rc.cycles {
-            let jitter = rng.gaussian() * rc.jitter_rms_ui;
+        let draws = stimulus.jitter.iter().zip(&stimulus.transitions);
+        for (cycle, (&gaussian, &transition)) in (0..).zip(draws) {
+            let jitter = gaussian * rc.jitter_rms_ui;
             let tau = self.sampling_tau_ui();
             let center = rc.eye_center_ui + rc.eye_drift_ui_per_cycle * cycle as f64;
             let err = BangBangPd::wrap_error(tau, center);
@@ -264,7 +336,6 @@ impl Synchronizer {
             }
 
             // Fine loop: PD decision on data transitions.
-            let transition = rng.next_bool();
             let decision = if self.clock_dead {
                 None
             } else {
@@ -567,5 +638,103 @@ mod tests {
             None,
         );
         assert!(a.lock_cycle != other.lock_cycle || a.final_vc != other.final_vc);
+    }
+
+    #[test]
+    fn stimulus_is_the_interleaved_draw_stream() {
+        for seed in [RunConfig::paper_bist().seed, 0, 1, 42, u64::MAX] {
+            for cycles in [0, 1, 2, 8000] {
+                let rc = RunConfig {
+                    cycles,
+                    seed,
+                    ..RunConfig::paper_bist()
+                };
+                let stim = Stimulus::draw(&rc);
+                assert_eq!((stim.seed(), stim.cycles()), (seed, cycles));
+                let mut rng = Rng::seed_from_u64(seed);
+                let expected: Vec<(u64, bool)> = (0..cycles)
+                    .map(|_| {
+                        let g = rng.gaussian();
+                        (g.to_bits(), rng.next_bool())
+                    })
+                    .collect();
+                let got: Vec<(u64, bool)> = stim
+                    .jitter
+                    .iter()
+                    .zip(&stim.transitions)
+                    .map(|(g, &t)| (g.to_bits(), t))
+                    .collect();
+                assert_eq!(got, expected, "seed {seed:#x}, {cycles} cycles");
+            }
+        }
+    }
+
+    #[test]
+    fn healthy_paper_runs_match_the_pinned_inline_draw_outcomes() {
+        // Outcomes of the paper's BIST run pinned from the loop that drew
+        // its gaussian and transition bit inline, cycle by cycle: the
+        // replayed stimulus must reproduce them bit for bit.
+        let p = paper();
+        let pinned = [
+            (0, 1280, 3, 123, 0x3fe3_1a9f_be76_c8b7_u64),
+            (5, 896, 2, 0, 0x3fe3_1a9f_be76_c8b2_u64),
+        ];
+        for (phase0, lock_cycle, corrections, data_errors, vc_bits) in pinned {
+            let out = Synchronizer::new(&p)
+                .with_initial_phase(phase0)
+                .run(&RunConfig::paper_bist(), None);
+            assert_eq!(out.lock_cycle, Some(lock_cycle), "phase {phase0}");
+            assert_eq!(out.corrections, corrections, "phase {phase0}");
+            assert_eq!(out.data_errors, data_errors, "phase {phase0}");
+            assert_eq!(out.errors_after_lock, 0, "phase {phase0}");
+            assert_eq!(out.final_phase, 3, "phase {phase0}");
+            assert_eq!(out.final_vc.value().to_bits(), vc_bits, "phase {phase0}");
+        }
+    }
+
+    #[test]
+    fn one_stimulus_replays_configs_that_differ_beyond_seed_and_cycles() {
+        let p = paper();
+        let rc = RunConfig::paper_bist();
+        let stim = Stimulus::draw(&rc);
+        for (phase0, half_width) in [(0, 0.30), (5, 0.30), (0, 0.12), (3, 0.0)] {
+            let rc = RunConfig {
+                eye_half_width_ui: half_width,
+                ..rc.clone()
+            };
+            let ran = Synchronizer::new(&p)
+                .with_initial_phase(phase0)
+                .run(&rc, None);
+            let replayed = Synchronizer::new(&p)
+                .with_initial_phase(phase0)
+                .replay(&rc, &stim, None);
+            assert_eq!(ran, replayed, "phase {phase0}, half width {half_width}");
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "stimulus drawn for seed 4183 and 8000 cycles replayed against seed 4184"
+    )]
+    fn replaying_another_seed_panics() {
+        let rc = RunConfig::paper_bist();
+        let stim = Stimulus::draw(&rc);
+        let other = RunConfig {
+            seed: rc.seed + 1,
+            ..rc
+        };
+        Synchronizer::new(&paper()).replay(&other, &stim, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "replayed against seed 4183 and 7999 cycles")]
+    fn replaying_another_cycle_count_panics() {
+        let rc = RunConfig::paper_bist();
+        let stim = Stimulus::draw(&rc);
+        let shorter = RunConfig {
+            cycles: rc.cycles - 1,
+            ..rc
+        };
+        Synchronizer::new(&paper()).replay(&shorter, &stim, None);
     }
 }

@@ -2,65 +2,11 @@
 //! socket: submission, completion, result-body sanity, and the
 //! cache-hit contract (replays leave sim counters flat).
 
-use std::net::SocketAddr;
-use std::time::{Duration, Instant};
+mod common;
 
-use serve::client::{self, Response};
+use common::{body_str, get, job_id, post_job, sim_metric_lines, stats, wait_done};
 use serve::json::{self, Value};
 use serve::{ServeConfig, Server};
-
-fn body_str(r: &Response) -> String {
-    String::from_utf8_lossy(&r.body).into_owned()
-}
-
-fn get(addr: SocketAddr, path: &str) -> Response {
-    client::request(addr, "GET", path, None).unwrap_or_else(|e| panic!("GET {path}: {e}"))
-}
-
-fn post_job(addr: SocketAddr, spec: &str) -> Response {
-    client::request(addr, "POST", "/jobs", Some(spec)).expect("POST /jobs")
-}
-
-fn job_id(reply: &Response) -> String {
-    json::parse(&body_str(reply))
-        .expect("reply parses")
-        .get("id")
-        .and_then(Value::as_str)
-        .expect("reply names a job")
-        .to_string()
-}
-
-fn wait_done(addr: SocketAddr, id: &str) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let progress = get(addr, &format!("/jobs/{id}"));
-        assert_eq!(progress.status, 200, "progress: {}", body_str(&progress));
-        let p = json::parse(&body_str(&progress)).expect("progress parses");
-        match p.get("status").and_then(Value::as_str) {
-            Some("done") => return,
-            Some("failed") => panic!("job failed: {}", body_str(&progress)),
-            _ => {}
-        }
-        assert!(Instant::now() < deadline, "job did not finish in time");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn stats(addr: SocketAddr) -> Value {
-    let r = get(addr, "/stats");
-    assert_eq!(r.status, 200);
-    json::parse(&body_str(&r)).expect("stats parse")
-}
-
-fn sim_metric_lines(addr: SocketAddr) -> String {
-    let r = get(addr, "/metrics");
-    assert_eq!(r.status, 200);
-    body_str(&r)
-        .lines()
-        .filter(|l| l.starts_with("sim_") || l.starts_with("# TYPE sim_"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
 
 #[test]
 fn link_farm_job_completes_and_cache_hits_leave_sim_counters_flat() {

@@ -3,56 +3,18 @@
 //! any worker count), per-job Chrome-trace assembly, the stall
 //! watchdog against a held shard, and 405 method handling.
 
+mod common;
+
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{body_str, get, job_id, post_job, progress, sim_section, wait_done};
 use rt::obs::export;
-use serve::client::{self, Response};
-use serve::json::{self, Value};
+use serve::client;
+use serve::json::Value;
 use serve::{ServeConfig, Server};
-
-fn body_str(r: &Response) -> String {
-    String::from_utf8_lossy(&r.body).into_owned()
-}
-
-fn get(addr: SocketAddr, path: &str) -> Response {
-    client::request(addr, "GET", path, None).unwrap_or_else(|e| panic!("GET {path}: {e}"))
-}
-
-fn post_job(addr: SocketAddr, spec: &str) -> Response {
-    client::request(addr, "POST", "/jobs", Some(spec)).expect("POST /jobs")
-}
-
-fn job_id(reply: &Response) -> String {
-    json::parse(&body_str(reply))
-        .expect("reply parses")
-        .get("id")
-        .and_then(Value::as_str)
-        .expect("reply names a job")
-        .to_string()
-}
-
-fn progress(addr: SocketAddr, id: &str) -> Value {
-    let p = get(addr, &format!("/jobs/{id}"));
-    assert_eq!(p.status, 200, "progress: {}", body_str(&p));
-    json::parse(&body_str(&p)).expect("progress parses")
-}
-
-fn wait_done(addr: SocketAddr, id: &str) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let p = progress(addr, id);
-        match p.get("status").and_then(Value::as_str) {
-            Some("done") => return,
-            Some("failed") => panic!("job failed: {}", p.canonical()),
-            _ => {}
-        }
-        assert!(Instant::now() < deadline, "job did not finish in time");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
 
 /// Scrapes `/metrics`, asserting the whole exposition parses.
 fn scrape(addr: SocketAddr) -> (String, Vec<export::Family>) {
@@ -62,14 +24,6 @@ fn scrape(addr: SocketAddr) -> (String, Vec<export::Family>) {
     let families =
         export::parse(&text).unwrap_or_else(|e| panic!("malformed exposition: {e}\n{text}"));
     (text, families)
-}
-
-/// The deterministic `sim_` section of the exposition, as bytes.
-fn sim_section(text: &str) -> String {
-    text.lines()
-        .filter(|l| l.starts_with("sim_") || l.starts_with("# TYPE sim_"))
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 fn gauge_value(families: &[export::Family], name: &str) -> i128 {

@@ -2,59 +2,17 @@
 //! cache contract under concurrent clients, acceptor survival of
 //! malformed traffic, admission control, and kill/restart resume.
 
-use std::net::SocketAddr;
+mod common;
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serve::client::{self, Response};
+use common::{body_str, get, job_id, post_job, sim_metric_lines, stats, wait_done};
+use serve::client;
 use serve::json::{self, Value};
 use serve::{ServeConfig, Server};
-
-fn body_str(r: &Response) -> String {
-    String::from_utf8_lossy(&r.body).into_owned()
-}
-
-fn get(addr: SocketAddr, path: &str) -> Response {
-    client::request(addr, "GET", path, None).unwrap_or_else(|e| panic!("GET {path}: {e}"))
-}
-
-fn post_job(addr: SocketAddr, spec: &str) -> Response {
-    client::request(addr, "POST", "/jobs", Some(spec)).expect("POST /jobs")
-}
-
-fn job_id(reply: &Response) -> String {
-    json::parse(&body_str(reply))
-        .expect("reply parses")
-        .get("id")
-        .and_then(Value::as_str)
-        .expect("reply names a job")
-        .to_string()
-}
-
-/// Polls `GET /jobs/<id>` until the job reports `done`.
-fn wait_done(addr: SocketAddr, id: &str) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let progress = get(addr, &format!("/jobs/{id}"));
-        assert_eq!(progress.status, 200, "progress: {}", body_str(&progress));
-        let p = json::parse(&body_str(&progress)).expect("progress parses");
-        match p.get("status").and_then(Value::as_str) {
-            Some("done") => return,
-            Some("failed") => panic!("job failed: {}", body_str(&progress)),
-            _ => {}
-        }
-        assert!(Instant::now() < deadline, "job did not finish in time");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn stats(addr: SocketAddr) -> Value {
-    let r = get(addr, "/stats");
-    assert_eq!(r.status, 200);
-    json::parse(&body_str(&r)).expect("stats parse")
-}
 
 fn serving_stat(stats: &Value, key: &str) -> u64 {
     stats
@@ -62,18 +20,6 @@ fn serving_stat(stats: &Value, key: &str) -> u64 {
         .and_then(|s| s.get(key))
         .and_then(Value::as_u64)
         .unwrap_or(0)
-}
-
-/// The `sim_`-prefixed lines of the `/metrics` exposition — the
-/// deterministic section, byte-comparable across runs.
-fn sim_metric_lines(addr: SocketAddr) -> String {
-    let r = get(addr, "/metrics");
-    assert_eq!(r.status, 200);
-    body_str(&r)
-        .lines()
-        .filter(|l| l.starts_with("sim_") || l.starts_with("# TYPE sim_"))
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
