@@ -62,7 +62,7 @@ fn main() {
 
     let campaign = FaultCampaign::new(&p);
     bench.run("campaign/full_structural_universe_sequential", || {
-        campaign.run_sequential().coverage_total()
+        campaign.run_on(1).coverage_total()
     });
     let threads = rt::par::threads();
     let parallel = bench

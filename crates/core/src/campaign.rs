@@ -40,7 +40,7 @@ use link::netlists::functional_netlists;
 use msim::effects::{resolve_effect, AnalogEffect};
 use msim::fault::{Fault, FaultKind, FaultUniverse};
 use msim::params::DesignParams;
-use rt::exec::{self, RetryPolicy, Sabotage, Shard, ShardFailure, ShardJob};
+use rt::exec::{self, ExecReport, RetryPolicy, Sabotage, Sabotaged, Shard, ShardFailure, ShardJob};
 
 use crate::bist::Bist;
 use crate::chain_a::ChainA;
@@ -98,6 +98,21 @@ impl CampaignExec {
     pub fn with_sabotage(mut self, sabotage: Sabotage) -> CampaignExec {
         self.sabotage = Some(sabotage);
         self
+    }
+
+    /// Runs `shards` of `job` under this policy: the checkpoint opened
+    /// against fingerprint `fp`, the sabotage tripped ahead of every
+    /// shard. Panics if the checkpoint file cannot be opened.
+    fn run<J: ShardJob>(&self, fp: u64, shards: &[Shard], job: &J) -> ExecReport<J::Record> {
+        let mut ck = self.checkpoint.as_ref().map(|path| {
+            exec::Checkpoint::open(path, fp)
+                .unwrap_or_else(|e| panic!("checkpoint {}: {e}", path.display()))
+        });
+        let job = Sabotaged {
+            job,
+            sabotage: self.sabotage.as_ref(),
+        };
+        exec::run_shards(self.threads, &self.retry, ck.as_mut(), shards, &job)
     }
 }
 
@@ -414,16 +429,12 @@ struct FaultJob<'a> {
     dc: DcTest,
     scan: ScanTest,
     bist: Bist,
-    sabotage: Option<&'a Sabotage>,
 }
 
 impl ShardJob for FaultJob<'_> {
     type Record = TierVerdict;
 
     fn run(&self, shard: &Shard) -> Vec<TierVerdict> {
-        if let Some(s) = self.sabotage {
-            s.trip(shard.index);
-        }
         shard
             .range()
             .map(|c| {
@@ -486,9 +497,9 @@ impl FaultCampaign {
 
     /// Runs every effect class through all three tiers, fanning the
     /// classes across all available cores. Records come back in universe
-    /// order, byte-identical to [`FaultCampaign::run_sequential`] — the
-    /// shard plan preserves class order and each class's simulation is
-    /// independent of its neighbours.
+    /// order, byte-identical at any thread count — the shard plan
+    /// preserves class order and each class's simulation is independent
+    /// of its neighbours.
     pub fn run(&self) -> CampaignResult {
         self.run_on(rt::par::threads())
     }
@@ -552,14 +563,10 @@ impl FaultCampaign {
             dc: DcTest::new(&self.p),
             scan: ScanTest::new(&self.p),
             bist: Bist::new(&self.p),
-            sabotage: policy.sabotage.as_ref(),
         };
         let shards = exec::plan(classes.len(), CLASS_SHARD_SIZE, FAULT_SHARD_SEED);
-        let mut ck = policy.checkpoint.as_ref().map(|path| {
-            exec::Checkpoint::open(path, self.fingerprint(universe.len(), classes.len()))
-                .unwrap_or_else(|e| panic!("checkpoint {}: {e}", path.display()))
-        });
-        let report = exec::run_shards(policy.threads, &policy.retry, ck.as_mut(), &shards, &job);
+        let fp = self.fingerprint(universe.len(), classes.len());
+        let report = policy.run(fp, &shards, &job);
         // Completed shards' verdicts arrive concatenated in plan order;
         // failed shards leave their classes undecided.
         let mut verdicts = vec![None; classes.len()];
@@ -589,12 +596,6 @@ impl FaultCampaign {
             ),
         );
         result
-    }
-
-    /// Runs the campaign on the calling thread only — the reference
-    /// implementation the parallel path is tested against.
-    pub fn run_sequential(&self) -> CampaignResult {
-        self.run_on(1)
     }
 }
 
@@ -648,13 +649,28 @@ struct DigitalJob<'a> {
     chains: &'a [(&'static str, Circuit, Vec<ScanVector>)],
     faults: &'a [Vec<StuckAtFault>],
     starts: &'a [usize],
-    sabotage: Option<&'a Sabotage>,
 }
 
 impl DigitalJob<'_> {
-    /// The chain a plan-global shard start offset falls into.
-    fn chain_of(&self, start: usize) -> usize {
-        self.starts.partition_point(|&s| s <= start) - 1
+    /// The chain a shard lies in and the shard's fault range within it.
+    fn locate(&self, shard: &Shard) -> (usize, std::ops::Range<usize>) {
+        let chain = self.starts.partition_point(|&s| s <= shard.start) - 1;
+        let local = shard.start - self.starts[chain];
+        (chain, local..local + shard.len)
+    }
+
+    /// The shard's records for its per-fault detection flags.
+    fn records(&self, shard: &Shard, flags: Vec<bool>) -> Vec<DigitalFaultRecord> {
+        let (chain, range) = self.locate(shard);
+        self.faults[chain][range]
+            .iter()
+            .zip(flags)
+            .map(|(&fault, detected)| DigitalFaultRecord {
+                chain: self.chains[chain].0,
+                fault,
+                detected,
+            })
+            .collect()
     }
 }
 
@@ -662,18 +678,9 @@ impl ShardJob for DigitalJob<'_> {
     type Record = DigitalFaultRecord;
 
     fn run(&self, shard: &Shard) -> Vec<DigitalFaultRecord> {
-        if let Some(s) = self.sabotage {
-            s.trip(shard.index);
-        }
-        let chain = self.chain_of(shard.start);
+        let (chain, range) = self.locate(shard);
         let (name, circuit, vectors) = &self.chains[chain];
-        let local = shard.start - self.starts[chain];
-        let flags = dsim::bitpar::ppsfp_detect_shard(
-            circuit,
-            vectors,
-            &self.faults[chain],
-            local..local + shard.len,
-        );
+        let flags = dsim::bitpar::ppsfp_detect_shard(circuit, vectors, &self.faults[chain], range);
         // Per-shard increments summing to the per-chain totals the
         // metrics snapshot tracks — functions of the (thread-invariant)
         // shard plan only.
@@ -682,42 +689,23 @@ impl ShardJob for DigitalJob<'_> {
             &format!("campaign.digital.{name}.detected"),
             flags.iter().filter(|&&d| d).count() as u64,
         );
-        self.faults[chain][local..local + shard.len]
-            .iter()
-            .zip(flags)
-            .map(|(&fault, detected)| DigitalFaultRecord {
-                chain: name,
-                fault,
-                detected,
-            })
-            .collect()
+        self.records(shard, flags)
     }
 
     fn encode(&self, _shard: &Shard, records: &[DigitalFaultRecord], out: &mut Vec<u8>) {
-        for r in records {
-            out.push(u8::from(r.detected));
-        }
+        out.extend(records.iter().map(|r| u8::from(r.detected)));
     }
 
     fn decode(&self, shard: &Shard, payload: &[u8]) -> Option<Vec<DigitalFaultRecord>> {
-        if payload.len() != shard.len || payload.iter().any(|&b| b > 1) {
-            return None;
-        }
-        let chain = self.chain_of(shard.start);
-        let (name, _, _) = &self.chains[chain];
-        let local = shard.start - self.starts[chain];
-        Some(
-            self.faults[chain][local..local + shard.len]
-                .iter()
-                .zip(payload)
-                .map(|(&fault, &b)| DigitalFaultRecord {
-                    chain: name,
-                    fault,
-                    detected: b == 1,
-                })
-                .collect(),
-        )
+        Some(self.records(shard, detected_flags(shard, payload)?))
     }
+}
+
+/// Decodes a one-byte-per-record detection payload: `None` unless it
+/// holds one 0/1 byte per item of `shard`.
+fn detected_flags(shard: &Shard, payload: &[u8]) -> Option<Vec<bool>> {
+    (payload.len() == shard.len && payload.iter().all(|&b| b <= 1))
+        .then(|| payload.iter().map(|&b| b == 1).collect())
 }
 
 /// The gate-level stuck-at campaign over the paper's stitched scan chains,
@@ -830,14 +818,9 @@ impl DigitalCampaign {
             chains: &self.chains,
             faults: &faults,
             starts: &starts,
-            sabotage: policy.sabotage.as_ref(),
         };
         let shards = exec::plan_segmented(&segments, DIGITAL_SHARD_SIZE, DIGITAL_SHARD_SEED);
-        let mut ck = policy.checkpoint.as_ref().map(|path| {
-            exec::Checkpoint::open(path, self.fingerprint(&faults))
-                .unwrap_or_else(|e| panic!("checkpoint {}: {e}", path.display()))
-        });
-        let report = exec::run_shards(policy.threads, &policy.retry, ck.as_mut(), &shards, &job);
+        let report = policy.run(self.fingerprint(&faults), &shards, &job);
         for (name, _, _) in &self.chains {
             let (total, detected) = report
                 .records
@@ -1039,12 +1022,12 @@ impl UniverseSel {
 /// A netlist campaign prepared for shard-granular execution: owns the
 /// enumerated fault universes, the random pattern set, the generated
 /// tests and their fault-free goldens, and exposes the deterministic
-/// plan, the per-shard runner and the checkpoint payload codec.
+/// plan. It is its own [`ShardJob`] (runner and checkpoint codec).
 ///
-/// [`NetlistCampaign::run_with`] drives one of these through the
-/// in-process [`rt::exec`] executor; the `serve` crate's job scheduler
-/// drives the same object shard by shard from its shared worker pool,
-/// which is what makes a served campaign byte-identical to a local run.
+/// [`NetlistCampaign::run_with`] drives one of these through
+/// [`rt::exec::run_shards`]; the `serve` crate's job scheduler drives
+/// the same object shard by shard from its shared worker pool, which is
+/// what makes a served campaign byte-identical to a local run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedCampaign {
     name: String,
@@ -1061,17 +1044,6 @@ impl PreparedCampaign {
     /// The campaign's display name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// `(stuck-at, transition)` universe sizes (zero for a universe the
-    /// selection excluded).
-    pub fn universe_sizes(&self) -> (usize, usize) {
-        (self.stuck.len(), self.transition.len())
-    }
-
-    /// Total planned fault records across both universes.
-    pub fn total(&self) -> usize {
-        self.stuck.len() + self.transition.len()
     }
 
     /// The deterministic shard plan: the stuck-at universe then the
@@ -1100,32 +1072,57 @@ impl PreparedCampaign {
         ])
     }
 
-    /// Record reconstruction for one plan-global index — shared by
-    /// [`PreparedCampaign::run_shard`] and the payload decoder.
-    fn record_at(&self, i: usize, detected: bool) -> NetlistFaultRecord {
-        if i < self.stuck.len() {
-            NetlistFaultRecord::StuckAt {
-                fault: self.stuck[i],
-                detected,
-            }
-        } else {
-            NetlistFaultRecord::Transition {
-                fault: self.transition[i - self.stuck.len()],
-                detected,
-            }
+    /// The shard's records for its per-fault detection flags — shared by
+    /// the shard runner and the payload decoder.
+    fn records(&self, shard: &Shard, flags: Vec<bool>) -> Vec<NetlistFaultRecord> {
+        let sa = self.stuck.len();
+        shard
+            .range()
+            .zip(flags)
+            .map(|(i, detected)| match i.checked_sub(sa) {
+                None => NetlistFaultRecord::StuckAt {
+                    fault: self.stuck[i],
+                    detected,
+                },
+                Some(t) => NetlistFaultRecord::Transition {
+                    fault: self.transition[t],
+                    detected,
+                },
+            })
+            .collect()
+    }
+
+    /// Assembles a [`NetlistCampaignResult`] from records concatenated
+    /// in plan order plus a failed-shard manifest.
+    pub fn result(
+        &self,
+        records: Vec<NetlistFaultRecord>,
+        incomplete: Vec<ShardFailure>,
+    ) -> NetlistCampaignResult {
+        NetlistCampaignResult {
+            records,
+            untestable: self.untestable.clone(),
+            incomplete,
         }
     }
+}
+
+/// A prepared netlist campaign is its own shard job: a pure function of
+/// the shard and the prepared state, so any scheduler may run shards in
+/// any order on any thread and concatenate results in plan order.
+/// Checkpoint payloads are one detected byte per record; the fault is
+/// reconstructed from the plan-global index.
+impl ShardJob for PreparedCampaign {
+    type Record = NetlistFaultRecord;
 
     /// Runs one planned shard on the calling thread: PPSFP for a
     /// stuck-at shard, launch-on-capture replay against the precomputed
-    /// goldens for a transition shard. A pure function of the shard and
-    /// the prepared state — any scheduler may run shards in any order on
-    /// any thread and concatenate results in plan order.
+    /// goldens for a transition shard.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is not from this campaign's plan.
-    pub fn run_shard(&self, shard: &Shard) -> Vec<NetlistFaultRecord> {
+    fn run(&self, shard: &Shard) -> Vec<NetlistFaultRecord> {
         let model = if shard.start < self.stuck.len() {
             "stuck_at"
         } else {
@@ -1163,75 +1160,15 @@ impl PreparedCampaign {
             &format!("campaign.netlist.{}.{model}.detected", self.name),
             flags.iter().filter(|&&d| d).count() as u64,
         );
-        shard
-            .range()
-            .zip(flags)
-            .map(|(i, detected)| self.record_at(i, detected))
-            .collect()
-    }
-
-    /// Encodes a shard's records as checkpoint payload bytes (one
-    /// detected byte per record).
-    pub fn encode_shard(&self, records: &[NetlistFaultRecord], out: &mut Vec<u8>) {
-        for r in records {
-            out.push(u8::from(r.detected()));
-        }
-    }
-
-    /// Decodes a checkpoint payload back into records, or `None` when
-    /// the payload does not match the shard (wrong length, non-flag
-    /// bytes) — the shard is then recomputed.
-    pub fn decode_shard(&self, shard: &Shard, payload: &[u8]) -> Option<Vec<NetlistFaultRecord>> {
-        if payload.len() != shard.len || payload.iter().any(|&b| b > 1) {
-            return None;
-        }
-        Some(
-            shard
-                .range()
-                .zip(payload)
-                .map(|(i, &b)| self.record_at(i, b == 1))
-                .collect(),
-        )
-    }
-
-    /// Assembles a [`NetlistCampaignResult`] from records concatenated
-    /// in plan order plus a failed-shard manifest.
-    pub fn result(
-        &self,
-        records: Vec<NetlistFaultRecord>,
-        incomplete: Vec<ShardFailure>,
-    ) -> NetlistCampaignResult {
-        NetlistCampaignResult {
-            records,
-            untestable: self.untestable.clone(),
-            incomplete,
-        }
-    }
-}
-
-/// The netlist campaign's in-process shard job: a thin [`ShardJob`]
-/// adapter over [`PreparedCampaign`] adding the seeded sabotage hook.
-struct NetlistJob<'a> {
-    prep: &'a PreparedCampaign,
-    sabotage: Option<&'a Sabotage>,
-}
-
-impl ShardJob for NetlistJob<'_> {
-    type Record = NetlistFaultRecord;
-
-    fn run(&self, shard: &Shard) -> Vec<NetlistFaultRecord> {
-        if let Some(s) = self.sabotage {
-            s.trip(shard.index);
-        }
-        self.prep.run_shard(shard)
+        self.records(shard, flags)
     }
 
     fn encode(&self, _shard: &Shard, records: &[NetlistFaultRecord], out: &mut Vec<u8>) {
-        self.prep.encode_shard(records, out);
+        out.extend(records.iter().map(|r| u8::from(r.detected())));
     }
 
     fn decode(&self, shard: &Shard, payload: &[u8]) -> Option<Vec<NetlistFaultRecord>> {
-        self.prep.decode_shard(shard, payload)
+        Some(self.records(shard, detected_flags(shard, payload)?))
     }
 }
 
@@ -1413,16 +1350,7 @@ impl NetlistCampaign {
     pub fn run_with(&self, policy: &CampaignExec) -> NetlistCampaignResult {
         let _span = rt::obs::span("campaign.netlist");
         let prep = self.prepare();
-        let job = NetlistJob {
-            prep: &prep,
-            sabotage: policy.sabotage.as_ref(),
-        };
-        let shards = prep.shards();
-        let mut ck = policy.checkpoint.as_ref().map(|path| {
-            exec::Checkpoint::open(path, prep.fingerprint())
-                .unwrap_or_else(|e| panic!("checkpoint {}: {e}", path.display()))
-        });
-        let report = exec::run_shards(policy.threads, &policy.retry, ck.as_mut(), &shards, &job);
+        let report = policy.run(prep.fingerprint(), &prep.shards(), &prep);
         let result = prep.result(report.records, report.incomplete);
         let (sa_total, sa_detected) = result.stuck_at();
         let (tr_total, tr_detected) = result.transition();
@@ -1564,7 +1492,7 @@ mod tests {
     #[test]
     fn parallel_run_matches_sequential() {
         let c = FaultCampaign::new(&DesignParams::paper());
-        let seq = c.run_sequential();
+        let seq = c.run_on(1);
         for threads in [2, 4] {
             assert_eq!(c.run_on(threads), seq, "diverged at {threads} threads");
         }

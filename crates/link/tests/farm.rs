@@ -2,10 +2,8 @@
 //! thread counts, checkpoint kill/resume, and the pinned demonstration
 //! that the crosstalk coupling axis changes detection and BER records.
 
-use link::farm::{
-    grid_csv, CellRecord, FarmAxes, FarmGrid, LinkFarm, FARM_SHARD_SIZE, RECORD_BYTES,
-};
-use rt::exec::{Checkpoint, RetryPolicy, Sabotage, Shard, ShardJob};
+use link::farm::{grid_csv, FarmAxes, FarmGrid, LinkFarm, FARM_SHARD_SIZE, RECORD_BYTES};
+use rt::exec::{Checkpoint, RetryPolicy, Sabotage, Sabotaged, ShardJob};
 
 /// A ≥1000-cell grid kept cheap for debug-mode CI: few segments, short
 /// bit streams come from the farm itself.
@@ -47,30 +45,6 @@ fn thousand_cell_sweep_is_byte_identical_at_any_thread_count() {
     }
 }
 
-/// A farm whose shard runner trips a sabotage panic — the kill half of
-/// the kill/resume acceptance test.
-struct SabotagedFarm<'a> {
-    farm: &'a LinkFarm,
-    sabotage: Sabotage,
-}
-
-impl ShardJob for SabotagedFarm<'_> {
-    type Record = CellRecord;
-
-    fn run(&self, shard: &Shard) -> Vec<CellRecord> {
-        self.sabotage.trip(shard.index);
-        self.farm.run_shard(shard)
-    }
-
-    fn encode(&self, shard: &Shard, records: &[CellRecord], out: &mut Vec<u8>) {
-        self.farm.encode(shard, records, out);
-    }
-
-    fn decode(&self, shard: &Shard, payload: &[u8]) -> Option<Vec<CellRecord>> {
-        self.farm.decode(shard, payload)
-    }
-}
-
 #[test]
 fn interrupted_sweep_resumes_byte_identically_from_checkpoint() {
     let mut axes = big_axes();
@@ -90,9 +64,10 @@ fn interrupted_sweep_resumes_byte_identically_from_checkpoint() {
     let dead = plan.len() - 1;
     {
         let mut ck = Checkpoint::open(&path, fp).unwrap();
-        let sab = SabotagedFarm {
-            farm: &farm,
-            sabotage: Sabotage::times(dead, u32::MAX),
+        let kill = Sabotage::times(dead, u32::MAX);
+        let sab = Sabotaged {
+            job: &farm,
+            sabotage: Some(&kill),
         };
         let report = rt::exec::run_shards(2, &RetryPolicy::none(), Some(&mut ck), &plan, &sab);
         assert!(!report.is_complete());

@@ -17,7 +17,8 @@
 //!   per frame. A re-run with the same fingerprint resumes from the
 //!   longest valid prefix; a truncated or corrupted tail is discarded,
 //!   never trusted.
-//! * **Panic isolation** ([`run_shards`]) — every shard attempt runs
+//! * **Panic isolation** ([`Executor`], [`run_shards`]) — a steppable
+//!   executor holds every shard's state; every shard attempt runs
 //!   under [`crate::obs::quarantine`]: a panic is caught, the attempt's
 //!   partial telemetry is discarded (so retried runs stay byte-identical
 //!   to untroubled ones), and the shard is retried up to a bounded
@@ -48,9 +49,10 @@
 //! assert_eq!(report.records, (0..10).map(|i| 2 * i).collect::<Vec<u64>>());
 //! ```
 
+use std::collections::VecDeque;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::rng::Rng;
@@ -386,7 +388,6 @@ fn decode_frame(bytes: &[u8], at: usize) -> Option<Frame> {
 /// fingerprint.
 #[derive(Debug)]
 pub struct Checkpoint {
-    path: PathBuf,
     file: fs::File,
     frames: Vec<Frame>,
 }
@@ -431,15 +432,9 @@ impl Checkpoint {
         }
         file.seek(SeekFrom::End(0))?;
         Ok(Checkpoint {
-            path,
             file,
             frames: decoded.frames,
         })
-    }
-
-    /// The file this checkpoint persists to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// The frames recovered when the checkpoint was opened, in file
@@ -519,9 +514,9 @@ impl RetryPolicy {
 }
 
 /// Deterministic fault injection: panics a chosen shard a chosen number
-/// of times, then lets it through. Jobs call [`Sabotage::trip`] at the
-/// top of their shard body; the conformance suite uses this to prove
-/// that a worker panic is isolated, retried and recovered.
+/// of times, then lets it through. A job wrapped in [`Sabotaged`] trips
+/// it at the top of every shard; the conformance suite uses this to
+/// prove that a worker panic is isolated, retried and recovered.
 #[derive(Debug)]
 pub struct Sabotage {
     shard: usize,
@@ -581,11 +576,12 @@ impl Sabotage {
 /// A unit of campaign work the executor can run, checkpoint and resume.
 ///
 /// `run` must be a pure function of the shard (plus the job's own
-/// immutable state): the executor may invoke it on any thread, retry it
-/// after a panic, or skip it entirely when the checkpoint already holds
-/// its records. `encode`/`decode` round-trip the shard's records through
-/// checkpoint payload bytes; the defaults disable persistence (every
-/// frame decodes to `None` and is recomputed).
+/// immutable state) returning one record per item of `shard.range()`:
+/// the executor may invoke it on any thread, retry it after a panic, or
+/// skip it entirely when the checkpoint already holds its records.
+/// `encode`/`decode` round-trip the shard's records through checkpoint
+/// payload bytes; the defaults disable persistence (every frame decodes
+/// to `None` and is recomputed).
 pub trait ShardJob: Sync {
     /// Per-item result record produced by a shard.
     type Record: Send;
@@ -603,6 +599,34 @@ pub trait ShardJob: Sync {
     /// shard is then recomputed. The default always recomputes.
     fn decode(&self, _shard: &Shard, _payload: &[u8]) -> Option<Vec<Self::Record>> {
         None
+    }
+}
+
+/// `job` with an optional [`Sabotage`] tripped at the top of every
+/// shard — the one place fault injection enters a run.
+pub struct Sabotaged<'a, J> {
+    /// The job whose shards run after the trip.
+    pub job: &'a J,
+    /// The injected panic, if any.
+    pub sabotage: Option<&'a Sabotage>,
+}
+
+impl<J: ShardJob> ShardJob for Sabotaged<'_, J> {
+    type Record = J::Record;
+
+    fn run(&self, shard: &Shard) -> Vec<J::Record> {
+        if let Some(s) = self.sabotage {
+            s.trip(shard.index);
+        }
+        self.job.run(shard)
+    }
+
+    fn encode(&self, shard: &Shard, records: &[J::Record], out: &mut Vec<u8>) {
+        self.job.encode(shard, records, out);
+    }
+
+    fn decode(&self, shard: &Shard, payload: &[u8]) -> Option<Vec<J::Record>> {
+        self.job.decode(shard, payload)
     }
 }
 
@@ -643,7 +667,7 @@ pub struct ExecSummary {
 
 /// The outcome of [`run_shards`]: completed records in shard order plus
 /// the incompleteness manifest.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct ExecReport<R> {
     /// Records of every completed shard, concatenated in shard (= item)
     /// order. Failed shards contribute nothing; consult `incomplete`
@@ -662,14 +686,179 @@ impl<R> ExecReport<R> {
     }
 }
 
-enum ShardState<R> {
-    Pending { attempts: u32, last_error: String },
-    Done { records: Vec<R>, resumed: bool },
-    Failed { attempts: u32, message: String },
+enum Slot<T> {
+    /// Pending or out with a driver, after this many failed attempts.
+    Open(u32),
+    Done(T),
+    Failed(ShardFailure),
+}
+
+/// The steppable shard executor: per-shard state (pending, done or
+/// failed), attempt counts under a [`RetryPolicy`], checkpoint-frame
+/// resume and the [`ShardFailure`] manifest. It runs nothing itself: a
+/// driver takes shards with [`Executor::next_shard`], runs them
+/// anywhere and reports back with [`Executor::complete`] or
+/// [`Executor::fail`]. [`run_shards`] drives it in parallel waves; the
+/// job server steps one per job. `T` is one completed shard's output.
+/// Shards are keyed by [`Shard::index`], their position in the plan.
+pub struct Executor<T> {
+    plan: Vec<Shard>,
+    retry: RetryPolicy,
+    slots: Vec<Slot<T>>,
+    queue: VecDeque<usize>,
+    summary: ExecSummary,
+}
+
+impl<T> Executor<T> {
+    /// An executor with every shard of `plan` pending.
+    pub fn new(plan: Vec<Shard>, retry: RetryPolicy) -> Executor<T> {
+        Executor {
+            slots: plan.iter().map(|_| Slot::Open(0)).collect(),
+            queue: (0..plan.len()).collect(),
+            summary: ExecSummary {
+                planned: plan.len(),
+                ..ExecSummary::default()
+            },
+            plan,
+            retry,
+        }
+    }
+
+    /// Restores shards from checkpoint frames, before the first
+    /// [`Executor::next_shard`]: a frame counts when it names a planned
+    /// shard, holds one record per item and `decode` accepts its
+    /// payload. Later frames win (an append-only file can hold an
+    /// interrupted retry).
+    pub fn resume(&mut self, frames: &[Frame], mut decode: impl FnMut(&Shard, &[u8]) -> Option<T>) {
+        for frame in frames {
+            let index = frame.shard as usize;
+            let Some(shard) = self.plan.get(index) else {
+                continue;
+            };
+            if frame.records as usize != shard.len {
+                continue;
+            }
+            let Some(output) = decode(shard, &frame.payload) else {
+                continue;
+            };
+            if let Slot::Open(_) = self.slots[index] {
+                self.summary.resumed += 1;
+                self.summary.completed += 1;
+            }
+            self.slots[index] = Slot::Done(output);
+        }
+        let slots = &self.slots;
+        self.queue.retain(|&i| matches!(slots[i], Slot::Open(_)));
+    }
+
+    /// Takes the next pending shard (plan order, retries queued
+    /// behind), or `None` when none is pending.
+    pub fn next_shard(&mut self) -> Option<Shard> {
+        self.queue.pop_front().map(|i| self.plan[i])
+    }
+
+    /// Records a taken shard's output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shard `index` is already done or failed.
+    pub fn complete(&mut self, index: usize, output: T) {
+        assert!(
+            matches!(self.slots[index], Slot::Open(_)),
+            "shard {index} is closed"
+        );
+        self.slots[index] = Slot::Done(output);
+        self.summary.completed += 1;
+    }
+
+    /// Records a failed attempt of a taken shard: `true` when the retry
+    /// budget queues it again (with virtual backoff accounted), `false`
+    /// when it is now a [`ShardFailure`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if shard `index` is already done or failed.
+    pub fn fail(&mut self, index: usize, message: String) -> bool {
+        let Slot::Open(failed) = self.slots[index] else {
+            panic!("shard {index} is closed");
+        };
+        let attempts = failed + 1;
+        if attempts <= self.retry.max_retries {
+            self.summary.retried += 1;
+            self.summary.backoff_ticks += self.retry.backoff_ticks(attempts);
+            self.slots[index] = Slot::Open(attempts);
+            self.queue.push_back(index);
+            return true;
+        }
+        let shard = self.plan[index];
+        self.slots[index] = Slot::Failed(ShardFailure {
+            shard: shard.index,
+            start: shard.start,
+            len: shard.len,
+            attempts,
+            message,
+        });
+        self.summary.failed += 1;
+        false
+    }
+
+    /// `true` once every shard is done or failed.
+    pub fn is_finished(&self) -> bool {
+        self.summary.completed + self.summary.failed == self.summary.planned
+    }
+
+    /// Execution counters so far.
+    pub fn summary(&self) -> &ExecSummary {
+        &self.summary
+    }
+
+    /// Completed shards' outputs, in plan order.
+    pub fn outputs(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().filter_map(|s| match s {
+            Slot::Done(output) => Some(output),
+            _ => None,
+        })
+    }
+
+    /// Completed shards' outputs, in plan order, for updating in place.
+    pub fn outputs_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().filter_map(|s| match s {
+            Slot::Done(output) => Some(output),
+            _ => None,
+        })
+    }
+}
+
+impl<R> Executor<Vec<R>> {
+    /// Concatenates completed records in plan order and collects the
+    /// failure manifest.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Executor::is_finished`].
+    pub fn into_report(self) -> ExecReport<R> {
+        assert!(self.is_finished(), "report of an unfinished run");
+        let mut records = Vec::new();
+        let mut incomplete = Vec::new();
+        for slot in self.slots {
+            match slot {
+                Slot::Done(mut r) => records.append(&mut r),
+                Slot::Failed(f) => incomplete.push(f),
+                Slot::Open(_) => {}
+            }
+        }
+        ExecReport {
+            records,
+            incomplete,
+            summary: self.summary,
+        }
+    }
 }
 
 /// Runs `plan` through `job` on up to `threads` workers with panic
-/// isolation, bounded retry and optional checkpoint resume.
+/// isolation, bounded retry and optional checkpoint resume: an
+/// [`Executor`] drained in waves, each wave's shards mapped in
+/// parallel.
 ///
 /// Completed records come back concatenated in shard order —
 /// byte-identical at any thread count, after any interrupt/resume cycle,
@@ -692,137 +881,49 @@ pub fn run_shards<J: ShardJob>(
 ) -> ExecReport<J::Record> {
     assert!(threads > 0, "at least one worker thread is required");
     let _span = crate::obs::span("exec.run");
-    let mut summary = ExecSummary {
-        planned: plan.len(),
-        ..ExecSummary::default()
-    };
     crate::obs::count("exec.shards.planned", plan.len() as u64);
-
-    let mut state: Vec<ShardState<J::Record>> = plan
-        .iter()
-        .map(|_| ShardState::Pending {
-            attempts: 0,
-            last_error: String::new(),
-        })
-        .collect();
-
-    // Resume: trust every decodable checkpoint frame for a known shard.
-    // Unknown shard indices, stale ranges and undecodable payloads are
-    // skipped (the shard recomputes); later frames for the same shard
-    // win, since an append-only file can hold both halves of an
-    // interrupted retry.
-    if let Some(ck) = checkpoint.as_deref_mut() {
-        for frame in ck.frames() {
-            let index = frame.shard as usize;
-            let Some(shard) = plan.get(index) else {
-                continue;
-            };
-            let Some(records) = job.decode(shard, &frame.payload) else {
-                continue;
-            };
-            if records.len() != frame.records as usize {
-                continue;
-            }
-            if !matches!(state[index], ShardState::Done { resumed: true, .. }) {
-                summary.resumed += 1;
-            }
-            state[index] = ShardState::Done {
-                records,
-                resumed: true,
-            };
-        }
+    let mut exec = Executor::new(plan.to_vec(), retry.clone());
+    if let Some(ck) = checkpoint.as_deref() {
+        exec.resume(ck.frames(), |shard, payload| job.decode(shard, payload));
     }
-    crate::obs::count("exec.shards.resumed", summary.resumed as u64);
+    crate::obs::count("exec.shards.resumed", exec.summary().resumed as u64);
 
-    // Attempt waves: run every pending shard, retry failures with
-    // deterministic virtual backoff until the budget is spent.
     loop {
-        let pending: Vec<usize> = state
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                ShardState::Pending { attempts, .. } if *attempts <= retry.max_retries => Some(i),
-                _ => None,
-            })
-            .collect();
-        if pending.is_empty() {
+        let wave: Vec<Shard> = std::iter::from_fn(|| exec.next_shard()).collect();
+        if wave.is_empty() {
             break;
         }
-        let outcomes = crate::par::parallel_map_with(threads.min(pending.len()), &pending, |&i| {
+        let outcomes = crate::par::parallel_map_with(threads.min(wave.len()), &wave, |shard| {
             crate::obs::quarantine(|| {
-                let _span = crate::obs::span(format!("exec.shard.{}", plan[i].index));
-                job.run(&plan[i])
+                let _span = crate::obs::span(format!("exec.shard.{}", shard.index));
+                job.run(shard)
             })
         });
-        for (&i, outcome) in pending.iter().zip(outcomes) {
-            let ShardState::Pending { attempts, .. } = &state[i] else {
-                unreachable!("pending list only holds pending shards");
-            };
-            let attempts = attempts + 1;
+        for (shard, outcome) in wave.iter().zip(outcomes) {
             match outcome {
                 Ok(records) => {
                     if let Some(ck) = checkpoint.as_deref_mut() {
-                        persist(ck, job, &plan[i], &records);
+                        persist(ck, job, shard, &records);
                     }
-                    state[i] = ShardState::Done {
-                        records,
-                        resumed: false,
-                    };
+                    exec.complete(shard.index, records);
                 }
                 Err(message) => {
                     crate::obs::log::info(
                         "exec",
-                        format!("shard {i} attempt {attempts} panicked: {message}"),
+                        format!("shard {} panicked: {message}", shard.index),
                     );
-                    if attempts > retry.max_retries {
-                        state[i] = ShardState::Failed { attempts, message };
-                    } else {
-                        summary.retried += 1;
-                        summary.backoff_ticks += retry.backoff_ticks(attempts);
-                        state[i] = ShardState::Pending {
-                            attempts,
-                            last_error: message,
-                        };
-                    }
+                    exec.fail(shard.index, message);
                 }
             }
         }
     }
 
-    // Assemble in shard order; pending shards past budget become failures.
-    let mut records = Vec::new();
-    let mut incomplete = Vec::new();
-    for (shard, s) in plan.iter().zip(state) {
-        match s {
-            ShardState::Done { records: mut r, .. } => {
-                summary.completed += 1;
-                records.append(&mut r);
-            }
-            ShardState::Failed { attempts, message }
-            | ShardState::Pending {
-                attempts,
-                last_error: message,
-            } => {
-                incomplete.push(ShardFailure {
-                    shard: shard.index,
-                    start: shard.start,
-                    len: shard.len,
-                    attempts,
-                    message,
-                });
-            }
-        }
-    }
-    summary.failed = incomplete.len();
-    crate::obs::count("exec.shards.completed", summary.completed as u64);
-    crate::obs::count("exec.shards.retried", summary.retried as u64);
-    crate::obs::count("exec.shards.failed", summary.failed as u64);
-    crate::obs::count("exec.backoff_ticks", summary.backoff_ticks);
-    ExecReport {
-        records,
-        incomplete,
-        summary,
-    }
+    let report = exec.into_report();
+    crate::obs::count("exec.shards.completed", report.summary.completed as u64);
+    crate::obs::count("exec.shards.retried", report.summary.retried as u64);
+    crate::obs::count("exec.shards.failed", report.summary.failed as u64);
+    crate::obs::count("exec.backoff_ticks", report.summary.backoff_ticks);
+    report
 }
 
 fn persist<J: ShardJob>(ck: &mut Checkpoint, job: &J, shard: &Shard, records: &[J::Record]) {
@@ -849,15 +950,7 @@ mod tests {
 
     /// A deterministic job: records derive from the shard's substream
     /// seed and item indices only, and round-trip through 8-byte words.
-    struct SeededJob {
-        sabotage: Option<Sabotage>,
-    }
-
-    impl SeededJob {
-        fn plain() -> SeededJob {
-            SeededJob { sabotage: None }
-        }
-    }
+    struct SeededJob;
 
     impl ShardJob for SeededJob {
         type Record = u64;
@@ -865,9 +958,6 @@ mod tests {
         fn run(&self, shard: &Shard) -> Vec<u64> {
             crate::obs::count("job.shards", 1);
             crate::obs::count("job.items", shard.len as u64);
-            if let Some(s) = &self.sabotage {
-                s.trip(shard.index);
-            }
             let mut rng = Rng::seed_from_u64(shard.seed);
             shard.range().map(|i| rng.next_u64() ^ i as u64).collect()
         }
@@ -1161,7 +1251,7 @@ mod tests {
     #[test]
     fn checkpoint_file_roundtrip_and_tail_truncation() {
         let path = temp_ck("roundtrip");
-        let job = SeededJob::plain();
+        let job = SeededJob;
         let shards = plan(20, 4, 3);
         {
             let mut ck = Checkpoint::open(&path, 77).expect("open");
@@ -1203,7 +1293,7 @@ mod tests {
     #[test]
     fn run_shards_is_thread_count_invariant() {
         let shards = plan(57, 8, 11);
-        let job = SeededJob::plain();
+        let job = SeededJob;
         let baseline = run_shards(1, &RetryPolicy::none(), None, &shards, &job);
         assert!(baseline.is_complete());
         assert_eq!(baseline.records.len(), 57);
@@ -1216,11 +1306,12 @@ mod tests {
     #[test]
     fn one_shot_panic_with_retry_recovers_byte_identically() {
         let shards = plan(40, 8, 21);
-        let plain = SeededJob::plain();
         let ((), straight_metrics, _) = crate::obs::observe(|| {
-            let straight = run_shards(2, &RetryPolicy::none(), None, &shards, &plain);
-            let sab = SeededJob {
-                sabotage: Some(Sabotage::once(2)),
+            let straight = run_shards(2, &RetryPolicy::none(), None, &shards, &SeededJob);
+            let once = Sabotage::once(2);
+            let sab = Sabotaged {
+                job: &SeededJob,
+                sabotage: Some(&once),
             };
             let ((), retried_metrics, _) = crate::obs::observe(|| {
                 let recovered = crate::check::quiet(|| {
@@ -1249,8 +1340,10 @@ mod tests {
     #[test]
     fn exhausted_budget_degrades_to_a_manifest() {
         let shards = plan(30, 10, 9);
-        let sab = SeededJob {
-            sabotage: Some(Sabotage::times(1, u32::MAX)),
+        let always = Sabotage::times(1, u32::MAX);
+        let sab = Sabotaged {
+            job: &SeededJob,
+            sabotage: Some(&always),
         };
         let report =
             crate::check::quiet(|| run_shards(2, &RetryPolicy::retries(2), None, &shards, &sab));
@@ -1262,8 +1355,7 @@ mod tests {
         assert_eq!(failure.attempts, 3, "first try + two retries");
         assert!(failure.message.contains("sabotage"), "{}", failure.message);
         // Completed shards still delivered, in order.
-        let plain = SeededJob::plain();
-        let straight = run_shards(1, &RetryPolicy::none(), None, &shards, &plain);
+        let straight = run_shards(1, &RetryPolicy::none(), None, &shards, &SeededJob);
         let expected: Vec<u64> = straight.records[..10]
             .iter()
             .chain(&straight.records[20..])
@@ -1277,14 +1369,15 @@ mod tests {
     #[test]
     fn interrupted_run_resumes_byte_identically() {
         let shards = plan(48, 6, 33);
-        let plain = SeededJob::plain();
-        let straight = run_shards(3, &RetryPolicy::none(), None, &shards, &plain);
+        let straight = run_shards(3, &RetryPolicy::none(), None, &shards, &SeededJob);
         for threads in [1, 2, 4, 7] {
             let path = temp_ck(&format!("resume-{threads}"));
             let fp = fingerprint(&[48, 6, 33]);
             // Interrupted run: shard 5 dies with no retry budget.
-            let sab = SeededJob {
-                sabotage: Some(Sabotage::once(5)),
+            let once = Sabotage::once(5);
+            let sab = Sabotaged {
+                job: &SeededJob,
+                sabotage: Some(&once),
             };
             let mut ck = Checkpoint::open(&path, fp).expect("open");
             let partial = crate::check::quiet(|| {
@@ -1301,7 +1394,7 @@ mod tests {
                 &RetryPolicy::none(),
                 Some(&mut ck),
                 &shards,
-                &plain,
+                &SeededJob,
             );
             assert!(resumed.is_complete());
             assert_eq!(
@@ -1310,6 +1403,168 @@ mod tests {
             );
             assert_eq!(resumed.summary.resumed, shards.len() - 1);
             let _ = fs::remove_file(&path);
+        }
+    }
+
+    /// Drives an [`Executor`] by hand, the way the job server does:
+    /// several shards out with the driver at once, landed in a seeded
+    /// random order, retries queued behind the rest.
+    fn drive_by_hand<J: ShardJob>(
+        plan: &[Shard],
+        retry: &RetryPolicy,
+        mut ck: Option<&mut Checkpoint>,
+        job: &J,
+        seed: u64,
+    ) -> ExecReport<J::Record> {
+        let mut exec = Executor::new(plan.to_vec(), retry.clone());
+        if let Some(ck) = ck.as_deref() {
+            exec.resume(ck.frames(), |shard, payload| job.decode(shard, payload));
+        }
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut out: Vec<Shard> = Vec::new();
+        while !exec.is_finished() {
+            if out.is_empty() || rng.below(2) == 0 {
+                if let Some(shard) = exec.next_shard() {
+                    out.push(shard);
+                    continue;
+                }
+            }
+            let shard = out.swap_remove(rng.below(out.len()));
+            match crate::obs::quarantine(|| job.run(&shard)) {
+                Ok(records) => {
+                    if let Some(ck) = ck.as_deref_mut() {
+                        persist(ck, job, &shard, &records);
+                    }
+                    exec.complete(shard.index, records);
+                }
+                Err(message) => {
+                    exec.fail(shard.index, message);
+                }
+            }
+        }
+        exec.into_report()
+    }
+
+    #[test]
+    fn hand_driven_executor_matches_run_shards() {
+        // 11 shards. Shard 3 panics twice and recovers on its last
+        // retry; shard 7 never recovers.
+        let shards = plan(61, 6, 17);
+        let retry = RetryPolicy::retries(2);
+        let fp = fingerprint(&[61, 6, 17]);
+        let run = |threads: Option<usize>, ck: Option<&mut Checkpoint>| {
+            let (recovers, dies) = (Sabotage::times(3, 2), Sabotage::times(7, u32::MAX));
+            let inner = Sabotaged {
+                job: &SeededJob,
+                sabotage: Some(&recovers),
+            };
+            let job = Sabotaged {
+                job: &inner,
+                sabotage: Some(&dies),
+            };
+            crate::check::quiet(|| match threads {
+                Some(t) => run_shards(t, &retry, ck, &shards, &job),
+                None => drive_by_hand(&shards, &retry, ck, &job, 0x5EED),
+            })
+        };
+        // The checkpoint holds the even shards, a frame whose record
+        // count is wrong (never trusted) and a duplicate.
+        let seeded = temp_ck("hand-seed");
+        {
+            let mut ck = Checkpoint::open(&seeded, fp).expect("open");
+            for shard in shards.iter().filter(|s| s.index % 2 == 0) {
+                persist(&mut ck, &SeededJob, shard, &SeededJob.run(shard));
+            }
+            let mut payload = Vec::new();
+            SeededJob.encode(&shards[1], &SeededJob.run(&shards[1]), &mut payload);
+            let lying = Frame {
+                shard: 1,
+                records: shards[1].len as u32 + 1,
+                payload,
+            };
+            ck.append(&lying).expect("append");
+            persist(&mut ck, &SeededJob, &shards[0], &SeededJob.run(&shards[0]));
+        }
+        for with_ck in [false, true] {
+            let mut by_hand_ck = None;
+            if with_ck {
+                let path = temp_ck("hand");
+                fs::copy(&seeded, &path).expect("copy");
+                by_hand_ck = Some((Checkpoint::open(&path, fp).expect("open"), path));
+            }
+            let by_hand = run(None, by_hand_ck.as_mut().map(|(ck, _)| ck));
+            assert_eq!(by_hand.incomplete.len(), 1);
+            assert_eq!(by_hand.incomplete[0].shard, 7);
+            assert_eq!(
+                by_hand.summary.retried, 4,
+                "two for shard 3, two for shard 7"
+            );
+            assert_eq!(by_hand.summary.resumed, if with_ck { 6 } else { 0 });
+            for threads in [1, 2, 4, 7] {
+                let mut ck = None;
+                if with_ck {
+                    let path = temp_ck("waves");
+                    fs::copy(&seeded, &path).expect("copy");
+                    ck = Some((Checkpoint::open(&path, fp).expect("open"), path));
+                }
+                let waves = run(Some(threads), ck.as_mut().map(|(ck, _)| ck));
+                assert_eq!(by_hand, waves, "{threads} threads, checkpoint {with_ck}");
+                if let Some((_, path)) = ck {
+                    let _ = fs::remove_file(path);
+                }
+            }
+            if let Some((_, path)) = by_hand_ck {
+                let _ = fs::remove_file(path);
+            }
+        }
+        let _ = fs::remove_file(&seeded);
+    }
+
+    #[test]
+    fn retry_budget_is_per_shard() {
+        fn go<J: ShardJob<Record = u64>>(
+            by_hand: bool,
+            shards: &[Shard],
+            job: &J,
+        ) -> ExecReport<u64> {
+            let retry = RetryPolicy::retries(1);
+            crate::check::quiet(|| {
+                if by_hand {
+                    drive_by_hand(shards, &retry, None, job, 9)
+                } else {
+                    run_shards(2, &retry, None, shards, job)
+                }
+            })
+        }
+        let shards = plan(40, 8, 5);
+        let straight = run_shards(1, &RetryPolicy::none(), None, &shards, &SeededJob);
+        for by_hand in [false, true] {
+            // Shards 0 and 1 panic once each: one retry per shard
+            // recovers both.
+            let (first, second) = (Sabotage::once(0), Sabotage::once(1));
+            let inner = Sabotaged {
+                job: &SeededJob,
+                sabotage: Some(&first),
+            };
+            let job = Sabotaged {
+                job: &inner,
+                sabotage: Some(&second),
+            };
+            let report = go(by_hand, &shards, &job);
+            assert!(report.is_complete(), "by hand: {by_hand}");
+            assert_eq!(report.summary.retried, 2);
+            assert_eq!(report.records, straight.records);
+            // A shard that panics twice spends its one retry and fails.
+            let twice = Sabotage::times(2, 2);
+            let job = Sabotaged {
+                job: &SeededJob,
+                sabotage: Some(&twice),
+            };
+            let report = go(by_hand, &shards, &job);
+            assert_eq!(report.incomplete.len(), 1, "by hand: {by_hand}");
+            assert_eq!(report.incomplete[0].shard, 2);
+            assert_eq!(report.incomplete[0].attempts, 2);
+            assert_eq!(report.summary.completed, shards.len() - 1);
         }
     }
 

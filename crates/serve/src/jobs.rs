@@ -14,9 +14,9 @@
 
 use std::collections::BTreeMap;
 
-use dft::campaign::{NetlistCampaign, PreparedCampaign, UniverseSel};
+use dft::campaign::{NetlistCampaign, NetlistFaultRecord, PreparedCampaign, UniverseSel};
 use link::ber::BerModel;
-use link::farm::{FarmAxes, FarmGrid, LinkFarm};
+use link::farm::{CellRecord, FarmAxes, FarmGrid, LinkFarm};
 use rt::exec::{self, Frame, Shard, ShardJob};
 
 use crate::json::Value;
@@ -100,7 +100,15 @@ fn kind_str(sel: UniverseSel) -> &'static str {
     }
 }
 
-fn f64_axis(v: &Value, key: &str, default: &[f64]) -> Result<Vec<f64>, String> {
+/// Parses link-farm axis `key`: `default` when absent, else an array of
+/// 1..=[`FARM_MAX_AXIS`] values, each read by `item`.
+fn axis<T: Clone>(
+    v: &Value,
+    key: &str,
+    default: &[T],
+    what: &str,
+    item: impl Fn(&Value) -> Option<T>,
+) -> Result<Vec<T>, String> {
     match v.get(key) {
         None => Ok(default.to_vec()),
         Some(Value::Arr(items)) => {
@@ -109,30 +117,7 @@ fn f64_axis(v: &Value, key: &str, default: &[f64]) -> Result<Vec<f64>, String> {
             }
             items
                 .iter()
-                .map(|x| {
-                    x.as_f64()
-                        .ok_or_else(|| format!("\"{key}\" must hold numbers"))
-                })
-                .collect()
-        }
-        Some(_) => Err(format!("\"{key}\" must be an array")),
-    }
-}
-
-fn usize_axis(v: &Value, key: &str, default: &[usize]) -> Result<Vec<usize>, String> {
-    match v.get(key) {
-        None => Ok(default.to_vec()),
-        Some(Value::Arr(items)) => {
-            if items.is_empty() || items.len() > FARM_MAX_AXIS {
-                return Err(format!("\"{key}\" must hold 1..={FARM_MAX_AXIS} values"));
-            }
-            items
-                .iter()
-                .map(|x| {
-                    x.as_u64()
-                        .map(|n| n as usize)
-                        .ok_or_else(|| format!("\"{key}\" must hold integers"))
-                })
+                .map(|x| item(x).ok_or_else(|| format!("\"{key}\" must hold {what}")))
                 .collect()
         }
         Some(_) => Err(format!("\"{key}\" must be an array")),
@@ -229,14 +214,20 @@ impl JobSpec {
                 })
             }
             "link_farm" => {
+                let num = |key, default: f64| axis(v, key, &[default], "numbers", Value::as_f64);
+                let int = |key, default: usize| {
+                    axis(v, key, &[default], "integers", |x| {
+                        x.as_u64().map(|n| n as usize)
+                    })
+                };
                 let axes = FarmAxes {
-                    lengths_mm: f64_axis(v, "lengths_mm", &[10.0])?,
-                    swings_mv: f64_axis(v, "swings_mv", &[60.0])?,
-                    segments: usize_axis(v, "segments", &[10])?,
-                    sigmas_mv: f64_axis(v, "sigmas_mv", &[0.0])?,
-                    rates_gbps: f64_axis(v, "rates_gbps", &[2.5])?,
-                    lanes: usize_axis(v, "lanes", &[2])?,
-                    couplings: f64_axis(v, "couplings", &[0.0])?,
+                    lengths_mm: num("lengths_mm", 10.0)?,
+                    swings_mv: num("swings_mv", 60.0)?,
+                    segments: int("segments", 10)?,
+                    sigmas_mv: num("sigmas_mv", 0.0)?,
+                    rates_gbps: num("rates_gbps", 2.5)?,
+                    lanes: int("lanes", 2)?,
+                    couplings: num("couplings", 0.0)?,
                 };
                 axes.validate().map_err(|e| e.to_string())?;
                 if axes.total() > FARM_MAX_CELLS {
@@ -354,7 +345,7 @@ impl JobSpec {
     /// Returns a human-readable message when the inline Verilog fails
     /// to compile or the circuit cannot be time-expanded.
     pub fn prepare(&self) -> Result<PreparedJob, String> {
-        match self {
+        let (shards, job): (Vec<Shard>, Box<dyn Erased>) = match self {
             JobSpec::Campaign {
                 sel,
                 circuit,
@@ -376,109 +367,236 @@ impl JobSpec {
                     }
                 };
                 let vectors = if sel.stuck() { *vectors as usize } else { 1 };
-                let campaign = NetlistCampaign::configured(name, circuit, *sel, vectors, *seed)
-                    .map_err(|e| e.to_string())?;
-                Ok(PreparedJob::Campaign {
-                    sel: *sel,
-                    prep: Box::new(campaign.prepare()),
-                })
+                let prep = NetlistCampaign::configured(name, circuit, *sel, vectors, *seed)
+                    .map_err(|e| e.to_string())?
+                    .prepare();
+                (prep.shards(), Box::new(prep))
             }
             JobSpec::BerSweep {
                 center_ui,
                 half_width_ui,
                 sigma_ui,
                 points,
-            } => Ok(PreparedJob::Ber {
-                model: BerModel::new(*center_ui, *half_width_ui, *sigma_ui),
-                points: *points as usize,
-            }),
+            } => (
+                exec::plan(*points as usize, BER_SHARD_SIZE, BER_SHARD_SEED),
+                Box::new(BerJob {
+                    model: BerModel::new(*center_ui, *half_width_ui, *sigma_ui),
+                    points: *points as usize,
+                }),
+            ),
             JobSpec::LinkFarm { axes, seed } => {
                 let grid = FarmGrid::new(axes.clone(), *seed).map_err(|e| e.to_string())?;
-                Ok(PreparedJob::Farm {
-                    farm: LinkFarm::new(grid),
-                })
+                let farm = LinkFarm::new(grid);
+                (farm.plan(), Box::new(farm))
             }
+        };
+        Ok(PreparedJob {
+            kind: self.kind(),
+            shards,
+            job,
+        })
+    }
+}
+
+/// One served job kind: a [`ShardJob`] plus what the server needs on top
+/// of it — a shard's detection count for progress reports and the
+/// kind's fields of the result body.
+trait Kind: ShardJob + Send {
+    /// Deterministic counter the server bumps by each shard's item
+    /// count, if the kind has one.
+    const ITEMS: Option<&'static str> = None;
+
+    /// Detections among one shard's records (none by default).
+    fn detections(&self, _records: &[Self::Record]) -> u64 {
+        0
+    }
+
+    /// Inserts the kind's result fields, given every shard's records
+    /// concatenated in plan order.
+    fn body(&self, records: Vec<Self::Record>, m: &mut BTreeMap<String, Value>);
+}
+
+/// A [`Kind`] with its record type erased to checkpoint payload bytes —
+/// what a [`PreparedJob`] holds.
+trait Erased: Send + Sync {
+    fn payload(&self, shard: &Shard) -> Vec<u8>;
+    fn payload_detections(&self, shard: &Shard, payload: &[u8]) -> Option<u64>;
+    fn body(&self, shards: &[Shard], payloads: &[Vec<u8>], m: &mut BTreeMap<String, Value>);
+}
+
+impl<K: Kind> Erased for K {
+    fn payload(&self, shard: &Shard) -> Vec<u8> {
+        if let Some(counter) = K::ITEMS {
+            rt::obs::count(counter, shard.len as u64);
         }
+        let records = self.run(shard);
+        let mut out = Vec::new();
+        self.encode(shard, &records, &mut out);
+        out
+    }
+
+    fn payload_detections(&self, shard: &Shard, payload: &[u8]) -> Option<u64> {
+        Some(self.detections(&self.decode(shard, payload)?))
+    }
+
+    fn body(&self, shards: &[Shard], payloads: &[Vec<u8>], m: &mut BTreeMap<String, Value>) {
+        let mut records = Vec::new();
+        for (shard, payload) in shards.iter().zip(payloads) {
+            records.extend(
+                self.decode(shard, payload)
+                    .expect("scheduler validated every payload"),
+            );
+        }
+        Kind::body(self, records, m);
+    }
+}
+
+impl Kind for PreparedCampaign {
+    fn detections(&self, records: &[NetlistFaultRecord]) -> u64 {
+        records.iter().filter(|r| r.detected()).count() as u64
+    }
+
+    fn body(&self, records: Vec<NetlistFaultRecord>, m: &mut BTreeMap<String, Value>) {
+        let result = self.result(records, Vec::new());
+        let pair = |(t, d): (usize, usize)| {
+            let mut p = BTreeMap::new();
+            p.insert("detected".to_string(), Value::Num(d as f64));
+            p.insert("total".to_string(), Value::Num(t as f64));
+            Value::Obj(p)
+        };
+        m.insert("name".into(), Value::Str(self.name().into()));
+        m.insert("stuck_at".into(), pair(result.stuck_at()));
+        m.insert("transition".into(), pair(result.transition()));
+        m.insert(
+            "untestable".into(),
+            Value::Num(result.untestable.len() as f64),
+        );
+    }
+}
+
+/// A closed-form BER bathtub sweep evaluated point by point; payloads
+/// are eight little-endian bytes per point.
+struct BerJob {
+    model: BerModel,
+    points: usize,
+}
+
+impl BerJob {
+    /// The sweep phase for one plan-global point index — the same
+    /// mapping [`BerModel::bathtub`] uses, so a served sweep matches
+    /// the library sweep bit for bit.
+    fn phi(&self, i: usize) -> f64 {
+        self.model.center_ui() - 0.5 + i as f64 / (self.points - 1) as f64
+    }
+}
+
+impl ShardJob for BerJob {
+    type Record = f64;
+
+    fn run(&self, shard: &Shard) -> Vec<f64> {
+        let _span = rt::obs::span(format!("shard.ber_sweep.{}", shard.index));
+        rt::obs::count("serve.ber.points", shard.len as u64);
+        shard
+            .range()
+            .map(|i| self.model.ber_at(self.phi(i)))
+            .collect()
+    }
+
+    fn encode(&self, _shard: &Shard, records: &[f64], out: &mut Vec<u8>) {
+        for ber in records {
+            out.extend_from_slice(&ber.to_le_bytes());
+        }
+    }
+
+    fn decode(&self, shard: &Shard, payload: &[u8]) -> Option<Vec<f64>> {
+        (payload.len() == shard.len * 8).then(|| {
+            payload
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+                .collect()
+        })
+    }
+}
+
+impl Kind for BerJob {
+    fn body(&self, records: Vec<f64>, m: &mut BTreeMap<String, Value>) {
+        let curve = records
+            .iter()
+            .enumerate()
+            .map(|(i, &ber)| Value::Arr(vec![Value::Num(self.phi(i)), Value::Num(ber)]))
+            .collect();
+        m.insert("points".into(), Value::Arr(curve));
+    }
+}
+
+impl Kind for LinkFarm {
+    const ITEMS: Option<&'static str> = Some("serve.farm.cells");
+
+    fn detections(&self, records: &[CellRecord]) -> u64 {
+        records.iter().map(|r| u64::from(r.failing)).sum()
+    }
+
+    fn body(&self, records: Vec<CellRecord>, m: &mut BTreeMap<String, Value>) {
+        let mut cells = Vec::with_capacity(records.len());
+        let mut instances = 0u64;
+        let mut failing = 0u64;
+        let mut dc_detected = 0u64;
+        let mut activated = 0u64;
+        let mut min_eye = f64::INFINITY;
+        let mut max_ber = 0.0f64;
+        for r in &records {
+            instances += u64::from(r.instances);
+            failing += u64::from(r.failing);
+            dc_detected += u64::from(r.dc_detected);
+            activated += u64::from(r.xtalk_activated());
+            min_eye = min_eye.min(r.eye_coupled_mv);
+            max_ber = max_ber.max(r.ber);
+            cells.push(Value::Arr(vec![
+                Value::Num(f64::from(r.index)),
+                Value::Num(r.eye_uncoupled_mv),
+                Value::Num(r.eye_coupled_mv),
+                Value::Num(r.ber),
+                Value::Num(r.margin_ui),
+                Value::Num(f64::from(r.failing)),
+                Value::Num(f64::from(r.failing_uncoupled)),
+                Value::Num(f64::from(r.dc_detected)),
+            ]));
+        }
+        let mut summary = BTreeMap::new();
+        summary.insert("cells".to_string(), Value::Num(records.len() as f64));
+        summary.insert("instances".to_string(), Value::Num(instances as f64));
+        summary.insert("failing".to_string(), Value::Num(failing as f64));
+        summary.insert("dc_detected".to_string(), Value::Num(dc_detected as f64));
+        summary.insert("xtalk_activated".to_string(), Value::Num(activated as f64));
+        summary.insert("min_eye_coupled_mv".to_string(), Value::Num(min_eye));
+        summary.insert("max_ber".to_string(), Value::Num(max_ber));
+        m.insert("summary".into(), Value::Obj(summary));
+        m.insert("cells".into(), Value::Arr(cells));
     }
 }
 
 /// A job after its once-per-job setup: owns everything a worker needs
 /// to run any shard of it, in any order, on any thread.
-#[derive(Debug, Clone)]
-pub enum PreparedJob {
-    /// A fault campaign delegating to [`dft::campaign::PreparedCampaign`].
-    Campaign {
-        /// The universe selection (names the result body's kind).
-        sel: UniverseSel,
-        /// The prepared campaign state (boxed: it dwarfs the BER
-        /// variant).
-        prep: Box<PreparedCampaign>,
-    },
-    /// A BER bathtub sweep evaluated point-by-point.
-    Ber {
-        /// The closed-form eye model.
-        model: BerModel,
-        /// Total sweep points.
-        points: usize,
-    },
-    /// A link-farm sweep delegating to [`link::farm::LinkFarm`].
-    Farm {
-        /// The validated grid wrapped as a sharded job.
-        farm: LinkFarm,
-    },
+pub struct PreparedJob {
+    kind: &'static str,
+    shards: Vec<Shard>,
+    job: Box<dyn Erased>,
 }
 
 impl PreparedJob {
     /// The deterministic shard plan for this job.
-    pub fn shards(&self) -> Vec<Shard> {
-        match self {
-            PreparedJob::Campaign { prep, .. } => prep.shards(),
-            PreparedJob::Ber { points, .. } => exec::plan(*points, BER_SHARD_SIZE, BER_SHARD_SEED),
-            PreparedJob::Farm { farm } => farm.plan(),
-        }
+    pub fn shards(&self) -> &[Shard] {
+        &self.shards
     }
 
-    /// The sweep phase for one plan-global point index — the same
-    /// mapping [`BerModel::bathtub`] uses, so a served sweep matches
-    /// the library sweep bit for bit.
-    fn ber_phi(model: &BerModel, points: usize, i: usize) -> f64 {
-        model.center_ui() - 0.5 + i as f64 / (points - 1) as f64
-    }
-
-    /// Runs one planned shard to a checkpoint [`Frame`]: campaign
-    /// shards encode one detected byte per fault, BER shards eight
-    /// little-endian bytes per point. Pure — identical at any thread
-    /// count and shard interleaving.
+    /// Runs one planned shard to a checkpoint [`Frame`] holding the
+    /// shard's encoded records. Pure — identical at any thread count
+    /// and shard interleaving.
     pub fn run_shard(&self, shard: &Shard) -> Frame {
-        let payload = match self {
-            PreparedJob::Campaign { prep, .. } => {
-                let records = prep.run_shard(shard);
-                let mut out = Vec::with_capacity(records.len());
-                prep.encode_shard(&records, &mut out);
-                out
-            }
-            PreparedJob::Ber { model, points } => {
-                let _span = rt::obs::span(format!("shard.ber_sweep.{}", shard.index));
-                rt::obs::count("serve.ber.points", shard.len as u64);
-                let mut out = Vec::with_capacity(shard.len * 8);
-                for i in shard.range() {
-                    let ber = model.ber_at(Self::ber_phi(model, *points, i));
-                    out.extend_from_slice(&ber.to_le_bytes());
-                }
-                out
-            }
-            PreparedJob::Farm { farm } => {
-                rt::obs::count("serve.farm.cells", shard.len as u64);
-                let records = farm.run_shard(shard);
-                let mut out = Vec::with_capacity(records.len() * link::farm::RECORD_BYTES);
-                ShardJob::encode(farm, shard, &records, &mut out);
-                out
-            }
-        };
         Frame {
             shard: shard.index as u32,
             records: shard.len as u32,
-            payload,
+            payload: self.job.payload(shard),
         }
     }
 
@@ -486,23 +604,7 @@ impl PreparedJob {
     /// detections, or `None` when the payload cannot belong to the
     /// shard — the scheduler then recomputes the shard.
     pub fn payload_detections(&self, shard: &Shard, payload: &[u8]) -> Option<u64> {
-        match self {
-            PreparedJob::Campaign { prep, .. } => {
-                let records = prep.decode_shard(shard, payload)?;
-                Some(records.iter().filter(|r| r.detected()).count() as u64)
-            }
-            PreparedJob::Ber { .. } => {
-                if payload.len() == shard.len * 8 {
-                    Some(0)
-                } else {
-                    None
-                }
-            }
-            PreparedJob::Farm { farm } => {
-                let records = ShardJob::decode(farm, shard, payload)?;
-                Some(records.iter().map(|r| u64::from(r.failing)).sum())
-            }
-        }
+        self.job.payload_detections(shard, payload)
     }
 
     /// Assembles the final result body from every shard's payload in
@@ -514,103 +616,15 @@ impl PreparedJob {
     /// Panics if `payloads` does not hold one valid payload per
     /// planned shard (the scheduler only finalizes complete jobs).
     pub fn finalize(&self, fp: u64, payloads: &[Vec<u8>]) -> String {
-        let shards = self.shards();
-        assert_eq!(payloads.len(), shards.len(), "finalize needs every shard");
+        assert_eq!(
+            payloads.len(),
+            self.shards.len(),
+            "finalize needs every shard"
+        );
         let mut m = BTreeMap::new();
         m.insert("id".to_string(), Value::Str(format!("{fp:016x}")));
-        match self {
-            PreparedJob::Campaign { sel, prep } => {
-                let mut records = Vec::with_capacity(prep.total());
-                for (shard, payload) in shards.iter().zip(payloads) {
-                    records.extend(
-                        prep.decode_shard(shard, payload)
-                            .expect("scheduler validated every payload"),
-                    );
-                }
-                let result = prep.result(records, Vec::new());
-                let (sa_total, sa_detected) = result.stuck_at();
-                let (tr_total, tr_detected) = result.transition();
-                m.insert("kind".into(), Value::Str(kind_str(*sel).into()));
-                m.insert("name".into(), Value::Str(prep.name().into()));
-                let pair = |t: usize, d: usize| {
-                    let mut p = BTreeMap::new();
-                    p.insert("detected".to_string(), Value::Num(d as f64));
-                    p.insert("total".to_string(), Value::Num(t as f64));
-                    Value::Obj(p)
-                };
-                m.insert("stuck_at".into(), pair(sa_total, sa_detected));
-                m.insert("transition".into(), pair(tr_total, tr_detected));
-                m.insert(
-                    "untestable".into(),
-                    Value::Num(result.untestable.len() as f64),
-                );
-            }
-            PreparedJob::Ber { model, points } => {
-                let mut curve = Vec::with_capacity(*points);
-                let mut flat = vec![0.0f64; *points];
-                for (shard, payload) in shards.iter().zip(payloads) {
-                    for (k, i) in shard.range().enumerate() {
-                        let bytes: [u8; 8] = payload[k * 8..k * 8 + 8]
-                            .try_into()
-                            .expect("scheduler validated every payload");
-                        flat[i] = f64::from_le_bytes(bytes);
-                    }
-                }
-                for (i, ber) in flat.iter().enumerate() {
-                    curve.push(Value::Arr(vec![
-                        Value::Num(Self::ber_phi(model, *points, i)),
-                        Value::Num(*ber),
-                    ]));
-                }
-                m.insert("kind".into(), Value::Str("ber_sweep".into()));
-                m.insert("points".into(), Value::Arr(curve));
-            }
-            PreparedJob::Farm { farm } => {
-                let mut records = Vec::with_capacity(farm.grid().total());
-                for (shard, payload) in shards.iter().zip(payloads) {
-                    records.extend(
-                        ShardJob::decode(farm, shard, payload)
-                            .expect("scheduler validated every payload"),
-                    );
-                }
-                let mut cells = Vec::with_capacity(records.len());
-                let mut instances = 0u64;
-                let mut failing = 0u64;
-                let mut dc_detected = 0u64;
-                let mut activated = 0u64;
-                let mut min_eye = f64::INFINITY;
-                let mut max_ber = 0.0f64;
-                for r in &records {
-                    instances += u64::from(r.instances);
-                    failing += u64::from(r.failing);
-                    dc_detected += u64::from(r.dc_detected);
-                    activated += u64::from(r.xtalk_activated());
-                    min_eye = min_eye.min(r.eye_coupled_mv);
-                    max_ber = max_ber.max(r.ber);
-                    cells.push(Value::Arr(vec![
-                        Value::Num(f64::from(r.index)),
-                        Value::Num(r.eye_uncoupled_mv),
-                        Value::Num(r.eye_coupled_mv),
-                        Value::Num(r.ber),
-                        Value::Num(r.margin_ui),
-                        Value::Num(f64::from(r.failing)),
-                        Value::Num(f64::from(r.failing_uncoupled)),
-                        Value::Num(f64::from(r.dc_detected)),
-                    ]));
-                }
-                let mut summary = BTreeMap::new();
-                summary.insert("cells".to_string(), Value::Num(records.len() as f64));
-                summary.insert("instances".to_string(), Value::Num(instances as f64));
-                summary.insert("failing".to_string(), Value::Num(failing as f64));
-                summary.insert("dc_detected".to_string(), Value::Num(dc_detected as f64));
-                summary.insert("xtalk_activated".to_string(), Value::Num(activated as f64));
-                summary.insert("min_eye_coupled_mv".to_string(), Value::Num(min_eye));
-                summary.insert("max_ber".to_string(), Value::Num(max_ber));
-                m.insert("kind".into(), Value::Str("link_farm".into()));
-                m.insert("summary".into(), Value::Obj(summary));
-                m.insert("cells".into(), Value::Arr(cells));
-            }
-        }
+        m.insert("kind".to_string(), Value::Str(self.kind.into()));
+        self.job.body(&self.shards, payloads, &mut m);
         Value::Obj(m).canonical()
     }
 }
@@ -676,7 +690,7 @@ mod tests {
         let job = s.prepare().unwrap();
         let shards = job.shards();
         let mut payloads = vec![Vec::new(); shards.len()];
-        for shard in &shards {
+        for shard in shards {
             let frame = job.run_shard(shard);
             assert_eq!(frame.records as usize, shard.len);
             assert_eq!(

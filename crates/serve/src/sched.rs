@@ -31,13 +31,13 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rt::exec::{Checkpoint, Shard};
+use rt::exec::{Checkpoint, Executor, RetryPolicy, Shard};
 use rt::obs::{flight, Metrics, SpanEvent};
 
 use crate::jobs::{JobSpec, PreparedJob};
@@ -120,18 +120,11 @@ enum Status {
 struct Job {
     spec: JobSpec,
     status: Status,
-    prep: Option<Arc<PreparedJob>>,
-    shards: Vec<Shard>,
-    pending: VecDeque<usize>,
-    payloads: Vec<Option<Vec<u8>>>,
-    done: usize,
-    detections: u64,
+    run: Option<Run>,
     metrics: Metrics,
     trace: Vec<SpanEvent>,
-    ck: Option<Checkpoint>,
     result: Option<Arc<Vec<u8>>>,
     error: Option<String>,
-    attempts: u32,
 }
 
 impl Job {
@@ -139,20 +132,27 @@ impl Job {
         Job {
             spec,
             status: Status::Queued,
-            prep: None,
-            shards: Vec::new(),
-            pending: VecDeque::new(),
-            payloads: Vec::new(),
-            done: 0,
-            detections: 0,
+            run: None,
             metrics: Metrics::new(),
             trace: Vec::new(),
-            ck: None,
             result: None,
             error: None,
-            attempts: 0,
         }
     }
+}
+
+/// A prepared job's execution: the job, the executor over its shards
+/// (one retry per shard) and its checkpoint.
+struct Run {
+    prep: Arc<PreparedJob>,
+    exec: Executor<Done>,
+    ck: Option<Checkpoint>,
+}
+
+/// One completed shard as the scheduler keeps it.
+struct Done {
+    payload: Vec<u8>,
+    detections: u64,
 }
 
 /// Aggregate serving statistics (the per-request side; deterministic
@@ -216,6 +216,16 @@ struct State {
     inflight: BTreeMap<(u64, u32), InFlight>,
     estimates: BTreeMap<&'static str, Estimate>,
     shutdown: bool,
+}
+
+impl State {
+    /// Queues a fresh job at the back of the rotation.
+    fn admit(&mut self, fp: u64, spec: JobSpec) {
+        self.jobs.insert(fp, Job::fresh(spec));
+        self.rotation.push_back(fp);
+        self.unfinished += 1;
+        self.stats.admitted += 1;
+    }
 }
 
 struct Shared {
@@ -303,50 +313,32 @@ impl Scheduler {
 
     /// Re-admits persisted jobs whose result never landed.
     fn recover(&self) {
-        let Some(dir) = self.shared.cfg.state_dir.clone() else {
+        let Some(dir) = &self.shared.cfg.state_dir else {
             return;
         };
-        let Ok(entries) = fs::read_dir(&dir) else {
+        let Ok(entries) = fs::read_dir(dir) else {
             return;
         };
-        let mut specs: Vec<(u64, JobSpec)> = Vec::new();
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            if path.extension().and_then(|e| e.to_str()) != Some("req") {
-                continue;
+        // A `.req` that does not parse, or whose canonical spec no longer
+        // matches its filename (schema drift), is stale state, not a job.
+        let load = |path: &Path| -> Option<(u64, JobSpec)> {
+            if path.extension()? != "req" {
+                return None;
             }
-            let Ok(fp) = u64::from_str_radix(stem, 16) else {
-                continue;
-            };
+            let fp = u64::from_str_radix(path.file_stem()?.to_str()?, 16).ok()?;
             if dir.join(format!("{fp:016x}.res")).exists() {
-                continue;
+                return None;
             }
-            let Ok(text) = fs::read_to_string(&path) else {
-                continue;
-            };
-            let Ok(value) = json::parse(&text) else {
-                continue;
-            };
-            let Ok(spec) = JobSpec::from_value(&value) else {
-                continue;
-            };
-            // A `.req` whose canonical spec no longer matches its
-            // filename (schema drift) is stale state, not a job.
-            if spec.fingerprint() != fp {
-                continue;
-            }
-            specs.push((fp, spec));
-        }
+            let value = json::parse(&fs::read_to_string(path).ok()?).ok()?;
+            let spec = JobSpec::from_value(&value).ok()?;
+            (spec.fingerprint() == fp).then_some((fp, spec))
+        };
+        let mut specs: Vec<(u64, JobSpec)> =
+            entries.flatten().filter_map(|e| load(&e.path())).collect();
         specs.sort_by_key(|(fp, _)| *fp);
         let mut state = self.shared.state.lock().expect("scheduler lock");
         for (fp, spec) in specs {
-            state.jobs.insert(fp, Job::fresh(spec));
-            state.rotation.push_back(fp);
-            state.unfinished += 1;
-            state.stats.admitted += 1;
+            state.admit(fp, spec);
         }
     }
 
@@ -407,10 +399,7 @@ impl Scheduler {
             let _ = fs::write(dir.join(format!("{fp:016x}.req")), spec.canonical());
         }
         flight::record("admit", format!("job {fp:016x} kind {}", spec.kind()));
-        state.jobs.insert(fp, Job::fresh(spec));
-        state.rotation.push_back(fp);
-        state.unfinished += 1;
-        state.stats.admitted += 1;
+        state.admit(fp, spec);
         drop(state);
         self.shared.work.notify_one();
         Admission::Accepted { fp, fresh: true }
@@ -420,6 +409,11 @@ impl Scheduler {
     pub fn progress(&self, fp: u64) -> Option<Progress> {
         let state = self.shared.state.lock().expect("scheduler lock");
         let job = state.jobs.get(&fp)?;
+        let (shards_done, shards_total, detections) = job.run.as_ref().map_or((0, 0, 0), |run| {
+            let summary = run.exec.summary();
+            let detections = run.exec.outputs().map(|d| d.detections).sum();
+            (summary.completed, summary.planned, detections)
+        });
         Some(Progress {
             status: match job.status {
                 Status::Queued => "queued",
@@ -427,9 +421,9 @@ impl Scheduler {
                 Status::Done => "done",
                 Status::Failed => "failed",
             },
-            shards_done: job.done,
-            shards_total: job.shards.len(),
-            detections: job.detections,
+            shards_done,
+            shards_total,
+            detections,
             metrics: job.metrics.to_json(),
             error: job.error.clone(),
         })
@@ -561,9 +555,9 @@ fn worker_loop(shared: &Shared, worker: usize) {
 }
 
 /// Pops the next unit under the fair-share rotation: front job, one
-/// unit, rotate to back if it still has pending work. Stale rotation
-/// entries (finished jobs, duplicate entries drained by another
-/// worker) are skipped, not trusted. The taken unit is registered as
+/// unit, job back to the end. Stale rotation entries (finished jobs,
+/// jobs with nothing left pending, duplicate entries drained by
+/// another worker) are skipped, not trusted. The taken unit is registered as
 /// in-flight **here**, under the lock, so the watchdog sees it even
 /// while the `shard_hold` test hook parks the worker before the work.
 fn take_unit(state: &mut State) -> Option<Unit> {
@@ -572,48 +566,38 @@ fn take_unit(state: &mut State) -> Option<Unit> {
         let Some(job) = state.jobs.get_mut(&fp) else {
             continue;
         };
-        let kind = job.spec.kind();
-        match job.status {
-            Status::Queued => {
+        let (key, unit) = match (job.status, job.run.as_mut()) {
+            // Setup is one unit; the job re-enters the rotation when
+            // its run exists.
+            (Status::Queued, _) => {
                 job.status = Status::Running;
-                state.inflight.insert(
-                    (fp, SETUP_UNIT),
-                    InFlight {
-                        started: Instant::now(),
-                        kind,
-                        level: 0,
-                    },
-                );
-                // Setup is one unit; the job re-enters the rotation
-                // when its plan exists.
-                return Some(Unit::Setup(fp, job.spec.clone()));
+                (SETUP_UNIT, Unit::Setup(fp, job.spec.clone()))
             }
-            Status::Running => {
-                let Some(index) = job.pending.pop_front() else {
+            (Status::Running, Some(run)) => {
+                let Some(shard) = run.exec.next_shard() else {
                     continue;
                 };
-                let prep = Arc::clone(job.prep.as_ref().expect("running jobs are prepared"));
-                let shard = job.shards[index];
-                if !job.pending.is_empty() {
-                    state.rotation.push_back(fp);
-                }
-                state.inflight.insert(
-                    (fp, shard.index as u32),
-                    InFlight {
-                        started: Instant::now(),
-                        kind,
-                        level: 0,
-                    },
-                );
+                state.rotation.push_back(fp);
                 flight::record(
                     "shard_start",
                     format!("job {fp:016x} shard {}", shard.index),
                 );
-                return Some(Unit::Shard(fp, prep, shard));
+                let prep = Arc::clone(&run.prep);
+                (shard.index as u32, Unit::Shard(fp, prep, shard))
             }
-            // Done/Failed entries never re-enter the rotation.
-            Status::Done | Status::Failed => continue,
-        }
+            // A running job whose setup is still out, and Done/Failed
+            // entries, which never re-enter the rotation.
+            _ => continue,
+        };
+        state.inflight.insert(
+            (fp, key),
+            InFlight {
+                started: Instant::now(),
+                kind: job.spec.kind(),
+                level: 0,
+            },
+        );
+        return Some(unit);
     }
     None
 }
@@ -721,86 +705,58 @@ fn watchdog_loop(shared: &Shared) {
     }
 }
 
-/// Runs the once-per-job setup off-lock, then installs the plan and
-/// resumes any checkpointed shards.
+/// Runs the once-per-job setup off-lock — including resuming any
+/// checkpointed shards — then installs the job's run.
 fn run_setup(shared: &Shared, worker: usize, fp: u64, spec: &JobSpec) {
     let (outcome, metrics, mut events) =
         rt::obs::observe(|| rt::obs::quarantine(|| spec.prepare()).and_then(|r| r));
     merge_sim(shared, &metrics);
     tag_events(&mut events, worker, fp, None);
-    {
-        let mut state = shared.state.lock().expect("scheduler lock");
-        finish_inflight(&mut state, fp, SETUP_UNIT);
-        if let Some(job) = state.jobs.get_mut(&fp) {
-            job.trace.append(&mut events);
+    let run = outcome.map(|prep| {
+        let prep = Arc::new(prep);
+        let mut exec = Executor::new(prep.shards().to_vec(), RetryPolicy::retries(1));
+        let ck = shared
+            .cfg
+            .state_dir
+            .as_ref()
+            .and_then(|dir| Checkpoint::open(dir.join(format!("{fp:016x}.ck")), fp).ok());
+        if let Some(ck) = &ck {
+            exec.resume(ck.frames(), |shard, payload| {
+                Some(Done {
+                    detections: prep.payload_detections(shard, payload)?,
+                    payload: payload.to_vec(),
+                })
+            });
         }
-    }
-    match outcome {
-        Err(message) => fail_job(shared, fp, message),
-        Ok(prep) => {
-            let prep = Arc::new(prep);
-            let shards = prep.shards();
-            let mut resumed: Vec<(usize, Vec<u8>, u64)> = Vec::new();
-            let ck = shared
-                .cfg
-                .state_dir
-                .as_ref()
-                .and_then(|dir| Checkpoint::open(dir.join(format!("{fp:016x}.ck")), fp).ok());
-            if let Some(ck) = &ck {
-                for frame in ck.frames() {
-                    let index = frame.shard as usize;
-                    let Some(shard) = shards.get(index) else {
-                        continue;
-                    };
-                    let Some(detections) = prep.payload_detections(shard, &frame.payload) else {
-                        continue;
-                    };
-                    resumed.push((index, frame.payload.clone(), detections));
-                }
-            }
-            let mut state = shared.state.lock().expect("scheduler lock");
-            let recovered = {
-                let job = state.jobs.get_mut(&fp).expect("setup job exists");
-                job.prep = Some(Arc::clone(&prep));
-                job.shards = shards.clone();
-                job.payloads = vec![None; shards.len()];
-                job.metrics.merge(&metrics);
-                job.ck = ck;
-                let mut recovered = 0u64;
-                for (index, payload, detections) in resumed {
-                    if job.payloads[index].is_none() {
-                        job.payloads[index] = Some(payload);
-                        job.done += 1;
-                        job.detections += detections;
-                        recovered += 1;
-                    }
-                }
-                job.pending = (0..job.shards.len())
-                    .filter(|&i| job.payloads[i].is_none())
-                    .collect();
-                recovered
-            };
-            state.stats.resumed_shards += recovered;
-            let complete = state
-                .jobs
-                .get(&fp)
-                .expect("setup job exists")
-                .pending
-                .is_empty();
-            if complete {
-                finish_job(shared, &mut state, fp);
+        Run { prep, exec, ck }
+    });
+    let mut guard = shared.state.lock().expect("scheduler lock");
+    let state = &mut *guard;
+    finish_inflight(state, fp, SETUP_UNIT);
+    let job = state.jobs.get_mut(&fp).expect("setup job exists");
+    job.trace.append(&mut events);
+    match run {
+        Err(message) => fail_job(shared, state, fp, message),
+        Ok(run) => {
+            state.stats.resumed_shards += run.exec.summary().resumed as u64;
+            let finished = run.exec.is_finished();
+            job.metrics.merge(&metrics);
+            job.run = Some(run);
+            if finished {
+                finish_job(shared, state, fp);
             } else {
                 state.rotation.push_back(fp);
-                drop(state);
                 shared.work.notify_all();
             }
         }
     }
 }
 
-/// Runs one shard off-lock with panic isolation and a single retry,
-/// then records the frame (and checkpoint append) under the lock.
-fn run_shard(shared: &Shared, worker: usize, fp: u64, prep: &Arc<PreparedJob>, shard: &Shard) {
+/// Runs one shard off-lock with panic isolation, validates its payload,
+/// then steps the job's executor (and appends the checkpoint frame)
+/// under the lock. A panicked shard is retried once; a second panic
+/// fails the job.
+fn run_shard(shared: &Shared, worker: usize, fp: u64, prep: &PreparedJob, shard: &Shard) {
     if !shared.cfg.shard_delay.is_zero() {
         std::thread::sleep(shared.cfg.shard_delay);
     }
@@ -808,53 +764,30 @@ fn run_shard(shared: &Shared, worker: usize, fp: u64, prep: &Arc<PreparedJob>, s
         rt::obs::observe(|| rt::obs::quarantine(|| prep.run_shard(shard)));
     merge_sim(shared, &metrics);
     tag_events(&mut events, worker, fp, Some(shard.index));
+    let outcome = outcome.map(|frame| {
+        let detections = prep
+            .payload_detections(shard, &frame.payload)
+            .expect("a fresh frame validates against its own shard");
+        flight::record(
+            "shard_finish",
+            format!(
+                "job {fp:016x} shard {}: {detections} detections",
+                shard.index
+            ),
+        );
+        (frame, detections)
+    });
+    let mut guard = shared.state.lock().expect("scheduler lock");
+    let state = &mut *guard;
+    finish_inflight(state, fp, shard.index as u32);
+    let job = state.jobs.get_mut(&fp).expect("shard job exists");
+    if job.status != Status::Running {
+        return; // The job failed while this shard was out.
+    }
+    let run = job.run.as_mut().expect("running jobs are prepared");
     match outcome {
-        Err(panic_message) => {
-            let retry = {
-                let mut state = shared.state.lock().expect("scheduler lock");
-                finish_inflight(&mut state, fp, shard.index as u32);
-                let job = state.jobs.get_mut(&fp).expect("shard job exists");
-                job.attempts += 1;
-                if job.attempts <= 1 {
-                    job.pending.push_back(shard.index);
-                    state.rotation.push_back(fp);
-                    true
-                } else {
-                    false
-                }
-            };
-            if retry {
-                flight::record(
-                    "shard_retry",
-                    format!("job {fp:016x} shard {}: {panic_message}", shard.index),
-                );
-                shared.work.notify_one();
-            } else {
-                fail_job(
-                    shared,
-                    fp,
-                    format!("shard {} panicked: {panic_message}", shard.index),
-                );
-            }
-        }
-        Ok(frame) => {
-            let detections = prep
-                .payload_detections(shard, &frame.payload)
-                .expect("a fresh frame validates against its own shard");
-            flight::record(
-                "shard_finish",
-                format!(
-                    "job {fp:016x} shard {}: {detections} detections",
-                    shard.index
-                ),
-            );
-            let mut state = shared.state.lock().expect("scheduler lock");
-            finish_inflight(&mut state, fp, shard.index as u32);
-            let job = state.jobs.get_mut(&fp).expect("shard job exists");
-            if job.payloads[shard.index].is_some() {
-                return; // Lost a race with a resumed frame; drop ours.
-            }
-            if let Some(ck) = &mut job.ck {
+        Ok((frame, detections)) => {
+            if let Some(ck) = &mut run.ck {
                 if ck.append(&frame).is_ok() {
                     flight::record(
                         "checkpoint_write",
@@ -862,53 +795,68 @@ fn run_shard(shared: &Shared, worker: usize, fp: u64, prep: &Arc<PreparedJob>, s
                     );
                 }
             }
-            job.payloads[shard.index] = Some(frame.payload);
-            job.done += 1;
-            job.detections += detections;
+            let done = Done {
+                payload: frame.payload,
+                detections,
+            };
+            run.exec.complete(shard.index, done);
             job.metrics.merge(&metrics);
             job.trace.append(&mut events);
-            if job.done == job.shards.len() {
-                finish_job(shared, &mut state, fp);
+            if run.exec.is_finished() {
+                finish_job(shared, state, fp);
+            }
+        }
+        Err(message) => {
+            if run.exec.fail(shard.index, message.clone()) {
+                flight::record(
+                    "shard_retry",
+                    format!("job {fp:016x} shard {}: {message}", shard.index),
+                );
+                state.rotation.push_back(fp);
+                shared.work.notify_one();
+            } else {
+                let message = format!("shard {} panicked: {message}", shard.index);
+                fail_job(shared, state, fp, message);
             }
         }
     }
 }
 
 /// Finalizes a complete job under the lock: body, cache entry, `.res`
-/// persistence, queue accounting.
+/// persistence, queue accounting. The shard payloads are released once
+/// the body exists.
 fn finish_job(shared: &Shared, state: &mut State, fp: u64) {
     let job = state.jobs.get_mut(&fp).expect("finishing job exists");
-    let prep = job.prep.as_ref().expect("finished jobs are prepared");
-    let payloads: Vec<Vec<u8>> = job
-        .payloads
-        .iter()
-        .map(|p| p.clone().expect("finished jobs hold every payload"))
+    let run = job.run.as_mut().expect("finished jobs are prepared");
+    let payloads: Vec<Vec<u8>> = run
+        .exec
+        .outputs_mut()
+        .map(|d| std::mem::take(&mut d.payload))
         .collect();
-    let body = prep.finalize(fp, &payloads);
+    let body = run.prep.finalize(fp, &payloads);
+    run.ck = None;
     if let Some(dir) = &shared.cfg.state_dir {
         let _ = fs::write(dir.join(format!("{fp:016x}.res")), &body);
     }
     job.result = Some(Arc::new(body.into_bytes()));
     job.status = Status::Done;
-    job.ck = None;
-    job.payloads.clear();
     state.unfinished -= 1;
     state.stats.completed += 1;
     flight::record("job_done", format!("job {fp:016x}"));
     shared.work.notify_all();
 }
 
-/// Marks a job failed and releases its queue slot.
-fn fail_job(shared: &Shared, fp: u64, message: String) {
+/// Marks a job failed under the lock and releases its queue slot.
+fn fail_job(shared: &Shared, state: &mut State, fp: u64, message: String) {
     flight::record("job_failed", format!("job {fp:016x}: {message}"));
-    let mut state = shared.state.lock().expect("scheduler lock");
     let job = state.jobs.get_mut(&fp).expect("failing job exists");
     job.status = Status::Failed;
     job.error = Some(message);
-    job.ck = None;
+    if let Some(run) = &mut job.run {
+        run.ck = None;
+    }
     state.unfinished -= 1;
     state.stats.failed += 1;
-    drop(state);
     shared.work.notify_all();
 }
 

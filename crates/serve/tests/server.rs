@@ -309,3 +309,74 @@ fn kill_and_restart_resumes_to_the_same_result() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn existing_checkpoint_frames_resume_byte_identically() {
+    // Frames in the layout servers have always written — the job's own
+    // `run_shard` frames, `records` equal to the shard length — stay
+    // valid state across a restart: the server trusts exactly those and
+    // recomputes the rest. A frame whose record count is wrong is
+    // recomputed even when its payload decodes.
+    let body = r#"{"kind":"netlist","circuit":"chain_a","vectors":32,"seed":9}"#;
+    let spec = serve::jobs::JobSpec::from_value(&json::parse(body).unwrap()).unwrap();
+    let fp = spec.fingerprint();
+    let id = format!("{fp:016x}");
+    let job = spec.prepare().unwrap();
+    let shards = job.shards();
+    let half = shards.len() / 2;
+    assert!(half >= 1, "the job plans several shards");
+
+    let cold = {
+        let server = Server::start(ServeConfig::default()).expect("bind");
+        let addr = server.addr();
+        let posted = post_job(addr, body);
+        assert_eq!(job_id(&posted), id);
+        wait_done(addr, &id);
+        let result = get(addr, &format!("/results/{id}"));
+        server.shutdown();
+        result.body
+    };
+
+    for lying in [false, true] {
+        let frames: Vec<rt::exec::Frame> = shards[..half]
+            .iter()
+            .map(|shard| {
+                let mut frame = job.run_shard(shard);
+                assert_eq!(frame.records as usize, shard.len);
+                if lying {
+                    // Flipped verdicts that would change the body if
+                    // trusted.
+                    frame.records += 1;
+                    frame.payload.iter_mut().for_each(|b| *b ^= 1);
+                }
+                frame
+            })
+            .collect();
+        let dir = temp_dir(&format!("ck_layout_{lying}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(format!("{id}.req")), spec.canonical()).unwrap();
+        std::fs::write(
+            dir.join(format!("{id}.ck")),
+            rt::exec::encode_checkpoint(fp, &frames).unwrap(),
+        )
+        .unwrap();
+
+        let server = Server::start(ServeConfig {
+            state_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let addr = server.addr();
+        wait_done(addr, &id);
+        let result = get(addr, &format!("/results/{id}"));
+        assert_eq!(result.body, cold, "lying frames: {lying}");
+        let expected = if lying { 0 } else { frames.len() as u64 };
+        assert_eq!(
+            serving_stat(&stats(addr), "resumed_shards"),
+            expected,
+            "lying frames: {lying}"
+        );
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

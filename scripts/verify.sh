@@ -13,6 +13,11 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+# The benchmark harness (perfbench/, its own package) links the workspace
+# crates by path: an API change that breaks it must fail here too.
+echo "==> cargo check perfbench (benchmark harness)"
+CARGO_TARGET_DIR=.bench_build cargo check -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Bounded conformance fuzz smoke: fixed seed, thread-count invariance
 # check and oracle sweep over the fuzzed corpus. The release binary is
 # already built by the step above, so this finishes in well under 2 s.

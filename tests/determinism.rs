@@ -15,7 +15,7 @@ use msim::units::Volt;
 #[test]
 fn parallel_campaign_is_byte_identical_to_sequential() {
     let campaign = FaultCampaign::new(&DesignParams::paper());
-    let sequential = campaign.run_sequential();
+    let sequential = campaign.run_on(1);
     for threads in [2, 3, 4, 8] {
         let parallel = campaign.run_on(threads);
         assert_eq!(
