@@ -25,7 +25,8 @@
 //! how much the reference improved — the packed speedup column is
 //! measured against the *better* scalar baseline, not a strawman.
 
-use std::time::Duration;
+use std::hint::black_box;
+use std::time::Instant;
 
 use bench::{save_artifact, Csv};
 use dft::chain_b::ChainB;
@@ -39,7 +40,22 @@ use dsim::circuit::{Circuit, SimState};
 use dsim::logic::Logic;
 use dsim::scan::{apply_vector, ScanVector};
 use dsim::stuck_at::{enumerate_faults, scan_coverage_scalar};
-use rt::timing::Bench;
+
+/// Median wall time of one `f()` call over 21 timed calls, after one
+/// warm-up call, in nanoseconds. The speedup column is the acceptance
+/// number, so the median (not the mean) keeps it steady under load.
+fn median_ns<R>(mut f: impl FnMut() -> R) -> f64 {
+    black_box(f());
+    let mut ns: Vec<f64> = (0..21)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed().as_secs_f64() * 1e9
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    ns[ns.len() / 2]
+}
 
 /// Fault-free simulation of the whole vector set on the event-driven
 /// scalar evaluator (the shipping path).
@@ -88,11 +104,6 @@ fn main() {
     // 64-lane rows see 8 blocks, the 512-lane rows exactly one).
     let patterns = 512;
 
-    // A generous budget keeps the medians stable against background load:
-    // the speedup column is the acceptance number, so it must not wobble.
-    let mut bench = Bench::new("bitpar_speedup")
-        .with_budget(Duration::from_millis(1200))
-        .with_samples(21);
     let mut rows = Vec::new();
     let mut notes = Vec::new();
     let mut csv = Csv::new(&[
@@ -108,25 +119,13 @@ fn main() {
         let vectors = random_vectors(circuit, patterns, *seed);
         let faults = enumerate_faults(circuit);
 
-        let scalar = bench
-            .run(format!("{name}/scalar"), || {
-                scan_coverage_scalar(circuit, &vectors).detected()
-            })
-            .median_ns;
+        let scalar = median_ns(|| scan_coverage_scalar(circuit, &vectors).detected());
         let scalar_pp = scalar / patterns as f64;
 
         // Scalar-reference timing note: event-driven vs the retained
         // bounded sweep on the fault-free pattern set.
-        let event_ns = bench
-            .run(format!("{name}/scalar-event"), || {
-                simulate_event(circuit, &vectors)
-            })
-            .median_ns;
-        let sweep_ns = bench
-            .run(format!("{name}/scalar-sweep"), || {
-                simulate_sweep(circuit, &vectors)
-            })
-            .median_ns;
+        let event_ns = median_ns(|| simulate_event(circuit, &vectors));
+        let sweep_ns = median_ns(|| simulate_sweep(circuit, &vectors));
         notes.push(format!(
             "{name}: event-driven scalar eval {:.0} ns/pattern vs bounded sweep {:.0} \
              ns/pattern ({:.1}x)",
@@ -158,29 +157,23 @@ fn main() {
             ]);
         };
         let detected = |flags: Vec<bool>| flags.iter().filter(|&&d| d).count();
-        let w64 = bench
-            .run(format!("{name}/packed-64"), || {
-                detected(dsim::bitpar::ppsfp_detect_wide::<u64>(
-                    1, circuit, &vectors, &faults,
-                ))
-            })
-            .median_ns;
+        let w64 = median_ns(|| {
+            detected(dsim::bitpar::ppsfp_detect_wide::<u64>(
+                1, circuit, &vectors, &faults,
+            ))
+        });
         width_row(<u64 as Word>::BITS, w64);
-        let w256 = bench
-            .run(format!("{name}/packed-256"), || {
-                detected(dsim::bitpar::ppsfp_detect_wide::<[u64; 4]>(
-                    1, circuit, &vectors, &faults,
-                ))
-            })
-            .median_ns;
+        let w256 = median_ns(|| {
+            detected(dsim::bitpar::ppsfp_detect_wide::<[u64; 4]>(
+                1, circuit, &vectors, &faults,
+            ))
+        });
         width_row(<[u64; 4] as Word>::BITS, w256);
-        let w512 = bench
-            .run(format!("{name}/packed-512"), || {
-                detected(dsim::bitpar::ppsfp_detect_wide::<[u64; 8]>(
-                    1, circuit, &vectors, &faults,
-                ))
-            })
-            .median_ns;
+        let w512 = median_ns(|| {
+            detected(dsim::bitpar::ppsfp_detect_wide::<[u64; 8]>(
+                1, circuit, &vectors, &faults,
+            ))
+        });
         width_row(<[u64; 8] as Word>::BITS, w512);
     }
 

@@ -14,7 +14,6 @@
 //! | `bist_lock_time` | §III — lock within 5000 cycles from any phase |
 //! | `eye_ablation` | §II (implied) — FFE necessity: eye vs. boost |
 //! | `obs_campaign` | instrumented pipeline → `results/metrics.json` + Chrome trace |
-//! | `resume_stress` | checkpoint overhead (< 3 %) + kill/resume speedup |
 //!
 //! Binaries print paper-vs-measured tables to stdout, drop artifacts
 //! into `results/` at the workspace root via [`Csv`]/[`save_artifact`],

@@ -599,10 +599,11 @@ impl FaultCampaign {
     }
 }
 
-/// Stuck-at shard size for the digital campaign. Wider than the
-/// behavioral campaign's 64: the PPSFP kernel now evaluates up to 512
-/// patterns per pass, so fatter shards amortize its per-shard golden
-/// simulation without hurting load balance on the paper's chain sizes.
+/// Stuck-at shard size for the digital campaign, in faults (the
+/// behavioral campaign shards [`CLASS_SHARD_SIZE`] effect classes
+/// instead). The PPSFP kernel evaluates up to 512 patterns per pass, so
+/// fat shards amortize its per-shard golden simulation without hurting
+/// load balance on the paper's chain sizes.
 /// Chains are segment boundaries the planner never cuts across, and shard
 /// stitching is result-invariant, so this is purely a scheduling knob
 /// (it does feed the campaign fingerprint, invalidating old checkpoints).
@@ -710,8 +711,10 @@ fn detected_flags(shard: &Shard, payload: &[u8]) -> Option<Vec<bool>> {
 
 /// The gate-level stuck-at campaign over the paper's stitched scan chains,
 /// batched through the PPSFP kernel ([`dsim::bitpar`]): per chain, the
-/// whole fault universe is fault-simulated 64 patterns per gate-level walk
-/// with fault dropping across pattern blocks.
+/// whole fault universe is fault-simulated with fault dropping across
+/// pattern blocks. [`dsim::bitpar::ppsfp_detect_with`] picks the plane
+/// width from the pattern count, so the paper's 256-vector sets run as
+/// one 512-lane block per chain.
 ///
 /// This is the digital complement of the behavioral [`FaultCampaign`]
 /// (which resolves analog effects and never simulates per-pattern);

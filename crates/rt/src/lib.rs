@@ -1,8 +1,8 @@
 //! # rt — the zero-dependency runtime substrate
 //!
 //! Everything the workspace previously pulled from external crates
-//! (`rand`, `proptest`, `criterion`, `rayon`), owned in-tree so the whole
-//! repository builds and tests fully offline:
+//! (`rand`, `proptest`, `rayon`), owned in-tree so the whole repository
+//! builds and tests fully offline:
 //!
 //! * [`rng`] — a deterministic pseudo-random generator (SplitMix64 seeding
 //!   feeding a xoshiro256++ core) with uniform, range, Bernoulli and
@@ -15,8 +15,6 @@
 //!   minimized Hypothesis-style (chunk deletion, block zeroing, value
 //!   bisection) by replaying mutated logs, and the reported reproducer is
 //!   the minimal sequence that still fails ([`check::replay`] re-runs it),
-//! * [`timing`] — a wall-clock micro-benchmark harness with automatic
-//!   iteration calibration,
 //! * [`exec`] — resumable, panic-isolated shard execution: deterministic
 //!   shard planning, a CRC-checked length-prefixed checkpoint codec with
 //!   kill-and-resume byte-identity, bounded retry with exponential
@@ -57,4 +55,3 @@ pub mod exec;
 pub mod obs;
 pub mod par;
 pub mod rng;
-pub mod timing;

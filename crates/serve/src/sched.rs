@@ -25,7 +25,9 @@
 //! With a state directory, each admitted job persists its canonical
 //! spec (`<fp>.req`) and streams completed shards into a CRC-framed
 //! [`rt::exec::Checkpoint`] (`<fp>.ck`). A restarted scheduler rescans
-//! the directory, re-admits every spec without a `.res`, and resumes
+//! the directory, re-admits every spec without a whole `.res` (one that
+//! parses and names its fingerprint; results are written to a temporary
+//! file and renamed into place, and a torn one is deleted), and resumes
 //! from the checkpoint's valid prefix — re-running only what was in
 //! flight when the process died.
 
@@ -326,7 +328,7 @@ impl Scheduler {
                 return None;
             }
             let fp = u64::from_str_radix(path.file_stem()?.to_str()?, 16).ok()?;
-            if dir.join(format!("{fp:016x}.res")).exists() {
+            if load_result(dir, fp).is_some() {
                 return None;
             }
             let value = json::parse(&fs::read_to_string(path).ok()?).ok()?;
@@ -372,7 +374,7 @@ impl Scheduler {
         }
         // Disk cache: a previous process may have finished this job.
         if let Some(dir) = &self.shared.cfg.state_dir {
-            if let Ok(bytes) = fs::read(dir.join(format!("{fp:016x}.res"))) {
+            if let Some(bytes) = load_result(dir, fp) {
                 let mut job = Job::fresh(spec);
                 job.status = Status::Done;
                 job.result = Some(Arc::new(bytes));
@@ -836,7 +838,12 @@ fn finish_job(shared: &Shared, state: &mut State, fp: u64) {
     let body = run.prep.finalize(fp, &payloads);
     run.ck = None;
     if let Some(dir) = &shared.cfg.state_dir {
-        let _ = fs::write(dir.join(format!("{fp:016x}.res")), &body);
+        // Write-then-rename: a kill mid-write leaves a `.res.tmp`, never
+        // a torn `.res`.
+        let tmp = dir.join(format!("{fp:016x}.res.tmp"));
+        if fs::write(&tmp, &body).is_ok() {
+            let _ = fs::rename(&tmp, dir.join(format!("{fp:016x}.res")));
+        }
     }
     job.result = Some(Arc::new(body.into_bytes()));
     job.status = Status::Done;
@@ -844,6 +851,25 @@ fn finish_job(shared: &Shared, state: &mut State, fp: u64) {
     state.stats.completed += 1;
     flight::record("job_done", format!("job {fp:016x}"));
     shared.work.notify_all();
+}
+
+/// The persisted body of job `fp`, if `<fp>.res` holds a whole one: it
+/// parses as JSON and its `"id"` is the fingerprint (a strict prefix of
+/// a JSON object never parses). Any other `.res` is deleted, so the job
+/// is re-admitted and recomputed rather than served torn.
+fn load_result(dir: &Path, fp: u64) -> Option<Vec<u8>> {
+    let id = format!("{fp:016x}");
+    let path = dir.join(format!("{id}.res"));
+    let bytes = fs::read(&path).ok()?;
+    let whole = std::str::from_utf8(&bytes)
+        .ok()
+        .and_then(|text| json::parse(text).ok())
+        .is_some_and(|v| v.get("id").and_then(json::Value::as_str) == Some(id.as_str()));
+    if !whole {
+        let _ = fs::remove_file(&path);
+        return None;
+    }
+    Some(bytes)
 }
 
 /// Marks a job failed under the lock and releases its queue slot.

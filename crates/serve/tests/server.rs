@@ -311,6 +311,53 @@ fn kill_and_restart_resumes_to_the_same_result() {
 }
 
 #[test]
+fn torn_result_file_is_recomputed_not_served() {
+    // A `.res` cut short by a kill mid-write is not a cached result: the
+    // restarted server discards it and recomputes the job.
+    let spec = r#"{"kind":"stuck_at","circuit":"chain_a","vectors":64,"seed":41}"#;
+    let dir = temp_dir("torn_res");
+    let start = || {
+        Server::start(ServeConfig {
+            state_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        })
+        .expect("bind")
+    };
+
+    let server = start();
+    let addr = server.addr();
+    let id = job_id(&post_job(addr, spec));
+    wait_done(addr, &id);
+    let original = get(addr, &format!("/results/{id}")).body;
+    server.shutdown();
+
+    let res = dir.join(format!("{id}.res"));
+    assert_eq!(
+        std::fs::read(&res).unwrap(),
+        original,
+        "the .res holds the body"
+    );
+    std::fs::write(&res, &original[..original.len() / 2]).unwrap();
+
+    let server = start();
+    let addr = server.addr();
+    // Recovery may already have re-admitted (or even finished) the job,
+    // so the reply is 202 or 200; only the body is the contract.
+    assert_eq!(job_id(&post_job(addr, spec)), id);
+    wait_done(addr, &id);
+    let result = get(addr, &format!("/results/{id}"));
+    assert_eq!(result.status, 200);
+    assert_eq!(result.body, original, "the recomputed body is the original");
+    server.shutdown();
+    assert_eq!(
+        std::fs::read(&res).unwrap(),
+        original,
+        "the .res is whole again"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn existing_checkpoint_frames_resume_byte_identically() {
     // Frames in the layout servers have always written — the job's own
     // `run_shard` frames, `records` equal to the shard length — stay

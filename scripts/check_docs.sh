@@ -4,8 +4,11 @@
 # Every `cargo run ... --bin <name>` command quoted in the prose docs
 # must name a binary that actually exists in the workspace, and every
 # `cargo run -p <crate> --example <name>` must name a real example.
-# This catches the classic drift where a binary is renamed or removed
-# and a README/GUIDE command silently stops working.
+# Likewise every `cargo bench ... --bench <name>` must name a file under
+# a crate's benches/, and a bare `cargo bench` is an error while the
+# workspace has no bench target at all. This catches the classic drift
+# where a target is renamed or removed and a README/GUIDE command
+# silently stops working.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +20,10 @@ docs=(README.md EXPERIMENTS.md DESIGN.md ARCHITECTURE.md ROADMAP.md docs/GUIDE.m
 mapfile -t bins < <(find crates/*/src/bin -name '*.rs' -exec basename {} .rs \; | sort -u)
 bins+=(serve) # crates/serve [[bin]] name = crate name
 mapfile -t examples < <(find examples -maxdepth 1 -name '*.rs' -exec basename {} .rs \; | sort -u)
+benches=()
+for f in crates/*/benches/*.rs; do
+    [[ -e $f ]] && benches+=("$(basename "$f" .rs)")
+done
 
 have() {
     local needle=$1
@@ -47,10 +54,24 @@ for doc in "${docs[@]}"; do
         fi
     done < <(grep -oE 'cargo run[^`)]*--example [A-Za-z0-9_-]+' "$doc" \
                  | sed -E 's/.*--example ([A-Za-z0-9_-]+).*/\1/' | sort -u)
+
+    # `cargo bench ... --bench <name>`, and any `cargo bench` at all when
+    # there is nothing for it to run.
+    while read -r name; do
+        if ! have "$name" "${benches[@]}"; then
+            echo "check_docs: $doc references missing bench target '$name'" >&2
+            fail=1
+        fi
+    done < <(grep -oE 'cargo bench[^`)]*--bench [A-Za-z0-9_-]+' "$doc" \
+                 | sed -E 's/.*--bench ([A-Za-z0-9_-]+).*/\1/' | sort -u)
+    if [[ ${#benches[@]} -eq 0 ]] && grep -q 'cargo bench' "$doc"; then
+        echo "check_docs: $doc references 'cargo bench', but no crate has a bench target" >&2
+        fail=1
+    fi
 done
 
 if [[ $fail -ne 0 ]]; then
     echo "check_docs: FAILED — docs reference targets the workspace does not build" >&2
     exit 1
 fi
-echo "check_docs: OK (${#bins[@]} bins, ${#examples[@]} examples, ${#docs[@]} docs)"
+echo "check_docs: OK (${#bins[@]} bins, ${#examples[@]} examples, ${#benches[@]} benches, ${#docs[@]} docs)"

@@ -4,7 +4,9 @@
 # Contract (see EXPERIMENTS.md): tracked results are deterministic — same
 # sources, same seeds, same bytes on any machine — so CI regenerates them
 # and fails on `git diff`. Timing measurements (results/bitpar_speedup.csv,
-# the fuzz corpus) are machine-dependent and stay untracked/ignored.
+# the fuzz corpus) are machine-dependent, stay untracked/ignored and are
+# not regenerated here; wall-clock performance is measured by
+# perfbench/run.py.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,18 +29,5 @@ for bin in "${bins[@]}"; do
     echo "==> cargo run -p bench --release --offline --bin $bin"
     cargo run -q -p bench --release --offline --bin "$bin" > /dev/null
 done
-
-# Also refresh the *untracked* timing CSV so a local checkout always has
-# the current schema (chain,faults,patterns,width,... — one row per
-# chain × plane width). The diff gate ignores it; the numbers are
-# machine-dependent by design.
-echo "==> cargo run -p bench --release --offline --bin bitpar_speedup (untracked)"
-cargo run -q -p bench --release --offline --bin bitpar_speedup > /dev/null
-
-# Same contract for the job-server load test: latency percentiles are
-# wall-clock and machine-dependent, so results/serve_load.csv stays
-# untracked; regenerating it here keeps the schema current locally.
-echo "==> cargo run -p bench --release --offline --bin serve_load (untracked)"
-cargo run -q -p bench --release --offline --bin serve_load > /dev/null
 
 echo "regen_results: OK"
