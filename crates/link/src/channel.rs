@@ -4,9 +4,10 @@
 //! as a distributed RC line whose low-pass response closes the data eye —
 //! the problem the paper's capacitive feed-forward equalizer exists to
 //! solve. The model is a ladder of `n` lumped π-segments terminated into
-//! the receiver resistance, integrated with **backward Euler** (solving the
-//! tridiagonal system per step with the Thomas algorithm), so the step
+//! the receiver resistance, integrated with **backward Euler**, so the step
 //! size is not stability-limited by the smallest segment time constant.
+//! The tridiagonal system is factored once per `(dt, coupling)` with the
+//! Thomas algorithm's forward elimination and back-substituted per step.
 //!
 //! One [`RcLine`] models one arm; the differential interconnect in
 //! [`crate::LowSwingLink`] instantiates two.
@@ -31,7 +32,11 @@
 use msim::units::{Farad, Hertz, Ohm, Sec, Volt};
 
 /// One arm of the distributed-RC interconnect.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is physical: two lines compare equal when their parameters
+/// and node voltages do, whatever their cached factorization or work
+/// counters.
+#[derive(Debug, Clone)]
 pub struct RcLine {
     /// Series resistance per segment (ohms).
     r_seg: f64,
@@ -44,6 +49,64 @@ pub struct RcLine {
     v_term: Volt,
     /// Node voltages along the line.
     nodes: Vec<f64>,
+    /// The backward-Euler matrix of the last `(dt, coupling)`, eliminated.
+    factored: Factored,
+    /// Steps taken over the line's lifetime.
+    steps: u64,
+}
+
+impl PartialEq for RcLine {
+    fn eq(&self, other: &RcLine) -> bool {
+        self.r_seg == other.r_seg
+            && self.c_seg == other.c_seg
+            && self.r_term == other.r_term
+            && self.v_term == other.v_term
+            && self.nodes == other.nodes
+    }
+}
+
+/// The Thomas forward elimination of `(C/dt + C_c/dt + G)`, which depends
+/// on the step only through `dt` and the coupling capacitance.
+#[derive(Debug, Clone, Default)]
+struct Factored {
+    /// Bits of `(c_seg/dt, c_c_seg/dt)` the elimination was built for.
+    key: Option<(u64, u64)>,
+    /// Elimination multipliers `w[i] = sub[i] / diag[i-1]` (`w[0]` unused).
+    w: Vec<f64>,
+    /// The eliminated diagonal.
+    diag: Vec<f64>,
+    /// Right-hand-side buffer, overwritten every step.
+    rhs: Vec<f64>,
+    /// Times the elimination was (re)built.
+    builds: u64,
+}
+
+impl Factored {
+    /// Rebuilds the elimination unless it is already the one for
+    /// `(cdt, ccdt)`.
+    fn ensure(&mut self, n: usize, cdt: f64, ccdt: f64, g: f64, g_term: f64) {
+        let key = (cdt.to_bits(), ccdt.to_bits());
+        if self.key == Some(key) {
+            return;
+        }
+        self.key = Some(key);
+        self.builds += 1;
+        self.w.resize(n, 0.0);
+        self.diag.resize(n, 0.0);
+        self.rhs.resize(n, 0.0);
+        // Tridiagonal coefficients: sub = sup = -g, diag as below.
+        let (sub, sup) = (-g, -g);
+        for i in 0..n {
+            let g_right = if i + 1 < n { g } else { g_term };
+            // The coupling cap also loads the node.
+            self.diag[i] = cdt + ccdt + g + g_right;
+        }
+        for i in 1..n {
+            let w = sub / self.diag[i - 1];
+            self.w[i] = w;
+            self.diag[i] -= w * sup;
+        }
+    }
 }
 
 impl RcLine {
@@ -69,6 +132,8 @@ impl RcLine {
             r_term: r_term.value(),
             v_term: Volt::ZERO,
             nodes: vec![0.0; segments],
+            factored: Factored::default(),
+            steps: 0,
         }
     }
 
@@ -105,54 +170,25 @@ impl RcLine {
         Volt(*self.nodes.last().expect("line has at least one segment"))
     }
 
+    /// Steps taken over the line's lifetime (both step kinds).
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Times the line factored its backward-Euler matrix: once per change
+    /// of `(dt, coupling)` between consecutive steps.
+    pub fn factorizations(&self) -> u64 {
+        self.factored.builds
+    }
+
     /// Advances the line by `dt` with the near end driven to `vin`.
     /// Returns the far-end voltage.
     ///
     /// Backward Euler: solves `(C/dt + G) v⁺ = C/dt v + b` where `G` is the
-    /// tridiagonal conductance matrix of the ladder.
+    /// tridiagonal conductance matrix of the ladder. This is
+    /// [`RcLine::step_with_aggressor`] with no coupling capacitance.
     pub fn step(&mut self, vin: Volt, dt: Sec) -> Volt {
-        let n = self.nodes.len();
-        let g = 1.0 / self.r_seg;
-        let g_term = if self.r_term.is_finite() {
-            1.0 / self.r_term
-        } else {
-            0.0
-        };
-        let cdt = self.c_seg / dt.value();
-
-        // Tridiagonal coefficients: a = sub, b = diag, c = super, d = rhs.
-        let mut sub = vec![0.0; n];
-        let mut diag = vec![0.0; n];
-        let mut sup = vec![0.0; n];
-        let mut rhs = vec![0.0; n];
-        for i in 0..n {
-            let g_left = g; // toward the driver (node 0 connects to vin)
-            let g_right = if i + 1 < n { g } else { g_term };
-            diag[i] = cdt + g_left + g_right;
-            rhs[i] = cdt * self.nodes[i];
-            if i == 0 {
-                rhs[i] += g * vin.value();
-            } else {
-                sub[i] = -g;
-            }
-            if i + 1 < n {
-                sup[i] = -g;
-            } else {
-                rhs[i] += g_term * self.v_term.value();
-            }
-        }
-
-        // Thomas algorithm.
-        for i in 1..n {
-            let w = sub[i] / diag[i - 1];
-            diag[i] -= w * sup[i - 1];
-            rhs[i] -= w * rhs[i - 1];
-        }
-        self.nodes[n - 1] = rhs[n - 1] / diag[n - 1];
-        for i in (0..n - 1).rev() {
-            self.nodes[i] = (rhs[i] - sup[i] * self.nodes[i + 1]) / diag[i];
-        }
-        self.output()
+        self.step_with_aggressor(vin, dt, Volt::ZERO, Volt::ZERO, Farad(0.0))
     }
 
     /// DC transfer gain from the driver to the far end: the resistive
@@ -172,6 +208,9 @@ impl RcLine {
     /// along the line and `(va_now, va_prev)` the aggressor's voltage at
     /// the end and start of the step. Crosstalk injects
     /// `C_c/dt · (va_now − va_prev)` of displacement current per node.
+    /// The matrix is re-factored only when `dt` or `c_couple` differs
+    /// from the previous step's; otherwise a step is one forward and one
+    /// back sweep over the right-hand side.
     ///
     /// A victim of the paper's *differential* link sees the aggressor on
     /// both arms (common mode) and rejects it; a single-ended wire takes
@@ -212,35 +251,22 @@ impl RcLine {
         let cc_seg = c_couple.value() / n as f64;
         let ccdt = cc_seg / dt.value();
         let inject = ccdt * (va_now.value() - va_prev.value());
+        self.factored.ensure(n, cdt, ccdt, g, g_term);
+        self.steps += 1;
 
-        let mut sub = vec![0.0; n];
-        let mut diag = vec![0.0; n];
-        let mut sup = vec![0.0; n];
-        let mut rhs = vec![0.0; n];
-        for i in 0..n {
-            let g_right = if i + 1 < n { g } else { g_term };
-            // The coupling cap also loads the node.
-            diag[i] = cdt + ccdt + g + g_right;
-            rhs[i] = (cdt + ccdt) * self.nodes[i] + inject;
-            if i == 0 {
-                rhs[i] += g * vin.value();
-            } else {
-                sub[i] = -g;
-            }
-            if i + 1 < n {
-                sup[i] = -g;
-            } else {
-                rhs[i] += g_term * self.v_term.value();
-            }
+        let Factored { w, diag, rhs, .. } = &mut self.factored;
+        let sup = -g;
+        for (r, v) in rhs.iter_mut().zip(&self.nodes) {
+            *r = (cdt + ccdt) * v + inject;
         }
+        rhs[0] += g * vin.value();
+        rhs[n - 1] += g_term * self.v_term.value();
         for i in 1..n {
-            let w = sub[i] / diag[i - 1];
-            diag[i] -= w * sup[i - 1];
-            rhs[i] -= w * rhs[i - 1];
+            rhs[i] -= w[i] * rhs[i - 1];
         }
         self.nodes[n - 1] = rhs[n - 1] / diag[n - 1];
         for i in (0..n - 1).rev() {
-            self.nodes[i] = (rhs[i] - sup[i] * self.nodes[i + 1]) / diag[i];
+            self.nodes[i] = (rhs[i] - sup * self.nodes[i + 1]) / diag[i];
         }
         self.output()
     }
@@ -337,12 +363,204 @@ mod tests {
     use super::*;
 
     fn paper_line() -> RcLine {
+        paper_line_with(10)
+    }
+
+    fn paper_line_with(segments: usize) -> RcLine {
         RcLine::new(
             Ohm::from_kohm(2.0),
             Farad::from_pf(1.0),
-            10,
+            segments,
             Ohm::from_kohm(2.0),
         )
+    }
+
+    /// The rebuild-every-step Thomas solve the cached factorization must
+    /// reproduce bit for bit; `c_couple = None` is the plain step.
+    fn reference_step(
+        line: &mut RcLine,
+        vin: Volt,
+        dt: Sec,
+        aggressor: Option<(Volt, Volt, Farad)>,
+    ) -> Volt {
+        let n = line.nodes.len();
+        let g = 1.0 / line.r_seg;
+        let g_term = if line.r_term.is_finite() {
+            1.0 / line.r_term
+        } else {
+            0.0
+        };
+        let cdt = line.c_seg / dt.value();
+        let (ccdt, inject) = match aggressor {
+            Some((va_now, va_prev, c_couple)) => {
+                let ccdt = c_couple.value() / n as f64 / dt.value();
+                (ccdt, ccdt * (va_now.value() - va_prev.value()))
+            }
+            None => (0.0, 0.0),
+        };
+        let mut sub = vec![0.0; n];
+        let mut diag = vec![0.0; n];
+        let mut sup = vec![0.0; n];
+        let mut rhs = vec![0.0; n];
+        for i in 0..n {
+            let g_right = if i + 1 < n { g } else { g_term };
+            if aggressor.is_some() {
+                diag[i] = cdt + ccdt + g + g_right;
+                rhs[i] = (cdt + ccdt) * line.nodes[i] + inject;
+            } else {
+                diag[i] = cdt + g + g_right;
+                rhs[i] = cdt * line.nodes[i];
+            }
+            if i == 0 {
+                rhs[i] += g * vin.value();
+            } else {
+                sub[i] = -g;
+            }
+            if i + 1 < n {
+                sup[i] = -g;
+            } else {
+                rhs[i] += g_term * line.v_term.value();
+            }
+        }
+        for i in 1..n {
+            let w = sub[i] / diag[i - 1];
+            diag[i] -= w * sup[i - 1];
+            rhs[i] -= w * rhs[i - 1];
+        }
+        line.nodes[n - 1] = rhs[n - 1] / diag[n - 1];
+        for i in (0..n - 1).rev() {
+            line.nodes[i] = (rhs[i] - sup[i] * line.nodes[i + 1]) / diag[i];
+        }
+        line.output()
+    }
+
+    fn assert_bits_equal(cached: &RcLine, reference: &RcLine, what: &str) {
+        for (i, (a, b)) in cached.nodes.iter().zip(&reference.nodes).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: node {i}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn cached_factorization_is_bit_identical_to_the_per_step_solve() {
+        let mut rng = rt::rng::Rng::seed_from_u64(16);
+        for segments in [1, 2, 10, 50] {
+            for terminated in [true, false] {
+                let mut cached = if terminated {
+                    paper_line_with(segments)
+                } else {
+                    RcLine::unterminated(Ohm::from_kohm(2.0), Farad::from_pf(1.0), segments)
+                };
+                cached.set_termination_bias(Volt(0.6));
+                let mut reference = cached.clone();
+                let mut va_prev = Volt(0.6);
+                for k in 0..3000 {
+                    // dt and coupling switch mid-stream, in runs and step
+                    // by step, so a stale elimination cannot hide.
+                    let dt = Sec::from_ps([25.0, 50.0, 400.0][(k / 97 + k % 3 / 2) % 3]);
+                    let cc = Farad::from_ff([0.0, 40.0, 100.0][(k / 61) % 3]);
+                    let vin = Volt(0.6 + 0.03 * rng.gaussian());
+                    let va = Volt(if rng.next_bool() { 1.2 } else { 0.0 });
+                    let what = format!("segments {segments} terminated {terminated} step {k}");
+                    let (a, b) = if k % 5 == 0 {
+                        (
+                            cached.step(vin, dt),
+                            reference_step(&mut reference, vin, dt, None),
+                        )
+                    } else {
+                        (
+                            cached.step_with_aggressor(vin, dt, va, va_prev, cc),
+                            reference_step(&mut reference, vin, dt, Some((va, va_prev, cc))),
+                        )
+                    };
+                    assert_eq!(a.value().to_bits(), b.value().to_bits(), "{what}");
+                    assert_bits_equal(&cached, &reference, &what);
+                    va_prev = va;
+                }
+                assert_eq!(cached.steps(), 3000);
+            }
+        }
+    }
+
+    #[test]
+    fn impulse_and_delay_probes_match_the_per_step_solve() {
+        // The probes swap v_term to 0 V and back; that changes the rhs,
+        // never the factorization.
+        let dt = Sec::from_ps(25.0);
+        let mut cached = paper_line();
+        cached.set_termination_bias(Volt(0.6));
+        for _ in 0..50 {
+            cached.step(Volt(0.63), Sec::from_ps(50.0));
+        }
+        let mut reference = cached.clone();
+
+        let h = cached.impulse_response(dt, 400);
+        reference.preset(Volt::ZERO);
+        reference.v_term = Volt::ZERO;
+        let h_ref: Vec<f64> = (0..400)
+            .map(|k| {
+                let vin = if k == 0 { Volt(1.0) } else { Volt::ZERO };
+                reference_step(&mut reference, vin, dt, None).value()
+            })
+            .collect();
+        reference.v_term = Volt(0.6);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&h), bits(&h_ref));
+
+        let delay = cached.step_delay_50(dt, 100_000).expect("line settles");
+        reference.preset(Volt::ZERO);
+        reference.v_term = Volt::ZERO;
+        let target = 0.5 * reference.dc_gain();
+        let k = (0..100_000)
+            .find(|_| reference_step(&mut reference, Volt(1.0), dt, None).value() >= target)
+            .expect("reference settles");
+        reference.v_term = Volt(0.6);
+        assert_eq!(delay.value().to_bits(), (dt * k as f64).value().to_bits());
+        assert_bits_equal(&cached, &reference, "after step_delay_50");
+
+        // Back at the bias, stepping resumes identically.
+        for _ in 0..200 {
+            cached.step(Volt(0.57), dt);
+            reference_step(&mut reference, Volt(0.57), dt, None);
+        }
+        assert_bits_equal(&cached, &reference, "after the probes");
+    }
+
+    #[test]
+    fn equality_ignores_the_cached_factorization() {
+        let fresh = {
+            let mut l = paper_line();
+            l.set_termination_bias(Volt(0.6));
+            l
+        };
+        let mut stepped = fresh.clone();
+        for _ in 0..100 {
+            stepped.step_with_aggressor(
+                Volt(0.63),
+                Sec::from_ps(40.0),
+                Volt(1.2),
+                Volt::ZERO,
+                Farad::from_ff(50.0),
+            );
+        }
+        assert_ne!(stepped, fresh);
+        stepped.preset(Volt(0.6));
+        assert!(stepped.factorizations() > fresh.factorizations());
+        assert_eq!(stepped, fresh);
+    }
+
+    #[test]
+    fn factorizes_once_per_dt_and_coupling() {
+        let mut line = paper_line();
+        let (dt, cc) = (Sec::from_ps(25.0), Farad::from_ff(80.0));
+        for _ in 0..100 {
+            line.step_with_aggressor(Volt(0.6), dt, Volt(1.2), Volt::ZERO, cc);
+        }
+        assert_eq!((line.steps(), line.factorizations()), (100, 1));
+        // A plain step is the zero-coupling system; a new dt refactors.
+        line.step(Volt(0.6), dt);
+        line.step(Volt(0.6), dt);
+        line.step(Volt(0.6), Sec::from_ps(400.0));
+        assert_eq!((line.steps(), line.factorizations()), (103, 3));
     }
 
     #[test]

@@ -154,9 +154,7 @@ impl EyeDiagram {
 
     /// Folds a received waveform against its transmitted bit sequence,
     /// scanning integer-UI latencies `0..=max_delay_ui` and returning the
-    /// eye for the best alignment. Candidate alignments are independent
-    /// full folds of the waveform, so they are fanned across cores; ties
-    /// keep the smallest delay, exactly as the sequential scan did.
+    /// eye for the best alignment; ties keep the smallest delay.
     ///
     /// The waveform must hold `bits.len() * oversample` samples (one UI of
     /// `oversample` points per bit), as produced by
@@ -176,7 +174,8 @@ impl EyeDiagram {
             bits.len() * oversample,
             "waveform/bit length mismatch"
         );
-        let candidates = rt::par::parallel_map_indexed(max_delay_ui + 1, |delay| {
+        let mut best: Option<(Volt, EyeDiagram)> = None;
+        for delay in 0..=max_delay_ui {
             let mut eye = EyeDiagram::new(oversample);
             // Sample k belongs to UI k/oversample; attribute it to the bit
             // transmitted `delay` UIs earlier.
@@ -191,19 +190,12 @@ impl EyeDiagram {
                 }
                 eye.add(k % oversample, bits[bit_idx], *v);
             }
-            eye
-        });
-        let mut best: Option<EyeDiagram> = None;
-        for eye in candidates {
-            let keep = match &best {
-                None => true,
-                Some(b) => eye.best().1 > b.best().1,
-            };
-            if keep {
-                best = Some(eye);
+            let opening = eye.best().1;
+            if best.as_ref().is_none_or(|(b, _)| opening > *b) {
+                best = Some((opening, eye));
             }
         }
-        best.expect("at least one alignment")
+        best.expect("at least one alignment").1
     }
 }
 
@@ -274,6 +266,24 @@ mod tests {
             (opening.mv() - 60.0).abs() < 1e-9,
             "perfect alignment must recover the full 60 mV eye, got {opening}"
         );
+    }
+
+    #[test]
+    fn from_waveform_ties_keep_the_earliest_delay() {
+        // An undelayed alternating pattern: delays 0, 2 and 4 all see the
+        // full 60 mV eye (1 and 3 see it inverted). The delay-0 fold is the
+        // only one that keeps every sample.
+        let oversample = 8;
+        let bits: Vec<bool> = (0..16).map(|i| i % 2 == 0).collect();
+        let mut wave = Waveform::new(Sec::from_ps(50.0));
+        for &bit in &bits {
+            for _ in 0..oversample {
+                wave.push(Volt::from_mv(if bit { 30.0 } else { -30.0 }));
+            }
+        }
+        let eye = EyeDiagram::from_waveform(&wave, &bits, oversample, 4);
+        assert!((eye.best().1.mv() - 60.0).abs() < 1e-9);
+        assert_eq!(eye.sample_count(), bits.len() * oversample);
     }
 
     #[test]

@@ -356,6 +356,8 @@ impl FarmCell {
     /// baseline. The aggressor's near wire couples the full capacitance
     /// into the facing victim arm and [`FAR_ARM_COUPLING`] of it into
     /// the far arm; the asymmetry is the differential disturbance.
+    /// Counts both arms' channel work as `farm.channel.steps` and
+    /// `farm.channel.factorizations`, once per eye.
     fn eye_opening(&self, cfg: &LinkConfig, coupling: f64, rng_seed: u64) -> Volt {
         let vcm = cfg.vcm();
         let mut bit_rng = Rng::seed_from_stream(rng_seed, 0);
@@ -396,6 +398,11 @@ impl FarmCell {
                 va_prev = va;
             }
         }
+        rt::obs::count("farm.channel.steps", line_p.steps() + line_m.steps());
+        rt::obs::count(
+            "farm.channel.factorizations",
+            line_p.factorizations() + line_m.factorizations(),
+        );
         EyeDiagram::from_waveform(&wave, &bits, os, 4).best().1
     }
 

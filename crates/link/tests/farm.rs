@@ -161,3 +161,35 @@ fn record_bytes_matches_encoded_size() {
     farm.encode(&plan[0], &records, &mut out);
     assert_eq!(out.len(), records.len() * RECORD_BYTES);
 }
+
+#[test]
+fn channel_work_counters_are_per_eye_and_thread_count_invariant() {
+    let mut axes = big_axes();
+    axes.lengths_mm = vec![4.0, 12.0];
+    axes.swings_mv = vec![60.0];
+    axes.sigmas_mv = vec![6.0];
+    let farm = LinkFarm::new(FarmGrid::new(axes, 11).unwrap());
+    let grid = farm.grid();
+    // One eye per cell, plus the uncoupled eye where neighbours switch.
+    let eyes: u64 = (0..grid.total())
+        .map(|i| grid.cell(i))
+        .map(|c| 1 + u64::from(c.coupling != 0.0 && c.aggressors() > 0))
+        .sum();
+    let per_eye_steps = 2 * (link::farm::BITS_PER_CELL as u64) * 8;
+    for threads in [1, 2, 7] {
+        let (report, metrics, _) =
+            rt::obs::observe(|| farm.run(threads, &RetryPolicy::none(), None));
+        assert!(report.is_complete());
+        assert_eq!(
+            metrics.counter("farm.channel.steps"),
+            Some(eyes * per_eye_steps),
+            "steps at {threads} threads"
+        );
+        // Both arms factor once per eye: the cache never thrashes.
+        assert_eq!(
+            metrics.counter("farm.channel.factorizations"),
+            Some(eyes * 2),
+            "factorizations at {threads} threads"
+        );
+    }
+}
