@@ -47,6 +47,7 @@
 //! assert!((cov.coverage() - 1.0).abs() < 1e-12);
 //! ```
 
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::circuit::{Circuit, GateKind, NetId, SimState};
@@ -86,6 +87,9 @@ impl std::error::Error for ExpandError {}
 pub struct TimeExpansion {
     seq: Circuit,
     expanded: Circuit,
+    /// `name@frame` for every net of both frames, in expanded-model net
+    /// order — formatted once and reused by every gadget model.
+    frame_names: Vec<String>,
 }
 
 impl TimeExpansion {
@@ -97,10 +101,16 @@ impl TimeExpansion {
                 circuit: seq.name().to_string(),
             });
         }
-        let expanded = build(seq, None).0;
+        let frame_names: Vec<String> = (0..2)
+            .flat_map(|frame| {
+                (0..seq.net_count()).map(move |i| format!("{}@{frame}", seq.net_name(NetId(i))))
+            })
+            .collect();
+        let expanded = build(seq, &frame_names, None).0;
         Ok(TimeExpansion {
             seq: seq.clone(),
             expanded,
+            frame_names,
         })
     }
 
@@ -118,7 +128,7 @@ impl TimeExpansion {
     /// slow-path gadget spliced into frame 1, and the stuck-at fault
     /// (`sel` stuck-at-1) equivalent to `fault`.
     pub fn faulted_model(&self, fault: TransitionFault) -> (Circuit, StuckAtFault) {
-        let (c, sa) = build(&self.seq, Some(fault));
+        let (c, sa) = build(&self.seq, &self.frame_names, Some(fault));
         (c, sa.expect("gadget model carries its fault"))
     }
 
@@ -179,14 +189,16 @@ impl TimeExpansion {
     }
 
     /// Runs transition ATPG over the whole fault universe: the deduped
-    /// test set plus the faults PODEM gave up on.
+    /// test set (in first-appearance order) plus the faults PODEM gave
+    /// up on.
     pub fn generate_all(&self) -> (Vec<TwoPatternTest>, Vec<TransitionFault>) {
+        let mut seen = HashSet::new();
         let mut tests: Vec<TwoPatternTest> = Vec::new();
         let mut untestable = Vec::new();
         for fault in enumerate_transition_faults(&self.seq) {
             match self.generate_test(fault) {
                 Some(t) => {
-                    if !tests.contains(&t) {
+                    if seen.insert(t.clone()) {
                         tests.push(t);
                     }
                 }
@@ -197,9 +209,14 @@ impl TimeExpansion {
     }
 }
 
-/// Builds the two-timeframe model; with a fault, splices the slow-path
-/// gadget into frame 1 and returns the equivalent stuck-at fault.
-fn build(seq: &Circuit, fault: Option<TransitionFault>) -> (Circuit, Option<StuckAtFault>) {
+/// Builds the two-timeframe model over the precomputed `frame_names`;
+/// with a fault, splices the slow-path gadget into frame 1 and returns
+/// the equivalent stuck-at fault.
+fn build(
+    seq: &Circuit,
+    frame_names: &[String],
+    fault: Option<TransitionFault>,
+) -> (Circuit, Option<StuckAtFault>) {
     let n = seq.net_count();
     let mut is_input = vec![false; n];
     for &pi in seq.inputs() {
@@ -213,14 +230,11 @@ fn build(seq: &Circuit, fault: Option<TransitionFault>) -> (Circuit, Option<Stuc
 
     // Frame-0 then frame-1 nets: original PIs stay PIs in both frames
     // (the init and launch patterns respectively).
-    for frame in 0..2 {
-        for (i, &input) in is_input.iter().enumerate() {
-            let name = format!("{}@{frame}", seq.net_name(NetId(i)));
-            if input {
-                c.input(name);
-            } else {
-                c.net(name);
-            }
+    for (i, name) in frame_names.iter().enumerate() {
+        if is_input[i % n] {
+            c.input(name.clone());
+        } else {
+            c.net(name.clone());
         }
     }
     let f0 = |net: NetId| net;

@@ -39,7 +39,7 @@ use crate::circuit::{Circuit, SimState};
 use crate::logic::Logic;
 
 /// One scan test vector: a primary-input pattern plus a chain load image.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ScanVector {
     /// Primary-input values, in `Circuit::inputs()` order.
     pub pi: Vec<Logic>,

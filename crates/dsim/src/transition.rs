@@ -66,7 +66,7 @@ pub fn enumerate_transition_faults(circuit: &Circuit) -> Vec<TransitionFault> {
 }
 
 /// A launch-on-capture two-pattern test.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TwoPatternTest {
     /// Initialization vector.
     pub init: ScanVector,

@@ -28,6 +28,15 @@ pub const SPEC_VERSION: u64 = 1;
 /// Upper bound on the stuck-at random pattern budget per job.
 pub const MAX_VECTORS: u64 = 4096;
 
+/// Upper bound on the gates of an inline-Verilog netlist, checked on
+/// the compiled circuit (28× the vendored b01 benchmark's 36). Bounds
+/// the time-expansion ATPG a job's setup runs.
+pub const MAX_NETLIST_GATES: usize = 1024;
+
+/// Upper bound on the flip-flops of an inline-Verilog netlist (25× b01's
+/// 5).
+pub const MAX_NETLIST_DFFS: usize = 128;
+
 /// Upper bound on BER sweep points per job (bounds the result body).
 pub const MAX_POINTS: u64 = 4096;
 
@@ -124,6 +133,29 @@ fn axis<T: Clone>(
     }
 }
 
+/// Rejects inline Verilog whose compiled circuit exceeds
+/// [`MAX_NETLIST_GATES`] or [`MAX_NETLIST_DFFS`]. Source that does not
+/// compile passes here: it fails as a job at setup, which reports the
+/// compile error.
+fn check_netlist_budget(src: &str) -> Result<(), String> {
+    let Ok(c) = dsim::verilog::compile(src) else {
+        return Ok(());
+    };
+    if c.gate_count() > MAX_NETLIST_GATES {
+        return Err(format!(
+            "\"verilog\" netlist has {} gates, limit {MAX_NETLIST_GATES}",
+            c.gate_count()
+        ));
+    }
+    if c.dff_count() > MAX_NETLIST_DFFS {
+        return Err(format!(
+            "\"verilog\" netlist has {} flip-flops, limit {MAX_NETLIST_DFFS}",
+            c.dff_count()
+        ));
+    }
+    Ok(())
+}
+
 fn finite_in(v: &Value, key: &str, lo: f64, hi: f64) -> Result<f64, String> {
     let x = v
         .get(key)
@@ -142,8 +174,9 @@ impl JobSpec {
     /// # Errors
     ///
     /// Returns a human-readable message (the 400 response body) when a
-    /// field is missing, mistyped, out of range, or the kind is
-    /// unknown.
+    /// field is missing, mistyped, out of range, the kind is unknown, or
+    /// an inline netlist exceeds [`MAX_NETLIST_GATES`] or
+    /// [`MAX_NETLIST_DFFS`].
     pub fn from_value(v: &Value) -> Result<JobSpec, String> {
         let kind = v
             .get("kind")
@@ -162,11 +195,11 @@ impl JobSpec {
                         Some("chain_b") => CircuitSpec::ChainB,
                         _ => return Err("\"circuit\" must be \"chain_a\" or \"chain_b\"".into()),
                     },
-                    (None, Some(src)) => CircuitSpec::Verilog(
-                        src.as_str()
-                            .ok_or("\"verilog\" must be a string")?
-                            .to_string(),
-                    ),
+                    (None, Some(src)) => {
+                        let src = src.as_str().ok_or("\"verilog\" must be a string")?;
+                        check_netlist_budget(src)?;
+                        CircuitSpec::Verilog(src.to_string())
+                    }
                     _ => return Err("exactly one of \"circuit\" or \"verilog\" required".into()),
                 };
                 // Pattern budget only exists for a stuck-at universe;

@@ -73,3 +73,37 @@ pub fn sim_metric_lines(addr: SocketAddr) -> String {
     assert_eq!(r.status, 200);
     sim_section(&body_str(&r))
 }
+
+/// A `"kind":"netlist"` job body whose inline module compiles to
+/// `gates` chained inverters and `dffs` flip-flops.
+pub fn sized_netlist_spec(gates: usize, dffs: usize) -> String {
+    let wires: Vec<String> = (1..gates)
+        .map(|i| format!("n{i}"))
+        .chain((0..dffs).map(|j| format!("q{j}")))
+        .collect();
+    let mut src = format!(
+        "module sized (a, y);\n  input a;\n  output y;\n  wire {};\n",
+        wires.join(", ")
+    );
+    for i in 0..gates {
+        let input = if i == 0 {
+            "a".to_string()
+        } else {
+            format!("n{i}")
+        };
+        let output = if i + 1 == gates {
+            "y".to_string()
+        } else {
+            format!("n{}", i + 1)
+        };
+        src += &format!("  not g{i} ({output}, {input});\n");
+    }
+    for j in 0..dffs {
+        src += &format!("  dff f{j} (q{j}, a);\n");
+    }
+    src += "endmodule\n";
+    let mut m = std::collections::BTreeMap::new();
+    m.insert("kind".to_string(), Value::Str("netlist".into()));
+    m.insert("verilog".to_string(), Value::Str(src));
+    Value::Obj(m).canonical()
+}

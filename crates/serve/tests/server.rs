@@ -9,8 +9,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{body_str, get, job_id, post_job, sim_metric_lines, stats, wait_done};
+use common::{
+    body_str, get, job_id, post_job, sim_metric_lines, sized_netlist_spec, stats, wait_done,
+};
 use serve::client;
+use serve::jobs::{JobSpec, MAX_NETLIST_DFFS, MAX_NETLIST_GATES};
 use serve::json::{self, Value};
 use serve::{ServeConfig, Server};
 
@@ -165,6 +168,42 @@ fn malformed_traffic_gets_4xx_and_the_acceptor_survives() {
     );
     assert_eq!(posted.status, 202);
     wait_done(addr, &job_id(&posted));
+    server.shutdown();
+}
+
+#[test]
+fn oversized_inline_netlists_are_rejected_before_setup() {
+    // Exactly at both limits a netlist is a valid spec.
+    let at_limit = sized_netlist_spec(MAX_NETLIST_GATES, MAX_NETLIST_DFFS);
+    assert!(JobSpec::from_value(&json::parse(&at_limit).unwrap()).is_ok());
+
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let addr = server.addr();
+    for (spec, limit) in [
+        (
+            sized_netlist_spec(MAX_NETLIST_GATES + 1, 1),
+            format!("{MAX_NETLIST_GATES}"),
+        ),
+        (
+            sized_netlist_spec(1, MAX_NETLIST_DFFS + 1),
+            format!("{MAX_NETLIST_DFFS}"),
+        ),
+    ] {
+        let r = post_job(addr, &spec);
+        assert_eq!(r.status, 400, "over-budget netlist: {}", body_str(&r));
+        assert!(
+            body_str(&r).contains(&format!("limit {limit}")),
+            "the reply names the limit: {}",
+            body_str(&r)
+        );
+    }
+    // Neither request became a job, so no ATPG ran.
+    assert_eq!(
+        stats(addr)
+            .get("sim")
+            .and_then(|s| s.get("dsim.podem.calls")),
+        None
+    );
     server.shutdown();
 }
 

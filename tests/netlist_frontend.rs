@@ -11,9 +11,15 @@
 //!   serializer and parser with AST equality, and through
 //!   `Module::from_circuit` with `Circuit` equality,
 //! * a robustness test: byte-level mutations of real source never panic
-//!   the tokenizer, parser or lowering — they return structured errors.
+//!   the tokenizer, parser or lowering — they return structured errors,
+//! * a drift check on the exported chain A / chain B netlists under
+//!   `tests/data/` (the reference circuits of `dsim`'s PODEM tests), and
+//!   a pinned digest of the served chain B's transition ATPG output.
 
 use dft::campaign::NetlistCampaign;
+use dft::chain_a::ChainA;
+use dft::chain_b::ChainB;
+use dsim::expand::TimeExpansion;
 use dsim::verilog::{parse, Cell, CellKind, Module};
 use rt::check::{check_with, Draws};
 
@@ -176,4 +182,35 @@ fn mutated_sources_never_panic_the_frontend() {
             let _ = m.lower();
         }
     });
+}
+
+/// `tests/data/chain_a_net.v` and `chain_b4_net.v` are the Verilog
+/// export of the built-in chains (`dsim`'s unit tests cannot reach
+/// `dft`, so they read these files). Regenerate a stale file by writing
+/// `Module::from_circuit(circuit).to_source()` over it.
+#[test]
+fn exported_chain_netlists_are_current() {
+    for (file, circuit) in [
+        ("chain_a_net.v", ChainA::new().circuit().clone()),
+        ("chain_b4_net.v", ChainB::new(4).circuit().clone()),
+    ] {
+        let path = format!("{}/../../tests/data/{file}", env!("CARGO_MANIFEST_DIR"));
+        let on_disk = std::fs::read_to_string(&path).expect("exported netlist");
+        assert_eq!(
+            on_disk,
+            Module::from_circuit(&circuit).to_source(),
+            "{file} is stale"
+        );
+    }
+}
+
+/// The transition test set the server's chain B jobs run, pinned as a
+/// CRC-32 of its `Debug` rendering (tests, `|`, untestable faults).
+#[test]
+fn served_chain_b_transition_atpg_is_pinned() {
+    let chain = ChainB::new(4);
+    let (tests, untestable) = TimeExpansion::new(chain.circuit()).unwrap().generate_all();
+    let digest = rt::exec::crc32(format!("{tests:?}|{untestable:?}").as_bytes());
+    assert_eq!((tests.len(), untestable.len()), (39, 1));
+    assert_eq!(digest, 0xc9b7_c18d);
 }
