@@ -2,7 +2,7 @@
 //! paper's digital chains, at every packed plane width.
 //!
 //! ```text
-//! cargo run -p bench --release --bin bitpar_speedup
+//! cargo run -p bench --release --offline --bin bitpar_speedup
 //! ```
 //!
 //! Both sides run the complete stuck-at campaign single-threaded — the
@@ -28,9 +28,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use bench::{save_artifact, Csv};
+use bench::report::markdown_table;
+use bench::{write_result, Csv};
 use dft::chain_b::ChainB;
-use dft::report::render_table;
 use dsim::atpg::random_vectors;
 use dsim::bitpar::Word;
 use dsim::blocks::divider::Divider;
@@ -180,7 +180,7 @@ fn main() {
     println!("=== Scalar vs bit-parallel (PPSFP) stuck-at campaign ===\n");
     print!(
         "{}",
-        render_table(
+        markdown_table(
             &[
                 "Chain",
                 "Faults",
@@ -198,5 +198,8 @@ fn main() {
         println!("note: {note}");
     }
 
-    save_artifact("untracked timing CSV", "bitpar_speedup.csv", csv.as_str());
+    if let Err(e) = write_result("bitpar_speedup.csv", csv.as_str()) {
+        eprintln!("could not write results/bitpar_speedup.csv: {e}");
+        std::process::exit(1);
+    }
 }

@@ -1,149 +1,40 @@
-//! Full digital campaign over parsed Verilog netlists: stuck-at fault
-//! simulation (seeded random patterns through the PPSFP kernel) plus
-//! time-expansion transition ATPG scored by launch-on-capture replay.
-//!
-//! Without arguments, runs the frontend's acceptance set — the paper's
-//! hand-built chains round-tripped *through the Verilog serializer and
-//! parser*, plus the vendored ITC-style `b01` benchmark — and writes
-//! `results/netlist_campaign.csv`
-//! (`circuit,nets,gates,ffs,sa_faults,sa_detected,sa_coverage,tr_faults,tr_detected,tr_untestable,tr_coverage,loc_tests`).
-//!
-//! With file arguments, runs the same campaign on user-supplied netlists
-//! instead (report only, no tracked CSV — see the README quickstart):
+//! Full digital campaign over user-supplied Verilog netlists: stuck-at
+//! fault simulation (seeded random patterns through the PPSFP kernel)
+//! plus time-expansion transition ATPG scored by launch-on-capture
+//! replay, printed as a markdown table.
 //!
 //! ```text
-//! cargo run -p bench --release --bin netlist_campaign [my_design.v ...]
+//! cargo run -p bench --release --offline --bin netlist_campaign my_design.v [more.v ...]
 //! ```
+//!
+//! The frontend's acceptance set (the paper's chains round-tripped
+//! through the Verilog serializer, plus the vendored `b01`) runs through
+//! the same row code in `reproduce`, which writes the tracked
+//! `results/netlist_campaign.csv`.
 
-use bench::{save_artifact, Csv};
+use std::process::ExitCode;
+
 use dft::campaign::NetlistCampaign;
-use dft::chain_b::ChainB;
-use dft::report::{percent, render_table};
-use dsim::blocks::divider::Divider;
-use dsim::blocks::fsm::ControlFsm;
-use dsim::blocks::lock_counter::LockCounter;
-use dsim::circuit::Circuit;
-use dsim::verilog::Module;
 
-/// One campaign, rendered as a report row and a CSV row.
-fn measure(campaign: &NetlistCampaign) -> (Vec<String>, Vec<String>) {
-    let result = campaign.run();
-    assert!(result.is_complete());
-    let c = campaign.circuit();
-    let (sa_total, sa_detected) = result.stuck_at();
-    let (tr_total, tr_detected) = result.transition();
-    let row = vec![
-        campaign.name().to_string(),
-        format!("{}/{}/{}", c.net_count(), c.gate_count(), c.dff_count()),
-        format!(
-            "{} ({sa_detected}/{sa_total})",
-            percent(result.stuck_at_coverage())
-        ),
-        format!(
-            "{} ({tr_detected}/{tr_total})",
-            percent(result.transition_coverage())
-        ),
-        result.untestable.len().to_string(),
-        campaign.tests().len().to_string(),
-    ];
-    let csv = vec![
-        campaign.name().to_string(),
-        c.net_count().to_string(),
-        c.gate_count().to_string(),
-        c.dff_count().to_string(),
-        sa_total.to_string(),
-        sa_detected.to_string(),
-        format!("{:.4}", result.stuck_at_coverage()),
-        tr_total.to_string(),
-        tr_detected.to_string(),
-        result.untestable.len().to_string(),
-        format!("{:.4}", result.transition_coverage()),
-        campaign.tests().len().to_string(),
-    ];
-    (row, csv)
-}
-
-/// The acceptance set: hand-built chains pushed through the serializer
-/// and re-parsed (so the campaign exercises the full frontend path), plus
-/// the vendored benchmark netlist.
-fn acceptance_set() -> Vec<NetlistCampaign> {
-    let chains: Vec<(&str, Circuit)> = vec![
-        ("chain_b", ChainB::new(4).circuit().clone()),
-        ("divider", Divider::new(3).circuit().clone()),
-        ("lock_counter", LockCounter::new(3).circuit().clone()),
-        ("control_fsm", ControlFsm::new().circuit().clone()),
-    ];
+fn main() -> ExitCode {
+    let paths: Vec<String> = std::env::args().skip(1).collect();
+    if paths.is_empty() {
+        eprintln!("usage: netlist_campaign <netlist.v> [more.v ...]");
+        return ExitCode::from(2);
+    }
     let mut campaigns = Vec::new();
-    for (name, circuit) in chains {
-        let mut module = Module::from_circuit(&circuit);
-        module.name = name.to_string();
-        let source = module.to_source();
-        campaigns.push(NetlistCampaign::from_verilog(&source).expect("round-tripped chain"));
+    for path in &paths {
+        let campaign = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|source| NetlistCampaign::from_verilog(&source).map_err(|e| e.to_string()));
+        match campaign {
+            Ok(c) => campaigns.push(c),
+            Err(e) => {
+                eprintln!("{path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
     }
-    let b01 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/data/b01_net.v");
-    let source = std::fs::read_to_string(b01).expect("vendored benchmark netlist");
-    campaigns.push(NetlistCampaign::from_verilog(&source).expect("b01 compiles"));
-    campaigns
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let user_mode = !args.is_empty();
-    let campaigns: Vec<NetlistCampaign> = if user_mode {
-        args.iter()
-            .map(|path| {
-                let source =
-                    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
-                NetlistCampaign::from_verilog(&source).unwrap_or_else(|e| panic!("{path}: {e}"))
-            })
-            .collect()
-    } else {
-        acceptance_set()
-    };
-
-    let mut rows = Vec::new();
-    let mut csv = Csv::new(&[
-        "circuit",
-        "nets",
-        "gates",
-        "ffs",
-        "sa_faults",
-        "sa_detected",
-        "sa_coverage",
-        "tr_faults",
-        "tr_detected",
-        "tr_untestable",
-        "tr_coverage",
-        "loc_tests",
-    ]);
-    for campaign in &campaigns {
-        let (row, csv_row) = measure(campaign);
-        rows.push(row);
-        csv.row(&csv_row);
-    }
-
-    println!("=== Netlist campaign: stuck-at + transition over the Verilog frontend ===\n");
-    print!(
-        "{}",
-        render_table(
-            &[
-                "Circuit",
-                "Nets/Gates/FFs",
-                "Stuck-at (256 random)",
-                "Transition (LoC ATPG)",
-                "Untestable",
-                "Tests"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "\nStuck-at detection runs the packed PPSFP kernel; transition\n\
-         detection replays PODEM launch-on-capture patterns from the\n\
-         broad-side time-expanded model on the sequential circuit. The\n\
-         conformance suite pins the two routes against each other."
-    );
-    if !user_mode {
-        save_artifact("netlist campaign", "netlist_campaign.csv", csv.as_str());
-    }
+    print!("{}", bench::reproduce::netlist_rows(&campaigns).0);
+    ExitCode::SUCCESS
 }

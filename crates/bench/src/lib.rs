@@ -1,25 +1,18 @@
 //! # bench — experiment harness
 //!
-//! Regenerates every table and figure of the paper's evaluation. One
-//! binary per artifact (see `src/bin/`):
+//! Regenerates every table and figure of the paper's evaluation through
+//! one binary, `reproduce`: it runs [`reproduce::run`] and writes each
+//! tracked artifact under `results/` at the workspace root (the CSVs,
+//! the Fig. 2 VCD, the test-program listing, `metrics.json` and
+//! `REPRODUCTION_REPORT.md`, which carries every printed table), plus the
+//! gitignored Chrome trace of the instrumented [`obs_pipeline`]. Two more
+//! binaries stay separate: `netlist_campaign` runs the digital campaign
+//! on user-supplied Verilog files, and `bitpar_speedup` prints
+//! machine-dependent timing that is never tracked.
 //!
-//! | binary | paper artifact |
-//! |---|---|
-//! | `fig1_architecture` | Fig. 1 — block inventory, scan-chain ordering |
-//! | `fig2_lock_acquisition` | Fig. 2 — `Vc` and DLL phase vs. time |
-//! | `coverage_progression` | §IV — DC 50.4 % → scan 74.3 % → BIST 94.8 % |
-//! | `table1_fault_coverage` | Table I — coverage by fault type |
-//! | `table2_overhead` | Table II — DFT circuit overhead |
-//! | `digital_coverage` | §IV — 100 % stuck-at on the digital blocks |
-//! | `bist_lock_time` | §III — lock within 5000 cycles from any phase |
-//! | `eye_ablation` | §II (implied) — FFE necessity: eye vs. boost |
-//! | `obs_campaign` | instrumented pipeline → `results/metrics.json` + Chrome trace |
-//!
-//! Binaries print paper-vs-measured tables to stdout, drop artifacts
-//! into `results/` at the workspace root via [`Csv`]/[`save_artifact`],
-//! and report progress through the `OBS`-gated [`rt::obs::log`] logger
-//! (silent by default). [`obs_pipeline`] is the shared instrumented run
-//! behind the `obs_campaign` binary and the metrics golden-file tests.
+//! Tables render through [`report::markdown_table`], CSVs through
+//! [`Csv`], and progress goes to the `OBS`-gated [`rt::obs::log`] logger
+//! (silent by default).
 //!
 //! # Examples
 //!
@@ -59,27 +52,24 @@ pub fn results_dir() -> io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// Writes `contents` to `results/<name>` and returns the full path.
+/// Writes `contents` to `<dir>/<name>` and returns the full path.
 ///
 /// # Errors
 ///
-/// Returns any I/O error from the write.
-pub fn write_result(name: &str, contents: &str) -> io::Result<PathBuf> {
-    let path = results_dir()?.join(name);
+/// Returns any I/O error from the write, including a missing `dir`.
+pub fn write_result_in(dir: &Path, name: &str, contents: &str) -> io::Result<PathBuf> {
+    let path = dir.join(name);
     fs::write(&path, contents)?;
     Ok(path)
 }
 
-/// Writes a named artifact under `results/`, reporting the outcome
-/// through the structured logger instead of ad-hoc prints: success is an
-/// `OBS=1` info line (`kind` tags it, e.g. `"CSV"` or `"VCD"`), failure
-/// always goes to stderr. This replaces the `match write_result {..}`
-/// boilerplate every bench binary used to carry.
-pub fn save_artifact(kind: &str, name: &str, contents: &str) {
-    match write_result(name, contents) {
-        Ok(path) => rt::obs::log::info("bench", format!("{kind} written to {}", path.display())),
-        Err(e) => eprintln!("could not write {kind} {name}: {e}"),
-    }
+/// Writes `contents` to `results/<name>` and returns the full path.
+///
+/// # Errors
+///
+/// Returns any I/O error from creating `results/` or from the write.
+pub fn write_result(name: &str, contents: &str) -> io::Result<PathBuf> {
+    write_result_in(&results_dir()?, name, contents)
 }
 
 /// An incrementally built CSV document: a fixed header row, then one
@@ -137,6 +127,9 @@ impl Csv {
     }
 }
 
+pub mod report;
+pub mod reproduce;
+
 pub mod obs_pipeline {
     //! The shared instrumented pipeline: one digital stuck-at campaign,
     //! one behavioral fault campaign, one healthy-link BIST execution and
@@ -147,13 +140,15 @@ pub mod obs_pipeline {
     //! function of the fixed seeds and netlists only, and the merge path
     //! through `rt::par` makes the registry byte-identical at any worker
     //! count — asserted by the tests in this crate and snapshotted to the
-    //! tracked `results/metrics.json` by the `obs_campaign` binary. The
+    //! tracked `results/metrics.json` by the `reproduce` binary. The
     //! captured span events are wall-clock and go only to the gitignored
-    //! Chrome trace.
+    //! Chrome trace. The behavioral campaign runs at the paper's design
+    //! point, and [`ObsRun::campaign`] hands its result on, so a
+    //! reproduction run simulates that campaign exactly once.
 
     use conform::fuzz::{fuzz, FuzzConfig};
     use dft::bist::Bist;
-    use dft::campaign::{DigitalCampaign, FaultCampaign};
+    use dft::campaign::{CampaignResult, DigitalCampaign, FaultCampaign};
     use dft::chain_b::ChainB;
     use dsim::atpg::random_vectors;
     use msim::effects::AnalogEffect;
@@ -169,8 +164,8 @@ pub mod obs_pipeline {
         pub events: Vec<SpanEvent>,
         /// Digital stuck-at records produced (sanity anchor).
         pub digital_records: usize,
-        /// Behavioral fault universe size (sanity anchor).
-        pub analog_faults: usize,
+        /// The behavioral fault campaign at the paper's design point.
+        pub campaign: CampaignResult,
         /// Fuzz mutants accepted (sanity anchor).
         pub fuzz_accepted: usize,
     }
@@ -183,7 +178,7 @@ pub mod obs_pipeline {
     pub fn instrumented_run(threads: usize) -> ObsRun {
         rt::obs::pin_epoch();
         let p = DesignParams::paper();
-        let ((digital_records, analog_faults, fuzz_accepted), metrics, events) =
+        let ((digital_records, campaign, fuzz_accepted), metrics, events) =
             rt::obs::observe(|| {
                 let digital = {
                     let _span = rt::obs::span("pipeline.digital_campaign");
@@ -227,13 +222,13 @@ pub mod obs_pipeline {
                         },
                     )
                 };
-                (digital.len(), analog.total(), report.accepted)
+                (digital.len(), analog, report.accepted)
             });
         ObsRun {
             metrics,
             events,
             digital_records,
-            analog_faults,
+            campaign,
             fuzz_accepted,
         }
     }
@@ -256,11 +251,31 @@ mod tests {
         assert!(d.exists());
     }
 
+    /// A fresh, empty scratch directory for one test.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bench-{test}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn write_result_roundtrip() {
-        let p = write_result("selftest.txt", "hello\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "hello\n");
-        let _ = std::fs::remove_file(p);
+        let dir = scratch_dir("roundtrip");
+        let p = write_result_in(&dir, "selftest.txt", "hello\n").unwrap();
+        assert_eq!(fs::read_to_string(&p).unwrap(), "hello\n");
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn write_into_missing_directory_fails() {
+        // A failed write must surface as an error, never be swallowed:
+        // the stale tracked file would otherwise survive a regeneration.
+        let dir = scratch_dir("missing");
+        let missing = dir.join("no-such-dir");
+        assert!(write_result_in(&missing, "x.txt", "x").is_err());
+        assert!(!missing.exists());
+        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -299,22 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_snapshot_matches_tracked_file() {
-        // Golden-file test: a rerun of the pipeline reproduces the
-        // tracked results/metrics.json byte for byte. Regenerate with
-        // scripts/regen_results.sh after intentionally changing any
-        // instrumented counter.
-        let tracked = results_dir().unwrap().join("metrics.json");
-        let on_disk = std::fs::read_to_string(&tracked)
-            .unwrap_or_else(|e| panic!("tracked {} unreadable: {e}", tracked.display()));
-        assert_eq!(
-            obs_pipeline::metrics_json(rt::par::threads()),
-            on_disk,
-            "results/metrics.json is stale — run scripts/regen_results.sh"
-        );
-    }
-
-    #[test]
     fn pipeline_captures_the_instrumented_subsystems() {
         let run = obs_pipeline::instrumented_run(2);
         let m = &run.metrics;
@@ -339,7 +338,7 @@ mod tests {
         assert!(m.histogram("bist.lock_cycles").unwrap().count() > 0);
         assert_eq!(
             m.counter("campaign.fault.simulated"),
-            Some(run.analog_faults as u64)
+            Some(run.campaign.total() as u64)
         );
         assert!(run.digital_records > 0 && run.fuzz_accepted > 0);
         // Wall-clock spans exist but never enter the metrics registry.

@@ -25,8 +25,7 @@
 //! * [`quality`] — Williams–Brown shipped-defect (DPPM) economics,
 //! * [`multilane`] — multi-receiver test-time scheduling,
 //! * [`test_program`] — the generated production test program,
-//! * [`overhead`] — the Table II added-circuitry accounting,
-//! * [`report`] — table rendering for the experiment binaries.
+//! * [`overhead`] — the Table II added-circuitry accounting.
 //!
 //! # Examples
 //!
@@ -34,13 +33,12 @@
 //!
 //! ```no_run
 //! use dft::campaign::FaultCampaign;
-//! use dft::report::percent;
 //! use msim::params::DesignParams;
 //!
 //! let result = FaultCampaign::new(&DesignParams::paper()).run();
-//! println!("DC            {}", percent(result.coverage_dc()));
-//! println!("DC+scan       {}", percent(result.coverage_dc_scan()));
-//! println!("DC+scan+BIST  {}", percent(result.coverage_total()));
+//! println!("DC            {:.1} %", result.coverage_dc() * 100.0);
+//! println!("DC+scan       {:.1} %", result.coverage_dc_scan() * 100.0);
+//! println!("DC+scan+BIST  {:.1} %", result.coverage_total() * 100.0);
 //! ```
 //!
 //! Enumerate the universe without simulating it — the paper's 603
@@ -70,6 +68,5 @@ pub mod mismatch;
 pub mod multilane;
 pub mod overhead;
 pub mod quality;
-pub mod report;
 pub mod scan_test;
 pub mod test_program;

@@ -8,7 +8,9 @@
 # a crate's benches/, and a bare `cargo bench` is an error while the
 # workspace has no bench target at all. This catches the classic drift
 # where a target is renamed or removed and a README/GUIDE command
-# silently stops working.
+# silently stops working. Every `results/<file>` path must be a
+# git-tracked file (globs allowed) or a .gitignored output, so docs
+# cannot point at artifacts nothing writes any more.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,10 +70,24 @@ for doc in "${docs[@]}"; do
         echo "check_docs: $doc references 'cargo bench', but no crate has a bench target" >&2
         fail=1
     fi
+
+    # `results/<file>` paths (not URL routes such as `/results/<id>`).
+    # ROADMAP.md names the artifacts its open items will add, so it is
+    # exempt.
+    [[ $doc == ROADMAP.md ]] && continue
+    while read -r path; do
+        path=${path%/}
+        [[ -n $(git ls-files -- "$path") ]] && continue
+        git check-ignore -q --no-index "$path" && continue
+        git check-ignore -q --no-index "$path/" && continue
+        echo "check_docs: $doc references '$path', neither tracked nor gitignored" >&2
+        fail=1
+    done < <(grep -oE '(^|[^/A-Za-z0-9_])results/[A-Za-z0-9_.*-]+/?' "$doc" \
+                 | sed -E 's/^[^r]//' | sort -u)
 done
 
 if [[ $fail -ne 0 ]]; then
-    echo "check_docs: FAILED — docs reference targets the workspace does not build" >&2
+    echo "check_docs: FAILED — docs reference targets or results the workspace does not build" >&2
     exit 1
 fi
 echo "check_docs: OK (${#bins[@]} bins, ${#examples[@]} examples, ${#benches[@]} benches, ${#docs[@]} docs)"
