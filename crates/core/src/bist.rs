@@ -194,6 +194,9 @@ impl Bist {
         // Deterministic lock-acquisition metrics: every BIST execution in
         // a campaign reports how the synchronizer behaved.
         rt::obs::count("bist.executions", 1);
+        // The synchronizer cycles replayed: the work unit of the lock
+        // loop, so BIST time reads per cycle as well as per execution.
+        rt::obs::count("bist.sync_cycles", rc.cycles);
         rt::obs::count("bist.locked_in_budget", u64::from(locked_in_budget));
         rt::obs::count("bist.vp_flagged", u64::from(vp_flagged));
         rt::obs::count(

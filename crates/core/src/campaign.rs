@@ -1673,6 +1673,8 @@ mod tests {
         // whose synchronizer drew its stimulus inline in every run.
         let counter = |k: &str| seq_metrics.counter(k);
         assert_eq!(counter("bist.executions"), Some(96));
+        // 8000 replayed synchronizer cycles per execution.
+        assert_eq!(counter("bist.sync_cycles"), Some(96 * 8000));
         assert_eq!(counter("bist.lock_failures"), Some(37));
         assert_eq!(counter("bist.locked_in_budget"), Some(59));
         assert_eq!(counter("bist.lock_detector_saturated"), Some(9));

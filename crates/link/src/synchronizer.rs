@@ -262,7 +262,7 @@ impl Synchronizer {
 
     /// Current sampling instant in UI (phase + VCDL delay, wrapped).
     pub fn sampling_tau_ui(&self) -> f64 {
-        (self.dll.phase_ui(self.phase) + self.vcdl.delay_ui(self.vc)).fract()
+        fract(self.dll.phase_ui(self.phase) + self.vcdl.delay_ui(self.vc))
     }
 
     /// Current control voltage.
@@ -304,8 +304,21 @@ impl Synchronizer {
             rc.cycles
         );
         let ui = self.p.ui();
-        let divider = self.p.divider_ratio as u64;
+        let divider = u64::from(self.p.divider_ratio);
+        assert!(divider > 0, "coarse-loop divider ratio must be positive");
         let eff_half = rc.eye_half_width_ui * (1.0 - self.clock_degradation);
+        // Everything the loop would otherwise recompute every cycle: the
+        // DLL phase positions and the weak pump's per-UI step for each PD
+        // decision (the strong pump's per-divided-clock reset steps too).
+        let phase_ui: Vec<f64> = (0..self.dll.phase_count())
+            .map(|i| self.dll.phase_ui(i))
+            .collect();
+        let weak_idle = self.weak.delta(false, false, ui);
+        let weak_up = self.weak.delta(true, false, ui);
+        let weak_down = self.weak.delta(false, true, ui);
+        let divided = ui * divider as f64;
+        let strong_up = self.strong.delta(true, false, divided);
+        let strong_down = self.strong.delta(false, true, divided);
 
         let mut corrections = 0u64;
         let mut data_errors = 0u64;
@@ -316,11 +329,14 @@ impl Synchronizer {
         // a new excursion (after re-entry or on the other side) counts as a
         // fresh coarse-correction request.
         let mut last_outside: Option<bool> = None;
+        // Cycles left until the next divided-clock edge: the window is
+        // checked on cycles where `(cycle + 1) % divider == 0`.
+        let mut until_check = divider;
 
         let draws = stimulus.jitter.iter().zip(&stimulus.transitions);
         for (cycle, (&gaussian, &transition)) in (0..).zip(draws) {
             let jitter = gaussian * rc.jitter_rms_ui;
-            let tau = self.sampling_tau_ui();
+            let tau = fract(phase_ui[self.phase] + self.vcdl.delay_ui(self.vc));
             let center = rc.eye_center_ui + rc.eye_drift_ui_per_cycle * cycle as f64;
             let err = BangBangPd::wrap_error(tau, center);
             let observed = err + jitter;
@@ -341,19 +357,21 @@ impl Synchronizer {
             } else {
                 self.pd.decide(observed, transition)
             };
-            let (up, dn) = match decision {
-                Some(PdDecision::Up) => (true, false),
-                Some(PdDecision::Down) => (false, true),
-                None => (false, false),
+            let dv = match decision {
+                Some(PdDecision::Up) => weak_up,
+                Some(PdDecision::Down) => weak_down,
+                None => weak_idle,
             };
-            self.vc = self.weak.step(self.vc, up, dn, ui);
+            self.vc = self.weak.apply(self.vc, dv);
             if let Some(pin) = self.vc_pinned {
                 self.vc = pin;
             }
 
             // Coarse loop on the divided clock.
             let mut win_code = 0.0; // 0 = no check this cycle
-            if (cycle + 1) % divider == 0 {
+            until_check -= 1;
+            if until_check == 0 {
+                until_check = divider;
                 let decision = self.window.evaluate(self.vc);
                 win_code = match decision {
                     WindowDecision::Inside => 1.0,
@@ -369,7 +387,7 @@ impl Synchronizer {
                             last_outside = Some(true);
                         }
                         // Strong reset toward the window.
-                        self.vc = self.strong.step(self.vc, false, true, ui * divider as f64);
+                        self.vc = self.strong.apply(self.vc, strong_down);
                         dirty = true;
                     }
                     WindowDecision::BelowLow => {
@@ -378,7 +396,7 @@ impl Synchronizer {
                             self.phase = self.dll.next_phase(self.phase, false);
                             last_outside = Some(false);
                         }
-                        self.vc = self.strong.step(self.vc, true, false, ui * divider as f64);
+                        self.vc = self.strong.apply(self.vc, strong_up);
                         dirty = true;
                     }
                 }
@@ -419,6 +437,19 @@ impl Synchronizer {
             final_phase: self.phase,
             vp: self.balance.settled(),
         }
+    }
+}
+
+/// `x.fract()`, without the `trunc` call for an `x` strictly inside
+/// `(0, 1)`: there the integer part is `+0.0` and the fraction is `x`
+/// itself, bit for bit. The loop's sampling instant almost always lands
+/// there.
+#[inline]
+fn fract(x: f64) -> f64 {
+    if x > 0.0 && x < 1.0 {
+        x
+    } else {
+        x.fract()
     }
 }
 
@@ -736,5 +767,372 @@ mod tests {
             ..rc
         };
         Synchronizer::new(&paper()).replay(&shorter, &stim, None);
+    }
+}
+
+/// Bit-exactness of the lock loop against its pre-hoist form.
+#[cfg(test)]
+mod lock_loop_oracle {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    use msim::effects::{resolve_effect, AnalogEffect, Pump, PumpDir, WindowSide};
+    use msim::fault::FaultUniverse;
+    use msim::units::Sec;
+
+    /// `ChargePump::step` as it was: the per-UI change divided out on
+    /// every call. The pumps of a synchronizer integrate onto
+    /// `p.loop_cap` between the rails of `p.supply`.
+    fn reference_step(
+        p: &DesignParams,
+        pump: &ChargePump,
+        vc: Volt,
+        up: bool,
+        dn: bool,
+        dt: Sec,
+    ) -> Volt {
+        let dv = pump.net_current(up, dn) * dt / p.loop_cap;
+        (vc + dv).clamp(Volt::ZERO, p.supply)
+    }
+
+    /// [`Synchronizer::replay`] as it was before its per-run hoists: the
+    /// pump steps and the DLL phase divided out every cycle, the
+    /// divided-clock edge found with `%`, the error wrapped with `fmod`
+    /// and the sampling instant with `f64::fract`.
+    fn reference_replay(
+        s: &mut Synchronizer,
+        rc: &RunConfig,
+        stimulus: &Stimulus,
+        mut trace: Option<&mut Trace>,
+    ) -> LockOutcome {
+        let ui = s.p.ui();
+        let divider = s.p.divider_ratio as u64;
+        let eff_half = rc.eye_half_width_ui * (1.0 - s.clock_degradation);
+
+        let mut corrections = 0u64;
+        let mut data_errors = 0u64;
+        let mut errors_after_lock = 0u64;
+        let mut clean = 0u64;
+        let mut lock_cycle: Option<u64> = None;
+        let mut last_outside: Option<bool> = None;
+
+        let draws = stimulus.jitter.iter().zip(&stimulus.transitions);
+        for (cycle, (&gaussian, &transition)) in (0..).zip(draws) {
+            let jitter = gaussian * rc.jitter_rms_ui;
+            let tau = (s.dll.phase_ui(s.phase) + s.vcdl.delay_ui(s.vc)).fract();
+            let center = rc.eye_center_ui + rc.eye_drift_ui_per_cycle * cycle as f64;
+            let err = crate::pd::reference_wrap_error(tau, center);
+            let observed = err + jitter;
+
+            let sample_ok = !s.clock_dead && observed.abs() <= eff_half;
+            let mut dirty = !sample_ok;
+            if !sample_ok {
+                data_errors += 1;
+                if lock_cycle.is_some() {
+                    errors_after_lock += 1;
+                }
+            }
+
+            let decision = if s.clock_dead {
+                None
+            } else {
+                s.pd.decide(observed, transition)
+            };
+            let (up, dn) = match decision {
+                Some(PdDecision::Up) => (true, false),
+                Some(PdDecision::Down) => (false, true),
+                None => (false, false),
+            };
+            s.vc = reference_step(&s.p, &s.weak, s.vc, up, dn, ui);
+            if let Some(pin) = s.vc_pinned {
+                s.vc = pin;
+            }
+
+            let mut win_code = 0.0;
+            if (cycle + 1) % divider == 0 {
+                let decision = s.window.evaluate(s.vc);
+                win_code = match decision {
+                    WindowDecision::Inside => 1.0,
+                    WindowDecision::BelowLow => 2.0,
+                    WindowDecision::AboveHigh => 3.0,
+                };
+                match decision {
+                    WindowDecision::Inside => last_outside = None,
+                    WindowDecision::AboveHigh => {
+                        if last_outside != Some(true) {
+                            corrections += 1;
+                            s.phase = s.dll.next_phase(s.phase, true);
+                            last_outside = Some(true);
+                        }
+                        let dt = ui * divider as f64;
+                        s.vc = reference_step(&s.p, &s.strong, s.vc, false, true, dt);
+                        dirty = true;
+                    }
+                    WindowDecision::BelowLow => {
+                        if last_outside != Some(false) {
+                            corrections += 1;
+                            s.phase = s.dll.next_phase(s.phase, false);
+                            last_outside = Some(false);
+                        }
+                        let dt = ui * divider as f64;
+                        s.vc = reference_step(&s.p, &s.strong, s.vc, true, false, dt);
+                        dirty = true;
+                    }
+                }
+                if let Some(pin) = s.vc_pinned {
+                    s.vc = pin;
+                }
+            }
+
+            if dirty {
+                clean = 0;
+            } else {
+                clean += 1;
+                if clean == rc.lock_window && lock_cycle.is_none() {
+                    lock_cycle = Some(cycle + 1 - rc.lock_window);
+                }
+            }
+
+            if let Some(t) = trace.as_deref_mut() {
+                t.record("vc", s.vc);
+                t.record("phase", Volt(s.phase as f64));
+                t.record("vl", s.p.window_low);
+                t.record("vh", s.p.window_high);
+                t.record("win", Volt(win_code));
+            }
+        }
+
+        LockOutcome {
+            locked: lock_cycle.is_some(),
+            lock_cycle,
+            corrections,
+            data_errors,
+            errors_after_lock,
+            final_vc: s.vc,
+            final_phase: s.phase,
+            vp: s.balance.settled(),
+        }
+    }
+
+    /// Replays `sync` through both loops, traced, and compares every
+    /// outcome field (f64s by bits), the final loop state and every trace
+    /// sample.
+    fn assert_bit_exact(sync: &Synchronizer, rc: &RunConfig, stimulus: &Stimulus, what: &str) {
+        let (mut fast, mut slow) = (sync.clone(), sync.clone());
+        let mut fast_trace = Trace::new(Sec::from_ps(400.0));
+        let mut slow_trace = Trace::new(Sec::from_ps(400.0));
+        let got = fast.replay(rc, stimulus, Some(&mut fast_trace));
+        let want = reference_replay(&mut slow, rc, stimulus, Some(&mut slow_trace));
+
+        assert_eq!(got.locked, want.locked, "{what}: locked");
+        assert_eq!(got.lock_cycle, want.lock_cycle, "{what}: lock_cycle");
+        assert_eq!(got.corrections, want.corrections, "{what}: corrections");
+        assert_eq!(got.data_errors, want.data_errors, "{what}: data_errors");
+        assert_eq!(
+            got.errors_after_lock, want.errors_after_lock,
+            "{what}: errors_after_lock"
+        );
+        assert_eq!(
+            got.final_vc.value().to_bits(),
+            want.final_vc.value().to_bits(),
+            "{what}: final_vc"
+        );
+        assert_eq!(got.final_phase, want.final_phase, "{what}: final_phase");
+        assert_eq!(
+            got.vp.value().to_bits(),
+            want.vp.value().to_bits(),
+            "{what}: vp"
+        );
+        assert_eq!(
+            fast.vc.value().to_bits(),
+            slow.vc.value().to_bits(),
+            "{what}: vc"
+        );
+        assert_eq!(fast.phase, slow.phase, "{what}: phase");
+
+        assert_eq!(
+            fast_trace.channel_names(),
+            slow_trace.channel_names(),
+            "{what}: trace channels"
+        );
+        for name in slow_trace.channel_names() {
+            let bits = |t: &Trace| -> Vec<u64> {
+                t.channel(name)
+                    .unwrap()
+                    .samples()
+                    .iter()
+                    .map(|v| v.value().to_bits())
+                    .collect()
+            };
+            assert_eq!(
+                bits(&fast_trace),
+                bits(&slow_trace),
+                "{what}: channel {name}"
+            );
+        }
+    }
+
+    /// The synchronizer and eye half width the BIST tier runs for
+    /// `effect`: the hooks of `dft::bist::Bist::build` and the margin of
+    /// `Bist::margin_factor`, restated here because this crate sits
+    /// below `dft`.
+    fn bist_setup(p: &DesignParams, effect: &AnalogEffect) -> (Synchronizer, f64) {
+        let (mut weak, mut strong) = (CpFaults::none(), CpFaults::none());
+        let mut window = WindowComparator::new(p.window_low, p.window_high);
+        let mut sync = Synchronizer::new(p);
+        let nominal = p.dc_test_input().value();
+        let mut margin = 1.0;
+        match *effect {
+            AnalogEffect::CpDead { pump, dir } | AnalogEffect::CpAlwaysOn { pump, dir } => {
+                let f = if pump == Pump::Weak {
+                    &mut weak
+                } else {
+                    &mut strong
+                };
+                match (effect, dir) {
+                    (AnalogEffect::CpAlwaysOn { .. }, _) => f.always_on = Some(dir),
+                    (_, PumpDir::Up) => f.dead_up = true,
+                    (_, PumpDir::Down) => f.dead_down = true,
+                }
+            }
+            AnalogEffect::CpCurrentScale { pump, dir, factor } => {
+                let f = if pump == Pump::Weak {
+                    &mut weak
+                } else {
+                    &mut strong
+                };
+                match dir {
+                    PumpDir::Up => f.up_scale = factor,
+                    PumpDir::Down => f.down_scale = factor,
+                }
+            }
+            AnalogEffect::WindowStuck { side, output } => {
+                window = match side {
+                    WindowSide::High => window.with_high_stuck(output),
+                    WindowSide::Low => window.with_low_stuck(output),
+                }
+            }
+            AnalogEffect::WindowThresholdShift { side, dv } => {
+                window = match side {
+                    WindowSide::High => window.with_high_shift(dv),
+                    WindowSide::Low => window.with_low_shift(dv),
+                }
+            }
+            AnalogEffect::CpBalanceDrift { dv } => sync = sync.with_balance_drift(dv),
+            AnalogEffect::LoopCapShort => sync = sync.with_vc_pinned(Volt::ZERO),
+            AnalogEffect::ClockPathDead => sync = sync.with_clock_dead(),
+            AnalogEffect::ClockDegraded { severity } => {
+                sync = sync.with_clock_degradation(severity)
+            }
+            AnalogEffect::VcdlStuck { frac } => {
+                sync = sync.with_vcdl(Vcdl::from_params(p).with_stuck(frac))
+            }
+            AnalogEffect::VcdlRangeScale { factor } => {
+                sync = sync.with_vcdl(Vcdl::from_params(p).with_range_scale(factor))
+            }
+            AnalogEffect::LineArmStuck { .. } | AnalogEffect::DataPathStuck => margin = 0.0,
+            AnalogEffect::ArmImbalance { dv } | AnalogEffect::DynamicImbalance { dv } => {
+                margin = 1.0 - dv.value() / nominal
+            }
+            AnalogEffect::SwingScale { factor } => margin = factor.min(1.0),
+            AnalogEffect::CouplingDcShift { dv } => {
+                margin = 1.0 - dv.abs().value() / (2.0 * nominal)
+            }
+            AnalogEffect::CommonModeShift { dv } => margin = 1.0 - dv.abs().value() / 0.2,
+            _ => {}
+        }
+        let sync = sync
+            .with_weak_faults(weak)
+            .with_strong_faults(strong)
+            .with_window(window);
+        let half_width = RunConfig::paper_bist().eye_half_width_ui * margin.clamp(0.0, 1.0);
+        (sync, half_width)
+    }
+
+    /// One effect of every class of the paper's fault universe.
+    fn paper_effect_classes(p: &DesignParams) -> Vec<AnalogEffect> {
+        let blocks = crate::netlists::functional_netlists();
+        let universe = FaultUniverse::enumerate(blocks.iter().map(|(b, n)| (*b, n)));
+        let mut seen = BTreeSet::new();
+        universe
+            .iter()
+            .map(|fault| resolve_effect(fault, p))
+            .filter(|effect| seen.insert(effect.key()))
+            .collect()
+    }
+
+    #[test]
+    fn every_paper_effect_class_replays_bit_exactly_from_both_phases() {
+        let p = DesignParams::paper();
+        let rc = RunConfig::paper_bist();
+        let stimulus = Stimulus::draw(&rc);
+        let classes = paper_effect_classes(&p);
+        assert!(classes.len() > 50, "only {} effect classes", classes.len());
+        for effect in &classes {
+            let (sync, half_width) = bist_setup(&p, effect);
+            let rc = RunConfig {
+                eye_half_width_ui: half_width,
+                ..rc.clone()
+            };
+            for phase0 in [0, p.dll_phases / 2] {
+                let sync = sync.clone().with_initial_phase(phase0);
+                assert_bit_exact(
+                    &sync,
+                    &rc,
+                    &stimulus,
+                    &format!("{effect:?} from phase {phase0}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn eye_drift_pinned_vc_dead_clock_and_divider_ratios_replay_bit_exactly() {
+        let paper = DesignParams::paper();
+        let base = RunConfig {
+            cycles: 3000,
+            ..RunConfig::paper_bist()
+        };
+        // Drift carries the eye center up to 3 UI from the sampling
+        // instant, so the wrap takes its `fmod` path as well as the
+        // shortcut.
+        for drift in [1e-3, -1e-3, 1e-6] {
+            let rc = RunConfig {
+                eye_drift_ui_per_cycle: drift,
+                ..base.clone()
+            };
+            let stimulus = Stimulus::draw(&rc);
+            for phase0 in [0, 5] {
+                let sync = Synchronizer::new(&paper).with_initial_phase(phase0);
+                assert_bit_exact(
+                    &sync,
+                    &rc,
+                    &stimulus,
+                    &format!("drift {drift} from {phase0}"),
+                );
+            }
+        }
+        let stimulus = Stimulus::draw(&base);
+        for pin in [Volt::ZERO, paper.vmid, paper.window_high, paper.supply] {
+            let sync = Synchronizer::new(&paper).with_vc_pinned(pin);
+            assert_bit_exact(&sync, &base, &stimulus, &format!("vc pinned at {pin}"));
+        }
+        let dead = Synchronizer::new(&paper).with_clock_dead();
+        assert_bit_exact(&dead, &base, &stimulus, "clock dead");
+        for ratio in [1, 2, 16] {
+            let p = DesignParams {
+                divider_ratio: ratio,
+                ..paper.clone()
+            };
+            for phase0 in [0, 5] {
+                let sync = Synchronizer::new(&p).with_initial_phase(phase0);
+                assert_bit_exact(
+                    &sync,
+                    &base,
+                    &stimulus,
+                    &format!("divider {ratio} from {phase0}"),
+                );
+            }
+        }
     }
 }

@@ -149,11 +149,24 @@ impl ChargePump {
         Amp(i)
     }
 
+    /// Control-voltage change from driving the pump for `dt`, before the
+    /// rail clamp. It depends only on the inputs, so a loop that steps
+    /// with a fixed `dt` can compute each input combination's change once
+    /// and [`ChargePump::apply`] it every cycle.
+    pub fn delta(&self, up: bool, dn: bool, dt: Sec) -> Volt {
+        self.net_current(up, dn) * dt / self.cap
+    }
+
+    /// Adds a [`ChargePump::delta`] to `vc`, clamped to the rails.
+    #[inline]
+    pub fn apply(&self, vc: Volt, dv: Volt) -> Volt {
+        (vc + dv).clamp(Volt::ZERO, self.supply)
+    }
+
     /// Integrates the pump for `dt` and returns the new control voltage,
     /// clamped to the rails.
     pub fn step(&self, vc: Volt, up: bool, dn: bool, dt: Sec) -> Volt {
-        let dv = self.net_current(up, dn) * dt / self.cap;
-        (vc + dv).clamp(Volt::ZERO, self.supply)
+        self.apply(vc, self.delta(up, dn, dt))
     }
 }
 

@@ -97,6 +97,7 @@ impl Vcdl {
     /// Linear between the window thresholds, saturating outside them — the
     /// physical delay line keeps (slightly) delaying beyond the window, but
     /// the usable range is specified across `[VL, VH]`.
+    #[inline]
     pub fn delay_ui(&self, vc: Volt) -> f64 {
         if let Some(frac) = self.stuck_frac {
             return self.range_ui * frac.clamp(0.0, 1.0);

@@ -132,7 +132,12 @@ impl DesignParams {
     /// * swing, supply, currents, caps must be positive;
     /// * `VL < Vmid < VH` and the window must sit inside the rails;
     /// * the VCDL range must exceed one DLL phase step;
-    /// * at least two DLL phases.
+    /// * at least two DLL phases;
+    /// * the coarse-loop divider ratio must be a power of two of at least
+    ///   2: the gate-level divider is a chain of toggle stages, each
+    ///   halving the clock, and the behavioural loop checks the window
+    ///   every `divider_ratio` cycles, so any other ratio would make the
+    ///   two disagree.
     pub fn validate(&self) -> Result<(), ParamsError> {
         if self.supply.value() <= 0.0 || self.swing.value() <= 0.0 {
             return Err(ParamsError::NonPositive("supply/swing"));
@@ -151,6 +156,9 @@ impl DesignParams {
         }
         if self.dll_phases < 2 {
             return Err(ParamsError::TooFewPhases);
+        }
+        if self.divider_ratio < 2 || !self.divider_ratio.is_power_of_two() {
+            return Err(ParamsError::DividerRatio(self.divider_ratio));
         }
         if self.vcdl_range_ui <= self.phase_step_ui() {
             return Err(ParamsError::VcdlRangeTooSmall {
@@ -227,6 +235,8 @@ pub enum ParamsError {
     WindowOutsideRails,
     /// Fewer than two DLL phases.
     TooFewPhases,
+    /// The coarse-loop divider ratio is not a power of two of at least 2.
+    DividerRatio(u32),
     /// VCDL range does not exceed one DLL phase step.
     VcdlRangeTooSmall {
         /// Configured VCDL range in UI.
@@ -247,6 +257,10 @@ impl fmt::Display for ParamsError {
                 write!(f, "window thresholds must lie strictly inside the rails")
             }
             ParamsError::TooFewPhases => write!(f, "a DLL needs at least two phases"),
+            ParamsError::DividerRatio(ratio) => write!(
+                f,
+                "coarse-loop divider ratio {ratio} must be a power of two of at least 2"
+            ),
             ParamsError::VcdlRangeTooSmall { range_ui, step_ui } => write!(
                 f,
                 "VCDL range ({range_ui} UI) must exceed one DLL phase step ({step_ui} UI)"
@@ -319,6 +333,24 @@ mod tests {
         let mut p = DesignParams::paper();
         p.dll_phases = 1;
         assert_eq!(p.validate(), Err(ParamsError::TooFewPhases));
+    }
+
+    #[test]
+    fn divider_ratio_rule() {
+        // 0 made the lock loop take a remainder by zero and the gate-level
+        // divider an `ilog2` of zero; 12 built an 8:1 gate-level divider
+        // under a 12:1 behavioural loop. Both used to validate.
+        for ratio in [0, 1, 3, 12, 24, u32::MAX] {
+            let mut p = DesignParams::paper();
+            p.divider_ratio = ratio;
+            assert_eq!(p.validate(), Err(ParamsError::DividerRatio(ratio)));
+        }
+        for ratio in [2, 4, 16, 1 << 31] {
+            let mut p = DesignParams::paper();
+            p.divider_ratio = ratio;
+            p.validate()
+                .unwrap_or_else(|e| panic!("ratio {ratio} rejected: {e}"));
+        }
     }
 
     #[test]

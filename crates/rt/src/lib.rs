@@ -7,9 +7,10 @@
 //! * [`rng`] — a deterministic pseudo-random generator (SplitMix64 seeding
 //!   feeding a xoshiro256++ core) with uniform, range, Bernoulli and
 //!   Box–Muller Gaussian draws,
-//! * [`par`] — a chunked parallel-map executor on `std::thread::scope`
-//!   that preserves input order and falls back to a sequential loop when
-//!   only one core is available,
+//! * [`par`] — a parallel-map executor on `std::thread::scope` whose
+//!   workers claim items one at a time, so uneven items balance; it
+//!   preserves input order and falls back to a sequential loop when only
+//!   one thread is asked for,
 //! * [`check`] — a seeded property-test harness with **choice-sequence
 //!   shrinking**: every raw draw is recorded, a failing case's draw log is
 //!   minimized Hypothesis-style (chunk deletion, block zeroing, value

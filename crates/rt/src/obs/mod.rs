@@ -7,7 +7,7 @@
 //!   and log-bucketed histograms over *deterministic program state*
 //!   (patterns simulated, faults dropped per block, relaxation passes,
 //!   corpus admissions, …). Per-thread registries merge associatively in
-//!   deterministic chunk order through [`crate::par`], so a captured
+//!   deterministic worker order through [`crate::par`], so a captured
 //!   registry is **byte-identical at any thread count** and can be
 //!   tracked in version control (`results/metrics.json`).
 //! * **Wall-clock spans** ([`trace`]) — RAII scopes exported as
@@ -25,10 +25,16 @@
 //! it unconditionally — [`count`]/[`record`]/[`gauge`] for metrics,
 //! [`span`] for timing, [`hot_add`] for the per-eval hot paths (fixed
 //! array slots, flushed into named counters at capture boundaries, so the
-//! fault-sim inner loop never touches a map). [`crate::par`] drains each
-//! worker's collector when its chunk completes and the parent absorbs
-//! them **in chunk order**, which keeps counter totals thread-count
-//! invariant and span tids deterministic.
+//! fault-sim inner loop never touches a map). [`crate::par`] workers
+//! claim items one at a time from a shared index, so which worker runs
+//! which item depends on timing. Each worker drains its collector once,
+//! after its last item, and the parent absorbs the workers **in worker
+//! order**. What stays deterministic is what does not depend on that
+//! assignment: output order, counter totals (sums) and histograms
+//! (bucket-wise merges) are identical at any thread count and any claim
+//! order. Span events keep one tid lane per worker, numbered in worker
+//! order; which items share a lane varies from run to run. Gauges merge
+//! last-writer-wins, so they are set only outside parallel maps.
 //!
 //! [`observe`] scopes a capture: it runs a closure against a fresh
 //! collector and returns `(result, Metrics, Vec<SpanEvent>)`, restoring
@@ -187,9 +193,9 @@ pub struct WorkerObs {
 }
 
 /// Drains this thread's collector for hand-off to the spawning thread.
-/// Called by [`crate::par`] at the end of each worker's chunk; workers
-/// are fresh scoped threads, so this captures exactly the chunk's
-/// telemetry.
+/// Called by [`crate::par`] once per worker, after its last item;
+/// workers are fresh scoped threads, so this captures exactly the
+/// telemetry of the items the worker claimed.
 pub fn drain_worker() -> WorkerObs {
     AMBIENT.with(|c| {
         let mut c = c.borrow_mut();
@@ -204,7 +210,7 @@ pub fn drain_worker() -> WorkerObs {
 /// Absorbs a drained worker's state into this thread's collector.
 /// Metrics merge associatively; the worker's virtual tids are remapped
 /// into this thread's tid space in first-appearance order. Callers must
-/// absorb workers in deterministic (chunk) order — [`crate::par`] does.
+/// absorb workers in deterministic (worker) order — [`crate::par`] does.
 pub fn absorb_worker(worker: WorkerObs) {
     AMBIENT.with(|c| {
         let mut c = c.borrow_mut();
@@ -415,7 +421,7 @@ mod tests {
     fn worker_drain_and_absorb_merge_in_order() {
         let ((), m, events) = observe(|| {
             // Simulate two workers drained on other threads and absorbed
-            // here in chunk order.
+            // here in worker order.
             let work = || {
                 count("w.items", 3);
                 drop(span("w.chunk"));

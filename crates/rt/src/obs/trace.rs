@@ -5,8 +5,9 @@
 //! process-wide epoch (pinned on first use) and a *virtual* thread id:
 //! spans always record under tid 0 on their own thread, and
 //! [`super::absorb_worker`] remaps each absorbed worker's tids into the
-//! parent's tid space in deterministic chunk order — so the trace layout
-//! depends on the chunking, not on OS thread ids.
+//! parent's tid space in worker order — so each worker is one lane,
+//! numbered by worker index, not by OS thread id. Which spans land on
+//! which lane follows the run's claim order (see [`crate::par`]).
 //!
 //! Timings are inherently non-deterministic; the exported trace is a
 //! **gitignored** artifact (like the timing CSVs), never part of the
