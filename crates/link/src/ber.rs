@@ -14,6 +14,10 @@
 //! synchronizer must maintain — the quantitative version of the paper's
 //! "sample at the center of the data eye".
 //!
+//! The margin at a target BER is `2 * (w − σ·Q⁻¹(target))`: [`q_inverse`]
+//! finds `Q⁻¹` by bisection and [`BerModel::margin_at_q`] applies the
+//! formula, so a caller scoring many eyes at one target inverts `Q` once.
+//!
 //! # Examples
 //!
 //! ```
@@ -148,8 +152,11 @@ impl BerModel {
     }
 
     /// The timing margin (total open span, in UI) at a target BER:
-    /// `2 * (w - σ·Q⁻¹(target))`, clamped at zero. Uses bisection on the
-    /// analytic single-edge expression.
+    /// [`BerModel::margin_at_q`] applied to [`q_inverse`]`(target_ber)`,
+    /// i.e. `2 * (w - σ·Q⁻¹(target))` clamped at zero. The inverse is a
+    /// 200-step bisection; a caller that scores many eyes at one target
+    /// (the link farm) computes it once and calls `margin_at_q` instead,
+    /// with bit-identical results.
     ///
     /// # Examples
     ///
@@ -163,19 +170,59 @@ impl BerModel {
     /// assert_eq!(m.timing_margin(1e-12), 0.0);
     /// ```
     pub fn timing_margin(&self, target_ber: f64) -> f64 {
-        // Find x with Q(x) = target (single dominant edge) by bisection.
-        let (mut lo, mut hi) = (0.0f64, 40.0f64);
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if q_function(mid) > target_ber {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let x = 0.5 * (lo + hi);
+        self.margin_at_q(q_inverse(target_ber))
+    }
+
+    /// The timing margin (total open span, in UI) when each sampling
+    /// edge must sit `x` jitter σ inside the eye: `2 * (w - σ·x)`,
+    /// clamped at zero. With `x = q_inverse(target)` this is
+    /// [`BerModel::timing_margin`]`(target)`, bit for bit.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use link::ber::{q_inverse, BerModel};
+    ///
+    /// let m = BerModel::new(0.37, 0.30, 0.045);
+    /// let x = q_inverse(1e-9);
+    /// assert_eq!(m.margin_at_q(x).to_bits(), m.timing_margin(1e-9).to_bits());
+    /// ```
+    pub fn margin_at_q(&self, x: f64) -> f64 {
         (2.0 * (self.half_width_ui - self.sigma_ui * x)).max(0.0)
     }
+}
+
+/// The inverse Gaussian tail `Q⁻¹(target_ber)`: the `x` at which the
+/// single dominant eye edge's error probability [`q_function`]`(x)`
+/// equals the target. A 200-step bisection over `[0, 40]` that returns
+/// the midpoint of the final bracket, so a target at or above
+/// `Q(0) = 0.5` returns ≈0 and the result never exceeds 40.
+///
+/// Each step evaluates [`q_function`], whose tail branch is a 60-level
+/// continued fraction, so one call costs tens of microseconds: hoist it
+/// out of loops that share a target.
+///
+/// # Examples
+///
+/// ```
+/// use link::ber::{q_function, q_inverse};
+///
+/// let x = q_inverse(1e-9);
+/// assert!((x - 5.9978).abs() < 1e-4);
+/// assert!((q_function(x) / 1e-9 - 1.0).abs() < 1e-6);
+/// ```
+pub fn q_inverse(target_ber: f64) -> f64 {
+    // Find x with Q(x) = target (single dominant edge) by bisection.
+    let (mut lo, mut hi) = (0.0f64, 40.0f64);
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        if q_function(mid) > target_ber {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    0.5 * (lo + hi)
 }
 
 #[cfg(test)]
@@ -341,6 +388,54 @@ mod tests {
             assert_eq!(*phi, expected_phi);
             assert_eq!(*ber, m.ber_at(expected_phi));
         }
+    }
+
+    /// `timing_margin` as it was before the bisection moved into
+    /// `q_inverse`: the oracle for the split.
+    fn timing_margin_inline(m: &BerModel, target_ber: f64) -> f64 {
+        let (mut lo, mut hi) = (0.0f64, 40.0f64);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if q_function(mid) > target_ber {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let x = 0.5 * (lo + hi);
+        (2.0 * (m.half_width_ui - m.sigma_ui * x)).max(0.0)
+    }
+
+    #[test]
+    fn timing_margin_is_margin_at_q_of_q_inverse_bit_for_bit() {
+        let models = [
+            BerModel::new(0.37, 0.30, 0.045),
+            BerModel::new(0.5, 0.3, 0.02),
+            BerModel::new(0.5, 0.45, 0.01),
+            BerModel::new(0.37, 1e-4, 0.045),
+        ];
+        for exp in 1..=15 {
+            let t = 10f64.powi(-exp);
+            let x = q_inverse(t);
+            for m in &models {
+                let margin = m.timing_margin(t);
+                assert_eq!(margin.to_bits(), m.margin_at_q(x).to_bits(), "1e-{exp}");
+                assert_eq!(
+                    margin.to_bits(),
+                    timing_margin_inline(m, t).to_bits(),
+                    "1e-{exp} against the inline bisection"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn q_inverse_of_the_farm_target_is_pinned() {
+        // The link farm's 1e-9 margin constant; a change here moves every
+        // `margin_ui` in the farm records.
+        let x = q_inverse(1e-9);
+        assert_eq!(x.to_bits(), 0x4017_fdc1_1f44_b5a8, "{x}");
+        assert_eq!(x, 5.997807015007687);
     }
 
     #[test]

@@ -160,6 +160,13 @@ impl EyeDiagram {
     /// `oversample` points per bit), as produced by
     /// [`crate::LowSwingLink::transmit`].
     ///
+    /// Each alignment folds UI by UI: the bit is looked up once per UI and
+    /// its rail is updated phase by phase, with the same `min`/`max` on
+    /// the same samples in the same order as [`EyeDiagram::add`] per
+    /// sample, so the result is bit-identical to that per-sample fold.
+    /// A delay past the last UI leaves both rails empty (every opening
+    /// reads 0 V).
+    ///
     /// # Panics
     ///
     /// Panics if the waveform length does not match the bit count.
@@ -177,8 +184,48 @@ impl EyeDiagram {
         let mut best: Option<(Volt, EyeDiagram)> = None;
         for delay in 0..=max_delay_ui {
             let mut eye = EyeDiagram::new(oversample);
-            // Sample k belongs to UI k/oversample; attribute it to the bit
-            // transmitted `delay` UIs earlier.
+            // UI `ui` carries the bit transmitted `delay` UIs earlier.
+            let uis = wave.samples().chunks_exact(oversample).enumerate();
+            for (ui, ui_samples) in uis.skip(delay) {
+                if bits[ui - delay] {
+                    for (lo, v) in eye.ones_min.iter_mut().zip(ui_samples) {
+                        *lo = lo.min(v.value());
+                    }
+                } else {
+                    for (hi, v) in eye.zeros_max.iter_mut().zip(ui_samples) {
+                        *hi = hi.max(v.value());
+                    }
+                }
+                eye.samples += oversample;
+            }
+            let opening = eye.best().1;
+            if best.as_ref().is_none_or(|(b, _)| opening > *b) {
+                best = Some((opening, eye));
+            }
+        }
+        best.expect("at least one alignment").1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use msim::units::Sec;
+    use rt::rng::Rng;
+
+    /// The per-sample fold `from_waveform` used before it folded UI by UI:
+    /// a divide and a modulo per sample and one [`EyeDiagram::add`] each.
+    /// Kept as the bit-equality oracle for the fast fold.
+    fn from_waveform_per_sample(
+        wave: &Waveform,
+        bits: &[bool],
+        oversample: usize,
+        max_delay_ui: usize,
+    ) -> EyeDiagram {
+        assert_eq!(wave.len(), bits.len() * oversample);
+        let mut best: Option<(Volt, EyeDiagram)> = None;
+        for delay in 0..=max_delay_ui {
+            let mut eye = EyeDiagram::new(oversample);
             for (k, v) in wave.samples().iter().enumerate() {
                 let ui = k / oversample;
                 if ui < delay {
@@ -197,12 +244,66 @@ impl EyeDiagram {
         }
         best.expect("at least one alignment").1
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use msim::units::Sec;
+    fn assert_bit_identical(fast: &EyeDiagram, slow: &EyeDiagram, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(fast.oversample, slow.oversample, "{what}: oversample");
+        assert_eq!(bits(&fast.ones_min), bits(&slow.ones_min), "{what}: ones");
+        assert_eq!(
+            bits(&fast.zeros_max),
+            bits(&slow.zeros_max),
+            "{what}: zeros"
+        );
+        assert_eq!(fast.sample_count(), slow.sample_count(), "{what}: count");
+        let (fp, fo) = fast.best();
+        let (sp, so) = slow.best();
+        assert_eq!(fp, sp, "{what}: best phase");
+        assert_eq!(fo.value().to_bits(), so.value().to_bits(), "{what}: best");
+    }
+
+    #[test]
+    fn ui_fold_matches_the_per_sample_fold_bit_for_bit() {
+        // Signed zeros and NaN make the fold order observable: `min`/`max`
+        // of +0.0 and -0.0, or of NaN and a number, depend on which side
+        // each operand is on.
+        let specials = [0.0, -0.0, f64::NAN];
+        let mut rng = Rng::seed_from_u64(0xE7E);
+        for oversample in [2, 3, 8, 16] {
+            for n_bits in [1, 2, 7, 24] {
+                for trial in 0..4 {
+                    let bits: Vec<bool> = (0..n_bits).map(|_| rng.next_bool()).collect();
+                    let mut wave = Waveform::new(Sec::from_ps(50.0));
+                    for _ in 0..n_bits * oversample {
+                        let v = if rng.chance(0.2) {
+                            specials[rng.below(specials.len())]
+                        } else {
+                            rng.range_f64(-40e-3, 40e-3)
+                        };
+                        wave.push(Volt(v));
+                    }
+                    for max_delay in 0..=n_bits + 1 {
+                        let what = format!(
+                            "os {oversample}, {n_bits} bits, trial {trial}, delay {max_delay}"
+                        );
+                        let fast = EyeDiagram::from_waveform(&wave, &bits, oversample, max_delay);
+                        let slow = from_waveform_per_sample(&wave, &bits, oversample, max_delay);
+                        assert_bit_identical(&fast, &slow, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn link_eye_matches_the_per_sample_fold_on_the_paper_config() {
+        let link = crate::LowSwingLink::new(crate::config::LinkConfig::paper()).unwrap();
+        let bits = crate::prbs::Prbs::prbs7().take_bits(200);
+        let fast = link.clone().eye(&bits);
+        let wave = link.clone().transmit(&bits);
+        let slow = from_waveform_per_sample(&wave, &bits, link.config().oversample, 4);
+        assert_bit_identical(&fast, &slow, "paper link");
+        assert!(fast.best().1.value() > 0.0, "the paper eye is open");
+    }
 
     #[test]
     fn opening_is_worst_case_gap() {

@@ -191,5 +191,11 @@ fn channel_work_counters_are_per_eye_and_thread_count_invariant() {
             Some(eyes * 2),
             "factorizations at {threads} threads"
         );
+        // Each eye folds its five candidate latencies (0..=4 UI).
+        assert_eq!(
+            metrics.counter("farm.eye.folds"),
+            Some(eyes * 5),
+            "eye folds at {threads} threads"
+        );
     }
 }

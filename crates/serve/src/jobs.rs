@@ -230,7 +230,9 @@ impl JobSpec {
             }
             "ber_sweep" => {
                 let center_ui = finite_in(v, "center_ui", -10.0, 10.0)?;
-                let half_width_ui = finite_in(v, "half_width_ui", 0.0, 10.0)?;
+                // `BerModel::new` needs a strictly positive half-width and
+                // jitter: reject zero here (a 400), not in `prepare`.
+                let half_width_ui = finite_in(v, "half_width_ui", 1e-9, 10.0)?;
                 let sigma_ui = finite_in(v, "sigma_ui", 1e-9, 10.0)?;
                 let points = v
                     .get("points")
@@ -709,10 +711,21 @@ mod tests {
             r#"{"kind":"ber_sweep","center_ui":0.5,"half_width_ui":0.35}"#,
             r#"{"kind":"ber_sweep","center_ui":0.5,"half_width_ui":0.35,"sigma_ui":0}"#,
             r#"{"kind":"ber_sweep","center_ui":0.5,"half_width_ui":0.35,"sigma_ui":0.05,"points":1}"#,
+            r#"{"kind":"ber_sweep","center_ui":0.5,"half_width_ui":0,"sigma_ui":0.05}"#,
         ] {
             let v = json::parse(body).unwrap();
             assert!(JobSpec::from_value(&v).is_err(), "accepted {body}");
         }
+        // A zero half-width names the accepted range.
+        let v = json::parse(
+            r#"{"kind":"ber_sweep","center_ui":0.5,"half_width_ui":0,"sigma_ui":0.05}"#,
+        )
+        .unwrap();
+        let msg = JobSpec::from_value(&v).unwrap_err();
+        assert!(
+            msg.contains("half_width_ui") && msg.contains("10]"),
+            "{msg}"
+        );
     }
 
     #[test]
