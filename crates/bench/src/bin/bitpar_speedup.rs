@@ -17,13 +17,6 @@
 //! one row per chain × width. Timing CSVs are **untracked** (see
 //! EXPERIMENTS.md): every tracked file under `results/` is
 //! deterministic, and this one is not.
-//!
-//! The run also prints a scalar-reference timing note: the scalar side
-//! is itself event-driven now (levelized order, fanout-cone scheduling,
-//! no per-gate scratch allocation), so the note times it against the
-//! retained bounded-sweep composition (`Circuit::eval_sweep`) to show
-//! how much the reference improved — the packed speedup column is
-//! measured against the *better* scalar baseline, not a strawman.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -36,9 +29,7 @@ use dsim::bitpar::Word;
 use dsim::blocks::divider::Divider;
 use dsim::blocks::fsm::ControlFsm;
 use dsim::blocks::lock_counter::LockCounter;
-use dsim::circuit::{Circuit, SimState};
-use dsim::logic::Logic;
-use dsim::scan::{apply_vector, ScanVector};
+use dsim::circuit::Circuit;
 use dsim::stuck_at::{enumerate_faults, scan_coverage_scalar};
 
 /// Median wall time of one `f()` call over 21 timed calls, after one
@@ -57,38 +48,6 @@ fn median_ns<R>(mut f: impl FnMut() -> R) -> f64 {
     ns[ns.len() / 2]
 }
 
-/// Fault-free simulation of the whole vector set on the event-driven
-/// scalar evaluator (the shipping path).
-fn simulate_event(c: &Circuit, vectors: &[ScanVector]) -> usize {
-    let mut state = SimState::for_circuit(c);
-    vectors
-        .iter()
-        .map(|v| apply_vector(c, &mut state, v).po.len())
-        .sum()
-}
-
-/// The same simulation composed on the retained bounded-sweep evaluator
-/// — sweep-for-eval, mirroring `apply_vector` + `tick` — i.e. the old
-/// scalar reference algorithm (minus its per-gate scratch allocation,
-/// which is gone from both paths).
-fn simulate_sweep(c: &Circuit, vectors: &[ScanVector]) -> usize {
-    let mut state = SimState::for_circuit(c);
-    let mut total = 0;
-    for v in vectors {
-        state.load_ffs(&v.load);
-        for (&net, &val) in c.inputs().iter().zip(&v.pi) {
-            state.set_input(c, net, val);
-        }
-        c.eval_sweep(&mut state);
-        total += state.read_outputs(c).len();
-        c.eval_sweep(&mut state);
-        let capture: Vec<Logic> = c.dffs().iter().map(|d| state.net(d.d)).collect();
-        state.load_ffs(&capture);
-        c.eval_sweep(&mut state);
-    }
-    total
-}
-
 fn main() {
     let chains: Vec<(&str, Circuit, u64)> = vec![
         (
@@ -105,7 +64,6 @@ fn main() {
     let patterns = 512;
 
     let mut rows = Vec::new();
-    let mut notes = Vec::new();
     let mut csv = Csv::new(&[
         "chain",
         "faults",
@@ -121,18 +79,6 @@ fn main() {
 
         let scalar = median_ns(|| scan_coverage_scalar(circuit, &vectors).detected());
         let scalar_pp = scalar / patterns as f64;
-
-        // Scalar-reference timing note: event-driven vs the retained
-        // bounded sweep on the fault-free pattern set.
-        let event_ns = median_ns(|| simulate_event(circuit, &vectors));
-        let sweep_ns = median_ns(|| simulate_sweep(circuit, &vectors));
-        notes.push(format!(
-            "{name}: event-driven scalar eval {:.0} ns/pattern vs bounded sweep {:.0} \
-             ns/pattern ({:.1}x)",
-            event_ns / patterns as f64,
-            sweep_ns / patterns as f64,
-            sweep_ns / event_ns,
-        ));
 
         let mut width_row = |width: usize, packed: f64| {
             let packed_pp = packed / patterns as f64;
@@ -193,10 +139,6 @@ fn main() {
             &rows
         )
     );
-    println!("\n--- scalar reference (event-driven vs retained bounded sweep) ---");
-    for note in &notes {
-        println!("note: {note}");
-    }
 
     if let Err(e) = write_result("bitpar_speedup.csv", csv.as_str()) {
         eprintln!("could not write results/bitpar_speedup.csv: {e}");

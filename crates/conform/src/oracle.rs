@@ -18,7 +18,7 @@
 //!   (64, 256 and 512 lanes): scan responses, stuck-at coverage records,
 //!   coverage footprints, forced-width PPSFP detection flags across
 //!   worker-thread counts, and the event-driven evaluator against the
-//!   retained bounded-sweep reference — all bit-exact,
+//!   bounded-sweep reference — all bit-exact,
 //! * [`InstrumentedPpsfpOracle`] — the PPSFP kernel under an explicit
 //!   `rt::obs` metrics capture against the plain run: detection flags
 //!   byte-identical, captured metrics thread-count invariant,
@@ -485,14 +485,14 @@ impl DiffOracle for CampaignSnapshotOracle {
 /// forced-width PPSFP detection flags ([`bitpar::ppsfp_detect_wide`] at
 /// each width and every probed worker-thread count vs the scalar
 /// fault-by-fault reference), and the event-driven evaluator
-/// ([`Circuit::eval`]) vs the retained bounded-sweep reference
+/// ([`Circuit::eval`]) vs the bounded-sweep reference
 /// ([`Circuit::eval_sweep`]), fault-free and under sampled stuck-at
 /// overlays.
 ///
-/// The last route is what makes the oracle meaningful on feedback
-/// (oscillating) circuits: there the event-driven path must *fall back*
-/// to the bounded sweep, so the sweep-composed reference and the normal
-/// route must stay trajectory-identical, not just fixpoint-identical.
+/// The last route catches a missed event wake-up: the sweep re-evaluates
+/// every gate on every pass, so any gate the event scheduler forgot to
+/// re-evaluate shows up as a differing response. The circuit must pass
+/// [`Circuit::check`]; the simulators panic on any other.
 #[derive(Debug, Clone)]
 pub struct PackedVsScalarOracle {
     circuit: Circuit,
@@ -610,12 +610,10 @@ impl PackedVsScalarOracle {
     }
 }
 
-/// `apply_vector` re-composed on the retained bounded-sweep evaluator
+/// `apply_vector` re-composed on the bounded-sweep reference evaluator
 /// ([`Circuit::eval_sweep`]), sweep-for-eval: one sweep per `eval` the
 /// normal route performs (launch strobe, pre-capture, post-capture), so
-/// the two routes must agree even on feedback circuits where the bounded
-/// sweep's trajectory — not just its fixpoint — defines the X-closure
-/// semantics.
+/// the two routes see the same overlay transitions.
 fn apply_vector_sweep(c: &Circuit, state: &mut SimState, v: &ScanVector) -> ScanResponse {
     state.load_ffs(&v.load);
     for (&net, &val) in c.inputs().iter().zip(&v.pi) {
@@ -697,8 +695,8 @@ impl DiffOracle for PackedVsScalarOracle {
         self.check_ppsfp_width::<[u64; 4]>(&faults, &scalar_flags)?;
         self.check_ppsfp_width::<[u64; 8]>(&faults, &scalar_flags)?;
 
-        // Route 5: event-driven evaluation vs the bounded sweep it
-        // replaced, fault-free and under a sampled set of stuck-at
+        // Route 5: event-driven evaluation vs the bounded-sweep
+        // reference, fault-free and under a sampled set of stuck-at
         // overlays (fault injection exercises the overlay-transition
         // event seeding).
         self.check_event_vs_sweep(None, "fault-free")?;
@@ -1063,10 +1061,11 @@ impl DiffOracle for TimeExpansionOracle {
 
     fn check(&self) -> Result<(), Divergence> {
         let seq = &self.circuit;
-        let te = TimeExpansion::new(seq).map_err(|e| Divergence {
+        seq.check().map_err(|e| Divergence {
             oracle: self.name(),
-            detail: e.to_string(),
+            detail: format!("{}: {e}", seq.name()),
         })?;
+        let te = TimeExpansion::new(seq);
         let (tests, untestable) = te.generate_all();
         let faults = enumerate_transition_faults(seq);
         if !faults.is_empty() && tests.is_empty() {

@@ -15,7 +15,7 @@ use dsim::atpg::random_vectors;
 use dsim::blocks::divider::Divider;
 use dsim::blocks::fsm::ControlFsm;
 use dsim::blocks::lock_counter::LockCounter;
-use dsim::circuit::{Circuit, GateKind};
+use dsim::circuit::{Circuit, GateKind, StructureError};
 use dsim::logic::Logic;
 use dsim::scan::ScanVector;
 use dsim::transition::two_pattern_tests;
@@ -129,9 +129,7 @@ fn packed_simulation_agrees_with_scalar_simulation() {
 }
 
 /// A deliberately cyclic netlist: a cross-coupled NAND latch plus an
-/// inverter ring, mixed into a flip-flop and the primary outputs. The
-/// event-driven evaluator cannot levelize this and must fall back to the
-/// bounded sweep — in every lane, at every width, in the scalar path.
+/// inverter ring, mixed into a flip-flop and the primary outputs.
 fn feedback_circuit() -> Circuit {
     let mut c = Circuit::new("feedback-latch");
     let s = c.input("s");
@@ -140,8 +138,7 @@ fn feedback_circuit() -> Circuit {
     let qb = c.net("qb");
     c.gate(GateKind::Nand, &[s, qb], q);
     c.gate(GateKind::Nand, &[r, q], qb);
-    // An inverter pair feeding back on itself: X-closes from reset and
-    // stays X through every event-driven skip.
+    // An inverter pair feeding back on itself.
     let ra = c.net("ring_a");
     let rb = c.net("ring_b");
     c.gate(GateKind::Not, &[rb], ra);
@@ -158,16 +155,28 @@ fn feedback_circuit() -> Circuit {
 }
 
 #[test]
-fn packed_and_event_driven_agree_on_feedback_circuits() {
-    // The full five-route oracle on a circuit with combinational loops:
-    // lane responses at 64/256/512 lanes, coverage records, footprints,
-    // forced-width PPSFP across 1/2/4/7 threads, and event-driven vs
-    // bounded-sweep agreement — all through the fallback path, with X
-    // injection in the stimulus.
+fn feedback_circuits_are_rejected_before_simulation() {
+    // Combinational loops fail the structure check at the latch's first
+    // gate, and the five-route oracle never simulates them: its first
+    // packed evaluation panics with the structural error.
     let circuit = feedback_circuit();
+    let check = circuit.check();
+    assert!(
+        matches!(check, Err(StructureError::CombinationalCycle { net })
+            if circuit.net_name(net) == "q"),
+        "{check:?}"
+    );
     let vectors = with_x_injection(random_vectors(&circuit, 70, 37));
     let oracle = PackedVsScalarOracle::new(circuit, vectors);
-    assert!(oracle.check().is_ok(), "{:?}", oracle.check());
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| oracle.check()))
+        .expect_err("a cyclic circuit must not simulate");
+    assert_eq!(
+        payload.downcast_ref::<String>().map(String::as_str),
+        Some(
+            "circuit 'feedback-latch' is not an acyclic single-driver netlist: \
+             combinational cycle through net n2"
+        )
+    );
 }
 
 #[test]

@@ -27,8 +27,8 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use dsim::atpg::random_vectors;
-use dsim::circuit::Circuit;
-use dsim::expand::{ExpandError, TimeExpansion};
+use dsim::circuit::{Circuit, StructureError};
+use dsim::expand::TimeExpansion;
 use dsim::scan::ScanVector;
 use dsim::stuck_at::{enumerate_faults, StuckAtFault};
 use dsim::transition::{
@@ -871,16 +871,16 @@ const NETLIST_VECTOR_COUNT: usize = 256;
 pub enum NetlistError {
     /// The Verilog source failed to parse or lower.
     Verilog(VerilogError),
-    /// The lowered circuit cannot be time-expanded (combinational
-    /// feedback — the broad-side model needs an acyclic netlist).
-    Expand(ExpandError),
+    /// The circuit is not an acyclic single-driver netlist
+    /// ([`Circuit::check`]).
+    Structure(StructureError),
 }
 
 impl std::fmt::Display for NetlistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             NetlistError::Verilog(e) => write!(f, "{e}"),
-            NetlistError::Expand(e) => write!(f, "{e}"),
+            NetlistError::Structure(e) => write!(f, "{e}"),
         }
     }
 }
@@ -893,9 +893,9 @@ impl From<VerilogError> for NetlistError {
     }
 }
 
-impl From<ExpandError> for NetlistError {
-    fn from(e: ExpandError) -> NetlistError {
-        NetlistError::Expand(e)
+impl From<StructureError> for NetlistError {
+    fn from(e: StructureError) -> NetlistError {
+        NetlistError::Structure(e)
     }
 }
 
@@ -1000,8 +1000,7 @@ impl NetlistCampaignResult {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UniverseSel {
     /// The stuck-at universe only: PPSFP against the random pattern set.
-    /// No ATPG runs, so even a circuit that cannot be time-expanded
-    /// (combinational feedback) is accepted.
+    /// No ATPG runs; the circuit must still pass [`Circuit::check`].
     StuckAt,
     /// The transition universe only: time-expansion ATPG plus
     /// launch-on-capture replay.
@@ -1206,7 +1205,7 @@ impl NetlistCampaign {
 
     /// Builds a campaign over an already-constructed circuit covering
     /// both fault universes with the default pattern budget. Fails only
-    /// when the circuit cannot be time-expanded (combinational feedback).
+    /// when [`Circuit::check`] rejects the circuit.
     ///
     /// Construction is where the ATPG runs: the stuck-at pattern set is
     /// drawn (256 seeded random vectors) and PODEM
@@ -1229,8 +1228,8 @@ impl NetlistCampaign {
     /// stuck-at pattern budget — the entry point the `serve` crate's job
     /// kinds map onto. The time-expansion ATPG only runs when `sel`
     /// includes the transition universe, so a stuck-at-only campaign is
-    /// cheap to construct and accepts circuits with combinational
-    /// feedback that [`NetlistCampaign::over`] would reject.
+    /// cheap to construct. Fails only when [`Circuit::check`] rejects the
+    /// circuit, whatever the selection.
     pub fn configured(
         name: impl Into<String>,
         circuit: Circuit,
@@ -1238,8 +1237,9 @@ impl NetlistCampaign {
         vector_count: usize,
         vector_seed: u64,
     ) -> Result<NetlistCampaign, NetlistError> {
+        circuit.check()?;
         let (tests, untestable) = if sel.transition() {
-            TimeExpansion::new(&circuit)?.generate_all()
+            TimeExpansion::new(&circuit).generate_all()
         } else {
             (Vec::new(), Vec::new())
         };
@@ -1849,7 +1849,8 @@ mod tests {
     fn netlist_campaign_surfaces_frontend_errors() {
         let parse = NetlistCampaign::from_verilog("module m (a; endmodule").unwrap_err();
         assert!(matches!(parse, NetlistError::Verilog(_)), "{parse}");
-        // A combinational loop lowers fine but cannot be time-expanded.
+        // A hand-built combinational loop fails the structure check, for
+        // a stuck-at-only campaign as much as for the full one.
         let mut latch = Circuit::new("latch");
         let s = latch.input("s");
         let q = latch.net("q");
@@ -1857,7 +1858,10 @@ mod tests {
         latch.gate(dsim::circuit::GateKind::Nand, &[s, qb], q);
         latch.gate(dsim::circuit::GateKind::Not, &[q], qb);
         latch.output(q);
-        let expand = NetlistCampaign::over("latch", latch).unwrap_err();
-        assert!(matches!(expand, NetlistError::Expand(_)), "{expand}");
+        let cycle = NetlistError::Structure(StructureError::CombinationalCycle { net: q });
+        let stuck_only =
+            NetlistCampaign::configured("latch", latch.clone(), UniverseSel::StuckAt, 16, 1);
+        assert_eq!(stuck_only.unwrap_err(), cycle);
+        assert_eq!(NetlistCampaign::over("latch", latch).unwrap_err(), cycle);
     }
 }

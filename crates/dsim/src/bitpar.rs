@@ -23,13 +23,10 @@
 //! packed-vs-scalar differential oracle and the `tests/packed_equivalence`
 //! suite enforce at every width.
 //!
-//! Like the scalar evaluator, [`eval`] takes a levelized **event-driven**
-//! fast path on acyclic single-driver netlists (one pass over the cached
-//! topological order, re-evaluating only gates whose fan-in changed) and
-//! falls back to the retained bounded Gauss–Seidel sweep ([`eval_sweep`])
-//! on combinational feedback loops, where the cut-off state is
-//! trajectory-dependent and only the sweep's pass order defines the
-//! answer.
+//! Like the scalar evaluator, [`eval`] is one levelized **event-driven**
+//! pass over the circuit's cached topological order, re-evaluating only
+//! gates whose fan-in changed; it accepts exactly the circuits
+//! [`Circuit::check`] passes.
 //!
 //! On top of the packed evaluator sit the packed scan protocol
 //! ([`apply_vectors`], [`shift`]) and the PPSFP stuck-at fault-simulation
@@ -438,8 +435,8 @@ impl<W: Word> WideState<W> {
     ///
     /// The previously pinned net keeps its pinned word until the next eval
     /// re-derives it from its driver (or, for a primary input, until the
-    /// next [`WideState::set_input`]) — the same semantics the bounded
-    /// sweep has always had.
+    /// next [`WideState::set_input`]) — the same semantics as
+    /// [`crate::circuit::SimState::clear_fault`].
     pub fn clear_fault(&mut self) {
         if let Some((n, _)) = self.fault {
             self.touched.push(n);
@@ -532,21 +529,16 @@ fn eval_gate<W: Word>(g: &Gate, nets: &[Packed<W>]) -> Packed<W> {
 /// primary inputs through the fault overlay, then propagates to the
 /// three-valued fixpoint.
 ///
-/// On acyclic single-driver netlists this takes the levelized event-driven
-/// fast path (one pass over the cached topological order, skipping gates
-/// whose fan-in did not change); the fixpoint there is unique, so the
-/// result is bit-identical to [`eval_sweep`]. Circuits with combinational
-/// feedback or multiply-driven nets fall back to the sweep, which walks
-/// gates in insertion order with immediate writes exactly like the scalar
-/// sweep — so every lane holds exactly the scalar value of its pattern,
-/// including the trajectory-dependent cut-off state of oscillating lanes.
+/// One levelized event-driven pass over the cached topological order,
+/// skipping gates whose fan-in did not change. The fixpoint is unique, so
+/// every lane holds exactly the scalar [`Circuit::eval`] value of its
+/// pattern.
+///
+/// # Panics
+///
+/// Panics unless [`Circuit::check`] passes.
 pub fn eval<W: Word>(circuit: &Circuit, state: &mut WideState<W>) {
     let plan = circuit.eval_plan();
-    if !plan.event_ready {
-        state.touched.clear();
-        eval_sweep(circuit, state);
-        return;
-    }
     state.changed.fill(false);
     state.pending.fill(false);
     // Seed: drive FF outputs and re-assert primary inputs through the
@@ -606,39 +598,6 @@ pub fn eval<W: Word>(circuit: &Circuit, state: &mut WideState<W>) {
     if skipped > 0 {
         rt::obs::hot_add(rt::obs::Hot::PackedEventsSkipped, skipped);
     }
-}
-
-/// Packed twin of [`Circuit::eval_sweep`]: the retained bounded
-/// Gauss–Seidel reference — up to `gates + 1` full passes in gate
-/// insertion order with immediate writes. [`eval`] must agree with it
-/// bit-for-bit wherever the event-driven path runs, and falls back to it
-/// on feedback loops.
-pub fn eval_sweep<W: Word>(circuit: &Circuit, state: &mut WideState<W>) {
-    for (i, ff) in circuit.dffs().iter().enumerate() {
-        let v = state.ff[i];
-        state.write(ff.q, v);
-    }
-    for &pi in circuit.inputs() {
-        let v = state.nets[pi.0];
-        state.write(pi, v);
-    }
-    let mut passes = 0u64;
-    for _ in 0..=circuit.gates().len() {
-        passes += 1;
-        let mut changed = false;
-        for g in circuit.gates() {
-            let v = eval_gate(g, &state.nets);
-            if state.net(g.output()) != v {
-                state.write(g.output(), v);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    rt::obs::hot_add(rt::obs::Hot::PackedEvalCalls, 1);
-    rt::obs::hot_add(rt::obs::Hot::PackedEvalPasses, passes);
 }
 
 /// Packed twin of [`Circuit::tick`]: evaluate, capture every flip-flop's
@@ -1236,40 +1195,52 @@ mod tests {
 
     #[test]
     fn event_eval_matches_sweep_after_fault_churn() {
-        // Inject, evaluate, clear, re-inject elsewhere: the event-driven
-        // path must track the sweep through every overlay transition.
+        // Inject, evaluate, clear, re-inject elsewhere: every live lane of
+        // the packed event-driven path must track the scalar bounded-sweep
+        // reference through every overlay transition.
+        const BLOCK: usize = 3;
         let rc = crate::blocks::ring_counter::RingCounter::new(4);
         let c = rc.circuit();
-        let vectors = random_vectors(c, 8, 21);
+        let vectors = random_vectors(c, 8 * BLOCK, 21);
         let faults = enumerate_faults(c);
         for f in faults.iter().take(6) {
             let mut ev = PackedState::for_circuit(c);
-            let mut sw = PackedState::for_circuit(c);
-            for v in &vectors {
-                let block = WideBlock::pack(c, std::slice::from_ref(v));
+            let mut sw: Vec<SimState> = (0..BLOCK).map(|_| SimState::for_circuit(c)).collect();
+            for block_vectors in vectors.chunks(BLOCK) {
+                let block = WideBlock::pack(c, block_vectors);
                 ev.inject(f.net, f.value());
-                sw.inject(f.net, f.value());
                 let got = apply_block(c, &mut ev, &block);
-                // Sweep-composed reference: same protocol, forced sweep.
-                sw.load_ffs(&block.load);
-                for (&net, &w) in c.inputs().iter().zip(&block.pi) {
-                    sw.write_external(net, w);
+                for (k, (v, s)) in block_vectors.iter().zip(&mut sw).enumerate() {
+                    // Sweep-composed reference: the same protocol, one
+                    // scalar state per lane.
+                    s.inject(f.net, f.value());
+                    s.load_ffs(&v.load);
+                    for (&net, &val) in c.inputs().iter().zip(&v.pi) {
+                        s.set_input(c, net, val);
+                    }
+                    c.eval_sweep(s);
+                    let po = s.read_outputs(c);
+                    c.eval_sweep(s);
+                    let capture: Vec<Logic> = c.dffs().iter().map(|ff| s.net(ff.d)).collect();
+                    s.load_ffs(&capture);
+                    c.eval_sweep(s);
+                    let lane = response_lane(&got, k);
+                    assert_eq!(lane.po, po, "{f:?} lane {k} po");
+                    assert_eq!(lane.capture, capture, "{f:?} lane {k} capture");
                 }
-                sw.touched.clear();
-                eval_sweep(c, &mut sw);
-                let po = sw.read_outputs(c);
-                eval_sweep(c, &mut sw);
-                let capture: Vec<PackedLogic> = c.dffs().iter().map(|ff| sw.net(ff.d)).collect();
-                sw.ff.copy_from_slice(&capture);
-                eval_sweep(c, &mut sw);
-                assert_eq!(got.po, po, "{f:?} po");
-                assert_eq!(got.capture, capture, "{f:?} capture");
                 ev.clear_fault();
-                sw.clear_fault();
                 eval(c, &mut ev);
-                sw.touched.clear();
-                eval_sweep(c, &mut sw);
-                assert_eq!(ev, sw, "{f:?} post-clear state");
+                for (k, s) in sw.iter_mut().enumerate() {
+                    s.clear_fault();
+                    c.eval_sweep(s);
+                    let got: Vec<Logic> = (0..c.net_count())
+                        .map(|n| ev.net(NetId(n)).lane(k))
+                        .collect();
+                    let want: Vec<Logic> = (0..c.net_count()).map(|n| s.net(NetId(n))).collect();
+                    assert_eq!(got, want, "{f:?} lane {k} post-clear nets");
+                    let ff: Vec<Logic> = ev.ff_values().iter().map(|w| w.lane(k)).collect();
+                    assert_eq!(ff, s.ff_values(), "{f:?} lane {k} post-clear flip-flops");
+                }
             }
         }
     }

@@ -1,16 +1,15 @@
 //! Gate-level circuits with sequential elements.
 //!
 //! A [`Circuit`] is a flat netlist of primitive gates and scannable D
-//! flip-flops, built through a small builder API. Evaluation reaches a
-//! three-valued fixpoint through a **levelized, event-driven** walk: the
-//! circuit lazily caches a topological gate order plus per-net fanout
-//! lists (the crate-internal `EvalPlan`), and [`Circuit::eval`] only re-evaluates
-//! gates whose fan-in actually changed since the previous call. Circuits
-//! with combinational feedback loops or multiply-driven nets fall back to
-//! the retained bounded Gauss–Seidel sweep ([`Circuit::eval_sweep`]), so
-//! oscillating-loop X-closure semantics are preserved bit-exactly — on
-//! acyclic single-driver netlists the fixpoint is unique and the two
-//! evaluators provably agree.
+//! flip-flops, built through a small builder API. Every evaluator in this
+//! crate needs the same structure: an **acyclic single-driver** netlist.
+//! [`Circuit::check`] decides that once, on the first use after the last
+//! structural mutation, and caches the levelized schedule it builds on
+//! the way — a topological gate order plus per-net fanout lists (the
+//! crate-internal `EvalPlan`). [`Circuit::eval`] walks that order
+//! event-driven, re-evaluating only gates whose fan-in actually changed
+//! since the previous call; on such a netlist the three-valued fixpoint
+//! is unique.
 //!
 //! A single stuck-at fault can be overlaid on any net without rebuilding
 //! the circuit — the mechanism the stuck-at campaign in
@@ -131,26 +130,53 @@ pub struct DffId(pub usize);
 
 /// The precomputed evaluation schedule of a circuit: a topological gate
 /// order, per-net fanout lists and per-net driving gates. Built lazily by
-/// [`Circuit::eval_plan`] and cached until the next structural mutation.
-///
-/// `event_ready` is `true` exactly when the combinational graph is
-/// acyclic and every net has a single writer (at most one driving gate,
-/// and no gate drives a primary input or a flip-flop `q` net). Only then
-/// is the event-driven fast path bit-exact against the bounded sweep:
-/// the fixpoint of an acyclic single-driver netlist is unique, while the
-/// sweep's cut-off state on an oscillating loop is trajectory-dependent.
+/// [`Circuit::check`] and cached until the next structural mutation; only
+/// an acyclic single-driver circuit has one.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EvalPlan {
-    /// Gate indices in topological (levelized) order; only meaningful
-    /// when `event_ready`.
+    /// Gate indices in topological (levelized) order.
     pub(crate) order: Vec<u32>,
     /// Per net, the gates reading it (each consumer listed once).
     pub(crate) fanouts: Vec<Vec<u32>>,
     /// Per net, the gate driving it, if any.
     pub(crate) driver: Vec<Option<u32>>,
-    /// Whether the event-driven fast path is safe (see type docs).
-    pub(crate) event_ready: bool,
 }
+
+/// Why a circuit is not an acyclic single-driver netlist — the one
+/// structure every evaluator, PODEM and the time expansion accept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StructureError {
+    /// A net has two writers: two gates, a gate on a primary input or a
+    /// flip-flop `q`, a flip-flop `q` on a primary input, or two
+    /// flip-flops sharing a `q`.
+    MultipleDrivers {
+        /// The first net claimed twice (primary inputs, then flip-flop
+        /// `q`s, then gate outputs, each in insertion order).
+        net: NetId,
+    },
+    /// The gates form a combinational loop (one not broken by a
+    /// flip-flop).
+    CombinationalCycle {
+        /// The output net of the first gate, in insertion order, that the
+        /// topological sort could not schedule.
+        net: NetId,
+    },
+}
+
+impl fmt::Display for StructureError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StructureError::MultipleDrivers { net } => {
+                write!(f, "net {net} has more than one driver")
+            }
+            StructureError::CombinationalCycle { net } => {
+                write!(f, "combinational cycle through net {net}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for StructureError {}
 
 /// A gate-level circuit.
 #[derive(Debug, Clone, Default)]
@@ -161,9 +187,10 @@ pub struct Circuit {
     outputs: Vec<NetId>,
     gates: Vec<Gate>,
     dffs: Vec<Dff>,
-    /// Lazily built evaluation schedule; reset by every structural
-    /// mutation, excluded from equality (it is derived state).
-    plan: std::sync::OnceLock<EvalPlan>,
+    /// Lazily built structure check and evaluation schedule; reset by
+    /// every structural mutation, excluded from equality (it is derived
+    /// state).
+    plan: std::sync::OnceLock<Result<EvalPlan, StructureError>>,
 }
 
 impl PartialEq for Circuit {
@@ -293,22 +320,58 @@ impl Circuit {
         &self.net_names[net.0]
     }
 
-    /// The cached evaluation schedule, building it on first use.
-    pub(crate) fn eval_plan(&self) -> &EvalPlan {
+    /// Checks that the circuit is an acyclic single-driver netlist: every
+    /// net has at most one writer (a primary input, a flip-flop `q` or one
+    /// gate) and the gates form no combinational loop. The verdict and
+    /// the levelized schedule are built once and cached until the next
+    /// structural mutation.
+    pub fn check(&self) -> Result<(), StructureError> {
+        self.plan().as_ref().map(|_| ()).map_err(|e| *e)
+    }
+
+    fn plan(&self) -> &Result<EvalPlan, StructureError> {
         self.plan.get_or_init(|| self.build_plan())
     }
 
-    /// Builds the levelized schedule (Kahn's algorithm over gate→gate
-    /// edges through driven nets). Any structure the event-driven path
-    /// cannot schedule safely — a combinational cycle, a multiply-driven
-    /// net, a gate driving a primary input or flip-flop `q` net, or two
-    /// flip-flops sharing a `q` net — clears `event_ready` and leaves the
-    /// bounded sweep as the evaluator.
-    fn build_plan(&self) -> EvalPlan {
+    /// The cached evaluation schedule, building it on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`StructureError`] unless [`Circuit::check`]
+    /// passes.
+    pub(crate) fn eval_plan(&self) -> &EvalPlan {
+        match self.plan() {
+            Ok(plan) => plan,
+            Err(e) => panic!(
+                "circuit '{}' is not an acyclic single-driver netlist: {e}",
+                self.name
+            ),
+        }
+    }
+
+    /// Builds the levelized schedule: claims every net's single writer,
+    /// then runs Kahn's algorithm over gate→gate edges through driven
+    /// nets.
+    fn build_plan(&self) -> Result<EvalPlan, StructureError> {
         let nets = self.net_names.len();
         let mut fanouts: Vec<Vec<u32>> = vec![Vec::new(); nets];
         let mut driver: Vec<Option<u32>> = vec![None; nets];
-        let mut conflict = false;
+        // Primary inputs and flip-flop outputs are written between evals;
+        // each net takes exactly one such writer or one driving gate.
+        let mut written = vec![false; nets];
+        let mut claim = |net: NetId| {
+            if std::mem::replace(&mut written[net.0], true) {
+                Err(StructureError::MultipleDrivers { net })
+            } else {
+                Ok(())
+            }
+        };
+        for &pi in &self.inputs {
+            claim(pi)?;
+        }
+        for ff in &self.dffs {
+            claim(ff.q)?;
+        }
         for (gi, g) in self.gates.iter().enumerate() {
             let gi = gi as u32;
             for &n in &g.inputs {
@@ -319,38 +382,8 @@ impl Circuit {
                     fo.push(gi);
                 }
             }
-            if driver[g.output.0].is_some() {
-                conflict = true;
-            }
+            claim(g.output)?;
             driver[g.output.0] = Some(gi);
-        }
-        // Nets written externally between evals (PIs, flip-flop outputs)
-        // must not also be gate-driven, and no two flip-flops may share a
-        // `q` net, or re-seeding order would matter.
-        let mut external = vec![false; nets];
-        for &pi in &self.inputs {
-            external[pi.0] = true;
-        }
-        for ff in &self.dffs {
-            if external[ff.q.0] {
-                conflict = true;
-            }
-            external[ff.q.0] = true;
-        }
-        if driver
-            .iter()
-            .enumerate()
-            .any(|(n, d)| d.is_some() && external[n])
-        {
-            conflict = true;
-        }
-        if conflict {
-            return EvalPlan {
-                order: Vec::new(),
-                fanouts,
-                driver,
-                event_ready: false,
-            };
         }
         let mut indeg = vec![0u32; self.gates.len()];
         for (n, d) in driver.iter().enumerate() {
@@ -374,13 +407,17 @@ impl Circuit {
                 }
             }
         }
-        let event_ready = order.len() == self.gates.len();
-        EvalPlan {
+        // A gate Kahn never scheduled keeps a nonzero in-degree.
+        if let Some(gi) = indeg.iter().position(|&d| d > 0) {
+            return Err(StructureError::CombinationalCycle {
+                net: self.gates[gi].output,
+            });
+        }
+        Ok(EvalPlan {
             order,
             fanouts,
             driver,
-            event_ready,
-        }
+        })
     }
 
     /// Propagates combinational logic to a fixpoint.
@@ -390,20 +427,15 @@ impl Circuit {
     /// [`SimState::set_input`] first). Any injected stuck-at fault in the
     /// state overrides its net throughout.
     ///
-    /// On acyclic single-driver netlists this takes the levelized
-    /// event-driven fast path: one pass over the cached topological order
-    /// that only re-evaluates gates whose fan-in changed. The fixpoint of
-    /// such a netlist is unique, so the result is bit-identical to
-    /// [`Circuit::eval_sweep`]; circuits with combinational feedback or
-    /// multiply-driven nets fall back to the sweep so oscillating-loop
-    /// X-closure semantics are preserved exactly.
+    /// One levelized event-driven pass over the cached topological order
+    /// that only re-evaluates gates whose fan-in changed. The fixpoint is
+    /// unique, so the result is bit-identical to [`Circuit::eval_sweep`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Circuit::check`] passes.
     pub fn eval(&self, state: &mut SimState) {
         let plan = self.eval_plan();
-        if !plan.event_ready {
-            state.touched.clear();
-            self.eval_sweep(state);
-            return;
-        }
         state.changed.fill(false);
         state.pending.fill(false);
         // Seed: drive FF outputs and re-assert primary inputs through the
@@ -474,10 +506,9 @@ impl Circuit {
 
     /// Propagates combinational logic with the bounded Gauss–Seidel sweep:
     /// up to `gates + 1` full passes in gate insertion order with immediate
-    /// writes. This is the retained reference evaluator — [`Circuit::eval`]
-    /// must agree with it bit-for-bit wherever the event-driven path runs,
-    /// and falls back to it on feedback loops, where the cut-off state is
-    /// trajectory-dependent and only this pass order defines the answer.
+    /// writes. Reference only: it needs no schedule, so the conformance
+    /// oracle and tests hold [`Circuit::eval`] to it bit-for-bit to catch
+    /// a missed event wake-up.
     pub fn eval_sweep(&self, state: &mut SimState) {
         // Drive FF outputs.
         for (i, ff) in self.dffs.iter().enumerate() {
@@ -843,6 +874,60 @@ mod tests {
         let c = Circuit::new("empty");
         let mut s = SimState::for_circuit(&c);
         s.load_ffs(&[Logic::One]);
+    }
+
+    #[test]
+    fn structure_check_names_each_cause() {
+        // A two-NAND latch: the first unschedulable gate drives `q`.
+        let mut c = Circuit::new("latch");
+        let a = c.input("a");
+        let q = c.net("q");
+        let qb = c.net("qb");
+        c.gate(GateKind::Nand, &[a, qb], q);
+        c.gate(GateKind::Nand, &[a, q], qb);
+        assert_eq!(
+            c.check(),
+            Err(StructureError::CombinationalCycle { net: q })
+        );
+        // Two gates on one net.
+        let (mut c, a, b, y) = two_input(GateKind::And);
+        c.gate(GateKind::Or, &[a, b], y);
+        assert_eq!(c.check(), Err(StructureError::MultipleDrivers { net: y }));
+        // A gate on a primary input.
+        let (mut c, a, b, _) = two_input(GateKind::And);
+        c.gate(GateKind::Not, &[b], a);
+        assert_eq!(c.check(), Err(StructureError::MultipleDrivers { net: a }));
+        // A gate on a flip-flop `q`.
+        let mut c = Circuit::new("gate-on-q");
+        let d = c.input("d");
+        let q = c.net("q");
+        c.dff(d, q);
+        c.gate(GateKind::Not, &[d], q);
+        assert_eq!(c.check(), Err(StructureError::MultipleDrivers { net: q }));
+        // Two flip-flops sharing a `q`.
+        let mut c = Circuit::new("shared-q");
+        let d = c.input("d");
+        let q = c.net("q");
+        c.dff(d, q);
+        c.dff(d, q);
+        assert_eq!(c.check(), Err(StructureError::MultipleDrivers { net: q }));
+        // The verdict tracks structural mutation.
+        let (mut c, a, _, y) = two_input(GateKind::And);
+        assert_eq!(c.check(), Ok(()));
+        c.gate(GateKind::Not, &[a], y);
+        assert!(c.check().is_err());
+    }
+
+    #[test]
+    fn evaluating_a_rejected_circuit_panics_with_the_cause() {
+        let (mut c, a, b, y) = two_input(GateKind::And);
+        c.gate(GateKind::Xor, &[a, b], y);
+        let panic = std::panic::catch_unwind(|| c.eval(&mut SimState::for_circuit(&c)))
+            .expect_err("a multiply-driven net must not evaluate");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("circuit 'g' is not an acyclic single-driver netlist: net n2 has more than one driver")
+        );
     }
 
     #[test]

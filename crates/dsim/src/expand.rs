@@ -40,7 +40,7 @@
 //! use dsim::transition::{launch_capture_response, transition_coverage};
 //!
 //! let div = Divider::new(3);
-//! let te = TimeExpansion::new(div.circuit()).unwrap();
+//! let te = TimeExpansion::new(div.circuit());
 //! let (tests, untestable) = te.generate_all();
 //! assert!(untestable.is_empty());
 //! let cov = transition_coverage(div.circuit(), &tests);
@@ -48,34 +48,12 @@
 //! ```
 
 use std::collections::HashSet;
-use std::fmt;
 
 use crate::circuit::{Circuit, GateKind, NetId, SimState};
 use crate::logic::Logic;
 use crate::scan::{apply_vector, ScanVector};
 use crate::stuck_at::StuckAtFault;
 use crate::transition::{enumerate_transition_faults, TransitionFault, TwoPatternTest};
-
-/// Why a circuit cannot be time-expanded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExpandError {
-    /// The offending circuit's name.
-    pub circuit: String,
-}
-
-impl fmt::Display for ExpandError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "circuit '{}' is not time-expandable: time expansion requires an \
-             acyclic single-driver netlist (the shape the Verilog frontend \
-             produces)",
-            self.circuit
-        )
-    }
-}
-
-impl std::error::Error for ExpandError {}
 
 /// The broad-side two-timeframe model of a sequential circuit.
 ///
@@ -93,25 +71,26 @@ pub struct TimeExpansion {
 }
 
 impl TimeExpansion {
-    /// Builds the expansion, rejecting circuits the model is undefined
-    /// for (combinational feedback, multiple drivers, driven inputs).
-    pub fn new(seq: &Circuit) -> Result<TimeExpansion, ExpandError> {
-        if !seq.eval_plan().event_ready && seq.gate_count() > 0 {
-            return Err(ExpandError {
-                circuit: seq.name().to_string(),
-            });
-        }
+    /// Builds the expansion.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Circuit::check`] passes: the model is undefined
+    /// for combinational feedback and multiply-driven nets.
+    pub fn new(seq: &Circuit) -> TimeExpansion {
+        // Builds the cached schedule, panicking on a rejected circuit.
+        seq.eval_plan();
         let frame_names: Vec<String> = (0..2)
             .flat_map(|frame| {
                 (0..seq.net_count()).map(move |i| format!("{}@{frame}", seq.net_name(NetId(i))))
             })
             .collect();
         let expanded = build(seq, &frame_names, None).0;
-        Ok(TimeExpansion {
+        TimeExpansion {
             seq: seq.clone(),
             expanded,
             frame_names,
-        })
+        }
     }
 
     /// The original sequential circuit.
@@ -302,13 +281,14 @@ mod tests {
     use crate::blocks::fsm::ControlFsm;
     use crate::blocks::lock_counter::LockCounter;
     use crate::blocks::ring_counter::RingCounter;
+    use crate::circuit::StructureError;
     use crate::transition::{launch_capture_response, responses_differ, transition_coverage};
 
     #[test]
     fn expanded_shape() {
         let div = Divider::new(2);
         let seq = div.circuit();
-        let te = TimeExpansion::new(seq).unwrap();
+        let te = TimeExpansion::new(seq);
         let e = te.expanded();
         assert_eq!(e.net_count(), 2 * seq.net_count());
         assert_eq!(e.inputs().len(), 2 * seq.inputs().len());
@@ -320,7 +300,7 @@ mod tests {
     #[test]
     fn gadget_model_adds_three_nets() {
         let div = Divider::new(2);
-        let te = TimeExpansion::new(div.circuit()).unwrap();
+        let te = TimeExpansion::new(div.circuit());
         let f = TransitionFault {
             net: NetId(0),
             slow_to_rise: true,
@@ -342,7 +322,7 @@ mod tests {
             ControlFsm::new().circuit().clone(),
         ];
         for seq in blocks {
-            let te = TimeExpansion::new(&seq).unwrap();
+            let te = TimeExpansion::new(&seq);
             let vectors = crate::atpg::random_vectors(&seq, 16, 99);
             for w in vectors.windows(2) {
                 let t = TwoPatternTest {
@@ -366,7 +346,7 @@ mod tests {
     fn generated_tests_detect_their_faults_on_replay() {
         let div = Divider::new(3);
         let seq = div.circuit();
-        let te = TimeExpansion::new(seq).unwrap();
+        let te = TimeExpansion::new(seq);
         for fault in enumerate_transition_faults(seq) {
             let Some(t) = te.generate_test(fault) else {
                 continue;
@@ -389,7 +369,7 @@ mod tests {
             ("control-fsm", ControlFsm::new().circuit().clone()),
         ];
         for (name, seq) in blocks {
-            let te = TimeExpansion::new(&seq).unwrap();
+            let te = TimeExpansion::new(&seq);
             let (tests, untestable) = te.generate_all();
             assert!(untestable.is_empty(), "{name}: untestable {untestable:?}");
             let cov = transition_coverage(&seq, &tests);
@@ -412,7 +392,16 @@ mod tests {
         c.gate(GateKind::Nor, &[s, qb], q);
         c.gate(GateKind::Nor, &[r, q], qb);
         c.output(q);
-        let err = TimeExpansion::new(&c).unwrap_err();
-        assert!(err.to_string().contains("latch"));
+        assert_eq!(
+            c.check(),
+            Err(StructureError::CombinationalCycle { net: q })
+        );
+        let panic = std::panic::catch_unwind(|| TimeExpansion::new(&c)).unwrap_err();
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        assert_eq!(
+            msg,
+            "circuit 'latch' is not an acyclic single-driver netlist: \
+             combinational cycle through net n2"
+        );
     }
 }

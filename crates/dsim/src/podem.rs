@@ -13,9 +13,8 @@
 //! 4. implication by one levelized pass over the circuit's cached
 //!    topological gate order, with chronological backtracking.
 //!
-//! The circuit must be an acyclic single-driver netlist (the shape the
-//! Verilog frontend produces and [`crate::expand::TimeExpansion::new`]
-//! accepts): its five-valued fixpoint is then unique, so one pass in
+//! The circuit must pass [`Circuit::check`] (acyclic, one driver per
+//! net): its five-valued fixpoint is then unique, so one pass in
 //! topological order is the whole implication step.
 //!
 //! # Examples
@@ -114,16 +113,11 @@ struct View<'a> {
 impl<'a> View<'a> {
     fn new(circuit: &'a Circuit) -> View<'a> {
         let plan = circuit.eval_plan();
-        assert!(
-            plan.event_ready,
-            "PODEM needs an acyclic single-driver netlist; '{}' is not one",
-            circuit.name()
-        );
         let mut ppis: Vec<NetId> = circuit.inputs().to_vec();
         ppis.extend(circuit.dffs().iter().map(|ff| ff.q));
         let mut ppos: Vec<NetId> = circuit.outputs().to_vec();
         ppos.extend(circuit.dffs().iter().map(|ff| ff.d));
-        // PPIs are distinct nets on an event-ready circuit.
+        // PPIs are distinct nets on a circuit that has a plan.
         let mut ppi_index = vec![None; circuit.net_count()];
         for (i, net) in ppis.iter().enumerate() {
             ppi_index[net.0] = Some(i);
@@ -272,9 +266,7 @@ struct Work {
 ///
 /// # Panics
 ///
-/// Panics unless the circuit is an acyclic single-driver netlist — the
-/// shape [`crate::expand::TimeExpansion::new`] accepts and the Verilog
-/// frontend produces.
+/// Panics unless [`Circuit::check`] passes.
 pub fn generate_test(circuit: &Circuit, fault: StuckAtFault) -> Option<ScanVector> {
     run(&View::new(circuit), fault)
 }
@@ -626,7 +618,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(0x0DE5);
         for name in ["chain_a", "chain_b4", "b01"] {
             let seq = netlist(name);
-            let te = TimeExpansion::new(&seq).unwrap();
+            let te = TimeExpansion::new(&seq);
             for fault in enumerate_transition_faults(&seq) {
                 let (model, sa) = te.faulted_model(fault);
                 assert_routes_agree(&model, sa, &mut rng, 3);
@@ -666,7 +658,7 @@ mod tests {
             ("b01", 0x6ea3_774e, 0xee1a_2d35),
         ] {
             let seq = netlist(name);
-            let te = TimeExpansion::new(&seq).unwrap();
+            let te = TimeExpansion::new(&seq);
             assert_eq!(digest(te.generate_all()), transition, "{name} transition");
             assert_eq!(digest(generate_all(&seq)), stuck_at, "{name} stuck-at");
         }
@@ -675,7 +667,7 @@ mod tests {
     #[test]
     fn work_counters_are_deterministic() {
         let seq = netlist("chain_b4");
-        let te = TimeExpansion::new(&seq).unwrap();
+        let te = TimeExpansion::new(&seq);
         let (_, metrics, _) = rt::obs::observe(|| te.generate_all());
         let counters = ["calls", "implications", "backtracks"]
             .map(|k| metrics.counter(&format!("dsim.podem.{k}")));

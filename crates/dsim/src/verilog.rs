@@ -16,9 +16,9 @@
 //! Errors are structured values, never panics: [`ParseError`] for
 //! syntax (with line/column), [`LowerError`] for semantics — undeclared
 //! nets, port-arity mismatches, duplicate drivers, combinational
-//! cycles. Lowered circuits are therefore always acyclic with a single
-//! driver per net: exactly the event-ready shape the fast simulator
-//! paths and the time-expansion transform ([`crate::expand`]) require.
+//! cycles. The last two come from [`Circuit::check`], so lowered
+//! circuits always have the acyclic single-driver shape every simulator
+//! path and the time-expansion transform ([`crate::expand`]) require.
 //!
 //! # Examples
 //!
@@ -45,7 +45,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::circuit::{Circuit, GateKind, NetId};
+use crate::circuit::{Circuit, GateKind, NetId, StructureError};
 
 /// Cell kinds the frontend understands: the Verilog gate primitives
 /// plus the `dff` and `mux2` library cells.
@@ -862,22 +862,6 @@ impl Module {
             }
         }
 
-        // One driver per net: inputs and dff q's count as drivers.
-        let mut driven = vec![false; c.net_count()];
-        for &pi in c.inputs() {
-            driven[pi.0] = true;
-        }
-        let claim = |driven: &mut Vec<bool>, net: NetId, name: &str| {
-            if driven[net.0] {
-                Err(LowerError::DuplicateDriver {
-                    net: name.to_string(),
-                })
-            } else {
-                driven[net.0] = true;
-                Ok(())
-            }
-        };
-
         for cell in &self.cells {
             let label = match &cell.instance {
                 Some(inst) => format!("{} {}", cell.kind, inst),
@@ -902,7 +886,6 @@ impl Module {
                     }
                 }
             }
-            claim(&mut driven, nets[0], &cell.ports[0])?;
             match cell.kind {
                 CellKind::Dff => {
                     c.dff(nets[1], nets[0]);
@@ -933,47 +916,19 @@ impl Module {
             c.output(ids[name.as_str()]);
         }
 
-        // Combinational cycles: Kahn over gate→gate edges (dffs break
-        // loops by construction).
-        let mut driver: Vec<Option<usize>> = vec![None; c.net_count()];
-        for (gi, g) in c.gates().iter().enumerate() {
-            driver[g.output().0] = Some(gi);
-        }
-        let mut indeg = vec![0usize; c.gate_count()];
-        let mut fanout: Vec<Vec<usize>> = vec![Vec::new(); c.gate_count()];
-        for (gi, g) in c.gates().iter().enumerate() {
-            for i in g.inputs() {
-                if let Some(d) = driver[i.0] {
-                    indeg[gi] += 1;
-                    fanout[d].push(gi);
-                }
+        // One driver per net (inputs and dff q's count as drivers) and no
+        // combinational cycle: the circuit's own structure check.
+        match c.check() {
+            Ok(()) => Ok(c),
+            Err(StructureError::MultipleDrivers { net }) => Err(LowerError::DuplicateDriver {
+                net: c.net_name(net).to_string(),
+            }),
+            Err(StructureError::CombinationalCycle { net }) => {
+                Err(LowerError::CombinationalCycle {
+                    net: c.net_name(net).to_string(),
+                })
             }
         }
-        let mut queue: std::collections::VecDeque<usize> =
-            (0..c.gate_count()).filter(|&g| indeg[g] == 0).collect();
-        let mut done = vec![false; c.gate_count()];
-        let mut ordered = 0usize;
-        while let Some(gi) = queue.pop_front() {
-            ordered += 1;
-            done[gi] = true;
-            for &ci in &fanout[gi] {
-                indeg[ci] -= 1;
-                if indeg[ci] == 0 {
-                    queue.push_back(ci);
-                }
-            }
-        }
-        if ordered < c.gate_count() {
-            let cyclic = c
-                .gates()
-                .iter()
-                .enumerate()
-                .find(|(gi, _)| !done[*gi])
-                .map(|(_, g)| c.net_name(g.output()).to_string())
-                .unwrap_or_default();
-            return Err(LowerError::CombinationalCycle { net: cyclic });
-        }
-        Ok(c)
     }
 }
 
@@ -1111,6 +1066,27 @@ mod tests {
         assert_eq!(
             lower_err("module m (a); input a; wire w; not g0 (a, w); endmodule"),
             "net 'a' has more than one driver"
+        );
+        // Duplicate driver: a dff q on an input port.
+        assert_eq!(
+            lower_err("module m (a, d); input a, d; dff ff0 (a, d); endmodule"),
+            "net 'a' has more than one driver"
+        );
+        // Duplicate driver: two dffs sharing a q.
+        assert_eq!(
+            lower_err(
+                "module m (a, y); input a; output y; \
+                 dff ff0 (y, a); dff ff1 (y, a); endmodule"
+            ),
+            "net 'y' has more than one driver"
+        );
+        // Duplicate driver: a gate output on a dff q.
+        assert_eq!(
+            lower_err(
+                "module m (a, y); input a; output y; wire q; \
+                 dff ff0 (q, a); not g0 (q, a); buf g1 (y, q); endmodule"
+            ),
+            "net 'q' has more than one driver"
         );
         // Combinational cycle.
         assert_eq!(

@@ -10,7 +10,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::{
-    body_str, get, job_id, post_job, sim_metric_lines, sized_netlist_spec, stats, wait_done,
+    body_str, get, job_id, post_job, progress, sim_metric_lines, sized_netlist_spec, stats,
+    wait_done,
 };
 use serve::client;
 use serve::jobs::{JobSpec, MAX_NETLIST_DFFS, MAX_NETLIST_GATES};
@@ -168,6 +169,38 @@ fn malformed_traffic_gets_4xx_and_the_acceptor_survives() {
     );
     assert_eq!(posted.status, 202);
     wait_done(addr, &job_id(&posted));
+    server.shutdown();
+}
+
+#[test]
+fn cyclic_inline_netlists_fail_as_jobs() {
+    // A stuck-at job runs no ATPG, yet its circuit must still be an
+    // acyclic single-driver netlist: a cross-coupled NAND latch is
+    // accepted as a spec, then fails at setup naming the cycle net.
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let addr = server.addr();
+    let r = post_job(
+        addr,
+        r#"{"kind":"stuck_at","verilog":"module latch (s, r, q); input s, r; output q; wire qb; nand g0 (q, s, qb); nand g1 (qb, r, q); endmodule"}"#,
+    );
+    assert_eq!(r.status, 202, "cyclic netlist: {}", body_str(&r));
+    let id = job_id(&r);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let error = loop {
+        let p = progress(addr, &id);
+        match p.get("status").and_then(Value::as_str) {
+            Some("failed") => break p.get("error").and_then(Value::as_str).map(str::to_string),
+            Some("done") => panic!("a cyclic netlist was simulated"),
+            _ => {}
+        }
+        assert!(Instant::now() < deadline, "cyclic netlist never failed");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let error = error.expect("failure carries a message");
+    assert!(
+        error.contains("combinational cycle through net 'q'"),
+        "error names the cycle net: {error}"
+    );
     server.shutdown();
 }
 

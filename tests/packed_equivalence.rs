@@ -3,11 +3,11 @@
 //! sequential circuits and X-injected vector sets, with the packed corner
 //! cases the conformance suite cannot sweep — partial final words (pattern
 //! counts that are not a multiple of the plane width, at 64, 256 and 512
-//! lanes), single-lane blocks, all-`X` planes, and combinational feedback
-//! that forces both evaluators onto their bounded-sweep fallback.
+//! lanes), single-lane blocks, all-`X` planes, and the rejection of
+//! combinational feedback by both evaluators.
 
 use dsim::bitpar::{self, PackedState, Word, LANES};
-use dsim::circuit::{Circuit, GateKind, NetId, SimState};
+use dsim::circuit::{Circuit, GateKind, NetId, SimState, StructureError};
 use dsim::logic::Logic;
 use dsim::scan::{apply_vector, ScanVector};
 use dsim::stuck_at::{scan_coverage, scan_coverage_scalar};
@@ -143,11 +143,9 @@ fn wide_responses_match_scalar_lane_for_lane() {
 }
 
 /// Draws a random circuit with genuine combinational feedback: a
-/// cross-coupled NAND latch wired into the random gate pool. Neither
-/// evaluator can levelize this — both the scalar and the packed engines
-/// must take their bounded-sweep fallback, and they must still agree
-/// lane for lane at every width.
-fn random_feedback_circuit(rng: &mut Draws) -> Circuit {
+/// cross-coupled NAND latch wired into the random gate pool. Returns the
+/// circuit and the latch's `q` net, the output of its first gate.
+fn random_feedback_circuit(rng: &mut Draws) -> (Circuit, NetId) {
     let n_pi = rng.range_usize(1, 4);
     let mut c = Circuit::new("random-feedback");
     let mut pool: Vec<NetId> = (0..n_pi).map(|i| c.input(format!("i{i}"))).collect();
@@ -175,33 +173,44 @@ fn random_feedback_circuit(rng: &mut Draws) -> Circuit {
     c.dff(pool[rng.below(pool.len())], ffq);
     c.output(*pool.last().expect("at least one net"));
     c.output(q);
-    c
+    (c, q)
 }
 
-/// Feedback fallback equivalence: on cyclic circuits the packed and
-/// scalar engines both drop to the bounded Gauss–Seidel sweep, whose
-/// trajectory (including the X-closure of oscillating lanes) must match
-/// lane for lane at 64, 256 and 512 lanes — and produce identical PPSFP
-/// coverage records.
+/// The message of the panic `f` must raise.
+fn panic_message(f: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .expect_err("a rejected circuit must not evaluate");
+    *payload
+        .downcast::<String>()
+        .expect("a formatted panic message")
+}
+
+/// Feedback rejection: a cyclic circuit fails `Circuit::check` at the
+/// latch's first gate, and neither the scalar evaluator nor the packed one
+/// at 64, 256 or 512 lanes runs on it — each panics with that error.
 #[test]
-fn feedback_fallback_matches_scalar_at_every_width() {
-    check_cases(
-        "feedback_fallback_matches_scalar_at_every_width",
-        12,
-        |rng| {
-            let c = random_feedback_circuit(rng);
-            let count = rng.range_usize(1, 131);
-            let vectors = random_x_vectors(rng, &c, count);
-            assert_lane_equivalence::<u64>(&c, &vectors);
-            assert_lane_equivalence::<[u64; 4]>(&c, &vectors);
-            assert_lane_equivalence::<[u64; 8]>(&c, &vectors);
-            assert_eq!(
-                scan_coverage(&c, &vectors),
-                scan_coverage_scalar(&c, &vectors),
-                "packed and scalar coverage diverged on a feedback circuit"
-            );
-        },
-    );
+fn feedback_circuits_are_rejected_at_every_width() {
+    fn packed_eval<W: Word>(c: &Circuit) {
+        bitpar::eval(c, &mut bitpar::WideState::<W>::for_circuit(c));
+    }
+    check_cases("feedback_circuits_are_rejected_at_every_width", 12, |rng| {
+        let (c, q) = random_feedback_circuit(rng);
+        assert_eq!(
+            c.check(),
+            Err(StructureError::CombinationalCycle { net: q })
+        );
+        let want = format!(
+            "circuit 'random-feedback' is not an acyclic single-driver netlist: \
+             combinational cycle through net {q}"
+        );
+        assert_eq!(
+            panic_message(|| c.eval(&mut SimState::for_circuit(&c))),
+            want
+        );
+        assert_eq!(panic_message(|| packed_eval::<u64>(&c)), want);
+        assert_eq!(panic_message(|| packed_eval::<[u64; 4]>(&c)), want);
+        assert_eq!(panic_message(|| packed_eval::<[u64; 8]>(&c)), want);
+    });
 }
 
 /// The full PPSFP path (`scan_coverage`, with fault dropping) reports the
