@@ -6,7 +6,7 @@
 //! the Fig. 2 VCD, the test-program listing, `metrics.json` and
 //! `REPRODUCTION_REPORT.md`, which carries every printed table), plus the
 //! gitignored Chrome trace of the instrumented [`obs_pipeline`]. Two more
-//! binaries stay separate: `netlist_campaign` runs the digital campaign
+//! binaries stay separate: `netlist_campaign` runs the gate-level campaign
 //! on user-supplied Verilog files, and `bitpar_speedup` prints
 //! machine-dependent timing that is never tracked.
 //!
@@ -131,10 +131,10 @@ pub mod report;
 pub mod reproduce;
 
 pub mod obs_pipeline {
-    //! The shared instrumented pipeline: one digital stuck-at campaign,
-    //! one behavioral fault campaign, one healthy-link BIST execution and
-    //! one fuzz smoke run, all under a single [`rt::obs::observe`]
-    //! capture.
+    //! The shared instrumented pipeline: the stuck-at campaigns over scan
+    //! chains A and B, one behavioral fault campaign, one healthy-link
+    //! BIST execution and one fuzz smoke run, all under a single
+    //! [`rt::obs::observe`] capture.
     //!
     //! The captured [`Metrics`] are **deterministic**: every value is a
     //! function of the fixed seeds and netlists only, and the merge path
@@ -148,7 +148,8 @@ pub mod obs_pipeline {
 
     use conform::fuzz::{fuzz, FuzzConfig};
     use dft::bist::Bist;
-    use dft::campaign::{CampaignResult, DigitalCampaign, FaultCampaign};
+    use dft::campaign::{CampaignResult, FaultCampaign, NetlistCampaign, UniverseSel};
+    use dft::chain_a::ChainA;
     use dft::chain_b::ChainB;
     use dsim::atpg::random_vectors;
     use msim::effects::AnalogEffect;
@@ -162,7 +163,8 @@ pub mod obs_pipeline {
         pub metrics: Metrics,
         /// Wall-clock span events (non-deterministic; trace file only).
         pub events: Vec<SpanEvent>,
-        /// Digital stuck-at records produced (sanity anchor).
+        /// Stuck-at records of the scan-chain campaigns, chains A and B
+        /// together (sanity anchor: the paper claims every one detected).
         pub digital_records: usize,
         /// The behavioral fault campaign at the paper's design point.
         pub campaign: CampaignResult,
@@ -180,9 +182,21 @@ pub mod obs_pipeline {
         let p = DesignParams::paper();
         let ((digital_records, campaign, fuzz_accepted), metrics, events) =
             rt::obs::observe(|| {
-                let digital = {
+                let digital: usize = {
                     let _span = rt::obs::span("pipeline.digital_campaign");
-                    DigitalCampaign::paper().run_on(threads)
+                    [
+                        ("chain_a", ChainA::new().circuit().clone(), 37),
+                        ("chain_b", ChainB::new(4).circuit().clone(), 29),
+                    ]
+                    .into_iter()
+                    .map(|(name, circuit, seed)| {
+                        NetlistCampaign::configured(name, circuit, UniverseSel::StuckAt, 256, seed)
+                            .expect("scan chains are acyclic")
+                            .run_on(threads)
+                            .records
+                            .len()
+                    })
+                    .sum()
                 };
                 let analog = {
                     let _span = rt::obs::span("pipeline.fault_campaign");
@@ -222,7 +236,7 @@ pub mod obs_pipeline {
                         },
                     )
                 };
-                (digital.len(), analog, report.accepted)
+                (digital, analog, report.accepted)
             });
         ObsRun {
             metrics,
@@ -325,7 +339,7 @@ mod tests {
             "dsim.packed.eval_calls",
             "dsim.ppsfp.blocks",
             "campaign.fault.simulated",
-            "campaign.digital.chain-a.faults",
+            "campaign.netlist.chain_a.stuck_at.faults",
             "bist.executions",
             "fuzz.executions",
         ] {
@@ -341,6 +355,16 @@ mod tests {
             Some(run.campaign.total() as u64)
         );
         assert!(run.digital_records > 0 && run.fuzz_accepted > 0);
+        // Every scan-chain stuck-at record is detected (the paper's 100 %).
+        let detected: u64 = ["chain_a", "chain_b"]
+            .iter()
+            .map(|chain| {
+                let key = |k: &str| m.counter(&format!("campaign.netlist.{chain}.stuck_at.{k}"));
+                assert_eq!(key("detected"), key("faults"), "{chain}");
+                key("detected").unwrap_or(0)
+            })
+            .sum();
+        assert_eq!(detected, run.digital_records as u64);
         // Wall-clock spans exist but never enter the metrics registry.
         assert!(run
             .events

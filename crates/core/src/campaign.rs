@@ -1,17 +1,27 @@
-//! The structural fault campaign.
+//! The two fault campaigns: the behavioral [`FaultCampaign`] over the
+//! link's analog netlists and the gate-level [`NetlistCampaign`].
 //!
-//! Enumerates the full functional fault universe over the link's netlists,
-//! resolves every fault to its behavioral effect, groups the faults into
-//! [`EffectClasses`] (one class per distinct effect: 603 faults, 75 classes
-//! at the paper's design point), simulates all three test tiers once per
-//! class, fans the verdicts back out to per-fault records and aggregates
-//! the statistics the paper reports:
+//! [`FaultCampaign`] enumerates the full functional fault universe over
+//! the link's netlists, resolves every fault to its behavioral effect,
+//! groups the faults into [`EffectClasses`] (one class per distinct
+//! effect: 603 faults, 75 classes at the paper's design point), simulates
+//! all three test tiers once per class, fans the verdicts back out to
+//! per-fault records and aggregates the statistics the paper reports:
 //!
 //! * the cumulative coverage ladder — DC ≈ 50 %, DC+scan ≈ 74 %,
 //!   DC+scan+BIST ≈ 95 % (Section IV),
 //! * coverage by fault type (Table I),
 //! * the tier-set relations (the paper: scan and BIST fault sets intersect
 //!   but neither contains the other).
+//!
+//! [`NetlistCampaign`] scores one gate-level netlist: stuck-at faults by
+//! PPSFP against a random pattern set, transition faults by
+//! launch-on-capture replay of ATPG-generated tests. Run as a stuck-at
+//! campaign over each of the paper's scan chains A and B, it measures the
+//! paper's 100 % stuck-at claim.
+//!
+//! Both run resumably under a [`CampaignExec`] policy, byte-identical at
+//! any thread count.
 //!
 //! # Examples
 //!
@@ -43,8 +53,6 @@ use msim::params::DesignParams;
 use rt::exec::{self, ExecReport, RetryPolicy, Sabotage, Sabotaged, Shard, ShardFailure, ShardJob};
 
 use crate::bist::Bist;
-use crate::chain_a::ChainA;
-use crate::chain_b::ChainB;
 use crate::dc_test::DcTest;
 use crate::scan_test::ScanTest;
 
@@ -599,262 +607,13 @@ impl FaultCampaign {
     }
 }
 
-/// Stuck-at shard size for the digital campaign, in faults (the
-/// behavioral campaign shards [`CLASS_SHARD_SIZE`] effect classes
-/// instead). The PPSFP kernel evaluates up to 512 patterns per pass, so
-/// fat shards amortize its per-shard golden simulation without hurting
-/// load balance on the paper's chain sizes.
-/// Chains are segment boundaries the planner never cuts across, and shard
-/// stitching is result-invariant, so this is purely a scheduling knob
-/// (it does feed the campaign fingerprint, invalidating old checkpoints).
-const DIGITAL_SHARD_SIZE: usize = 128;
-
-/// Base seed for the digital campaign's shard substreams.
-const DIGITAL_SHARD_SEED: u64 = 0xD101;
-
-/// Per-fault record of the gate-level stuck-at campaign.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DigitalFaultRecord {
-    /// Name of the stitched scan chain the fault lives in.
-    pub chain: &'static str,
-    /// The stuck-at fault.
-    pub fault: StuckAtFault,
-    /// Detected by the chain's scan pattern set.
-    pub detected: bool,
-}
-
-/// Outcome of a resumable digital campaign run: records over completed
-/// shards plus the failed-shard manifest (empty for a complete run).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DigitalCampaignResult {
-    /// Per-fault records over completed shards, in (chain,
-    /// fault-enumeration) order.
-    pub records: Vec<DigitalFaultRecord>,
-    /// Shards that exhausted their retry budget.
-    pub incomplete: Vec<ShardFailure>,
-}
-
-impl DigitalCampaignResult {
-    /// `true` when every planned shard delivered its records.
-    pub fn is_complete(&self) -> bool {
-        self.incomplete.is_empty()
-    }
-}
-
-/// The digital campaign's shard job: one contiguous fault range inside
-/// exactly one chain ([`exec::plan_segmented`] never cuts across chain
-/// boundaries), simulated through the shard-granular PPSFP entry point.
-/// Checkpoint payloads are one detected byte per record; the fault
-/// itself is reconstructed from the chain's enumeration order.
-struct DigitalJob<'a> {
-    chains: &'a [(&'static str, Circuit, Vec<ScanVector>)],
-    faults: &'a [Vec<StuckAtFault>],
-    starts: &'a [usize],
-}
-
-impl DigitalJob<'_> {
-    /// The chain a shard lies in and the shard's fault range within it.
-    fn locate(&self, shard: &Shard) -> (usize, std::ops::Range<usize>) {
-        let chain = self.starts.partition_point(|&s| s <= shard.start) - 1;
-        let local = shard.start - self.starts[chain];
-        (chain, local..local + shard.len)
-    }
-
-    /// The shard's records for its per-fault detection flags.
-    fn records(&self, shard: &Shard, flags: Vec<bool>) -> Vec<DigitalFaultRecord> {
-        let (chain, range) = self.locate(shard);
-        self.faults[chain][range]
-            .iter()
-            .zip(flags)
-            .map(|(&fault, detected)| DigitalFaultRecord {
-                chain: self.chains[chain].0,
-                fault,
-                detected,
-            })
-            .collect()
-    }
-}
-
-impl ShardJob for DigitalJob<'_> {
-    type Record = DigitalFaultRecord;
-
-    fn run(&self, shard: &Shard) -> Vec<DigitalFaultRecord> {
-        let (chain, range) = self.locate(shard);
-        let (name, circuit, vectors) = &self.chains[chain];
-        let flags = dsim::bitpar::ppsfp_detect_shard(circuit, vectors, &self.faults[chain], range);
-        // Per-shard increments summing to the per-chain totals the
-        // metrics snapshot tracks — functions of the (thread-invariant)
-        // shard plan only.
-        rt::obs::count(&format!("campaign.digital.{name}.faults"), shard.len as u64);
-        rt::obs::count(
-            &format!("campaign.digital.{name}.detected"),
-            flags.iter().filter(|&&d| d).count() as u64,
-        );
-        self.records(shard, flags)
-    }
-
-    fn encode(&self, _shard: &Shard, records: &[DigitalFaultRecord], out: &mut Vec<u8>) {
-        out.extend(records.iter().map(|r| u8::from(r.detected)));
-    }
-
-    fn decode(&self, shard: &Shard, payload: &[u8]) -> Option<Vec<DigitalFaultRecord>> {
-        Some(self.records(shard, detected_flags(shard, payload)?))
-    }
-}
-
-/// Decodes a one-byte-per-record detection payload: `None` unless it
-/// holds one 0/1 byte per item of `shard`.
-fn detected_flags(shard: &Shard, payload: &[u8]) -> Option<Vec<bool>> {
-    (payload.len() == shard.len && payload.iter().all(|&b| b <= 1))
-        .then(|| payload.iter().map(|&b| b == 1).collect())
-}
-
-/// The gate-level stuck-at campaign over the paper's stitched scan chains,
-/// batched through the PPSFP kernel ([`dsim::bitpar`]): per chain, the
-/// whole fault universe is fault-simulated with fault dropping across
-/// pattern blocks. [`dsim::bitpar::ppsfp_detect_with`] picks the plane
-/// width from the pattern count, so the paper's 256-vector sets run as
-/// one 512-lane block per chain.
-///
-/// This is the digital complement of the behavioral [`FaultCampaign`]
-/// (which resolves analog effects and never simulates per-pattern);
-/// together they produce the paper's "100 % stuck-at coverage on the
-/// logically simple blocks" claim as a measured number.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DigitalCampaign {
-    chains: Vec<(&'static str, Circuit, Vec<ScanVector>)>,
-}
-
-impl DigitalCampaign {
-    /// The paper's two stitched chains with their proven-complete pattern
-    /// sets: Scan chain A (data path) and Scan chain B (clock control,
-    /// four ring phases as in the reproduction's block tests).
-    pub fn paper() -> DigitalCampaign {
-        let a = ChainA::new().circuit().clone();
-        let b = ChainB::new(4).circuit().clone();
-        let va = random_vectors(&a, 256, 37);
-        let vb = random_vectors(&b, 256, 29);
-        DigitalCampaign {
-            chains: vec![("chain-a", a, va), ("chain-b", b, vb)],
-        }
-    }
-
-    /// A campaign over explicit `(name, circuit, vectors)` triples.
-    pub fn over(chains: Vec<(&'static str, Circuit, Vec<ScanVector>)>) -> DigitalCampaign {
-        DigitalCampaign { chains }
-    }
-
-    /// Runs the campaign across all available cores. Records come back in
-    /// (chain, fault-enumeration) order, byte-identical to
-    /// [`DigitalCampaign::run_on`] at any thread count — the packed kernel
-    /// parallelizes only over faults with an order-preserving map, and
-    /// fault dropping is decided per pattern block, not per thread.
-    pub fn run(&self) -> Vec<DigitalFaultRecord> {
-        self.run_on(rt::par::threads())
-    }
-
-    /// Runs the campaign on exactly `threads` worker threads — shorthand
-    /// for [`DigitalCampaign::run_with`] under a plain policy, unwrapped
-    /// to the bare record list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`, or if any shard fails (without a retry
-    /// budget a worker panic has nowhere to degrade to — the bare record
-    /// list cannot carry a manifest, so the failure stays loud).
-    pub fn run_on(&self, threads: usize) -> Vec<DigitalFaultRecord> {
-        let result = self.run_with(&CampaignExec::threads(threads));
-        assert!(
-            result.incomplete.is_empty(),
-            "digital campaign lost shards: {:?}",
-            result.incomplete
-        );
-        result.records
-    }
-
-    /// The checkpoint fingerprint of this campaign over the per-chain
-    /// fault universes and pattern sets.
-    fn fingerprint(&self, faults: &[Vec<StuckAtFault>]) -> u64 {
-        let mut parts = vec![
-            u64::from(exec::CHECKPOINT_VERSION),
-            DIGITAL_SHARD_SIZE as u64,
-            DIGITAL_SHARD_SEED,
-        ];
-        for ((name, _, vectors), chain_faults) in self.chains.iter().zip(faults) {
-            parts.push(u64::from(exec::crc32(name.as_bytes())));
-            parts.push(chain_faults.len() as u64);
-            parts.push(vectors.len() as u64);
-        }
-        exec::fingerprint(&parts)
-    }
-
-    /// Runs the campaign under an explicit execution policy. Chains are
-    /// planner segments: every shard is a contiguous fault range inside
-    /// exactly one chain, simulated through the shard-granular PPSFP
-    /// entry point ([`dsim::bitpar::ppsfp_detect_shard`]). Records come
-    /// back in (chain, fault-enumeration) order, byte-identical across
-    /// thread counts, retries and kill-and-resume schedules; shards that
-    /// exhaust the retry budget end up in the result's `incomplete`
-    /// manifest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy.threads == 0` or the checkpoint file cannot be
-    /// opened.
-    pub fn run_with(&self, policy: &CampaignExec) -> DigitalCampaignResult {
-        let _span = rt::obs::span("campaign.digital");
-        let faults: Vec<Vec<StuckAtFault>> = self
-            .chains
-            .iter()
-            .map(|(_, circuit, _)| enumerate_faults(circuit))
-            .collect();
-        let segments: Vec<usize> = faults.iter().map(Vec::len).collect();
-        let starts: Vec<usize> = segments
-            .iter()
-            .scan(0, |acc, &n| {
-                let s = *acc;
-                *acc += n;
-                Some(s)
-            })
-            .collect();
-        let job = DigitalJob {
-            chains: &self.chains,
-            faults: &faults,
-            starts: &starts,
-        };
-        let shards = exec::plan_segmented(&segments, DIGITAL_SHARD_SIZE, DIGITAL_SHARD_SEED);
-        let report = policy.run(self.fingerprint(&faults), &shards, &job);
-        for (name, _, _) in &self.chains {
-            let (total, detected) = report
-                .records
-                .iter()
-                .filter(|r| r.chain == *name)
-                .fold((0u64, 0u64), |(t, d), r| (t + 1, d + u64::from(r.detected)));
-            rt::obs::log::info(
-                "campaign",
-                format!("digital chain={name} faults={total} detected={detected}"),
-            );
-        }
-        DigitalCampaignResult {
-            records: report.records,
-            incomplete: report.incomplete,
-        }
-    }
-
-    /// Detected fraction of a record set in `[0, 1]` (`0.0` for an empty
-    /// set, matching [`CampaignResult`]'s empty-campaign convention).
-    pub fn coverage(records: &[DigitalFaultRecord]) -> f64 {
-        if records.is_empty() {
-            return 0.0;
-        }
-        records.iter().filter(|r| r.detected).count() as f64 / records.len() as f64
-    }
-}
-
-/// Shard size for the netlist campaign. Matches the digital campaign's
-/// width: stuck-at shards run through the same PPSFP kernel, and the
-/// transition shards' per-fault replay is cheap enough that load balance
-/// does not suffer at this granularity.
+/// Shard size for the netlist campaign, in faults. The PPSFP kernel
+/// evaluates up to 512 patterns per pass, so fat stuck-at shards amortize
+/// its per-shard golden simulation, and the transition shards' per-fault
+/// replay is cheap enough that load balance does not suffer at this
+/// granularity. Shard stitching is result-invariant, so this is purely a
+/// scheduling knob (it does feed the fingerprint, invalidating old
+/// checkpoints).
 const NETLIST_SHARD_SIZE: usize = 128;
 
 /// Base seed for the netlist campaign's shard substreams.
@@ -995,8 +754,9 @@ impl NetlistCampaignResult {
 
 /// Which fault universes a [`NetlistCampaign`] enumerates, plans and
 /// fingerprints. The serving layer maps its `stuck_at` / `transition` /
-/// `netlist` job kinds onto these selections; [`NetlistCampaign::over`]
-/// keeps the historical default of [`UniverseSel::Both`].
+/// `netlist` job kinds onto these selections, and the paper's scan chains
+/// are scored as [`UniverseSel::StuckAt`] campaigns;
+/// [`NetlistCampaign::over`] selects [`UniverseSel::Both`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UniverseSel {
     /// The stuck-at universe only: PPSFP against the random pattern set.
@@ -1005,7 +765,7 @@ pub enum UniverseSel {
     /// The transition universe only: time-expansion ATPG plus
     /// launch-on-capture replay.
     Transition,
-    /// Both universes as a two-segment plan — the default.
+    /// Both universes as a two-segment plan.
     Both,
 }
 
@@ -1021,17 +781,29 @@ impl UniverseSel {
     }
 }
 
-/// A netlist campaign prepared for shard-granular execution: owns the
-/// enumerated fault universes, the random pattern set, the generated
-/// tests and their fault-free goldens, and exposes the deterministic
-/// plan. It is its own [`ShardJob`] (runner and checkpoint codec).
+/// The gate-level test campaign over one parsed (or hand-built) netlist:
+/// the stuck-at universe fault-simulated against a seeded random pattern
+/// set through the PPSFP kernel ([`dsim::bitpar`]), plus the transition
+/// universe targeted by the time-expansion ATPG
+/// ([`dsim::expand::TimeExpansion`]) and scored by launch-on-capture
+/// replay on the original sequential circuit.
 ///
-/// [`NetlistCampaign::run_with`] drives one of these through
-/// [`rt::exec::run_shards`]; the `serve` crate's job scheduler drives
-/// the same object shard by shard from its shared worker pool, which is
-/// what makes a served campaign byte-identical to a local run.
+/// This is the digital complement of the behavioral [`FaultCampaign`]:
+/// run as a stuck-at campaign over each of the paper's stitched scan
+/// chains it measures the "100 % stuck-at coverage on the logically
+/// simple blocks" claim, and pointed at an arbitrary `.v` netlist
+/// ([`NetlistCampaign::from_verilog`]) it produces the same coverage
+/// tables for that netlist.
+///
+/// A campaign owns its enumerated fault universes, pattern set, generated
+/// tests and their fault-free goldens, and is its own [`ShardJob`] over
+/// the deterministic plan [`NetlistCampaign::shards`].
+/// [`NetlistCampaign::run_with`] drives it through
+/// [`rt::exec::run_shards`]; the `serve` crate's job scheduler drives the
+/// same object shard by shard from its shared worker pool, which is what
+/// makes a served campaign byte-identical to a local run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PreparedCampaign {
+pub struct NetlistCampaign {
     name: String,
     circuit: Circuit,
     vectors: Vec<ScanVector>,
@@ -1042,10 +814,104 @@ pub struct PreparedCampaign {
     goldens: Vec<TwoPatternResponse>,
 }
 
-impl PreparedCampaign {
-    /// The campaign's display name.
+impl NetlistCampaign {
+    /// Builds a campaign from structural Verilog source: parse, lower,
+    /// time-expand, and run PODEM over the expanded model for every
+    /// transition fault. The campaign is named after the module.
+    pub fn from_verilog(src: &str) -> Result<NetlistCampaign, NetlistError> {
+        let circuit = dsim::verilog::compile(src)?;
+        NetlistCampaign::over(circuit.name().to_string(), circuit)
+    }
+
+    /// Builds a campaign over an already-constructed circuit covering
+    /// both fault universes with the default pattern budget (256 seeded
+    /// random vectors). Fails only when [`Circuit::check`] rejects the
+    /// circuit.
+    pub fn over(
+        name: impl Into<String>,
+        circuit: Circuit,
+    ) -> Result<NetlistCampaign, NetlistError> {
+        NetlistCampaign::configured(
+            name,
+            circuit,
+            UniverseSel::Both,
+            NETLIST_VECTOR_COUNT,
+            NETLIST_VECTOR_SEED,
+        )
+    }
+
+    /// Builds a campaign with an explicit universe selection and
+    /// stuck-at pattern budget. Construction does all the once-per-campaign
+    /// work, so [`NetlistCampaign::run`] itself is pure fault simulation:
+    ///
+    /// * with the stuck-at universe selected, it enumerates the stuck-at
+    ///   faults and draws `vector_count` random vectors from `vector_seed`;
+    /// * with the transition universe selected, it enumerates the
+    ///   transition faults, runs PODEM over the time-expanded model for a
+    ///   launch-on-capture test set and computes every test's fault-free
+    ///   golden response.
+    ///
+    /// A universe that is not selected is left empty, and its parameters
+    /// are never read. Fails only when [`Circuit::check`] rejects the
+    /// circuit, whatever the selection.
+    pub fn configured(
+        name: impl Into<String>,
+        circuit: Circuit,
+        sel: UniverseSel,
+        vector_count: usize,
+        vector_seed: u64,
+    ) -> Result<NetlistCampaign, NetlistError> {
+        circuit.check()?;
+        let (stuck, vectors) = if sel.stuck() {
+            (
+                enumerate_faults(&circuit),
+                random_vectors(&circuit, vector_count, vector_seed),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let (transition, tests, untestable, goldens) = if sel.transition() {
+            let (tests, untestable) = TimeExpansion::new(&circuit).generate_all();
+            let goldens = tests
+                .iter()
+                .map(|t| launch_capture_response(&circuit, t, None))
+                .collect();
+            let transition = enumerate_transition_faults(&circuit);
+            (transition, tests, untestable, goldens)
+        } else {
+            Default::default()
+        };
+        Ok(NetlistCampaign {
+            name: name.into(),
+            circuit,
+            vectors,
+            tests,
+            untestable,
+            stuck,
+            transition,
+            goldens,
+        })
+    }
+
+    /// The campaign's display name (the Verilog module name when built
+    /// through [`NetlistCampaign::from_verilog`]).
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The circuit under test.
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
+    }
+
+    /// The generated launch-on-capture two-pattern test set.
+    pub fn tests(&self) -> &[TwoPatternTest] {
+        &self.tests
+    }
+
+    /// Transition faults PODEM proved out of reach on the expanded model.
+    pub fn untestable(&self) -> &[TransitionFault] {
+        &self.untestable
     }
 
     /// The deterministic shard plan: the stuck-at universe then the
@@ -1057,20 +923,23 @@ impl PreparedCampaign {
         exec::plan_segmented(&segments, NETLIST_SHARD_SIZE, NETLIST_SHARD_SEED)
     }
 
-    /// The checkpoint/cache fingerprint over the circuit name, both
-    /// universe sizes, the pattern and test set sizes and the shard
-    /// plan — the identity a resumed run (or a content-addressed result
-    /// cache) must prove before trusting prior bytes.
+    /// The checkpoint fingerprint: the shard plan, the campaign name, the
+    /// circuit's structure (its canonical Verilog export), the pattern
+    /// and test sets, and both universe sizes — the identity a resumed
+    /// run must prove before trusting prior bytes.
     pub fn fingerprint(&self) -> u64 {
+        let crc = |bytes: &[u8]| u64::from(exec::crc32(bytes));
+        let structure = dsim::verilog::Module::from_circuit(&self.circuit).to_source();
         exec::fingerprint(&[
             u64::from(exec::CHECKPOINT_VERSION),
             NETLIST_SHARD_SIZE as u64,
             NETLIST_SHARD_SEED,
-            u64::from(exec::crc32(self.name.as_bytes())),
+            crc(self.name.as_bytes()),
+            crc(structure.as_bytes()),
+            crc(format!("{:?}", self.vectors).as_bytes()),
+            crc(format!("{:?}", self.tests).as_bytes()),
             self.stuck.len() as u64,
             self.transition.len() as u64,
-            self.vectors.len() as u64,
-            self.tests.len() as u64,
         ])
     }
 
@@ -1107,14 +976,69 @@ impl PreparedCampaign {
             incomplete,
         }
     }
+
+    /// Runs the campaign across all available cores. Records come back
+    /// in (stuck-at universe, transition universe) enumeration order,
+    /// byte-identical at any thread count.
+    pub fn run(&self) -> NetlistCampaignResult {
+        self.run_on(rt::par::threads())
+    }
+
+    /// Runs the campaign on exactly `threads` worker threads under a
+    /// plain policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0` or any shard fails (a plain policy has
+    /// no retry budget to degrade into).
+    pub fn run_on(&self, threads: usize) -> NetlistCampaignResult {
+        let result = self.run_with(&CampaignExec::threads(threads));
+        assert!(
+            result.is_complete(),
+            "netlist campaign lost shards: {:?}",
+            result.incomplete
+        );
+        result
+    }
+
+    /// Runs the campaign under an explicit execution policy. The plan has
+    /// two segments — the stuck-at universe, then the transition universe
+    /// — and shards never straddle the boundary, so each shard runs
+    /// exactly one fault model. Records come back in plan order,
+    /// byte-identical across thread counts, retries and kill-and-resume
+    /// schedules; shards that exhaust the retry budget end up in the
+    /// result's `incomplete` manifest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `policy.threads == 0` or the checkpoint file cannot be
+    /// opened.
+    pub fn run_with(&self, policy: &CampaignExec) -> NetlistCampaignResult {
+        let _span = rt::obs::span("campaign.netlist");
+        let report = policy.run(self.fingerprint(), &self.shards(), self);
+        let result = self.result(report.records, report.incomplete);
+        let (sa_total, sa_detected) = result.stuck_at();
+        let (tr_total, tr_detected) = result.transition();
+        rt::obs::log::info(
+            "campaign",
+            format!(
+                "netlist {} stuck_at={sa_detected}/{sa_total} transition={tr_detected}/{tr_total} \
+                 untestable={} failed_shards={}",
+                self.name,
+                result.untestable.len(),
+                result.incomplete.len(),
+            ),
+        );
+        result
+    }
 }
 
-/// A prepared netlist campaign is its own shard job: a pure function of
-/// the shard and the prepared state, so any scheduler may run shards in
-/// any order on any thread and concatenate results in plan order.
-/// Checkpoint payloads are one detected byte per record; the fault is
-/// reconstructed from the plan-global index.
-impl ShardJob for PreparedCampaign {
+/// A netlist campaign is its own shard job: a pure function of the shard
+/// and the campaign's state, so any scheduler may run shards in any order
+/// on any thread and concatenate results in plan order. Checkpoint
+/// payloads are one detected byte per record; the fault is reconstructed
+/// from the plan-global index.
+impl ShardJob for NetlistCampaign {
     type Record = NetlistFaultRecord;
 
     /// Runs one planned shard on the calling thread: PPSFP for a
@@ -1169,205 +1093,10 @@ impl ShardJob for PreparedCampaign {
         out.extend(records.iter().map(|r| u8::from(r.detected())));
     }
 
+    /// `None` unless the payload holds one 0/1 byte per fault of `shard`.
     fn decode(&self, shard: &Shard, payload: &[u8]) -> Option<Vec<NetlistFaultRecord>> {
-        Some(self.records(shard, detected_flags(shard, payload)?))
-    }
-}
-
-/// A full digital test campaign over one parsed (or hand-built) netlist:
-/// the stuck-at universe fault-simulated against a seeded random pattern
-/// set through the PPSFP kernel, plus the transition universe targeted by
-/// the time-expansion ATPG ([`dsim::expand::TimeExpansion`]) and scored
-/// by launch-on-capture replay on the original sequential circuit.
-///
-/// This is the scenario the Verilog frontend unlocks: point the pipeline
-/// at an arbitrary `.v` netlist ([`NetlistCampaign::from_verilog`]) and
-/// get the paper's coverage tables for it, resumable and thread-count
-/// invariant like every other campaign in this crate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetlistCampaign {
-    name: String,
-    circuit: Circuit,
-    sel: UniverseSel,
-    vectors: Vec<ScanVector>,
-    tests: Vec<TwoPatternTest>,
-    untestable: Vec<TransitionFault>,
-}
-
-impl NetlistCampaign {
-    /// Builds a campaign from structural Verilog source: parse, lower,
-    /// time-expand, and run PODEM over the expanded model for every
-    /// transition fault. The campaign is named after the module.
-    pub fn from_verilog(src: &str) -> Result<NetlistCampaign, NetlistError> {
-        let circuit = dsim::verilog::compile(src)?;
-        NetlistCampaign::over(circuit.name().to_string(), circuit)
-    }
-
-    /// Builds a campaign over an already-constructed circuit covering
-    /// both fault universes with the default pattern budget. Fails only
-    /// when [`Circuit::check`] rejects the circuit.
-    ///
-    /// Construction is where the ATPG runs: the stuck-at pattern set is
-    /// drawn (256 seeded random vectors) and PODEM
-    /// generates the launch-on-capture test set, so [`NetlistCampaign::run`]
-    /// itself is pure fault simulation.
-    pub fn over(
-        name: impl Into<String>,
-        circuit: Circuit,
-    ) -> Result<NetlistCampaign, NetlistError> {
-        NetlistCampaign::configured(
-            name,
-            circuit,
-            UniverseSel::Both,
-            NETLIST_VECTOR_COUNT,
-            NETLIST_VECTOR_SEED,
-        )
-    }
-
-    /// Builds a campaign with an explicit universe selection and
-    /// stuck-at pattern budget — the entry point the `serve` crate's job
-    /// kinds map onto. The time-expansion ATPG only runs when `sel`
-    /// includes the transition universe, so a stuck-at-only campaign is
-    /// cheap to construct. Fails only when [`Circuit::check`] rejects the
-    /// circuit, whatever the selection.
-    pub fn configured(
-        name: impl Into<String>,
-        circuit: Circuit,
-        sel: UniverseSel,
-        vector_count: usize,
-        vector_seed: u64,
-    ) -> Result<NetlistCampaign, NetlistError> {
-        circuit.check()?;
-        let (tests, untestable) = if sel.transition() {
-            TimeExpansion::new(&circuit).generate_all()
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let vectors = if sel.stuck() {
-            random_vectors(&circuit, vector_count, vector_seed)
-        } else {
-            Vec::new()
-        };
-        Ok(NetlistCampaign {
-            name: name.into(),
-            circuit,
-            sel,
-            vectors,
-            tests,
-            untestable,
-        })
-    }
-
-    /// The campaign's display name (the Verilog module name when built
-    /// through [`NetlistCampaign::from_verilog`]).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The circuit under test.
-    pub fn circuit(&self) -> &Circuit {
-        &self.circuit
-    }
-
-    /// The generated launch-on-capture two-pattern test set.
-    pub fn tests(&self) -> &[TwoPatternTest] {
-        &self.tests
-    }
-
-    /// Transition faults PODEM proved out of reach on the expanded model.
-    pub fn untestable(&self) -> &[TransitionFault] {
-        &self.untestable
-    }
-
-    /// Runs the campaign across all available cores. Records come back
-    /// in (stuck-at universe, transition universe) enumeration order,
-    /// byte-identical at any thread count.
-    pub fn run(&self) -> NetlistCampaignResult {
-        self.run_on(rt::par::threads())
-    }
-
-    /// Runs the campaign on exactly `threads` worker threads under a
-    /// plain policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or any shard fails (a plain policy has
-    /// no retry budget to degrade into).
-    pub fn run_on(&self, threads: usize) -> NetlistCampaignResult {
-        let result = self.run_with(&CampaignExec::threads(threads));
-        assert!(
-            result.is_complete(),
-            "netlist campaign lost shards: {:?}",
-            result.incomplete
-        );
-        result
-    }
-
-    /// Enumerates the selected fault universes and precomputes the
-    /// fault-free goldens, yielding a [`PreparedCampaign`] an external
-    /// scheduler can drive shard by shard. [`NetlistCampaign::run_with`]
-    /// is exactly `prepare()` driven through the in-process executor.
-    pub fn prepare(&self) -> PreparedCampaign {
-        let stuck = if self.sel.stuck() {
-            enumerate_faults(&self.circuit)
-        } else {
-            Vec::new()
-        };
-        let transition = if self.sel.transition() {
-            enumerate_transition_faults(&self.circuit)
-        } else {
-            Vec::new()
-        };
-        let goldens: Vec<TwoPatternResponse> = if transition.is_empty() {
-            Vec::new()
-        } else {
-            self.tests
-                .iter()
-                .map(|t| launch_capture_response(&self.circuit, t, None))
-                .collect()
-        };
-        PreparedCampaign {
-            name: self.name.clone(),
-            circuit: self.circuit.clone(),
-            vectors: self.vectors.clone(),
-            tests: self.tests.clone(),
-            untestable: self.untestable.clone(),
-            stuck,
-            transition,
-            goldens,
-        }
-    }
-
-    /// Runs the campaign under an explicit execution policy. The plan has
-    /// two segments — the stuck-at universe, then the transition universe
-    /// — and shards never straddle the boundary, so each shard runs
-    /// exactly one fault model. Records come back in plan order,
-    /// byte-identical across thread counts, retries and kill-and-resume
-    /// schedules; shards that exhaust the retry budget end up in the
-    /// result's `incomplete` manifest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy.threads == 0` or the checkpoint file cannot be
-    /// opened.
-    pub fn run_with(&self, policy: &CampaignExec) -> NetlistCampaignResult {
-        let _span = rt::obs::span("campaign.netlist");
-        let prep = self.prepare();
-        let report = policy.run(prep.fingerprint(), &prep.shards(), &prep);
-        let result = prep.result(report.records, report.incomplete);
-        let (sa_total, sa_detected) = result.stuck_at();
-        let (tr_total, tr_detected) = result.transition();
-        rt::obs::log::info(
-            "campaign",
-            format!(
-                "netlist {} stuck_at={sa_detected}/{sa_total} transition={tr_detected}/{tr_total} \
-                 untestable={} failed_shards={}",
-                self.name,
-                result.untestable.len(),
-                result.incomplete.len(),
-            ),
-        );
-        result
+        (payload.len() == shard.len && payload.iter().all(|&b| b <= 1))
+            .then(|| self.records(shard, payload.iter().map(|&b| b == 1).collect()))
     }
 }
 
@@ -1500,27 +1229,6 @@ mod tests {
             assert_eq!(c.run_on(threads), seq, "diverged at {threads} threads");
         }
         assert_eq!(*result(), seq);
-    }
-
-    #[test]
-    fn digital_campaign_reaches_full_stuck_at_coverage() {
-        // The paper: 100 % stuck-at coverage on the logically simple
-        // chains — here as a measured number over the PPSFP kernel.
-        let records = DigitalCampaign::paper().run();
-        assert!(!records.is_empty());
-        assert_eq!(DigitalCampaign::coverage(&records), 1.0);
-        assert!(records.iter().any(|r| r.chain == "chain-a"));
-        assert!(records.iter().any(|r| r.chain == "chain-b"));
-        assert_eq!(DigitalCampaign::coverage(&[]), 0.0);
-    }
-
-    #[test]
-    fn digital_campaign_is_thread_count_invariant() {
-        let campaign = DigitalCampaign::paper();
-        let seq = campaign.run_on(1);
-        for threads in [2, 4, 7] {
-            assert_eq!(campaign.run_on(threads), seq, "diverged at {threads}");
-        }
     }
 
     fn temp_ck(tag: &str) -> PathBuf {
@@ -1746,37 +1454,6 @@ mod tests {
     }
 
     #[test]
-    fn digital_campaign_recovers_and_resumes() {
-        let campaign = DigitalCampaign::paper();
-        let straight = campaign.run_on(2);
-        // Injected panic + retry budget: full recovery.
-        let recovered = rt::check::quiet(|| {
-            campaign.run_with(
-                &CampaignExec::threads(2)
-                    .with_retry(RetryPolicy::retries(1))
-                    .with_sabotage(Sabotage::once(0)),
-            )
-        });
-        assert!(recovered.is_complete());
-        assert_eq!(recovered.records, straight);
-        // Kill-and-resume through a checkpoint.
-        let path = temp_ck("digital-resume");
-        let partial = rt::check::quiet(|| {
-            campaign.run_with(
-                &CampaignExec::threads(2)
-                    .with_checkpoint(&path)
-                    .with_sabotage(Sabotage::times(1, u32::MAX)),
-            )
-        });
-        assert!(!partial.is_complete());
-        assert!(partial.records.len() < straight.len());
-        let resumed = campaign.run_with(&CampaignExec::threads(2).with_checkpoint(&path));
-        assert!(resumed.is_complete());
-        assert_eq!(resumed.records, straight, "resume not byte-identical");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn universe_matches_netlists() {
         let c = FaultCampaign::new(&DesignParams::paper());
         assert_eq!(c.universe().len(), result().total());
@@ -1800,49 +1477,134 @@ mod tests {
         assert!(result.transition_coverage() > 0.0);
     }
 
+    /// The paper's stuck-at campaign over one stitched scan chain: 256
+    /// seeded random vectors through the PPSFP kernel.
+    fn chain_stuck_at(name: &str, circuit: &Circuit, seed: u64) -> NetlistCampaign {
+        NetlistCampaign::configured(name, circuit.clone(), UniverseSel::StuckAt, 256, seed)
+            .expect("acyclic")
+    }
+
+    /// The divider under both fault models, and scan chain A's stuck-at
+    /// campaign.
+    fn netlist_campaigns() -> [NetlistCampaign; 2] {
+        [
+            NetlistCampaign::over(
+                "divider",
+                dsim::blocks::divider::Divider::new(2).circuit().clone(),
+            )
+            .expect("acyclic"),
+            chain_stuck_at("chain_a", crate::chain_a::ChainA::new().circuit(), 37),
+        ]
+    }
+
+    #[test]
+    fn paper_chains_reach_full_stuck_at_coverage() {
+        // The paper: 100 % stuck-at coverage on the logically simple
+        // chains — here as a measured number over the PPSFP kernel.
+        let chain_a = crate::chain_a::ChainA::new();
+        let chain_b = crate::chain_b::ChainB::new(4);
+        for (campaign, faults) in [
+            (chain_stuck_at("chain_a", chain_a.circuit(), 37), 36),
+            (chain_stuck_at("chain_b", chain_b.circuit(), 29), 76),
+        ] {
+            let result = campaign.run();
+            assert_eq!(result.stuck_at(), (faults, faults), "{}", campaign.name());
+            assert_eq!(result.transition(), (0, 0));
+            assert_eq!(result.stuck_at_coverage(), 1.0);
+        }
+    }
+
     #[test]
     fn netlist_campaign_is_thread_count_invariant() {
-        let campaign = NetlistCampaign::over(
-            "divider",
-            dsim::blocks::divider::Divider::new(2).circuit().clone(),
-        )
-        .expect("acyclic");
-        let seq = campaign.run_on(1);
-        for threads in [2, 4, 7] {
-            assert_eq!(campaign.run_on(threads), seq, "diverged at {threads}");
+        for campaign in netlist_campaigns() {
+            let seq = campaign.run_on(1);
+            for threads in [2, 4, 7] {
+                assert_eq!(
+                    campaign.run_on(threads),
+                    seq,
+                    "{} diverged at {threads}",
+                    campaign.name()
+                );
+            }
         }
     }
 
     #[test]
     fn netlist_campaign_recovers_and_resumes() {
-        let campaign = NetlistCampaign::over(
-            "divider",
-            dsim::blocks::divider::Divider::new(2).circuit().clone(),
-        )
-        .expect("acyclic");
-        let straight = campaign.run_on(2);
-        let recovered = rt::check::quiet(|| {
-            campaign.run_with(
-                &CampaignExec::threads(2)
-                    .with_retry(RetryPolicy::retries(1))
-                    .with_sabotage(Sabotage::once(0)),
-            )
-        });
-        assert!(recovered.is_complete());
-        assert_eq!(recovered, straight);
-        let path = temp_ck("netlist-resume");
-        let partial = rt::check::quiet(|| {
-            campaign.run_with(
-                &CampaignExec::threads(2)
-                    .with_checkpoint(&path)
-                    .with_sabotage(Sabotage::times(0, u32::MAX)),
-            )
-        });
-        assert!(!partial.is_complete());
-        let resumed = campaign.run_with(&CampaignExec::threads(2).with_checkpoint(&path));
-        assert!(resumed.is_complete());
-        assert_eq!(resumed, straight, "resume not byte-identical");
-        let _ = std::fs::remove_file(&path);
+        for campaign in netlist_campaigns() {
+            let straight = campaign.run_on(2);
+            let recovered = rt::check::quiet(|| {
+                campaign.run_with(
+                    &CampaignExec::threads(2)
+                        .with_retry(RetryPolicy::retries(1))
+                        .with_sabotage(Sabotage::once(0)),
+                )
+            });
+            assert!(recovered.is_complete());
+            assert_eq!(recovered, straight);
+            let path = temp_ck("netlist-resume");
+            let partial = rt::check::quiet(|| {
+                campaign.run_with(
+                    &CampaignExec::threads(2)
+                        .with_checkpoint(&path)
+                        .with_sabotage(Sabotage::times(0, u32::MAX)),
+                )
+            });
+            assert!(!partial.is_complete());
+            let resumed = campaign.run_with(&CampaignExec::threads(2).with_checkpoint(&path));
+            assert!(resumed.is_complete());
+            assert_eq!(
+                resumed,
+                straight,
+                "{} resume not byte-identical",
+                campaign.name()
+            );
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    /// A two-gate circuit whose first gate is `first`: a stuck-at
+    /// universe of the same size for any two-input gate kind.
+    fn two_gate(first: dsim::circuit::GateKind) -> Circuit {
+        let mut c = Circuit::new("d");
+        let [a, b, s] = ["a", "b", "s"].map(|n| c.input(n));
+        let x = c.net("x");
+        let y = c.net("y");
+        c.gate(first, &[a, b], x);
+        c.gate(dsim::circuit::GateKind::Xor, &[x, s], y);
+        c.output(y);
+        c
+    }
+
+    #[test]
+    fn checkpoint_of_another_netlist_campaign_is_not_resumed() {
+        // Each pair shares the name and every universe and pattern-set
+        // size, but not the pattern seed or the circuit; a checkpoint
+        // written by the first must not be trusted by the second.
+        use dsim::circuit::GateKind;
+        let divider = dsim::blocks::divider::Divider::new(3).circuit().clone();
+        let stuck = |circuit: &Circuit, vectors, seed| {
+            NetlistCampaign::configured("d", circuit.clone(), UniverseSel::StuckAt, vectors, seed)
+                .expect("acyclic")
+        };
+        for (writer, reader) in [
+            (stuck(&divider, 2, 1), stuck(&divider, 2, 5)),
+            (
+                stuck(&two_gate(GateKind::And), 1, 3),
+                stuck(&two_gate(GateKind::Or), 1, 3),
+            ),
+        ] {
+            let fresh = reader.run_on(2);
+            assert_ne!(writer.run_on(2), fresh, "the pair must disagree");
+            let path = temp_ck("netlist-foreign");
+            writer.run_with(&CampaignExec::threads(2).with_checkpoint(&path));
+            let (resumed, m, _) = rt::obs::observe(|| {
+                reader.run_with(&CampaignExec::threads(2).with_checkpoint(&path))
+            });
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(m.counter("exec.shards.resumed"), Some(0));
+            assert_eq!(resumed, fresh, "resumed a foreign checkpoint");
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub(crate) fn now_ns() -> u64 {
 /// One completed span: a named wall-clock interval on a virtual thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Span name, e.g. `"campaign.digital"`.
+    /// Span name, e.g. `"campaign.netlist"`.
     pub name: String,
     /// Category shown by trace viewers (defaults to the name's first
     /// dot-separated segment).

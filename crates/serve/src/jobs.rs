@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use dft::campaign::{NetlistCampaign, NetlistFaultRecord, PreparedCampaign, UniverseSel};
+use dft::campaign::{NetlistCampaign, NetlistFaultRecord, UniverseSel};
 use link::ber::BerModel;
 use link::farm::{CellRecord, FarmAxes, FarmGrid, LinkFarm};
 use rt::exec::{self, Frame, Shard, ShardJob};
@@ -401,11 +401,10 @@ impl JobSpec {
                         (c.name().to_string(), c)
                     }
                 };
-                let vectors = if sel.stuck() { *vectors as usize } else { 1 };
-                let prep = NetlistCampaign::configured(name, circuit, *sel, vectors, *seed)
-                    .map_err(|e| e.to_string())?
-                    .prepare();
-                (prep.shards(), Box::new(prep))
+                let campaign =
+                    NetlistCampaign::configured(name, circuit, *sel, *vectors as usize, *seed)
+                        .map_err(|e| e.to_string())?;
+                (campaign.shards(), Box::new(campaign))
             }
             JobSpec::BerSweep {
                 center_ui,
@@ -486,7 +485,7 @@ impl<K: Kind> Erased for K {
     }
 }
 
-impl Kind for PreparedCampaign {
+impl Kind for NetlistCampaign {
     fn detections(&self, records: &[NetlistFaultRecord]) -> u64 {
         records.iter().filter(|r| r.detected()).count() as u64
     }
