@@ -1484,29 +1484,77 @@ mod tests {
             .expect("acyclic")
     }
 
-    /// The divider under both fault models, and scan chain A's stuck-at
-    /// campaign.
-    fn netlist_campaigns() -> [NetlistCampaign; 2] {
+    /// The paper's stuck-at campaigns over the two stitched chains:
+    /// scan chain A (data path, seed 37) and scan chain B (clock control,
+    /// four ring phases, seed 29).
+    fn paper_chain_campaigns() -> [NetlistCampaign; 2] {
         [
-            NetlistCampaign::over(
-                "divider",
-                dsim::blocks::divider::Divider::new(2).circuit().clone(),
-            )
-            .expect("acyclic"),
             chain_stuck_at("chain_a", crate::chain_a::ChainA::new().circuit(), 37),
+            chain_stuck_at("chain_b", crate::chain_b::ChainB::new(4).circuit(), 29),
         ]
+    }
+
+    fn divider_campaign() -> NetlistCampaign {
+        NetlistCampaign::over(
+            "divider",
+            dsim::blocks::divider::Divider::new(2).circuit().clone(),
+        )
+        .expect("acyclic")
+    }
+
+    /// `campaign` gives the same result on 1, 2, 4 and 7 workers.
+    fn assert_thread_count_invariant(campaign: &NetlistCampaign) {
+        let seq = campaign.run_on(1);
+        for threads in [2, 4, 7] {
+            assert_eq!(
+                campaign.run_on(threads),
+                seq,
+                "{} diverged at {threads}",
+                campaign.name()
+            );
+        }
+    }
+
+    /// `campaign` recovers from an injected panic within its retry
+    /// budget, and a killed run resumes byte-identically from its
+    /// checkpoint.
+    fn assert_recovers_and_resumes(campaign: &NetlistCampaign, tag: &str) {
+        let straight = campaign.run_on(2);
+        let recovered = rt::check::quiet(|| {
+            campaign.run_with(
+                &CampaignExec::threads(2)
+                    .with_retry(RetryPolicy::retries(1))
+                    .with_sabotage(Sabotage::once(0)),
+            )
+        });
+        assert!(recovered.is_complete());
+        assert_eq!(recovered, straight);
+        let path = temp_ck(tag);
+        let partial = rt::check::quiet(|| {
+            campaign.run_with(
+                &CampaignExec::threads(2)
+                    .with_checkpoint(&path)
+                    .with_sabotage(Sabotage::times(0, u32::MAX)),
+            )
+        });
+        assert!(!partial.is_complete());
+        assert!(partial.records.len() < straight.records.len());
+        let resumed = campaign.run_with(&CampaignExec::threads(2).with_checkpoint(&path));
+        assert!(resumed.is_complete());
+        assert_eq!(
+            resumed,
+            straight,
+            "{} resume not byte-identical",
+            campaign.name()
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn paper_chains_reach_full_stuck_at_coverage() {
         // The paper: 100 % stuck-at coverage on the logically simple
         // chains — here as a measured number over the PPSFP kernel.
-        let chain_a = crate::chain_a::ChainA::new();
-        let chain_b = crate::chain_b::ChainB::new(4);
-        for (campaign, faults) in [
-            (chain_stuck_at("chain_a", chain_a.circuit(), 37), 36),
-            (chain_stuck_at("chain_b", chain_b.circuit(), 29), 76),
-        ] {
+        for (campaign, faults) in paper_chain_campaigns().into_iter().zip([36, 76]) {
             let result = campaign.run();
             assert_eq!(result.stuck_at(), (faults, faults), "{}", campaign.name());
             assert_eq!(result.transition(), (0, 0));
@@ -1515,52 +1563,27 @@ mod tests {
     }
 
     #[test]
-    fn netlist_campaign_is_thread_count_invariant() {
-        for campaign in netlist_campaigns() {
-            let seq = campaign.run_on(1);
-            for threads in [2, 4, 7] {
-                assert_eq!(
-                    campaign.run_on(threads),
-                    seq,
-                    "{} diverged at {threads}",
-                    campaign.name()
-                );
-            }
+    fn digital_campaign_is_thread_count_invariant() {
+        for campaign in paper_chain_campaigns() {
+            assert_thread_count_invariant(&campaign);
         }
     }
 
     #[test]
-    fn netlist_campaign_recovers_and_resumes() {
-        for campaign in netlist_campaigns() {
-            let straight = campaign.run_on(2);
-            let recovered = rt::check::quiet(|| {
-                campaign.run_with(
-                    &CampaignExec::threads(2)
-                        .with_retry(RetryPolicy::retries(1))
-                        .with_sabotage(Sabotage::once(0)),
-                )
-            });
-            assert!(recovered.is_complete());
-            assert_eq!(recovered, straight);
-            let path = temp_ck("netlist-resume");
-            let partial = rt::check::quiet(|| {
-                campaign.run_with(
-                    &CampaignExec::threads(2)
-                        .with_checkpoint(&path)
-                        .with_sabotage(Sabotage::times(0, u32::MAX)),
-                )
-            });
-            assert!(!partial.is_complete());
-            let resumed = campaign.run_with(&CampaignExec::threads(2).with_checkpoint(&path));
-            assert!(resumed.is_complete());
-            assert_eq!(
-                resumed,
-                straight,
-                "{} resume not byte-identical",
-                campaign.name()
-            );
-            let _ = std::fs::remove_file(&path);
+    fn digital_campaign_recovers_and_resumes() {
+        for campaign in paper_chain_campaigns() {
+            assert_recovers_and_resumes(&campaign, "digital-resume");
         }
+    }
+
+    #[test]
+    fn netlist_campaign_is_thread_count_invariant() {
+        assert_thread_count_invariant(&divider_campaign());
+    }
+
+    #[test]
+    fn netlist_campaign_recovers_and_resumes() {
+        assert_recovers_and_resumes(&divider_campaign(), "netlist-resume");
     }
 
     /// A two-gate circuit whose first gate is `first`: a stuck-at
