@@ -35,6 +35,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use dsim::atpg::random_vectors;
 use dsim::circuit::{Circuit, StructureError};
@@ -795,9 +796,14 @@ impl UniverseSel {
 /// ([`NetlistCampaign::from_verilog`]) it produces the same coverage
 /// tables for that netlist.
 ///
-/// A campaign owns its enumerated fault universes, pattern set, generated
-/// tests and their fault-free goldens, and is its own [`ShardJob`] over
-/// the deterministic plan [`NetlistCampaign::shards`].
+/// A campaign owns its stuck-at universe and pattern set, and shares its
+/// [`TransitionSetup`] (transition universe, generated tests and their
+/// fault-free goldens) by [`Arc`]: that half depends only on the circuit,
+/// so a caller that scores one circuit under many seeds can generate it
+/// once and hand it to every campaign through
+/// [`NetlistCampaign::configured_with`] (the `serve` crate does so for
+/// its built-in scan chains). A campaign is its own
+/// [`ShardJob`] over the deterministic plan [`NetlistCampaign::shards`].
 /// [`NetlistCampaign::run_with`] drives it through
 /// [`rt::exec::run_shards`]; the `serve` crate's job scheduler drives the
 /// same object shard by shard from its shared worker pool, which is what
@@ -807,11 +813,45 @@ pub struct NetlistCampaign {
     name: String,
     circuit: Circuit,
     vectors: Vec<ScanVector>,
+    stuck: Vec<StuckAtFault>,
+    transition: Arc<TransitionSetup>,
+}
+
+/// The seed-independent transition half of a [`NetlistCampaign`]: the
+/// enumerated transition universe, the launch-on-capture tests PODEM
+/// generated over the time-expanded model, the faults it proved
+/// untestable, and every test's fault-free golden response. It is a pure
+/// function of the circuit, never of the stuck-at pattern budget or
+/// seed, so it is immutable once generated and campaigns share it.
+#[derive(Debug, Default, PartialEq)]
+pub struct TransitionSetup {
+    faults: Vec<TransitionFault>,
     tests: Vec<TwoPatternTest>,
     untestable: Vec<TransitionFault>,
-    stuck: Vec<StuckAtFault>,
-    transition: Vec<TransitionFault>,
     goldens: Vec<TwoPatternResponse>,
+}
+
+impl TransitionSetup {
+    /// Enumerates `circuit`'s transition faults, runs PODEM over its
+    /// time-expanded model for a launch-on-capture test set and computes
+    /// every test's fault-free golden response.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Circuit::check`] rejects `circuit`.
+    pub fn generate(circuit: &Circuit) -> TransitionSetup {
+        let (tests, untestable) = TimeExpansion::new(circuit).generate_all();
+        let goldens = tests
+            .iter()
+            .map(|t| launch_capture_response(circuit, t, None))
+            .collect();
+        TransitionSetup {
+            faults: enumerate_transition_faults(circuit),
+            tests,
+            untestable,
+            goldens,
+        }
+    }
 }
 
 impl NetlistCampaign {
@@ -861,6 +901,26 @@ impl NetlistCampaign {
         vector_count: usize,
         vector_seed: u64,
     ) -> Result<NetlistCampaign, NetlistError> {
+        NetlistCampaign::configured_with(name, circuit, sel, vector_count, vector_seed, |c| {
+            Arc::new(TransitionSetup::generate(c))
+        })
+    }
+
+    /// [`NetlistCampaign::configured`] with the transition half taken
+    /// from `transition` instead of generated: it is called once, after
+    /// [`Circuit::check`] passed, and only when `sel` includes the
+    /// transition universe. It must return
+    /// [`TransitionSetup::generate`]'s value for this same circuit (for
+    /// example one generated earlier and kept), or the campaign scores
+    /// the wrong tests.
+    pub fn configured_with(
+        name: impl Into<String>,
+        circuit: Circuit,
+        sel: UniverseSel,
+        vector_count: usize,
+        vector_seed: u64,
+        transition: impl FnOnce(&Circuit) -> Arc<TransitionSetup>,
+    ) -> Result<NetlistCampaign, NetlistError> {
         circuit.check()?;
         let (stuck, vectors) = if sel.stuck() {
             (
@@ -870,26 +930,17 @@ impl NetlistCampaign {
         } else {
             (Vec::new(), Vec::new())
         };
-        let (transition, tests, untestable, goldens) = if sel.transition() {
-            let (tests, untestable) = TimeExpansion::new(&circuit).generate_all();
-            let goldens = tests
-                .iter()
-                .map(|t| launch_capture_response(&circuit, t, None))
-                .collect();
-            let transition = enumerate_transition_faults(&circuit);
-            (transition, tests, untestable, goldens)
+        let transition = if sel.transition() {
+            transition(&circuit)
         } else {
-            Default::default()
+            Arc::default()
         };
         Ok(NetlistCampaign {
             name: name.into(),
             circuit,
             vectors,
-            tests,
-            untestable,
             stuck,
             transition,
-            goldens,
         })
     }
 
@@ -906,12 +957,12 @@ impl NetlistCampaign {
 
     /// The generated launch-on-capture two-pattern test set.
     pub fn tests(&self) -> &[TwoPatternTest] {
-        &self.tests
+        &self.transition.tests
     }
 
     /// Transition faults PODEM proved out of reach on the expanded model.
     pub fn untestable(&self) -> &[TransitionFault] {
-        &self.untestable
+        &self.transition.untestable
     }
 
     /// The deterministic shard plan: the stuck-at universe then the
@@ -919,7 +970,7 @@ impl NetlistCampaign {
     /// universe is a zero-length segment, which is inert), so no shard
     /// ever mixes fault models.
     pub fn shards(&self) -> Vec<Shard> {
-        let segments = [self.stuck.len(), self.transition.len()];
+        let segments = [self.stuck.len(), self.transition.faults.len()];
         exec::plan_segmented(&segments, NETLIST_SHARD_SIZE, NETLIST_SHARD_SEED)
     }
 
@@ -937,9 +988,9 @@ impl NetlistCampaign {
             crc(self.name.as_bytes()),
             crc(structure.as_bytes()),
             crc(format!("{:?}", self.vectors).as_bytes()),
-            crc(format!("{:?}", self.tests).as_bytes()),
+            crc(format!("{:?}", self.transition.tests).as_bytes()),
             self.stuck.len() as u64,
-            self.transition.len() as u64,
+            self.transition.faults.len() as u64,
         ])
     }
 
@@ -956,7 +1007,7 @@ impl NetlistCampaign {
                     detected,
                 },
                 Some(t) => NetlistFaultRecord::Transition {
-                    fault: self.transition[t],
+                    fault: self.transition.faults[t],
                     detected,
                 },
             })
@@ -972,7 +1023,7 @@ impl NetlistCampaign {
     ) -> NetlistCampaignResult {
         NetlistCampaignResult {
             records,
-            untestable: self.untestable.clone(),
+            untestable: self.transition.untestable.clone(),
             incomplete,
         }
     }
@@ -1066,10 +1117,11 @@ impl ShardJob for NetlistCampaign {
             )
         } else {
             let local = shard.start - self.stuck.len();
-            self.transition[local..local + shard.len]
+            let t = &*self.transition;
+            t.faults[local..local + shard.len]
                 .iter()
                 .map(|&fault| {
-                    self.tests.iter().zip(&self.goldens).any(|(test, golden)| {
+                    t.tests.iter().zip(&t.goldens).any(|(test, golden)| {
                         let faulty = launch_capture_response(&self.circuit, test, Some(fault));
                         responses_differ(golden, &faulty)
                     })

@@ -159,6 +159,15 @@ pub fn hot_add(slot: Hot, n: u64) {
     AMBIENT.with(|c| c.borrow_mut().hot[slot as usize] += n);
 }
 
+/// Merges a previously captured registry into the ambient collector, as
+/// if the work that recorded it had run here. A cache that fills once
+/// under [`observe`] replays the captured counters into every scope that
+/// uses the cached value, so that scope's totals do not depend on
+/// whether it filled the cache or found it filled.
+pub fn replay(metrics: &Metrics) {
+    AMBIENT.with(|c| c.borrow_mut().metrics.merge(metrics));
+}
+
 /// Opens a wall-clock span; the returned guard records a [`SpanEvent`]
 /// into the ambient collector when dropped.
 pub fn span(name: impl Into<String>) -> Span {
@@ -371,6 +380,25 @@ mod tests {
         });
         assert_eq!(outer.counter("a"), Some(2));
         assert_eq!(outer.counter("b"), None);
+    }
+
+    #[test]
+    fn replay_matches_recording_in_place() {
+        let work = || {
+            count("replay.items", 3);
+            record("replay.sizes", 40);
+            hot_add(Hot::ScalarEvalCalls, 2);
+        };
+        let ((), direct, _) = observe(|| {
+            count("replay.own", 1);
+            work();
+        });
+        let ((), captured, _) = observe(work);
+        let ((), replayed, _) = observe(|| {
+            count("replay.own", 1);
+            replay(&captured);
+        });
+        assert_eq!(replayed.to_json(), direct.to_json());
     }
 
     #[test]

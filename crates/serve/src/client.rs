@@ -59,12 +59,13 @@ pub fn request_timeout(
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     let body = body.unwrap_or("");
-    let head = format!(
+    let mut out = format!(
         "{method} {path} HTTP/1.1\r\nHost: job-server\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    )
+    .into_bytes();
+    out.extend_from_slice(body.as_bytes());
+    stream.write_all(&out)?;
     stream.flush()?;
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;

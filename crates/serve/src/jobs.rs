@@ -8,13 +8,23 @@
 //! to the same content address no matter how they were spelled — that
 //! fingerprint keys the result cache, the checkpoint file, and the
 //! public job id. [`JobSpec::prepare`] then does the expensive part
-//! (Verilog compile, ATPG, golden responses) exactly once per job, and
-//! the resulting [`PreparedJob`] exposes the shard plan plus a pure
+//! (Verilog compile, ATPG, golden responses) once per job, and the
+//! resulting [`PreparedJob`] exposes the shard plan plus a pure
 //! per-shard runner the scheduler interleaves across campaigns.
+//!
+//! The built-in circuits (`chain_a`, `chain_b`) are the exception: their
+//! circuit and seed-independent [`TransitionSetup`] are built once per
+//! process, by the first job that names the circuit, and shared by every
+//! later job. The counters that first build recorded are kept and
+//! replayed into each job's capture ([`rt::obs::replay`]), so a job's
+//! deterministic metrics do not depend on whether it built the entry or
+//! found it built.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
-use dft::campaign::{NetlistCampaign, NetlistFaultRecord, UniverseSel};
+use dft::campaign::{NetlistCampaign, NetlistFaultRecord, TransitionSetup, UniverseSel};
+use dsim::circuit::Circuit;
 use link::ber::BerModel;
 use link::farm::{CellRecord, FarmAxes, FarmGrid, LinkFarm};
 use rt::exec::{self, Frame, Shard, ShardJob};
@@ -99,6 +109,67 @@ pub enum JobSpec {
         /// Monte-Carlo base seed.
         seed: u64,
     },
+}
+
+/// The setup entries of the built-in circuits, each built on first use.
+/// [`JobSpec::prepare`] uses the one process-wide instance.
+struct Builtins {
+    chain_a: OnceLock<Builtin>,
+    chain_b: OnceLock<Builtin>,
+}
+
+static BUILTINS: Builtins = Builtins::new();
+
+/// A built-in circuit with its transition half.
+struct Builtin {
+    name: &'static str,
+    circuit: Circuit,
+    transition: Arc<TransitionSetup>,
+    /// What building `transition` recorded, replayed into every job
+    /// whose selection includes the transition universe.
+    transition_metrics: rt::obs::Metrics,
+}
+
+impl Builtins {
+    const fn new() -> Builtins {
+        Builtins {
+            chain_a: OnceLock::new(),
+            chain_b: OnceLock::new(),
+        }
+    }
+
+    /// The entry for a built-in circuit and whether it was already
+    /// built. A concurrent first caller waits for the build and then
+    /// counts as a reuse.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`CircuitSpec::Verilog`], which is not built in.
+    fn get(&self, spec: &CircuitSpec) -> (&Builtin, bool) {
+        let (cell, name, build): (_, _, fn() -> Circuit) = match spec {
+            CircuitSpec::ChainA => (&self.chain_a, "chain_a", || {
+                dft::chain_a::ChainA::new().circuit().clone()
+            }),
+            CircuitSpec::ChainB => (&self.chain_b, "chain_b", || {
+                dft::chain_b::ChainB::new(4).circuit().clone()
+            }),
+            CircuitSpec::Verilog(_) => unreachable!("inline Verilog is not built in"),
+        };
+        let mut built = false;
+        let entry = cell.get_or_init(|| {
+            built = true;
+            let circuit = build();
+            let (transition, transition_metrics, _) =
+                rt::obs::observe(|| Arc::new(TransitionSetup::generate(&circuit)));
+            Builtin {
+                name,
+                circuit,
+                transition,
+                transition_metrics,
+            }
+        });
+        (entry, !built)
+    }
 }
 
 fn kind_str(sel: UniverseSel) -> &'static str {
@@ -373,13 +444,23 @@ impl JobSpec {
 
     /// Runs the expensive, once-per-job setup: Verilog compile, fault
     /// universe enumeration, ATPG and fault-free goldens for campaign
-    /// kinds; model construction for BER sweeps.
+    /// kinds; model construction for BER sweeps. A built-in circuit's
+    /// circuit and transition half come from the process-wide entry
+    /// (see the module docs); everything seed-dependent is still built
+    /// per job.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message when the inline Verilog fails
     /// to compile or the circuit cannot be time-expanded.
     pub fn prepare(&self) -> Result<PreparedJob, String> {
+        self.prepare_with(&BUILTINS)
+    }
+
+    /// [`JobSpec::prepare`] with the built-in entries taken from
+    /// `builtins` (tests pass a fresh set to see a first build).
+    fn prepare_with(&self, builtins: &Builtins) -> Result<PreparedJob, String> {
+        let mut reused = false;
         let (shards, job): (Vec<Shard>, Box<dyn Erased>) = match self {
             JobSpec::Campaign {
                 sel,
@@ -387,23 +468,29 @@ impl JobSpec {
                 vectors,
                 seed,
             } => {
-                let (name, circuit) = match circuit {
-                    CircuitSpec::ChainA => (
-                        "chain_a".to_string(),
-                        dft::chain_a::ChainA::new().circuit().clone(),
-                    ),
-                    CircuitSpec::ChainB => (
-                        "chain_b".to_string(),
-                        dft::chain_b::ChainB::new(4).circuit().clone(),
-                    ),
+                let (sel, vectors, seed) = (*sel, *vectors as usize, *seed);
+                let campaign = match circuit {
                     CircuitSpec::Verilog(src) => {
                         let c = dsim::verilog::compile(src).map_err(|e| e.to_string())?;
-                        (c.name().to_string(), c)
+                        NetlistCampaign::configured(c.name().to_string(), c, sel, vectors, seed)
                     }
-                };
-                let campaign =
-                    NetlistCampaign::configured(name, circuit, *sel, *vectors as usize, *seed)
-                        .map_err(|e| e.to_string())?;
+                    builtin => {
+                        let (entry, already_built) = builtins.get(builtin);
+                        reused = already_built;
+                        NetlistCampaign::configured_with(
+                            entry.name,
+                            entry.circuit.clone(),
+                            sel,
+                            vectors,
+                            seed,
+                            |_| {
+                                rt::obs::replay(&entry.transition_metrics);
+                                Arc::clone(&entry.transition)
+                            },
+                        )
+                    }
+                }
+                .map_err(|e| e.to_string())?;
                 (campaign.shards(), Box::new(campaign))
             }
             JobSpec::BerSweep {
@@ -428,6 +515,7 @@ impl JobSpec {
             kind: self.kind(),
             shards,
             job,
+            reused,
         })
     }
 }
@@ -615,9 +703,16 @@ pub struct PreparedJob {
     kind: &'static str,
     shards: Vec<Shard>,
     job: Box<dyn Erased>,
+    reused: bool,
 }
 
 impl PreparedJob {
+    /// `true` when setup took a built-in circuit's process-wide entry
+    /// that an earlier job had already built.
+    pub(crate) fn reused_setup(&self) -> bool {
+        self.reused
+    }
+
     /// The deterministic shard plan for this job.
     pub fn shards(&self) -> &[Shard] {
         &self.shards
@@ -798,6 +893,103 @@ mod tests {
         assert_eq!(parsed.get("kind").and_then(Value::as_str), Some("netlist"));
         // Corrupt payloads are rejected, not trusted.
         assert_eq!(job.payload_detections(&shards[0], &[7u8; 3]), None);
+    }
+
+    /// Runs every shard of a prepared job and finalizes it.
+    fn run_all(job: &PreparedJob, fp: u64) -> String {
+        let payloads: Vec<Vec<u8>> = job
+            .shards()
+            .iter()
+            .map(|s| job.run_shard(s).payload)
+            .collect();
+        job.finalize(fp, &payloads)
+    }
+
+    /// Body and counters of a built-in campaign spec built from scratch
+    /// by `NetlistCampaign::configured`, bypassing every setup entry.
+    fn fresh_run(s: &JobSpec) -> (String, String) {
+        let JobSpec::Campaign {
+            sel,
+            circuit,
+            vectors,
+            seed,
+        } = s
+        else {
+            panic!("not a campaign spec");
+        };
+        let (body, metrics, _) = rt::obs::observe(|| {
+            let (name, c) = match circuit {
+                CircuitSpec::ChainA => ("chain_a", dft::chain_a::ChainA::new().circuit().clone()),
+                CircuitSpec::ChainB => ("chain_b", dft::chain_b::ChainB::new(4).circuit().clone()),
+                CircuitSpec::Verilog(_) => panic!("not a built-in circuit"),
+            };
+            let campaign =
+                NetlistCampaign::configured(name, c, *sel, *vectors as usize, *seed).unwrap();
+            let job = PreparedJob {
+                kind: s.kind(),
+                shards: campaign.shards(),
+                job: Box::new(campaign),
+                reused: false,
+            };
+            run_all(&job, s.fingerprint())
+        });
+        (body, metrics.to_json())
+    }
+
+    /// Body, counters and reuse flag of a spec prepared through `builtins`.
+    fn served_run(s: &JobSpec, builtins: &Builtins) -> (String, String, bool) {
+        let ((body, reused), metrics, _) = rt::obs::observe(|| {
+            let job = s.prepare_with(builtins).unwrap();
+            (run_all(&job, s.fingerprint()), job.reused_setup())
+        });
+        (body, metrics.to_json(), reused)
+    }
+
+    #[test]
+    fn builtin_setup_reuse_is_byte_identical() {
+        for circuit in ["chain_a", "chain_b"] {
+            for kind in ["stuck_at", "transition", "netlist"] {
+                for seed in [3, 8] {
+                    let s = spec(&format!(
+                        r#"{{"kind":"{kind}","circuit":"{circuit}","vectors":48,"seed":{seed}}}"#
+                    ));
+                    let (body, metrics) = fresh_run(&s);
+                    let builtins = Builtins::new();
+                    for reuse in [false, true] {
+                        let served = served_run(&s, &builtins);
+                        let what = format!("{kind}/{circuit}/{seed} reuse={reuse}");
+                        assert_eq!(served.2, reuse, "{what}: reuse flag");
+                        assert_eq!(served.0, body, "{what}: body");
+                        assert_eq!(served.1, metrics, "{what}: counters");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_first_setups_report_identical_metrics() {
+        let s = spec(r#"{"kind":"netlist","circuit":"chain_b","vectors":48,"seed":5}"#);
+        let (body, metrics) = fresh_run(&s);
+        let builtins = Builtins::new();
+        let start = std::sync::Barrier::new(2);
+        let runs: Vec<(String, String, bool)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        served_run(&s, &builtins)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let reused = runs.iter().filter(|r| r.2).count();
+        assert_eq!(reused, 1, "exactly one setup builds the entry");
+        for (b, m, _) in runs {
+            assert_eq!(b, body);
+            assert_eq!(m, metrics);
+        }
     }
 
     #[test]

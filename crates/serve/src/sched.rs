@@ -10,7 +10,9 @@
 //! front job and rotates it to the back, so `k` active campaigns each
 //! get ~`1/k` of the pool regardless of size or arrival order. The
 //! expensive once-per-job setup (ATPG, Verilog compile) runs as the
-//! job's first unit of work on a worker, never on the acceptor.
+//! job's first unit of work on a worker, never on the acceptor. A
+//! built-in circuit's ATPG runs in the first such setup only; later
+//! jobs reuse it ([`crate::jobs`]) and count in `setup_reused`.
 //!
 //! ## Cache contract
 //!
@@ -176,6 +178,9 @@ pub struct Stats {
     pub failed: u64,
     /// Shards recovered from checkpoints instead of re-simulated.
     pub resumed_shards: u64,
+    /// Job setups that took a built-in circuit's process-wide entry
+    /// (circuit and transition ATPG) built by an earlier job.
+    pub setup_reused: u64,
 }
 
 /// In-flight key for a job's setup unit (setup has no shard index).
@@ -741,6 +746,7 @@ fn run_setup(shared: &Shared, worker: usize, fp: u64, spec: &JobSpec) {
         Err(message) => fail_job(shared, state, fp, message),
         Ok(run) => {
             state.stats.resumed_shards += run.exec.summary().resumed as u64;
+            state.stats.setup_reused += u64::from(run.prep.reused_setup());
             let finished = run.exec.is_finished();
             job.metrics.merge(&metrics);
             job.run = Some(run);

@@ -443,6 +443,7 @@ fn metrics_text(sched: &Scheduler, started: Instant) -> String {
         ("jobs.completed", stats.completed),
         ("jobs.failed", stats.failed),
         ("shards.resumed", stats.resumed_shards),
+        ("jobs.setup_reused", stats.setup_reused),
     ] {
         serving.add(name, v);
     }
@@ -467,6 +468,7 @@ fn stats_body(sched: &Scheduler) -> String {
         ("completed", stats.completed),
         ("failed", stats.failed),
         ("resumed_shards", stats.resumed_shards),
+        ("setup_reused", stats.setup_reused),
         ("unfinished", sched.unfinished() as u64),
     ] {
         s.insert(k.to_string(), Value::Num(v as f64));

@@ -66,6 +66,33 @@ fn sim_metrics_are_byte_identical_across_worker_counts() {
 }
 
 #[test]
+fn setup_reuse_is_a_serving_counter_not_a_sim_counter() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let addr = server.addr();
+    let reused = |families: &[export::Family]| gauge_value(families, "serve_jobs_setup_reused");
+    // The first job may or may not build chain A's entry (other tests
+    // in this process share it); the second one certainly reuses it.
+    let first = post_job(
+        addr,
+        r#"{"kind":"stuck_at","circuit":"chain_a","vectors":16,"seed":1}"#,
+    );
+    wait_done(addr, &job_id(&first));
+    let (_, before) = scrape(addr);
+    let second = post_job(
+        addr,
+        r#"{"kind":"stuck_at","circuit":"chain_a","vectors":16,"seed":2}"#,
+    );
+    wait_done(addr, &job_id(&second));
+    let (text, after) = scrape(addr);
+    assert_eq!(reused(&after), reused(&before) + 1);
+    assert!(!sim_section(&text).contains("setup_reused"));
+    let stats = common::stats(addr);
+    let serving = stats.get("serving").and_then(|s| s.get("setup_reused"));
+    assert_eq!(serving.and_then(Value::as_u64), Some(reused(&after) as u64));
+    server.shutdown();
+}
+
+#[test]
 fn job_trace_covers_every_shard_and_labels_lanes() {
     let server = Server::start(ServeConfig::default()).expect("bind");
     let addr = server.addr();
