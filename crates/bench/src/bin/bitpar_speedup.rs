@@ -105,19 +105,19 @@ fn main() {
         let detected = |flags: Vec<bool>| flags.iter().filter(|&&d| d).count();
         let w64 = median_ns(|| {
             detected(dsim::bitpar::ppsfp_detect_wide::<u64>(
-                1, circuit, &vectors, &faults,
+                circuit, &vectors, &faults,
             ))
         });
         width_row(<u64 as Word>::BITS, w64);
         let w256 = median_ns(|| {
             detected(dsim::bitpar::ppsfp_detect_wide::<[u64; 4]>(
-                1, circuit, &vectors, &faults,
+                circuit, &vectors, &faults,
             ))
         });
         width_row(<[u64; 4] as Word>::BITS, w256);
         let w512 = median_ns(|| {
             detected(dsim::bitpar::ppsfp_detect_wide::<[u64; 8]>(
-                1, circuit, &vectors, &faults,
+                circuit, &vectors, &faults,
             ))
         });
         width_row(<[u64; 8] as Word>::BITS, w512);

@@ -32,7 +32,7 @@
 //! assert_eq!(both.points(), both.total());
 //! ```
 
-use dsim::bitpar::{self, PackedState, LANES};
+use dsim::bitpar::{self, WideState, LANES};
 use dsim::circuit::{Circuit, NetId, SimState};
 use dsim::logic::Logic;
 use dsim::scan::ScanVector;
@@ -144,7 +144,7 @@ fn block_observation(circuit: &Circuit, block: &[ScanVector]) -> (Vec<u64>, Vec<
     let n = circuit.net_count();
     let mut seen0 = vec![0u64; n];
     let mut seen1 = vec![0u64; n];
-    let mut observe = |state: &PackedState| {
+    let mut observe = |state: &WideState<u64>| {
         for (i, (s0, s1)) in seen0.iter_mut().zip(seen1.iter_mut()).enumerate() {
             let w = state.net(NetId(i));
             *s0 |= w.zero_mask();
@@ -152,7 +152,7 @@ fn block_observation(circuit: &Circuit, block: &[ScanVector]) -> (Vec<u64>, Vec<
         }
     };
     let (pi, load) = bitpar::pack_vectors(circuit, block);
-    let mut state = PackedState::for_circuit(circuit);
+    let mut state = WideState::<u64>::for_circuit(circuit);
     state.load_ffs(&load);
     for (&net, &w) in circuit.inputs().iter().zip(&pi) {
         state.set_input(circuit, net, w);

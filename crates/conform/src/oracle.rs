@@ -16,12 +16,12 @@
 //! * [`PackedVsScalarOracle`] — the bit-parallel packed simulator
 //!   (`dsim::bitpar`) against the scalar reference at every plane width
 //!   (64, 256 and 512 lanes): scan responses, stuck-at coverage records,
-//!   coverage footprints, forced-width PPSFP detection flags across
-//!   worker-thread counts, and the event-driven evaluator against the
-//!   bounded-sweep reference — all bit-exact,
+//!   coverage footprints, forced-width PPSFP detection flags, and the
+//!   event-driven evaluator against the bounded-sweep reference — all
+//!   bit-exact,
 //! * [`InstrumentedPpsfpOracle`] — the PPSFP kernel under an explicit
 //!   `rt::obs` metrics capture against the plain run: detection flags
-//!   byte-identical, captured metrics thread-count invariant,
+//!   byte-identical and the capture non-vacuous,
 //! * [`CheckpointResumeOracle`] — the fault campaign killed mid-run by a
 //!   seeded shard panic and resumed from its `rt::exec` checkpoint
 //!   against an uninterrupted run: records byte-identical at every
@@ -34,7 +34,7 @@
 //! * [`TimeExpansionOracle`] — broad-side transition ATPG
 //!   (`dsim::expand`): detection of every transition fault in the
 //!   two-timeframe gadget model (scalar simulation and the packed PPSFP
-//!   kernel at 64/256/512 lanes, across worker-thread counts) against
+//!   kernel at 64/256/512 lanes) against
 //!   `launch_capture_response` replayed on the original sequential
 //!   circuit — per-test agreement, and every fault PODEM produced a test
 //!   for must actually be caught on replay.
@@ -483,8 +483,8 @@ impl DiffOracle for CampaignSnapshotOracle {
 /// including the undetected fault order), per-vector node-activation
 /// footprints (packed batch extraction vs `vector_coverage`),
 /// forced-width PPSFP detection flags ([`bitpar::ppsfp_detect_wide`] at
-/// each width and every probed worker-thread count vs the scalar
-/// fault-by-fault reference), and the event-driven evaluator
+/// each width vs the scalar fault-by-fault reference), and the
+/// event-driven evaluator
 /// ([`Circuit::eval`]) vs the bounded-sweep reference
 /// ([`Circuit::eval_sweep`]), fault-free and under sampled stuck-at
 /// overlays.
@@ -497,24 +497,12 @@ impl DiffOracle for CampaignSnapshotOracle {
 pub struct PackedVsScalarOracle {
     circuit: Circuit,
     vectors: Vec<ScanVector>,
-    threads: Vec<usize>,
 }
 
 impl PackedVsScalarOracle {
-    /// An oracle over `vectors` on `circuit`, probing 1/2/4/7 worker
-    /// threads on the forced-width PPSFP route.
+    /// An oracle over `vectors` on `circuit`.
     pub fn new(circuit: Circuit, vectors: Vec<ScanVector>) -> PackedVsScalarOracle {
-        PackedVsScalarOracle {
-            circuit,
-            vectors,
-            threads: vec![1, 2, 4, 7],
-        }
-    }
-
-    /// Overrides the probed worker-thread counts.
-    pub fn with_threads(mut self, threads: Vec<usize>) -> PackedVsScalarOracle {
-        self.threads = threads;
-        self
+        PackedVsScalarOracle { circuit, vectors }
     }
 
     /// Route 1 at one plane width: packed scan responses, lane by lane.
@@ -546,30 +534,28 @@ impl PackedVsScalarOracle {
         Ok(())
     }
 
-    /// Route 4 at one plane width: forced-width PPSFP detection flags at
-    /// every probed worker-thread count against the scalar reference.
+    /// Route 4 at one plane width: forced-width PPSFP detection flags
+    /// against the scalar reference.
     fn check_ppsfp_width<W: bitpar::Word>(
         &self,
         faults: &[StuckAtFault],
         want: &[bool],
     ) -> Result<(), Divergence> {
         let c = &self.circuit;
-        for &threads in &self.threads {
-            let got = bitpar::ppsfp_detect_wide::<W>(threads, c, &self.vectors, faults);
-            if got != want {
-                let first = got.iter().zip(want).position(|(g, w)| g != w);
-                return Err(Divergence {
-                    oracle: self.name(),
-                    detail: format!(
-                        "{}: width {} at {threads} threads: PPSFP flags diverge from \
-                         scalar (first at fault index {first:?}; {} vs {} detected)",
-                        c.name(),
-                        W::BITS,
-                        got.iter().filter(|&&d| d).count(),
-                        want.iter().filter(|&&d| d).count(),
-                    ),
-                });
-            }
+        let got = bitpar::ppsfp_detect_wide::<W>(c, &self.vectors, faults);
+        if got != want {
+            let first = got.iter().zip(want).position(|(g, w)| g != w);
+            return Err(Divergence {
+                oracle: self.name(),
+                detail: format!(
+                    "{}: width {}: PPSFP flags diverge from scalar (first at fault \
+                     index {first:?}; {} vs {} detected)",
+                    c.name(),
+                    W::BITS,
+                    got.iter().filter(|&&d| d).count(),
+                    want.iter().filter(|&&d| d).count(),
+                ),
+            });
         }
         Ok(())
     }
@@ -682,8 +668,8 @@ impl DiffOracle for PackedVsScalarOracle {
             }
         }
 
-        // Route 4: forced-width PPSFP flags at every width and probed
-        // thread count against the scalar fault-by-fault reference
+        // Route 4: forced-width PPSFP flags at every width against the
+        // scalar fault-by-fault reference
         // (derived from route 2's scalar record, which preserves the
         // undetected fault order).
         let faults = enumerate_faults(c);
@@ -732,13 +718,6 @@ impl CheckpointResumeOracle {
             threads: vec![1, 2, 4, 7],
             mutant_seed: 0x0BAD_5EED,
         }
-    }
-
-    /// Overrides the probed thread counts (the fuzz-smoke gate narrows
-    /// the sweep to stay within its time budget).
-    pub fn with_threads(mut self, threads: Vec<usize>) -> CheckpointResumeOracle {
-        self.threads = threads;
-        self
     }
 
     fn checkpoint_path(threads: usize) -> std::path::PathBuf {
@@ -929,10 +908,9 @@ impl DiffOracle for EffectCollapseOracle {
 
 /// Observability must not perturb results: the PPSFP kernel run under an
 /// explicit [`rt::obs::observe`] capture must produce byte-identical
-/// detection flags to the plain (ambient-collected) run, at one worker
-/// and at several; the captured deterministic metrics must themselves be
-/// identical at every thread count; and the capture must be non-vacuous
-/// (the kernel's `dsim.ppsfp.*` counters actually present).
+/// detection flags to the plain (ambient-collected) run, and the capture
+/// must be non-vacuous (the kernel's `dsim.ppsfp.*` counters actually
+/// present).
 #[derive(Debug, Clone)]
 pub struct InstrumentedPpsfpOracle {
     circuit: Circuit,
@@ -958,54 +936,31 @@ impl DiffOracle for InstrumentedPpsfpOracle {
         // Route A: the plain path — instrumentation records into whatever
         // ambient collector happens to be active, exactly as production
         // callers run it.
-        let plain = bitpar::ppsfp_detect_with(1, c, &self.vectors, &faults);
+        let plain = bitpar::ppsfp_detect(c, &self.vectors, &faults);
 
-        // Route B: the same kernel under an explicit capture, across
-        // thread counts. Flags must match route A bit for bit, and the
-        // captured metrics must not depend on the thread count.
-        let mut reference_metrics = None;
-        for threads in [1usize, 4] {
-            let (flags, metrics, _events) =
-                rt::obs::observe(|| bitpar::ppsfp_detect_with(threads, c, &self.vectors, &faults));
-            if flags != plain {
-                return Err(Divergence {
-                    oracle: self.name(),
-                    detail: format!(
-                        "{}: capture at {threads} threads changed detection flags \
-                         ({} vs {} detected)",
-                        c.name(),
-                        flags.iter().filter(|&&d| d).count(),
-                        plain.iter().filter(|&&d| d).count(),
-                    ),
-                });
-            }
-            match &reference_metrics {
-                None => {
-                    if metrics.counter("dsim.ppsfp.blocks").unwrap_or(0) == 0 {
-                        return Err(Divergence {
-                            oracle: self.name(),
-                            detail: format!(
-                                "{}: capture is vacuous — no dsim.ppsfp.blocks counter",
-                                c.name()
-                            ),
-                        });
-                    }
-                    reference_metrics = Some(metrics);
-                }
-                Some(reference) => {
-                    if metrics != *reference {
-                        return Err(Divergence {
-                            oracle: self.name(),
-                            detail: format!(
-                                "{}: metrics differ at {threads} threads:\n{}\nvs reference:\n{}",
-                                c.name(),
-                                metrics.to_json(),
-                                reference.to_json(),
-                            ),
-                        });
-                    }
-                }
-            }
+        // Route B: the same kernel under an explicit capture. Flags must
+        // match route A bit for bit.
+        let (flags, metrics, _events) =
+            rt::obs::observe(|| bitpar::ppsfp_detect(c, &self.vectors, &faults));
+        if flags != plain {
+            return Err(Divergence {
+                oracle: self.name(),
+                detail: format!(
+                    "{}: capture changed detection flags ({} vs {} detected)",
+                    c.name(),
+                    flags.iter().filter(|&&d| d).count(),
+                    plain.iter().filter(|&&d| d).count(),
+                ),
+            });
+        }
+        if metrics.counter("dsim.ppsfp.blocks").unwrap_or(0) == 0 {
+            return Err(Divergence {
+                oracle: self.name(),
+                detail: format!(
+                    "{}: capture is vacuous — no dsim.ppsfp.blocks counter",
+                    c.name()
+                ),
+            });
         }
         Ok(())
     }
@@ -1020,8 +975,8 @@ impl DiffOracle for InstrumentedPpsfpOracle {
 /// * scalar gadget simulation (`apply_vector`, fault-free vs the `sel`
 ///   net forced high) against the replay's known-golden detection rule,
 /// * the packed PPSFP kernel on the gadget model at every plane width
-///   (64, 256 and 512 lanes) and every probed worker-thread count — its
-///   any-test flag must equal the replay's,
+///   (64, 256 and 512 lanes) — its any-test flag must equal the
+///   replay's,
 /// * ATPG completeness: every fault PODEM produced a pattern for must
 ///   actually be caught on replay by the generated test set (the
 ///   expansion is not allowed to "prove" tests that do nothing on the
@@ -1033,24 +988,12 @@ impl DiffOracle for InstrumentedPpsfpOracle {
 #[derive(Debug, Clone)]
 pub struct TimeExpansionOracle {
     circuit: Circuit,
-    threads: Vec<usize>,
 }
 
 impl TimeExpansionOracle {
-    /// An oracle on `circuit`, probing 1/2/4/7 worker threads on the
-    /// packed route.
+    /// An oracle on `circuit`.
     pub fn new(circuit: Circuit) -> TimeExpansionOracle {
-        TimeExpansionOracle {
-            circuit,
-            threads: vec![1, 2, 4, 7],
-        }
-    }
-
-    /// Overrides the probed worker-thread counts (the fuzz-smoke gate
-    /// narrows the sweep to stay within its time budget).
-    pub fn with_threads(mut self, threads: Vec<usize>) -> TimeExpansionOracle {
-        self.threads = threads;
-        self
+        TimeExpansionOracle { circuit }
     }
 }
 
@@ -1119,33 +1062,31 @@ impl DiffOracle for TimeExpansionOracle {
                 }
             }
 
-            // Route A (packed): PPSFP on the gadget model, every width and
-            // probed thread count; the any-test flag must match.
-            for &threads in &self.threads {
-                for (width, flag) in [
-                    (
-                        64,
-                        bitpar::ppsfp_detect_wide::<u64>(threads, &model, &vecs, &[sa])[0],
-                    ),
-                    (
-                        256,
-                        bitpar::ppsfp_detect_wide::<[u64; 4]>(threads, &model, &vecs, &[sa])[0],
-                    ),
-                    (
-                        512,
-                        bitpar::ppsfp_detect_wide::<[u64; 8]>(threads, &model, &vecs, &[sa])[0],
-                    ),
-                ] {
-                    if flag != replay_any {
-                        return Err(Divergence {
-                            oracle: self.name(),
-                            detail: format!(
-                                "{}: {fault}: width {width} at {threads} threads: \
-                                 packed gadget detection {flag} vs replay {replay_any}",
-                                seq.name(),
-                            ),
-                        });
-                    }
+            // Route A (packed): PPSFP on the gadget model at every width;
+            // the any-test flag must match.
+            for (width, flag) in [
+                (
+                    64,
+                    bitpar::ppsfp_detect_wide::<u64>(&model, &vecs, &[sa])[0],
+                ),
+                (
+                    256,
+                    bitpar::ppsfp_detect_wide::<[u64; 4]>(&model, &vecs, &[sa])[0],
+                ),
+                (
+                    512,
+                    bitpar::ppsfp_detect_wide::<[u64; 8]>(&model, &vecs, &[sa])[0],
+                ),
+            ] {
+                if flag != replay_any {
+                    return Err(Divergence {
+                        oracle: self.name(),
+                        detail: format!(
+                            "{}: {fault}: width {width}: packed gadget detection {flag} \
+                             vs replay {replay_any}",
+                            seq.name(),
+                        ),
+                    });
                 }
             }
 

@@ -184,7 +184,7 @@ fn time_expansion_agrees_with_sequential_replay() {
     // The acceptance contract for the transition ATPG: on all four
     // hand-built chains AND the vendored ITC-style netlist, PODEM
     // patterns from the time-expanded model — simulated scalar and
-    // packed at every width and 1/2/4/7 worker threads — detect exactly
+    // packed at every width — detect exactly
     // the transition-fault set that `launch_capture_response` detects on
     // the original sequential circuit.
     let b01 = std::fs::read_to_string(concat!(
@@ -209,7 +209,7 @@ fn time_expansion_agrees_with_sequential_replay() {
 fn instrumentation_does_not_perturb_ppsfp_detection() {
     // Observability contract: running the PPSFP kernel under an explicit
     // rt::obs capture changes nothing about its detection flags, and the
-    // captured deterministic metrics are thread-count invariant.
+    // capture records the kernel's counters.
     let blocks = [
         ("chain-b", ChainB::new(4).circuit().clone()),
         ("divider", Divider::new(3).circuit().clone()),

@@ -43,7 +43,7 @@ use dsim::expand::TimeExpansion;
 use dsim::scan::ScanVector;
 use dsim::stuck_at::{enumerate_faults, StuckAtFault};
 use dsim::transition::{
-    enumerate_transition_faults, launch_capture_response, responses_differ, TransitionFault,
+    enumerate_transition_faults, launch_capture_response, transition_detected, TransitionFault,
     TwoPatternResponse, TwoPatternTest,
 };
 use dsim::verilog::VerilogError;
@@ -1109,23 +1109,17 @@ impl ShardJob for NetlistCampaign {
         let flags: Vec<bool> = if shard.start < self.stuck.len() {
             // Stuck-at segment (plan_segmented never cuts across the
             // segment boundary, so the whole shard is one fault model).
-            dsim::bitpar::ppsfp_detect_shard(
+            dsim::bitpar::ppsfp_detect(
                 &self.circuit,
                 &self.vectors,
-                &self.stuck,
-                shard.start..shard.start + shard.len,
+                &self.stuck[shard.start..shard.start + shard.len],
             )
         } else {
             let local = shard.start - self.stuck.len();
             let t = &*self.transition;
             t.faults[local..local + shard.len]
                 .iter()
-                .map(|&fault| {
-                    t.tests.iter().zip(&t.goldens).any(|(test, golden)| {
-                        let faulty = launch_capture_response(&self.circuit, test, Some(fault));
-                        responses_differ(golden, &faulty)
-                    })
-                })
+                .map(|&fault| transition_detected(&self.circuit, &t.tests, &t.goldens, fault))
                 .collect()
         };
         // Shard-plan functions only, so the metric totals are

@@ -6,10 +6,8 @@
 //!
 //! * [`exhaustive_vectors`] — every combination of primary inputs and scan
 //!   load values (bounded; errors above [`MAX_EXHAUSTIVE_BITS`]),
-//! * [`random_vectors`] — seeded pseudo-random vectors for wider blocks,
-//! * [`fault_dropping_vectors`] — random generation compacted by PPSFP
-//!   fault simulation: candidates are evaluated 64 per packed pass and
-//!   only vectors that detect a still-undetected fault are kept.
+//! * [`random_vectors`] — seeded pseudo-random vectors for wider blocks
+//!   ([`weighted_vectors`] biases the bit probability).
 //!
 //! # Examples
 //!
@@ -33,11 +31,9 @@ use std::fmt;
 
 use rt::rng::Rng;
 
-use crate::bitpar::{self, LANES};
 use crate::circuit::Circuit;
 use crate::logic::Logic;
 use crate::scan::ScanVector;
-use crate::stuck_at::enumerate_faults;
 
 /// Upper bound on `inputs + flip-flops` for exhaustive generation (2^18
 /// vectors).
@@ -122,63 +118,6 @@ pub fn weighted_vectors(
                 .collect(),
         })
         .collect()
-}
-
-/// Random pattern generation with PPSFP **fault dropping**: candidate
-/// vectors are generated 64 at a time (one substream per block, so the
-/// stream is independent of how many blocks earlier calls consumed),
-/// fault-simulated in a single packed walk via
-/// [`crate::bitpar::block_detect_masks`], and only vectors that detect a
-/// still-live fault are kept — in lane order, each credited with every
-/// fault it is first to detect. Generation stops when `budget` candidates
-/// have been drawn or no undetected fault remains.
-///
-/// ATPG stays pinned at the 64-lane base width (the wide 256/512-lane
-/// planes are a bulk-PPSFP feature): the credit assignment walks per-lane
-/// `u64` detect masks, and a fault-dropping loop rarely keeps more than a
-/// handful of candidates per block alive anyway.
-///
-/// The result is a compacted test set: same coverage as the full random
-/// stream over the candidates actually drawn, usually a small fraction of
-/// its length.
-pub fn fault_dropping_vectors(circuit: &Circuit, budget: usize, seed: u64) -> Vec<ScanVector> {
-    let pi = circuit.inputs().len();
-    let ff = circuit.dff_count();
-    let mut live = enumerate_faults(circuit);
-    let mut kept = Vec::new();
-    let mut drawn = 0;
-    for pass in 0.. {
-        if drawn >= budget || live.is_empty() {
-            break;
-        }
-        let n = LANES.min(budget - drawn);
-        let mut rng = Rng::seed_from_stream(seed, pass);
-        let block: Vec<ScanVector> = (0..n)
-            .map(|_| ScanVector {
-                pi: (0..pi).map(|_| Logic::from_bool(rng.next_bool())).collect(),
-                load: (0..ff).map(|_| Logic::from_bool(rng.next_bool())).collect(),
-            })
-            .collect();
-        drawn += n;
-        let mut masks = bitpar::block_detect_masks(circuit, &block, &live);
-        for (k, v) in block.iter().enumerate() {
-            let bit = 1u64 << k;
-            if masks.iter().any(|m| m & bit != 0) {
-                kept.push(v.clone());
-                // Drop every fault this vector detects.
-                let mut i = 0;
-                while i < live.len() {
-                    if masks[i] & bit != 0 {
-                        live.swap_remove(i);
-                        masks.swap_remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        }
-    }
-    kept
 }
 
 #[cfg(test)]
@@ -266,39 +205,6 @@ mod tests {
     fn degenerate_weight_rejected() {
         let c = Circuit::new("x");
         let _ = weighted_vectors(&c, 1, 0, 1.0);
-    }
-
-    #[test]
-    fn fault_dropping_compacts_without_losing_coverage() {
-        use crate::blocks::ring_counter::RingCounter;
-        use crate::stuck_at::scan_coverage;
-        let rc = RingCounter::new(4);
-        let kept = fault_dropping_vectors(rc.circuit(), 256, 7);
-        let cov = scan_coverage(rc.circuit(), &kept);
-        assert!(
-            (cov.coverage() - 1.0).abs() < 1e-12,
-            "undetected: {:?}",
-            cov.undetected()
-        );
-        // Dropping compacts: far fewer vectors than the 256-candidate
-        // budget survive.
-        assert!(
-            kept.len() < 64,
-            "expected a compacted set, kept {}",
-            kept.len()
-        );
-        assert!(!kept.is_empty());
-    }
-
-    #[test]
-    fn fault_dropping_is_deterministic_and_respects_budget() {
-        let c = toy();
-        let a = fault_dropping_vectors(&c, 100, 3);
-        let b = fault_dropping_vectors(&c, 100, 3);
-        assert_eq!(a, b);
-        assert!(a.len() <= 100);
-        // Zero budget keeps nothing.
-        assert!(fault_dropping_vectors(&c, 0, 3).is_empty());
     }
 
     #[test]

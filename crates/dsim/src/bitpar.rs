@@ -29,11 +29,13 @@
 //! [`Circuit::check`] passes.
 //!
 //! On top of the packed evaluator sit the packed scan protocol
-//! ([`apply_vectors`], [`shift`]) and the PPSFP stuck-at fault-simulation
-//! kernel ([`ppsfp_detect`]) with fault dropping: once a fault is detected
-//! by any pattern block it is never simulated again. [`ppsfp_detect`]
-//! picks the plane width from the pattern count; [`ppsfp_detect_wide`]
-//! pins it explicitly.
+//! ([`apply_vectors`]) and the single-threaded PPSFP stuck-at
+//! fault-simulation kernel with fault dropping: once a fault is detected
+//! by any pattern block it is never simulated again. It has two entry
+//! points: [`ppsfp_detect`] picks the plane width from the pattern count,
+//! [`ppsfp_detect_wide`] pins it. Parallelism across faults belongs to
+//! the caller — `dft::campaign::NetlistCampaign` runs fault sub-ranges as
+//! `rt::exec` shards.
 //!
 //! # Examples
 //!
@@ -75,7 +77,7 @@ pub fn lane_mask(lanes: usize) -> u64 {
 /// at monomorphization time LLVM unrolls and auto-vectorizes them, which
 /// is the whole point of widening the plane — no intrinsics, no feature
 /// detection, identical results everywhere.
-pub trait Word: Copy + Eq + Send + Sync + std::fmt::Debug + 'static {
+pub trait Word: Copy + Eq + std::fmt::Debug + 'static {
     /// Lanes per plane.
     const BITS: usize;
     /// All lanes clear.
@@ -206,9 +208,6 @@ pub struct Packed<W: Word> {
     val: W,
     known: W,
 }
-
-/// The 64-lane packed word — the historical name for [`Packed<u64>`].
-pub type PackedLogic = Packed<u64>;
 
 impl<W: Word> Default for Packed<W> {
     fn default() -> Packed<W> {
@@ -393,9 +392,6 @@ pub struct WideState<W: Word> {
     /// Per-gate "must re-evaluate" scratch.
     pending: Vec<bool>,
 }
-
-/// The 64-lane packed state — the historical name for [`WideState<u64>`].
-pub type PackedState = WideState<u64>;
 
 impl<W: Word> PartialEq for WideState<W> {
     fn eq(&self, other: &WideState<W>) -> bool {
@@ -611,31 +607,6 @@ pub fn tick<W: Word>(circuit: &Circuit, state: &mut WideState<W>) {
     eval(circuit, state);
 }
 
-/// Packed twin of [`crate::scan::shift`]: shifts `W::BITS` independent
-/// chain images one word at a time (first word enters first and ends up in
-/// the last flip-flop), returning the words shifted out.
-pub fn shift<W: Word>(
-    state: &mut WideState<W>,
-    circuit: &Circuit,
-    words: &[Packed<W>],
-) -> Vec<Packed<W>> {
-    rt::obs::hot_add(rt::obs::Hot::PackedShiftWords, words.len() as u64);
-    let n = circuit.dff_count();
-    let mut ff = state.ff_values().to_vec();
-    let mut out = Vec::with_capacity(words.len());
-    for &w in words {
-        out.push(*ff.last().unwrap_or(&w));
-        if n > 0 {
-            ff.rotate_right(1);
-            ff[0] = w;
-        }
-    }
-    if n > 0 {
-        state.load_ffs(&ff);
-    }
-    out
-}
-
 /// Transposes up to `W::BITS` scan vectors into packed per-input and
 /// per-flip-flop words (lane *i* = vector *i*; unused lanes are `X`).
 ///
@@ -661,9 +632,6 @@ pub struct WideBlock<W: Word> {
     load: Vec<Packed<W>>,
     lanes: usize,
 }
-
-/// The 64-lane packed block — the historical name for [`WideBlock<u64>`].
-pub type PackedBlock = WideBlock<u64>;
 
 impl<W: Word> WideBlock<W> {
     /// Transposes `vectors` (lane *i* = vector *i*; unused lanes `X`).
@@ -747,10 +715,6 @@ pub struct WideResponse<W: Word> {
     pub lanes: usize,
 }
 
-/// The 64-lane packed response — the historical name for
-/// [`WideResponse<u64>`].
-pub type PackedResponse = WideResponse<u64>;
-
 /// Packed twin of [`crate::scan::apply_vector`]: loads the chain, applies
 /// the primary inputs, strobes the outputs, pulses one functional clock and
 /// captures — for up to `W::BITS` vectors in one gate-level walk.
@@ -784,100 +748,62 @@ pub fn response_lane<W: Word>(resp: &WideResponse<W>, lane: usize) -> ScanRespon
     }
 }
 
-/// Lanes where the faulty response observably differs from the golden one:
-/// the golden value is known and the faulty value is different (or `X`).
-/// This is the word-parallel form of the tester rule in
-/// `stuck_at::differs` — an `X` in the *golden* response cannot be
-/// compared, while a faulty `X` against a known golden value can.
-/// ([`block_detect_masks`] folds the same rule inline off the simulation
-/// state; this form compares two materialised responses.)
-pub fn detect_lanes<W: Word>(golden: &WideResponse<W>, faulty: &WideResponse<W>) -> W {
-    let mut m = W::ZERO;
-    for (g, f) in golden.po.iter().zip(&faulty.po) {
-        m = m.or(detect_word(*g, *f));
-    }
-    for (g, f) in golden.capture.iter().zip(&faulty.capture) {
-        m = m.or(detect_word(*g, *f));
-    }
-    m.and(W::mask(golden.lanes))
-}
-
 /// The tester rule for one golden/faulty word pair: lanes where the golden
-/// value is known and the faulty value is different or unknown.
+/// value is known and the faulty value is different or unknown. This is
+/// the word-parallel form of `stuck_at::differs` — an `X` in the *golden*
+/// response cannot be compared, while a faulty `X` against a known golden
+/// value can.
 fn detect_word<W: Word>(g: Packed<W>, f: Packed<W>) -> W {
     g.known_mask()
         .and(f.known_mask().not().or(g.val_mask().xor(f.val_mask())))
 }
 
-/// Simulates one block of up to 64 vectors against every fault and returns
-/// each fault's detection lane mask (bit *i* set = vector *i* detects the
-/// fault). The golden response is computed once per call.
-///
-/// This entry point is pinned at `u64` because its callers (random-vector
-/// ATPG) manipulate the masks as plain `1 << k` lane bits; the PPSFP
-/// kernel itself goes through the width-generic path.
-pub fn block_detect_masks(
-    circuit: &Circuit,
-    block: &[ScanVector],
-    faults: &[StuckAtFault],
-) -> Vec<u64> {
-    block_detect_masks_with(1, circuit, block, faults)
-}
-
-/// [`block_detect_masks`] with an explicit worker-thread count. Results are
-/// identical at any thread count (the per-fault map is order-preserving).
-pub fn block_detect_masks_with(
-    threads: usize,
-    circuit: &Circuit,
-    block: &[ScanVector],
-    faults: &[StuckAtFault],
-) -> Vec<u64> {
-    wide_block_detect_masks::<u64>(threads, circuit, block, faults)
-}
-
-/// Width-generic core of [`block_detect_masks_with`]: simulates one block
-/// of up to `W::BITS` vectors against every fault, folding each fault's
-/// detection mask straight off the simulation state — no per-fault
-/// response allocation.
-fn wide_block_detect_masks<W: Word>(
-    threads: usize,
+/// Simulates one block of up to `W::BITS` vectors against every fault and
+/// returns each fault's detection lane mask (bit *i* set = vector *i*
+/// detects the fault), folded straight off the simulation state — no
+/// per-fault response allocation. The golden response is computed once
+/// per call.
+fn detect_masks<W: Word>(
     circuit: &Circuit,
     block: &[ScanVector],
     faults: &[StuckAtFault],
 ) -> Vec<W> {
     let packed = WideBlock::<W>::pack(circuit, block);
     let golden = apply_block(circuit, &mut WideState::for_circuit(circuit), &packed);
-    rt::par::parallel_map_with(threads, faults, |f| {
-        rt::obs::hot_add(rt::obs::Hot::PpsfpFaultSims, 1);
-        let mut state = WideState::<W>::for_circuit(circuit);
-        state.inject(f.net, f.value());
-        // Inline replay of `apply_block` that folds the detection masks
-        // straight off the state.
-        state.load_ffs(&packed.load);
-        for (&net, &w) in circuit.inputs().iter().zip(&packed.pi) {
-            state.write_external(net, w);
-        }
-        eval(circuit, &mut state);
-        let mut m = W::ZERO;
-        for (g, &net) in golden.po.iter().zip(circuit.outputs()) {
-            m = m.or(detect_word(*g, state.net(net)));
-        }
-        // What the flip-flops would capture is the settled `d` values; the
-        // launch eval above already settled them, so no further eval is
-        // needed (a full `tick` would only propagate net state this kernel
-        // is about to drop).
-        for (g, ff) in golden.capture.iter().zip(circuit.dffs()) {
-            m = m.or(detect_word(*g, state.net(ff.d)));
-        }
-        m.and(W::mask(golden.lanes))
-    })
+    faults
+        .iter()
+        .map(|f| {
+            rt::obs::hot_add(rt::obs::Hot::PpsfpFaultSims, 1);
+            let mut state = WideState::<W>::for_circuit(circuit);
+            state.inject(f.net, f.value());
+            // Inline replay of `apply_block` that folds the detection masks
+            // straight off the state.
+            state.load_ffs(&packed.load);
+            for (&net, &w) in circuit.inputs().iter().zip(&packed.pi) {
+                state.write_external(net, w);
+            }
+            eval(circuit, &mut state);
+            let mut m = W::ZERO;
+            for (g, &net) in golden.po.iter().zip(circuit.outputs()) {
+                m = m.or(detect_word(*g, state.net(net)));
+            }
+            // What the flip-flops would capture is the settled `d` values;
+            // the launch eval above already settled them, so no further eval
+            // is needed (a full `tick` would only propagate net state this
+            // kernel is about to drop).
+            for (g, ff) in golden.capture.iter().zip(circuit.dffs()) {
+                m = m.or(detect_word(*g, state.net(ff.d)));
+            }
+            m.and(W::mask(golden.lanes))
+        })
+        .collect()
 }
 
 /// PPSFP fault simulation: packs `vectors` into word-wide blocks and
 /// fault-simulates each block against the still-undetected faults only
 /// (**fault dropping** — a fault detected in an earlier block is never
 /// simulated again). Returns one detection flag per fault, in `faults`
-/// order.
+/// order. Runs on the calling thread.
 ///
 /// The plane width is picked from the pattern count: 512 lanes
 /// (`[u64; 8]`) above 128 patterns, 256 lanes (`[u64; 4]`) above 64,
@@ -885,41 +811,36 @@ fn wide_block_detect_masks<W: Word>(
 /// pattern's detecting power depends only on the circuit and the pattern,
 /// never on which block it shares — so the dispatch is purely a
 /// performance choice; [`ppsfp_detect_wide`] pins the width explicitly.
+///
+/// Each fault's flag also depends only on the circuit and the vectors,
+/// never on which other faults share the call (dropping is a per-block
+/// performance device, not a result dependency). Concatenating the flags
+/// of calls over consecutive sub-slices of a fault universe is therefore
+/// byte-identical to one call over the whole universe, which is what lets
+/// `rt::exec` shards split a campaign by fault range.
+///
+/// The kernel records deterministic `dsim.ppsfp.*` metrics into the
+/// ambient [`rt::obs`] collector — calls, faults, blocks walked, patterns
+/// applied, faults dropped per block (histogram) and total detections —
+/// all functions of the inputs only.
 pub fn ppsfp_detect(
     circuit: &Circuit,
     vectors: &[ScanVector],
     faults: &[StuckAtFault],
 ) -> Vec<bool> {
-    ppsfp_detect_with(1, circuit, vectors, faults)
-}
-
-/// [`ppsfp_detect`] with an explicit worker-thread count. Detection flags
-/// are identical at any thread count.
-///
-/// The kernel records deterministic `dsim.ppsfp.*` metrics into the
-/// ambient [`rt::obs`] collector — blocks walked, patterns applied,
-/// faults dropped per block (histogram) and total detections — all
-/// functions of the inputs only, never of the thread count.
-pub fn ppsfp_detect_with(
-    threads: usize,
-    circuit: &Circuit,
-    vectors: &[ScanVector],
-    faults: &[StuckAtFault],
-) -> Vec<bool> {
     if vectors.len() > 2 * LANES {
-        ppsfp_detect_wide::<[u64; 8]>(threads, circuit, vectors, faults)
+        ppsfp_detect_wide::<[u64; 8]>(circuit, vectors, faults)
     } else if vectors.len() > LANES {
-        ppsfp_detect_wide::<[u64; 4]>(threads, circuit, vectors, faults)
+        ppsfp_detect_wide::<[u64; 4]>(circuit, vectors, faults)
     } else {
-        ppsfp_detect_wide::<u64>(threads, circuit, vectors, faults)
+        ppsfp_detect_wide::<u64>(circuit, vectors, faults)
     }
 }
 
-/// [`ppsfp_detect_with`] at an explicit plane width `W` instead of the
+/// [`ppsfp_detect`] at an explicit plane width `W` instead of the
 /// pattern-count dispatch — the conformance oracle and the width-sweep
 /// bench drive every width through this entry point.
 pub fn ppsfp_detect_wide<W: Word>(
-    threads: usize,
     circuit: &Circuit,
     vectors: &[ScanVector],
     faults: &[StuckAtFault],
@@ -936,7 +857,7 @@ pub fn ppsfp_detect_wide<W: Word>(
         rt::obs::count("dsim.ppsfp.blocks", 1);
         rt::obs::count("dsim.ppsfp.patterns", block.len() as u64);
         let live_faults: Vec<StuckAtFault> = live.iter().map(|&i| faults[i]).collect();
-        let masks = wide_block_detect_masks::<W>(threads, circuit, block, &live_faults);
+        let masks = detect_masks::<W>(circuit, block, &live_faults);
         let mut next_live = Vec::with_capacity(live.len());
         for (&fi, &mask) in live.iter().zip(&masks) {
             if mask.any() {
@@ -958,29 +879,6 @@ pub fn ppsfp_detect_wide<W: Word>(
     detected
 }
 
-/// Shard-granular PPSFP entry point for the resumable campaign executor
-/// (`rt::exec`): fault-simulates one contiguous sub-range of a larger
-/// fault universe on the calling thread, with fault dropping scoped to
-/// the shard. Concatenating the flags of consecutive shards in range
-/// order is byte-identical to one [`ppsfp_detect`] call over the whole
-/// universe — each fault's detection depends only on the circuit and the
-/// vectors, never on which other faults share the call (dropping is a
-/// per-block performance device, not a result dependency), and the plane
-/// width dispatch depends only on the vector count, which every shard
-/// shares.
-///
-/// # Panics
-///
-/// Panics if `range` is out of bounds for `faults`.
-pub fn ppsfp_detect_shard(
-    circuit: &Circuit,
-    vectors: &[ScanVector],
-    faults: &[StuckAtFault],
-    range: std::ops::Range<usize>,
-) -> Vec<bool> {
-    ppsfp_detect_with(1, circuit, vectors, &faults[range])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -995,17 +893,17 @@ mod tests {
     #[test]
     fn packed_ops_match_scalar_truth_tables() {
         for a in ALL {
-            let pa = PackedLogic::splat(a);
+            let pa = Packed::<u64>::splat(a);
             assert_eq!(pa.not().lane(0), a.not(), "not {a:?}");
             for b in ALL {
-                let pb = PackedLogic::splat(b);
+                let pb = Packed::<u64>::splat(b);
                 assert_eq!(pa.and(pb).lane(13), a.and(b), "and {a:?} {b:?}");
                 assert_eq!(pa.or(pb).lane(13), a.or(b), "or {a:?} {b:?}");
                 assert_eq!(pa.xor(pb).lane(13), a.xor(b), "xor {a:?} {b:?}");
                 for s in ALL {
-                    let ps = PackedLogic::splat(s);
+                    let ps = Packed::<u64>::splat(s);
                     assert_eq!(
-                        PackedLogic::mux(ps, pa, pb).lane(63),
+                        Packed::<u64>::mux(ps, pa, pb).lane(63),
                         Logic::mux(s, a, b),
                         "mux {s:?} {a:?} {b:?}"
                     );
@@ -1063,14 +961,14 @@ mod tests {
 
     #[test]
     fn canonical_invariant_holds_through_ops() {
-        let mixed = PackedLogic::from_lanes(&[Zero, One, X, One, X, Zero]);
+        let mixed = Packed::<u64>::from_lanes(&[Zero, One, X, One, X, Zero]);
         let ops = [
             mixed.not(),
-            mixed.and(PackedLogic::X),
-            mixed.or(PackedLogic::X),
-            mixed.xor(PackedLogic::splat(One)),
-            PackedLogic::mux(PackedLogic::X, mixed, mixed.not()),
-            PackedLogic::from_planes(u64::MAX, 0b1010),
+            mixed.and(Packed::<u64>::X),
+            mixed.or(Packed::<u64>::X),
+            mixed.xor(Packed::<u64>::splat(One)),
+            Packed::<u64>::mux(Packed::<u64>::X, mixed, mixed.not()),
+            Packed::<u64>::from_planes(u64::MAX, 0b1010),
         ];
         for w in ops {
             assert_eq!(w.val_mask() & !w.known_mask(), 0, "{w:?}");
@@ -1080,7 +978,7 @@ mod tests {
     #[test]
     fn lanes_roundtrip() {
         let lanes = [One, Zero, X, One, X, Zero, One];
-        let w = PackedLogic::from_lanes(&lanes);
+        let w = Packed::<u64>::from_lanes(&lanes);
         for (i, &l) in lanes.iter().enumerate() {
             assert_eq!(w.lane(i), l);
         }
@@ -1102,9 +1000,9 @@ mod tests {
 
     #[test]
     fn splat_and_masks() {
-        assert_eq!(PackedLogic::splat(One).one_mask(), u64::MAX);
-        assert_eq!(PackedLogic::splat(Zero).zero_mask(), u64::MAX);
-        assert_eq!(PackedLogic::X.known_mask(), 0);
+        assert_eq!(Packed::<u64>::splat(One).one_mask(), u64::MAX);
+        assert_eq!(Packed::<u64>::splat(Zero).zero_mask(), u64::MAX);
+        assert_eq!(Packed::<u64>::X.known_mask(), 0);
         assert_eq!(lane_mask(0), 0);
         assert_eq!(lane_mask(3), 0b111);
         assert_eq!(lane_mask(64), u64::MAX);
@@ -1116,7 +1014,7 @@ mod tests {
         let rc = crate::blocks::ring_counter::RingCounter::new(4);
         let c = rc.circuit();
         let vectors = random_vectors(c, 50, 3); // partial final... single partial block
-        let resp = apply_vectors(c, &mut PackedState::for_circuit(c), &vectors);
+        let resp = apply_vectors(c, &mut WideState::<u64>::for_circuit(c), &vectors);
         for (i, v) in vectors.iter().enumerate() {
             let scalar = apply_vector(c, &mut SimState::for_circuit(c), v);
             assert_eq!(response_lane(&resp, i), scalar, "lane {i}");
@@ -1147,34 +1045,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_shift_matches_scalar_shift_per_lane() {
-        let rc = crate::blocks::ring_counter::RingCounter::new(5);
-        let c = rc.circuit();
-        let n = c.dff_count();
-        let pattern = [One, Zero, X];
-        let words: Vec<PackedLogic> = (0..n)
-            .map(|i| {
-                PackedLogic::from_lanes(&[
-                    pattern[i % 3],
-                    pattern[(i + 1) % 3],
-                    pattern[(i + 2) % 3],
-                ])
-            })
-            .collect();
-        let mut packed = PackedState::for_circuit(c);
-        let out = shift(&mut packed, c, &words);
-        for lane in 0..3 {
-            let bits: Vec<Logic> = words.iter().map(|w| w.lane(lane)).collect();
-            let mut scalar = SimState::for_circuit(c);
-            let sout = crate::scan::shift(&mut scalar, c, &bits);
-            let pout: Vec<Logic> = out.iter().map(|w| w.lane(lane)).collect();
-            assert_eq!(pout, sout, "lane {lane}");
-            let pff: Vec<Logic> = packed.ff_values().iter().map(|w| w.lane(lane)).collect();
-            assert_eq!(pff, scalar.ff_values(), "lane {lane} ff");
-        }
-    }
-
-    #[test]
     fn fault_overlay_pins_every_lane() {
         let mut c = Circuit::new("and2");
         let a = c.input("a");
@@ -1182,15 +1052,15 @@ mod tests {
         let y = c.net("y");
         c.gate(GateKind::And, &[a, b], y);
         c.output(y);
-        let mut s = PackedState::for_circuit(&c);
+        let mut s = WideState::<u64>::for_circuit(&c);
         s.inject(y, One);
-        s.set_input(&c, a, PackedLogic::splat(Zero));
-        s.set_input(&c, b, PackedLogic::from_lanes(&[Zero, One, X]));
+        s.set_input(&c, a, Packed::<u64>::splat(Zero));
+        s.set_input(&c, b, Packed::<u64>::from_lanes(&[Zero, One, X]));
         eval(&c, &mut s);
-        assert_eq!(s.net(y), PackedLogic::splat(One), "sa1 wins in all lanes");
+        assert_eq!(s.net(y), Packed::<u64>::splat(One), "sa1 wins in all lanes");
         s.clear_fault();
         eval(&c, &mut s);
-        assert_eq!(s.net(y), PackedLogic::splat(Zero));
+        assert_eq!(s.net(y), Packed::<u64>::splat(Zero));
     }
 
     #[test]
@@ -1204,7 +1074,7 @@ mod tests {
         let vectors = random_vectors(c, 8 * BLOCK, 21);
         let faults = enumerate_faults(c);
         for f in faults.iter().take(6) {
-            let mut ev = PackedState::for_circuit(c);
+            let mut ev = WideState::<u64>::for_circuit(c);
             let mut sw: Vec<SimState> = (0..BLOCK).map(|_| SimState::for_circuit(c)).collect();
             for block_vectors in vectors.chunks(BLOCK) {
                 let block = WideBlock::pack(c, block_vectors);
@@ -1282,30 +1152,15 @@ mod tests {
         // Pattern counts straddling every width's block boundary.
         for count in [1, 63, 64, 65, 130, 255, 256, 257, 511, 512, 513] {
             let vectors = random_vectors(c, count, 9);
-            let narrow = ppsfp_detect_wide::<u64>(1, c, &vectors, &faults);
-            let mid = ppsfp_detect_wide::<[u64; 4]>(1, c, &vectors, &faults);
-            let wide = ppsfp_detect_wide::<[u64; 8]>(1, c, &vectors, &faults);
+            let narrow = ppsfp_detect_wide::<u64>(c, &vectors, &faults);
+            let mid = ppsfp_detect_wide::<[u64; 4]>(c, &vectors, &faults);
+            let wide = ppsfp_detect_wide::<[u64; 8]>(c, &vectors, &faults);
             assert_eq!(narrow, mid, "{count} vectors, 64 vs 256");
             assert_eq!(narrow, wide, "{count} vectors, 64 vs 512");
             assert_eq!(
                 ppsfp_detect(c, &vectors, &faults),
                 narrow,
                 "{count} vectors, dispatched"
-            );
-        }
-    }
-
-    #[test]
-    fn ppsfp_thread_count_is_invisible() {
-        let rc = crate::blocks::ring_counter::RingCounter::new(4);
-        let vectors = random_vectors(rc.circuit(), 96, 5);
-        let faults = enumerate_faults(rc.circuit());
-        let one = ppsfp_detect_with(1, rc.circuit(), &vectors, &faults);
-        for threads in [2, 4, 7] {
-            assert_eq!(
-                ppsfp_detect_with(threads, rc.circuit(), &vectors, &faults),
-                one,
-                "{threads} threads"
             );
         }
     }
@@ -1323,7 +1178,7 @@ mod tests {
             let mut at = 0;
             while at < faults.len() {
                 let end = (at + size).min(faults.len());
-                stitched.extend(ppsfp_detect_shard(c, &vectors, &faults, at..end));
+                stitched.extend(ppsfp_detect(c, &vectors, &faults[at..end]));
                 at = end;
             }
             assert_eq!(stitched, full, "shard size {size} changed detection");
@@ -1371,7 +1226,7 @@ mod tests {
             net: a,
             stuck_high: true,
         }];
-        let masks = block_detect_masks(&c, &[v.clone(), v.clone(), v], &faults);
+        let masks = detect_masks::<u64>(&c, &[v.clone(), v.clone(), v], &faults);
         assert_eq!(masks, vec![0b111]);
     }
 

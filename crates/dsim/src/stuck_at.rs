@@ -119,29 +119,17 @@ fn differs(golden: &ScanResponse, faulty: &ScanResponse) -> bool {
 /// reports coverage. Detection = any pattern whose faulty response differs
 /// from the golden response at a known-value position.
 ///
-/// Runs on the bit-parallel PPSFP kernel ([`crate::bitpar`]): the plane
-/// width is picked from the pattern count (64 patterns per `u64` word,
-/// 256 or 512 per wide word for larger sets — see
-/// [`crate::bitpar::ppsfp_detect`]), with fault dropping across pattern
-/// blocks and (for large fault × pattern products) the worker pool from
-/// [`rt::par`]. The result is bit-identical to [`scan_coverage_scalar`] —
-/// including the `undetected` fault order — at any width, block
-/// partitioning and thread count; the `conform` crate's packed-vs-scalar
-/// oracle enforces this.
+/// Runs on the bit-parallel PPSFP kernel ([`crate::bitpar`]) on the
+/// calling thread: the plane width is picked from the pattern count (64
+/// patterns per `u64` word, 256 or 512 per wide word for larger sets —
+/// see [`crate::bitpar::ppsfp_detect`]), with fault dropping across
+/// pattern blocks. The result is bit-identical to [`scan_coverage_scalar`]
+/// — including the `undetected` fault order — at any width and block
+/// partitioning; the `conform` crate's packed-vs-scalar oracle enforces
+/// this.
 pub fn scan_coverage(circuit: &Circuit, vectors: &[ScanVector]) -> StuckAtCoverage {
     let faults = enumerate_faults(circuit);
-    // Gate-eval work estimate; tiny property-test circuits stay on one
-    // thread to avoid paying pool spawn latency thousands of times.
-    let work = faults
-        .len()
-        .saturating_mul(vectors.len())
-        .saturating_mul(circuit.gate_count().max(1));
-    let threads = if work > (1 << 22) {
-        rt::par::threads()
-    } else {
-        1
-    };
-    let flags = crate::bitpar::ppsfp_detect_with(threads, circuit, vectors, &faults);
+    let flags = crate::bitpar::ppsfp_detect(circuit, vectors, &faults);
     let mut detected = 0;
     let mut undetected = Vec::new();
     for (fault, hit) in faults.into_iter().zip(flags) {

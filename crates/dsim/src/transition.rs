@@ -186,10 +186,6 @@ impl TransitionCoverage {
     }
 }
 
-fn differs(golden: &TwoPatternResponse, faulty: &TwoPatternResponse) -> bool {
-    responses_differ(golden, faulty)
-}
-
 /// The launch-on-capture detection rule: the faulty response disagrees
 /// with the golden one at a position where the golden value is known.
 /// Public so differential oracles apply the exact same rule the fault
@@ -199,20 +195,31 @@ pub fn responses_differ(golden: &TwoPatternResponse, faulty: &TwoPatternResponse
     cmp(&golden.po, &faulty.po) || cmp(&golden.capture, &faulty.capture)
 }
 
+/// Whether any test detects `fault`: the first test whose faulty
+/// launch-on-capture replay [differs](responses_differ) from its golden
+/// response. `goldens[i]` is the fault-free response to `tests[i]`.
+pub fn transition_detected(
+    circuit: &Circuit,
+    tests: &[TwoPatternTest],
+    goldens: &[TwoPatternResponse],
+    fault: TransitionFault,
+) -> bool {
+    tests
+        .iter()
+        .zip(goldens)
+        .any(|(t, g)| responses_differ(g, &launch_capture_response(circuit, t, Some(fault))))
+}
+
 /// Fault-simulates the transition universe against the test set.
 pub fn transition_coverage(circuit: &Circuit, tests: &[TwoPatternTest]) -> TransitionCoverage {
-    let golden: Vec<TwoPatternResponse> = tests
+    let goldens: Vec<TwoPatternResponse> = tests
         .iter()
         .map(|t| launch_capture_response(circuit, t, None))
         .collect();
     let mut detected = 0;
     let mut undetected = Vec::new();
     for fault in enumerate_transition_faults(circuit) {
-        let hit = tests
-            .iter()
-            .zip(&golden)
-            .any(|(t, g)| differs(g, &launch_capture_response(circuit, t, Some(fault))));
-        if hit {
+        if transition_detected(circuit, tests, &goldens, fault) {
             detected += 1;
         } else {
             undetected.push(fault);
@@ -272,7 +279,7 @@ mod tests {
                 slow_to_rise: true,
             }),
         );
-        assert!(differs(&golden, &str_resp), "STR must be caught");
+        assert!(responses_differ(&golden, &str_resp), "STR must be caught");
         // The falling fault is NOT excited by a rising test.
         let stf_resp = launch_capture_response(
             &c,
@@ -282,7 +289,10 @@ mod tests {
                 slow_to_rise: false,
             }),
         );
-        assert!(!differs(&golden, &stf_resp), "STF needs a falling edge");
+        assert!(
+            !responses_differ(&golden, &stf_resp),
+            "STF needs a falling edge"
+        );
     }
 
     #[test]

@@ -87,17 +87,15 @@ pub enum Hot {
     PackedEvalPasses = 4,
     /// Bits moved through scalar scan-chain shifts.
     ScanShiftBits = 5,
-    /// Words moved through packed scan-chain shifts.
-    PackedShiftWords = 6,
     /// Per-fault packed simulations inside the PPSFP kernel.
-    PpsfpFaultSims = 7,
+    PpsfpFaultSims = 6,
     /// Gates the packed event-driven evaluator skipped (fan-in unchanged).
-    PackedEventsSkipped = 8,
+    PackedEventsSkipped = 7,
     /// Gates the scalar event-driven evaluator skipped (fan-in unchanged).
-    ScalarEventsSkipped = 9,
+    ScalarEventsSkipped = 8,
 }
 
-const HOT_SLOTS: usize = 10;
+const HOT_SLOTS: usize = 9;
 
 const HOT_NAMES: [&str; HOT_SLOTS] = [
     "dsim.eval.calls",
@@ -106,7 +104,6 @@ const HOT_NAMES: [&str; HOT_SLOTS] = [
     "dsim.packed.eval_calls",
     "dsim.packed.eval_passes",
     "dsim.scan.shift_bits",
-    "dsim.packed.shift_words",
     "dsim.ppsfp.fault_sims",
     "dsim.packed.events_skipped",
     "dsim.eval.events_skipped",
@@ -438,7 +435,7 @@ mod tests {
         for (slot, name) in [
             (Hot::ScalarEvalCalls, "dsim.eval.calls"),
             (Hot::ScalarEvalXWrites, "dsim.eval.x_writes"),
-            (Hot::PackedShiftWords, "dsim.packed.shift_words"),
+            (Hot::ScalarEventsSkipped, "dsim.eval.events_skipped"),
         ] {
             let ((), m, _) = observe(|| hot_add(slot, 1));
             assert_eq!(m.counter(name), Some(1), "slot {slot:?} misnamed");

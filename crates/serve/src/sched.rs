@@ -35,6 +35,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -263,17 +264,18 @@ impl Scheduler {
     /// (restart recovery bypasses the admission bound — a restart must
     /// never drop accepted work).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the state directory cannot be created.
-    pub fn start(cfg: SchedConfig) -> Scheduler {
+    /// Returns the I/O error if the state directory cannot be created;
+    /// no thread has been started then.
+    pub fn start(cfg: SchedConfig) -> io::Result<Scheduler> {
         let workers = if cfg.workers == 0 {
             rt::par::threads()
         } else {
             cfg.workers
         };
         if let Some(dir) = &cfg.state_dir {
-            fs::create_dir_all(dir).expect("state dir is creatable");
+            fs::create_dir_all(dir)?;
         }
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -315,7 +317,7 @@ impl Scheduler {
                     .expect("watchdog thread spawns"),
             );
         }
-        sched
+        Ok(sched)
     }
 
     /// Re-admits persisted jobs whose result never landed.

@@ -99,7 +99,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the bind error if the address is unavailable.
+    /// Returns the bind error if the address is unavailable, or the
+    /// creation error if the state directory cannot be created.
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -112,7 +113,7 @@ impl Server {
             watchdog_poll: cfg.watchdog_poll,
             shard_hold: cfg.shard_hold.clone(),
             shard_delay: cfg.shard_delay,
-        }));
+        })?);
         let stop = Arc::new(AtomicBool::new(false));
         let mut acceptors = Vec::new();
         for i in 0..cfg.acceptors.max(1) {

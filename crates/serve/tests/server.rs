@@ -499,3 +499,20 @@ fn existing_checkpoint_frames_resume_byte_identically() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+#[test]
+fn uncreatable_state_dir_is_a_start_error() {
+    // A state directory under a regular file cannot be created: start
+    // reports it as an error instead of panicking.
+    let file = temp_dir("state_under_file");
+    std::fs::write(&file, b"not a directory").unwrap();
+    let started = Server::start(ServeConfig {
+        state_dir: Some(file.join("state")),
+        ..ServeConfig::default()
+    });
+    let _ = std::fs::remove_file(&file);
+    assert!(
+        started.is_err(),
+        "start must fail on an uncreatable state dir"
+    );
+}

@@ -6,7 +6,7 @@
 //! lanes), single-lane blocks, all-`X` planes, and the rejection of
 //! combinational feedback by both evaluators.
 
-use dsim::bitpar::{self, PackedState, Word, LANES};
+use dsim::bitpar::{self, Word, LANES};
 use dsim::circuit::{Circuit, GateKind, NetId, SimState, StructureError};
 use dsim::logic::Logic;
 use dsim::scan::{apply_vector, ScanVector};
@@ -244,7 +244,7 @@ fn all_x_planes_match_scalar_and_detect_nothing() {
         };
         let vectors = vec![v; LANES + 1];
         for block in vectors.chunks(LANES) {
-            let mut packed = PackedState::for_circuit(&c);
+            let mut packed = bitpar::WideState::<u64>::for_circuit(&c);
             let resp = bitpar::apply_vectors(&c, &mut packed, block);
             let mut scalar = SimState::for_circuit(&c);
             let want = apply_vector(&c, &mut scalar, &vectors[0]);
