@@ -1,5 +1,5 @@
 //! Scalar vs bit-parallel (PPSFP) fault-simulation throughput on the
-//! paper's digital chains, at every packed plane width.
+//! paper's digital chains.
 //!
 //! ```text
 //! cargo run -p bench --release --offline --bin bitpar_speedup
@@ -8,13 +8,12 @@
 //! Both sides run the complete stuck-at campaign single-threaded — the
 //! scalar reference `scan_coverage_scalar` (one pattern per gate-level
 //! walk, early exit per fault) against the packed `dsim::bitpar` kernel
-//! at each supported plane width (64 patterns per `u64` word, 256 per
-//! `[u64; 4]`, 512 per `[u64; 8]`, fault dropping across blocks) — so
-//! the reported speedup is purely algorithmic.
+//! `ppsfp_detect` (64 patterns per `u64` word, fault dropping across
+//! blocks) — so the reported speedup is purely algorithmic.
 //!
 //! Writes `results/bitpar_speedup.csv`
-//! (`chain,faults,patterns,width,scalar_ns_per_pattern,packed_ns_per_pattern,speedup`),
-//! one row per chain × width. Timing CSVs are **untracked** (see
+//! (`chain,faults,patterns,scalar_ns_per_pattern,packed_ns_per_pattern,speedup`),
+//! one row per chain. Timing CSVs are **untracked** (see
 //! EXPERIMENTS.md): every tracked file under `results/` is
 //! deterministic, and this one is not.
 
@@ -25,7 +24,7 @@ use bench::report::markdown_table;
 use bench::{write_result, Csv};
 use dft::chain_b::ChainB;
 use dsim::atpg::random_vectors;
-use dsim::bitpar::Word;
+use dsim::bitpar::ppsfp_detect;
 use dsim::blocks::divider::Divider;
 use dsim::blocks::fsm::ControlFsm;
 use dsim::blocks::lock_counter::LockCounter;
@@ -59,8 +58,8 @@ fn main() {
         ("lock counter", LockCounter::new(3).circuit().clone(), 47),
         ("control FSM", ControlFsm::new().circuit().clone(), 53),
     ];
-    // One full 512-lane plane, so every width runs with full words (the
-    // 64-lane rows see 8 blocks, the 512-lane rows exactly one).
+    // Up to eight 64-pattern blocks per chain; fault dropping stops the
+    // packed run at the first block that leaves no fault undetected.
     let patterns = 512;
 
     let mut rows = Vec::new();
@@ -68,7 +67,6 @@ fn main() {
         "chain",
         "faults",
         "patterns",
-        "width",
         "scalar_ns_per_pattern",
         "packed_ns_per_pattern",
         "speedup",
@@ -78,49 +76,24 @@ fn main() {
         let faults = enumerate_faults(circuit);
 
         let scalar = median_ns(|| scan_coverage_scalar(circuit, &vectors).detected());
+        let packed = median_ns(|| {
+            ppsfp_detect(circuit, &vectors, &faults)
+                .iter()
+                .filter(|&&d| d)
+                .count()
+        });
         let scalar_pp = scalar / patterns as f64;
-
-        let mut width_row = |width: usize, packed: f64| {
-            let packed_pp = packed / patterns as f64;
-            let speedup = scalar_pp / packed_pp;
-            rows.push(vec![
-                name.to_string(),
-                faults.len().to_string(),
-                patterns.to_string(),
-                width.to_string(),
-                format!("{scalar_pp:.0}"),
-                format!("{packed_pp:.0}"),
-                format!("{speedup:.1}x"),
-            ]);
-            csv.row(&[
-                name.to_string(),
-                faults.len().to_string(),
-                patterns.to_string(),
-                width.to_string(),
-                format!("{scalar_pp:.0}"),
-                format!("{packed_pp:.0}"),
-                format!("{speedup:.2}"),
-            ]);
-        };
-        let detected = |flags: Vec<bool>| flags.iter().filter(|&&d| d).count();
-        let w64 = median_ns(|| {
-            detected(dsim::bitpar::ppsfp_detect_wide::<u64>(
-                circuit, &vectors, &faults,
-            ))
-        });
-        width_row(<u64 as Word>::BITS, w64);
-        let w256 = median_ns(|| {
-            detected(dsim::bitpar::ppsfp_detect_wide::<[u64; 4]>(
-                circuit, &vectors, &faults,
-            ))
-        });
-        width_row(<[u64; 4] as Word>::BITS, w256);
-        let w512 = median_ns(|| {
-            detected(dsim::bitpar::ppsfp_detect_wide::<[u64; 8]>(
-                circuit, &vectors, &faults,
-            ))
-        });
-        width_row(<[u64; 8] as Word>::BITS, w512);
+        let packed_pp = packed / patterns as f64;
+        let speedup = scalar_pp / packed_pp;
+        let cells = [
+            name.to_string(),
+            faults.len().to_string(),
+            patterns.to_string(),
+            format!("{scalar_pp:.0}"),
+            format!("{packed_pp:.0}"),
+        ];
+        rows.push([&cells[..], &[format!("{speedup:.1}x")]].concat());
+        csv.row(&[&cells[..], &[format!("{speedup:.2}")]].concat());
     }
 
     println!("=== Scalar vs bit-parallel (PPSFP) stuck-at campaign ===\n");
@@ -131,7 +104,6 @@ fn main() {
                 "Chain",
                 "Faults",
                 "Patterns",
-                "Width",
                 "Scalar ns/pat",
                 "Packed ns/pat",
                 "Speedup"

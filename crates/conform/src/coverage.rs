@@ -32,7 +32,7 @@
 //! assert_eq!(both.points(), both.total());
 //! ```
 
-use dsim::bitpar::{self, WideState, LANES};
+use dsim::bitpar::{self, PackedState, LANES};
 use dsim::circuit::{Circuit, NetId, SimState};
 use dsim::logic::Logic;
 use dsim::scan::ScanVector;
@@ -134,17 +134,11 @@ pub fn vector_coverage(circuit: &Circuit, v: &ScanVector) -> NodeCoverage {
 /// One packed run of up to 64 vectors, observed at the same two strobe
 /// points as [`vector_coverage`]; returns per-net `(seen0, seen1)` lane
 /// masks.
-///
-/// Footprint extraction stays pinned at the 64-lane base width (plain
-/// `u64` planes) even though the simulator is width-generic: the fuzzer
-/// proposes candidates in 64-wide blocks and the per-lane mask surgery
-/// below is `u64`-shaped. The wide (256/512-lane) planes are a PPSFP
-/// throughput feature; they buy nothing for 64-candidate footprints.
 fn block_observation(circuit: &Circuit, block: &[ScanVector]) -> (Vec<u64>, Vec<u64>) {
     let n = circuit.net_count();
     let mut seen0 = vec![0u64; n];
     let mut seen1 = vec![0u64; n];
-    let mut observe = |state: &WideState<u64>| {
+    let mut observe = |state: &PackedState| {
         for (i, (s0, s1)) in seen0.iter_mut().zip(seen1.iter_mut()).enumerate() {
             let w = state.net(NetId(i));
             *s0 |= w.zero_mask();
@@ -152,7 +146,7 @@ fn block_observation(circuit: &Circuit, block: &[ScanVector]) -> (Vec<u64>, Vec<
         }
     };
     let (pi, load) = bitpar::pack_vectors(circuit, block);
-    let mut state = WideState::<u64>::for_circuit(circuit);
+    let mut state = PackedState::for_circuit(circuit);
     state.load_ffs(&load);
     for (&net, &w) in circuit.inputs().iter().zip(&pi) {
         state.set_input(circuit, net, w);

@@ -13,9 +13,7 @@
 //! Candidate `k` of generation `g` is derived from the substream
 //! `Rng::seed_from_stream(seed, g·cpg + k)` and mutates the corpus as it
 //! stood at the *start* of the generation; footprints are evaluated on the
-//! packed simulator ([`dsim::bitpar`]) in 64-candidate blocks — the
-//! base plane width; footprint extraction deliberately stays `u64` even
-//! though the simulator itself is width-generic — fanned
+//! packed simulator ([`dsim::bitpar`]) in 64-candidate blocks — fanned
 //! across workers (order-preserving, pure per block) and merged
 //! sequentially in candidate order. The resulting corpus is therefore
 //! **byte-identical at any thread count** — same seed, same corpus,

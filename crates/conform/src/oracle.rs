@@ -14,11 +14,9 @@
 //! * [`CampaignSnapshotOracle`] — the full fault campaign against the
 //!   paper's golden coverage snapshot under tolerance,
 //! * [`PackedVsScalarOracle`] — the bit-parallel packed simulator
-//!   (`dsim::bitpar`) against the scalar reference at every plane width
-//!   (64, 256 and 512 lanes): scan responses, stuck-at coverage records,
-//!   coverage footprints, forced-width PPSFP detection flags, and the
-//!   event-driven evaluator against the bounded-sweep reference — all
-//!   bit-exact,
+//!   (`dsim::bitpar`) against the scalar reference: scan responses,
+//!   stuck-at coverage records, coverage footprints, and the event-driven
+//!   evaluator against the bounded-sweep reference — all bit-exact,
 //! * [`InstrumentedPpsfpOracle`] — the PPSFP kernel under an explicit
 //!   `rt::obs` metrics capture against the plain run: detection flags
 //!   byte-identical and the capture non-vacuous,
@@ -475,17 +473,14 @@ impl DiffOracle for CampaignSnapshotOracle {
 
 /// Packed (bit-parallel) vs scalar simulation: the word-packed two-plane
 /// simulator in [`dsim::bitpar`] must agree **bit-exactly** with the
-/// one-pattern-at-a-time scalar simulator on five independent routes —
-/// per-vector scan responses at every plane width (64, 256 and 512
-/// lanes; lane extraction vs `apply_vector`, including partial final
-/// words and `X` lanes), whole stuck-at coverage records
-/// (`scan_coverage` on the PPSFP kernel vs `scan_coverage_scalar`,
-/// including the undetected fault order), per-vector node-activation
-/// footprints (packed batch extraction vs `vector_coverage`),
-/// forced-width PPSFP detection flags ([`bitpar::ppsfp_detect_wide`] at
-/// each width vs the scalar fault-by-fault reference), and the
-/// event-driven evaluator
-/// ([`Circuit::eval`]) vs the bounded-sweep reference
+/// one-pattern-at-a-time scalar simulator on four independent routes —
+/// per-vector scan responses (64-lane blocks; lane extraction vs
+/// `apply_vector`, including partial final words and `X` lanes), whole
+/// stuck-at coverage records (`scan_coverage` on the PPSFP kernel
+/// [`bitpar::ppsfp_detect`] vs `scan_coverage_scalar`, including the
+/// undetected fault order), per-vector node-activation footprints
+/// (packed batch extraction vs `vector_coverage`), and the event-driven
+/// evaluator ([`Circuit::eval`]) vs the bounded-sweep reference
 /// ([`Circuit::eval_sweep`]), fault-free and under sampled stuck-at
 /// overlays.
 ///
@@ -505,12 +500,11 @@ impl PackedVsScalarOracle {
         PackedVsScalarOracle { circuit, vectors }
     }
 
-    /// Route 1 at one plane width: packed scan responses, lane by lane.
-    fn check_lanes<W: bitpar::Word>(&self) -> Result<(), Divergence> {
+    /// Route 1: packed scan responses, lane by lane.
+    fn check_lanes(&self) -> Result<(), Divergence> {
         let c = &self.circuit;
-        for (bi, block) in self.vectors.chunks(W::BITS).enumerate() {
-            let packed =
-                bitpar::apply_vectors(c, &mut bitpar::WideState::<W>::for_circuit(c), block);
+        for (bi, block) in self.vectors.chunks(bitpar::LANES).enumerate() {
+            let packed = bitpar::apply_vectors(c, &mut bitpar::PackedState::for_circuit(c), block);
             for (k, v) in block.iter().enumerate() {
                 let scalar = apply_vector(c, &mut SimState::for_circuit(c), v);
                 let lane = bitpar::response_lane(&packed, k);
@@ -518,10 +512,9 @@ impl PackedVsScalarOracle {
                     return Err(Divergence {
                         oracle: self.name(),
                         detail: format!(
-                            "{}: width {}: block {bi} lane {k}: packed (po {:?}, \
-                             capture {:?}) vs scalar (po {:?}, capture {:?})",
+                            "{}: block {bi} lane {k}: packed (po {:?}, capture {:?}) \
+                             vs scalar (po {:?}, capture {:?})",
                             c.name(),
-                            W::BITS,
                             lane.po,
                             lane.capture,
                             scalar.po,
@@ -534,33 +527,7 @@ impl PackedVsScalarOracle {
         Ok(())
     }
 
-    /// Route 4 at one plane width: forced-width PPSFP detection flags
-    /// against the scalar reference.
-    fn check_ppsfp_width<W: bitpar::Word>(
-        &self,
-        faults: &[StuckAtFault],
-        want: &[bool],
-    ) -> Result<(), Divergence> {
-        let c = &self.circuit;
-        let got = bitpar::ppsfp_detect_wide::<W>(c, &self.vectors, faults);
-        if got != want {
-            let first = got.iter().zip(want).position(|(g, w)| g != w);
-            return Err(Divergence {
-                oracle: self.name(),
-                detail: format!(
-                    "{}: width {}: PPSFP flags diverge from scalar (first at fault \
-                     index {first:?}; {} vs {} detected)",
-                    c.name(),
-                    W::BITS,
-                    got.iter().filter(|&&d| d).count(),
-                    want.iter().filter(|&&d| d).count(),
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Route 5 for one initial state: event-driven `Circuit::eval` (via
+    /// Route 4 for one initial state: event-driven `Circuit::eval` (via
     /// `apply_vector`) against the sweep-composed reference.
     fn check_event_vs_sweep(
         &self,
@@ -627,10 +594,8 @@ impl DiffOracle for PackedVsScalarOracle {
     fn check(&self) -> Result<(), Divergence> {
         let c = &self.circuit;
 
-        // Route 1: packed scan responses, lane by lane, at every width.
-        self.check_lanes::<u64>()?;
-        self.check_lanes::<[u64; 4]>()?;
-        self.check_lanes::<[u64; 8]>()?;
+        // Route 1: packed scan responses, lane by lane.
+        self.check_lanes()?;
 
         // Route 2: whole coverage records, bit-exact including order.
         let packed_cov = scan_coverage(c, &self.vectors);
@@ -668,23 +633,11 @@ impl DiffOracle for PackedVsScalarOracle {
             }
         }
 
-        // Route 4: forced-width PPSFP flags at every width against the
-        // scalar fault-by-fault reference
-        // (derived from route 2's scalar record, which preserves the
-        // undetected fault order).
-        let faults = enumerate_faults(c);
-        let scalar_flags: Vec<bool> = faults
-            .iter()
-            .map(|f| !scalar_cov.undetected().contains(f))
-            .collect();
-        self.check_ppsfp_width::<u64>(&faults, &scalar_flags)?;
-        self.check_ppsfp_width::<[u64; 4]>(&faults, &scalar_flags)?;
-        self.check_ppsfp_width::<[u64; 8]>(&faults, &scalar_flags)?;
-
-        // Route 5: event-driven evaluation vs the bounded-sweep
+        // Route 4: event-driven evaluation vs the bounded-sweep
         // reference, fault-free and under a sampled set of stuck-at
         // overlays (fault injection exercises the overlay-transition
         // event seeding).
+        let faults = enumerate_faults(c);
         self.check_event_vs_sweep(None, "fault-free")?;
         let stride = (faults.len() / 6).max(1);
         for f in faults.iter().step_by(stride) {
@@ -974,9 +927,8 @@ impl DiffOracle for InstrumentedPpsfpOracle {
 ///
 /// * scalar gadget simulation (`apply_vector`, fault-free vs the `sel`
 ///   net forced high) against the replay's known-golden detection rule,
-/// * the packed PPSFP kernel on the gadget model at every plane width
-///   (64, 256 and 512 lanes) — its any-test flag must equal the
-///   replay's,
+/// * the packed PPSFP kernel on the gadget model — its any-test flag
+///   must equal the replay's,
 /// * ATPG completeness: every fault PODEM produced a pattern for must
 ///   actually be caught on replay by the generated test set (the
 ///   expansion is not allowed to "prove" tests that do nothing on the
@@ -1062,32 +1014,17 @@ impl DiffOracle for TimeExpansionOracle {
                 }
             }
 
-            // Route A (packed): PPSFP on the gadget model at every width;
-            // the any-test flag must match.
-            for (width, flag) in [
-                (
-                    64,
-                    bitpar::ppsfp_detect_wide::<u64>(&model, &vecs, &[sa])[0],
-                ),
-                (
-                    256,
-                    bitpar::ppsfp_detect_wide::<[u64; 4]>(&model, &vecs, &[sa])[0],
-                ),
-                (
-                    512,
-                    bitpar::ppsfp_detect_wide::<[u64; 8]>(&model, &vecs, &[sa])[0],
-                ),
-            ] {
-                if flag != replay_any {
-                    return Err(Divergence {
-                        oracle: self.name(),
-                        detail: format!(
-                            "{}: {fault}: width {width}: packed gadget detection {flag} \
-                             vs replay {replay_any}",
-                            seq.name(),
-                        ),
-                    });
-                }
+            // Route A (packed): PPSFP on the gadget model; the any-test flag
+            // must match.
+            let flag = bitpar::ppsfp_detect(&model, &vecs, &[sa])[0];
+            if flag != replay_any {
+                return Err(Divergence {
+                    oracle: self.name(),
+                    detail: format!(
+                        "{}: {fault}: packed gadget detection {flag} vs replay {replay_any}",
+                        seq.name(),
+                    ),
+                });
             }
 
             // ATPG completeness: a fault PODEM built a pattern for must be

@@ -157,7 +157,7 @@ fn feedback_circuit() -> Circuit {
 #[test]
 fn feedback_circuits_are_rejected_before_simulation() {
     // Combinational loops fail the structure check at the latch's first
-    // gate, and the five-route oracle never simulates them: its first
+    // gate, and the four-route oracle never simulates them: its first
     // packed evaluation panics with the structural error.
     let circuit = feedback_circuit();
     let check = circuit.check();
@@ -184,8 +184,7 @@ fn time_expansion_agrees_with_sequential_replay() {
     // The acceptance contract for the transition ATPG: on all four
     // hand-built chains AND the vendored ITC-style netlist, PODEM
     // patterns from the time-expanded model — simulated scalar and
-    // packed at every width — detect exactly
-    // the transition-fault set that `launch_capture_response` detects on
+    // packed — detect exactly the transition-fault set that `launch_capture_response` detects on
     // the original sequential circuit.
     let b01 = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),

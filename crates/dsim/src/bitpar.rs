@@ -1,14 +1,11 @@
 //! Bit-parallel (word-packed) three-valued simulation — the PPSFP kernel.
 //!
 //! Classic parallel-pattern single-fault propagation (PPSFP): a block of
-//! test patterns is packed into one machine word per net, so a single
-//! gate-level walk evaluates the whole block at once. The plane type is
-//! generic over the [`Word`] abstraction — `u64` (64 patterns per pass),
-//! `[u64; 4]` (256) and `[u64; 8]` (512); the array widths use plain
-//! per-limb operations that LLVM auto-vectorizes, so no intrinsics are
-//! needed and the crate stays hermetic. Three-valued logic uses a
-//! **two-plane encoding**: every packed value is a pair of planes, `val`
-//! and `known`, where lane *i* (bit *i*) holds pattern *i*:
+//! up to [`LANES`] = 64 test patterns is packed into one `u64` word per
+//! net, so a single gate-level walk evaluates the whole block at once.
+//! Three-valued logic uses a **two-plane encoding**: every packed value is
+//! a pair of planes, `val` and `known`, where lane *i* (bit *i*) holds
+//! pattern *i*:
 //!
 //! | lane state | `known` bit | `val` bit |
 //! |------------|-------------|-----------|
@@ -21,7 +18,7 @@
 //! [`Logic`] equality, so the scalar simulator in [`crate::circuit`] and
 //! this module agree *bit-exactly* — a property the `conform` crate's
 //! packed-vs-scalar differential oracle and the `tests/packed_equivalence`
-//! suite enforce at every width.
+//! suite enforce.
 //!
 //! Like the scalar evaluator, [`eval`] is one levelized **event-driven**
 //! pass over the circuit's cached topological order, re-evaluating only
@@ -29,13 +26,12 @@
 //! [`Circuit::check`] passes.
 //!
 //! On top of the packed evaluator sit the packed scan protocol
-//! ([`apply_vectors`]) and the single-threaded PPSFP stuck-at
-//! fault-simulation kernel with fault dropping: once a fault is detected
-//! by any pattern block it is never simulated again. It has two entry
-//! points: [`ppsfp_detect`] picks the plane width from the pattern count,
-//! [`ppsfp_detect_wide`] pins it. Parallelism across faults belongs to
-//! the caller — `dft::campaign::NetlistCampaign` runs fault sub-ranges as
-//! `rt::exec` shards.
+//! ([`apply_vectors`]) and [`ppsfp_detect`], the single-threaded PPSFP
+//! stuck-at fault-simulation kernel with fault dropping: once a fault is
+//! detected by any 64-pattern block it is never simulated again.
+//! Parallelism across faults belongs to the caller —
+//! `dft::campaign::NetlistCampaign` runs fault sub-ranges as `rt::exec`
+//! shards.
 //!
 //! # Examples
 //!
@@ -57,7 +53,7 @@ use crate::logic::Logic;
 use crate::scan::{ScanResponse, ScanVector};
 use crate::stuck_at::StuckAtFault;
 
-/// Patterns per `u64` packed word — the narrowest plane width.
+/// Patterns per packed `u64` word.
 pub const LANES: usize = 64;
 
 /// A mask selecting the first `lanes` lanes (all lanes for `lanes >= 64`).
@@ -69,199 +65,72 @@ pub fn lane_mask(lanes: usize) -> u64 {
     }
 }
 
-/// A bit-plane: the raw storage of one `val` or `known` plane.
-///
-/// Implemented for `u64` (64 lanes) and for `[u64; N]` (64·N lanes —
-/// instantiated at `[u64; 4]` and `[u64; 8]` throughout the tree). The
-/// array implementations are plain per-limb loops: with a fixed `N` known
-/// at monomorphization time LLVM unrolls and auto-vectorizes them, which
-/// is the whole point of widening the plane — no intrinsics, no feature
-/// detection, identical results everywhere.
-pub trait Word: Copy + Eq + std::fmt::Debug + 'static {
-    /// Lanes per plane.
-    const BITS: usize;
-    /// All lanes clear.
-    const ZERO: Self;
-    /// All lanes set.
-    const ONES: Self;
-    /// Bitwise NOT.
-    fn not(self) -> Self;
-    /// Bitwise AND.
-    fn and(self, rhs: Self) -> Self;
-    /// Bitwise OR.
-    fn or(self, rhs: Self) -> Self;
-    /// Bitwise XOR.
-    fn xor(self, rhs: Self) -> Self;
-    /// A mask selecting the first `lanes` lanes (all for `lanes >= BITS`).
-    fn mask(lanes: usize) -> Self;
-    /// Whether lane `i` is set.
-    fn bit(self, i: usize) -> bool;
-    /// Sets lane `i`.
-    fn set_bit(&mut self, i: usize);
-    /// Whether any lane is set.
-    fn any(self) -> bool;
-}
-
-impl Word for u64 {
-    const BITS: usize = 64;
-    const ZERO: u64 = 0;
-    const ONES: u64 = u64::MAX;
-
-    fn not(self) -> u64 {
-        !self
-    }
-
-    fn and(self, rhs: u64) -> u64 {
-        self & rhs
-    }
-
-    fn or(self, rhs: u64) -> u64 {
-        self | rhs
-    }
-
-    fn xor(self, rhs: u64) -> u64 {
-        self ^ rhs
-    }
-
-    fn mask(lanes: usize) -> u64 {
-        lane_mask(lanes)
-    }
-
-    fn bit(self, i: usize) -> bool {
-        (self >> i) & 1 == 1
-    }
-
-    fn set_bit(&mut self, i: usize) {
-        *self |= 1 << i;
-    }
-
-    fn any(self) -> bool {
-        self != 0
-    }
-}
-
-impl<const N: usize> Word for [u64; N] {
-    const BITS: usize = 64 * N;
-    const ZERO: [u64; N] = [0; N];
-    const ONES: [u64; N] = [u64::MAX; N];
-
-    fn not(self) -> Self {
-        let mut out = self;
-        for limb in &mut out {
-            *limb = !*limb;
-        }
-        out
-    }
-
-    fn and(self, rhs: Self) -> Self {
-        let mut out = self;
-        for (l, r) in out.iter_mut().zip(rhs) {
-            *l &= r;
-        }
-        out
-    }
-
-    fn or(self, rhs: Self) -> Self {
-        let mut out = self;
-        for (l, r) in out.iter_mut().zip(rhs) {
-            *l |= r;
-        }
-        out
-    }
-
-    fn xor(self, rhs: Self) -> Self {
-        let mut out = self;
-        for (l, r) in out.iter_mut().zip(rhs) {
-            *l ^= r;
-        }
-        out
-    }
-
-    fn mask(lanes: usize) -> Self {
-        let mut out = [0u64; N];
-        for (li, limb) in out.iter_mut().enumerate() {
-            *limb = lane_mask(lanes.saturating_sub(li * 64));
-        }
-        out
-    }
-
-    fn bit(self, i: usize) -> bool {
-        (self[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    fn set_bit(&mut self, i: usize) {
-        self[i / 64] |= 1 << (i % 64);
-    }
-
-    fn any(self) -> bool {
-        self.iter().any(|&l| l != 0)
-    }
-}
-
-/// `W::BITS` three-valued logic lanes in the two-plane encoding.
+/// [`LANES`] three-valued logic lanes in the two-plane encoding.
 ///
 /// Invariant (maintained by every constructor and operator): an unknown
 /// lane carries `val = 0`, i.e. `val & !known == 0`. Derived equality is
 /// therefore lane-wise [`Logic`] equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Packed<W: Word> {
-    val: W,
-    known: W,
+pub struct Packed {
+    val: u64,
+    known: u64,
 }
 
-impl<W: Word> Default for Packed<W> {
-    fn default() -> Packed<W> {
+impl Default for Packed {
+    fn default() -> Packed {
         Packed::X
     }
 }
 
-impl<W: Word> Packed<W> {
+impl Packed {
     /// All lanes `X`.
-    pub const X: Packed<W> = Packed {
-        val: W::ZERO,
-        known: W::ZERO,
-    };
+    pub const X: Packed = Packed { val: 0, known: 0 };
 
     /// Builds a packed word from raw planes, canonicalizing `val` so that
     /// unknown lanes carry `0`.
-    pub fn from_planes(val: W, known: W) -> Packed<W> {
+    pub fn from_planes(val: u64, known: u64) -> Packed {
         Packed {
-            val: val.and(known),
+            val: val & known,
             known,
         }
     }
 
     /// Broadcasts one scalar value to all lanes.
-    pub fn splat(v: Logic) -> Packed<W> {
+    pub fn splat(v: Logic) -> Packed {
         match v {
             Logic::Zero => Packed {
-                val: W::ZERO,
-                known: W::ONES,
+                val: 0,
+                known: u64::MAX,
             },
             Logic::One => Packed {
-                val: W::ONES,
-                known: W::ONES,
+                val: u64::MAX,
+                known: u64::MAX,
             },
             Logic::X => Packed::X,
         }
     }
 
-    /// Packs up to `W::BITS` scalar values into lanes `0..lanes.len()`;
+    /// Packs up to [`LANES`] scalar values into lanes `0..lanes.len()`;
     /// remaining lanes are `X`.
     ///
     /// # Panics
     ///
-    /// Panics if more than `W::BITS` values are given.
-    pub fn from_lanes(lanes: &[Logic]) -> Packed<W> {
-        assert!(lanes.len() <= W::BITS, "more than {} lanes", W::BITS);
-        let mut val = W::ZERO;
-        let mut known = W::ZERO;
-        for (i, &l) in lanes.iter().enumerate() {
+    /// Panics if more than [`LANES`] values are given.
+    pub fn from_lanes(lanes: &[Logic]) -> Packed {
+        assert!(lanes.len() <= LANES, "more than {LANES} lanes");
+        Packed::pack_lanes(lanes.iter().copied())
+    }
+
+    /// [`Packed::from_lanes`] over an iterator of at most [`LANES`] values.
+    fn pack_lanes(lanes: impl Iterator<Item = Logic>) -> Packed {
+        let mut val = 0;
+        let mut known = 0;
+        for (i, l) in lanes.enumerate() {
             match l {
-                Logic::Zero => known.set_bit(i),
+                Logic::Zero => known |= 1 << i,
                 Logic::One => {
-                    known.set_bit(i);
-                    val.set_bit(i);
+                    known |= 1 << i;
+                    val |= 1 << i;
                 }
                 Logic::X => {}
             }
@@ -273,101 +142,91 @@ impl<W: Word> Packed<W> {
     ///
     /// # Panics
     ///
-    /// Panics if `i >= W::BITS`.
+    /// Panics if `i >= LANES`.
     pub fn lane(self, i: usize) -> Logic {
-        assert!(i < W::BITS, "lane {i} out of range");
-        if self.known.bit(i) {
-            Logic::from_bool(self.val.bit(i))
+        assert!(i < LANES, "lane {i} out of range");
+        if (self.known >> i) & 1 == 1 {
+            Logic::from_bool((self.val >> i) & 1 == 1)
         } else {
             Logic::X
         }
     }
 
     /// The `val` plane (canonical: `0` in unknown lanes).
-    pub fn val_mask(self) -> W {
+    pub fn val_mask(self) -> u64 {
         self.val
     }
 
     /// The `known` plane (`1` = lane holds a known `0`/`1`).
-    pub fn known_mask(self) -> W {
+    pub fn known_mask(self) -> u64 {
         self.known
     }
 
     /// Lanes observed at a known `0`.
-    pub fn zero_mask(self) -> W {
-        self.known.and(self.val.not())
+    pub fn zero_mask(self) -> u64 {
+        self.known & !self.val
     }
 
     /// Lanes observed at a known `1` (alias of [`Self::val_mask`] under the
     /// canonical invariant).
-    pub fn one_mask(self) -> W {
+    pub fn one_mask(self) -> u64 {
         self.val
     }
 
     /// Lane-wise [`Logic::not`].
     #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> Packed<W> {
+    pub fn not(self) -> Packed {
         Packed {
-            val: self.val.not().and(self.known),
+            val: !self.val & self.known,
             known: self.known,
         }
     }
 
     /// Lane-wise [`Logic::and`]: a controlling `0` forces `0` even against
     /// `X`.
-    pub fn and(self, rhs: Packed<W>) -> Packed<W> {
+    pub fn and(self, rhs: Packed) -> Packed {
         Packed {
-            val: self.val.and(rhs.val),
-            known: (self.known.and(rhs.known))
-                .or(self.zero_mask())
-                .or(rhs.zero_mask()),
+            val: self.val & rhs.val,
+            known: (self.known & rhs.known) | self.zero_mask() | rhs.zero_mask(),
         }
     }
 
     /// Lane-wise [`Logic::or`]: a controlling `1` forces `1` even against
     /// `X`.
-    pub fn or(self, rhs: Packed<W>) -> Packed<W> {
+    pub fn or(self, rhs: Packed) -> Packed {
         Packed {
-            val: self.val.or(rhs.val),
-            known: (self.known.and(rhs.known)).or(self.val).or(rhs.val),
+            val: self.val | rhs.val,
+            known: (self.known & rhs.known) | self.val | rhs.val,
         }
     }
 
     /// Lane-wise [`Logic::xor`]: any `X` input makes the lane `X`.
-    pub fn xor(self, rhs: Packed<W>) -> Packed<W> {
-        let known = self.known.and(rhs.known);
+    pub fn xor(self, rhs: Packed) -> Packed {
+        let known = self.known & rhs.known;
         Packed {
-            val: (self.val.xor(rhs.val)).and(known),
+            val: (self.val ^ rhs.val) & known,
             known,
         }
     }
 
     /// Lane-wise [`Logic::mux`]: known select picks an input; an `X` select
     /// still resolves when both inputs agree at a known value.
-    pub fn mux(sel: Packed<W>, lo: Packed<W>, hi: Packed<W>) -> Packed<W> {
-        let pick_hi = sel.known.and(sel.val);
-        let pick_lo = sel.known.and(sel.val.not());
-        let agree = sel
-            .known
-            .not()
-            .and(lo.known)
-            .and(hi.known)
-            .and(lo.val.xor(hi.val).not());
-        let known = (pick_hi.and(hi.known)).or(pick_lo.and(lo.known)).or(agree);
+    pub fn mux(sel: Packed, lo: Packed, hi: Packed) -> Packed {
+        let pick_hi = sel.known & sel.val;
+        let pick_lo = sel.known & !sel.val;
+        let agree = !sel.known & lo.known & hi.known & !(lo.val ^ hi.val);
+        let known = (pick_hi & hi.known) | (pick_lo & lo.known) | agree;
         Packed {
-            val: ((pick_hi.and(hi.val))
-                .or(pick_lo.and(lo.val))
-                .or(agree.and(lo.val)))
-            .and(known),
+            val: ((pick_hi & hi.val) | (pick_lo & lo.val) | (agree & lo.val)) & known,
             known,
         }
     }
 }
 
-impl<W: Word> std::ops::Not for Packed<W> {
-    type Output = Packed<W>;
+impl std::ops::Not for Packed {
+    type Output = Packed;
 
-    fn not(self) -> Packed<W> {
+    fn not(self) -> Packed {
         Packed::not(self)
     }
 }
@@ -380,9 +239,9 @@ impl<W: Word> std::ops::Not for Packed<W> {
 /// Equality compares only the observable state (net words, flip-flop words
 /// and the fault overlay) — the event-scheduling scratch is excluded.
 #[derive(Debug, Clone)]
-pub struct WideState<W: Word> {
-    nets: Vec<Packed<W>>,
-    ff: Vec<Packed<W>>,
+pub struct PackedState {
+    nets: Vec<Packed>,
+    ff: Vec<Packed>,
     fault: Option<(NetId, Logic)>,
     /// Nets written from outside [`eval`] since the last eval; their
     /// fanout cones (and drivers) are re-evaluated unconditionally.
@@ -393,19 +252,19 @@ pub struct WideState<W: Word> {
     pending: Vec<bool>,
 }
 
-impl<W: Word> PartialEq for WideState<W> {
-    fn eq(&self, other: &WideState<W>) -> bool {
+impl PartialEq for PackedState {
+    fn eq(&self, other: &PackedState) -> bool {
         // Scheduling scratch is derived state and never participates.
         self.nets == other.nets && self.ff == other.ff && self.fault == other.fault
     }
 }
 
-impl<W: Word> Eq for WideState<W> {}
+impl Eq for PackedState {}
 
-impl<W: Word> WideState<W> {
+impl PackedState {
     /// Creates an all-`X` state sized for `circuit`.
-    pub fn for_circuit(circuit: &Circuit) -> WideState<W> {
-        WideState {
+    pub fn for_circuit(circuit: &Circuit) -> PackedState {
+        PackedState {
             nets: vec![Packed::X; circuit.net_count()],
             ff: vec![Packed::X; circuit.dff_count()],
             fault: None,
@@ -413,6 +272,17 @@ impl<W: Word> WideState<W> {
             changed: vec![false; circuit.net_count()],
             pending: vec![false; circuit.gate_count()],
         }
+    }
+
+    /// Returns the state to what [`PackedState::for_circuit`] builds —
+    /// all-`X`, no fault, nothing touched — keeping its allocations. The
+    /// `changed`/`pending` scratch needs no reset: [`eval`] clears it on
+    /// entry.
+    fn reset(&mut self) {
+        self.nets.fill(Packed::X);
+        self.ff.fill(Packed::X);
+        self.fault = None;
+        self.touched.clear();
     }
 
     /// Injects a stuck-at fault on `net`, pinning every lane; it overrides
@@ -431,7 +301,7 @@ impl<W: Word> WideState<W> {
     ///
     /// The previously pinned net keeps its pinned word until the next eval
     /// re-derives it from its driver (or, for a primary input, until the
-    /// next [`WideState::set_input`]) — the same semantics as
+    /// next [`PackedState::set_input`]) — the same semantics as
     /// [`crate::circuit::SimState::clear_fault`].
     pub fn clear_fault(&mut self) {
         if let Some((n, _)) = self.fault {
@@ -440,7 +310,7 @@ impl<W: Word> WideState<W> {
         self.fault = None;
     }
 
-    fn write(&mut self, net: NetId, v: Packed<W>) {
+    fn write(&mut self, net: NetId, v: Packed) {
         self.nets[net.0] = match self.fault {
             Some((f, fv)) if f == net => Packed::splat(fv),
             _ => v,
@@ -449,7 +319,7 @@ impl<W: Word> WideState<W> {
 
     /// A write from outside [`eval`]: applies the fault overlay and marks
     /// the net for unconditional re-scheduling at the next eval.
-    fn write_external(&mut self, net: NetId, v: Packed<W>) {
+    fn write_external(&mut self, net: NetId, v: Packed) {
         self.write(net, v);
         self.touched.push(net);
     }
@@ -459,7 +329,7 @@ impl<W: Word> WideState<W> {
     /// # Panics
     ///
     /// Panics if `net` is not a primary input of `circuit`.
-    pub fn set_input(&mut self, circuit: &Circuit, net: NetId, v: Packed<W>) {
+    pub fn set_input(&mut self, circuit: &Circuit, net: NetId, v: Packed) {
         assert!(
             circuit.inputs().contains(&net),
             "{net} is not a primary input"
@@ -468,12 +338,12 @@ impl<W: Word> WideState<W> {
     }
 
     /// Current packed value of a net.
-    pub fn net(&self, net: NetId) -> Packed<W> {
+    pub fn net(&self, net: NetId) -> Packed {
         self.nets[net.0]
     }
 
     /// Current flip-flop contents in scan-chain order.
-    pub fn ff_values(&self) -> &[Packed<W>] {
+    pub fn ff_values(&self) -> &[Packed] {
         &self.ff
     }
 
@@ -482,20 +352,20 @@ impl<W: Word> WideState<W> {
     /// # Panics
     ///
     /// Panics if the slice length differs from the flip-flop count.
-    pub fn load_ffs(&mut self, values: &[Packed<W>]) {
+    pub fn load_ffs(&mut self, values: &[Packed]) {
         assert_eq!(values.len(), self.ff.len(), "scan load length mismatch");
         self.ff.copy_from_slice(values);
     }
 
     /// Packed output values in declaration order.
-    pub fn read_outputs(&self, circuit: &Circuit) -> Vec<Packed<W>> {
+    pub fn read_outputs(&self, circuit: &Circuit) -> Vec<Packed> {
         circuit.outputs().iter().map(|&n| self.net(n)).collect()
     }
 }
 
 /// Evaluates one gate on the current state without allocating — the packed
 /// counterpart of the scalar per-gate evaluation.
-fn eval_gate<W: Word>(g: &Gate, nets: &[Packed<W>]) -> Packed<W> {
+fn eval_gate(g: &Gate, nets: &[Packed]) -> Packed {
     let at = |n: NetId| nets[n.0];
     let ins = g.inputs();
     match g.kind() {
@@ -533,7 +403,7 @@ fn eval_gate<W: Word>(g: &Gate, nets: &[Packed<W>]) -> Packed<W> {
 /// # Panics
 ///
 /// Panics unless [`Circuit::check`] passes.
-pub fn eval<W: Word>(circuit: &Circuit, state: &mut WideState<W>) {
+pub fn eval(circuit: &Circuit, state: &mut PackedState) {
     let plan = circuit.eval_plan();
     state.changed.fill(false);
     state.pending.fill(false);
@@ -590,7 +460,6 @@ pub fn eval<W: Word>(circuit: &Circuit, state: &mut WideState<W>) {
         }
     }
     rt::obs::hot_add(rt::obs::Hot::PackedEvalCalls, 1);
-    rt::obs::hot_add(rt::obs::Hot::PackedEvalPasses, 1);
     if skipped > 0 {
         rt::obs::hot_add(rt::obs::Hot::PackedEventsSkipped, skipped);
     }
@@ -598,78 +467,60 @@ pub fn eval<W: Word>(circuit: &Circuit, state: &mut WideState<W>) {
 
 /// Packed twin of [`Circuit::tick`]: evaluate, capture every flip-flop's
 /// `d` word, propagate the new outputs.
-pub fn tick<W: Word>(circuit: &Circuit, state: &mut WideState<W>) {
+pub fn tick(circuit: &Circuit, state: &mut PackedState) {
     eval(circuit, state);
-    let WideState { nets, ff, .. } = state;
+    let PackedState { nets, ff, .. } = state;
     for (slot, dff) in ff.iter_mut().zip(circuit.dffs()) {
         *slot = nets[dff.d.0];
     }
     eval(circuit, state);
 }
 
-/// Transposes up to `W::BITS` scan vectors into packed per-input and
+/// Transposes up to [`LANES`] scan vectors into packed per-input and
 /// per-flip-flop words (lane *i* = vector *i*; unused lanes are `X`).
 ///
 /// # Panics
 ///
-/// Panics if more than `W::BITS` vectors are given or a vector's
+/// Panics if more than [`LANES`] vectors are given or a vector's
 /// `pi`/`load` lengths do not match the circuit.
-pub fn pack_vectors<W: Word>(
-    circuit: &Circuit,
-    vectors: &[ScanVector],
-) -> (Vec<Packed<W>>, Vec<Packed<W>>) {
-    let block = WideBlock::pack(circuit, vectors);
+pub fn pack_vectors(circuit: &Circuit, vectors: &[ScanVector]) -> (Vec<Packed>, Vec<Packed>) {
+    let block = PackedBlock::pack(circuit, vectors);
     (block.pi, block.load)
 }
 
-/// A pre-transposed block of up to `W::BITS` scan vectors: pack once,
+/// A pre-transposed block of up to [`LANES`] scan vectors: pack once,
 /// replay against any number of faults. The PPSFP kernel packs each block
 /// a single time and shares it across every live fault's simulation — the
 /// transpose is O(vectors × bits) and would otherwise be paid per fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WideBlock<W: Word> {
-    pi: Vec<Packed<W>>,
-    load: Vec<Packed<W>>,
+pub struct PackedBlock {
+    pi: Vec<Packed>,
+    load: Vec<Packed>,
     lanes: usize,
 }
 
-impl<W: Word> WideBlock<W> {
+impl PackedBlock {
     /// Transposes `vectors` (lane *i* = vector *i*; unused lanes `X`).
     ///
     /// # Panics
     ///
-    /// Panics if more than `W::BITS` vectors are given or a vector's
+    /// Panics if more than [`LANES`] vectors are given or a vector's
     /// `pi`/`load` lengths do not match the circuit.
-    pub fn pack(circuit: &Circuit, vectors: &[ScanVector]) -> WideBlock<W> {
+    pub fn pack(circuit: &Circuit, vectors: &[ScanVector]) -> PackedBlock {
         assert!(
-            vectors.len() <= W::BITS,
-            "more than {} vectors per block",
-            W::BITS
+            vectors.len() <= LANES,
+            "more than {LANES} vectors per block"
         );
         for v in vectors {
             assert_eq!(v.pi.len(), circuit.inputs().len(), "PI pattern length");
             assert_eq!(v.load.len(), circuit.dff_count(), "scan load length");
         }
-        let pack = |field: &dyn Fn(&ScanVector, usize) -> Logic, count: usize| -> Vec<Packed<W>> {
+        let pack = |field: &dyn Fn(&ScanVector, usize) -> Logic, count: usize| -> Vec<Packed> {
             (0..count)
-                .map(|j| {
-                    let mut val = W::ZERO;
-                    let mut known = W::ZERO;
-                    for (i, v) in vectors.iter().enumerate() {
-                        match field(v, j) {
-                            Logic::Zero => known.set_bit(i),
-                            Logic::One => {
-                                known.set_bit(i);
-                                val.set_bit(i);
-                            }
-                            Logic::X => {}
-                        }
-                    }
-                    Packed { val, known }
-                })
+                .map(|j| Packed::pack_lanes(vectors.iter().map(|v| field(v, j))))
                 .collect()
         };
-        WideBlock {
+        PackedBlock {
             pi: pack(&|v, j| v.pi[j], circuit.inputs().len()),
             load: pack(&|v, j| v.load[j], circuit.dff_count()),
             lanes: vectors.len(),
@@ -685,11 +536,11 @@ impl<W: Word> WideBlock<W> {
 /// Applies a pre-packed block: loads the chain, applies the primary
 /// inputs, strobes the outputs, pulses one functional clock and captures —
 /// the replay half of [`apply_vectors`].
-pub fn apply_block<W: Word>(
+pub fn apply_block(
     circuit: &Circuit,
-    state: &mut WideState<W>,
-    block: &WideBlock<W>,
-) -> WideResponse<W> {
+    state: &mut PackedState,
+    block: &PackedBlock,
+) -> PackedResponse {
     state.load_ffs(&block.load);
     for (&net, &w) in circuit.inputs().iter().zip(&block.pi) {
         state.write_external(net, w);
@@ -697,7 +548,7 @@ pub fn apply_block<W: Word>(
     eval(circuit, state);
     let po = state.read_outputs(circuit);
     tick(circuit, state);
-    WideResponse {
+    PackedResponse {
         po,
         capture: state.ff_values().to_vec(),
         lanes: block.lanes,
@@ -706,29 +557,29 @@ pub fn apply_block<W: Word>(
 
 /// The packed response to a block of scan vectors.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WideResponse<W: Word> {
+pub struct PackedResponse {
     /// Packed primary-output values after launch.
-    pub po: Vec<Packed<W>>,
+    pub po: Vec<Packed>,
     /// Packed flip-flop contents captured by the functional clock.
-    pub capture: Vec<Packed<W>>,
+    pub capture: Vec<Packed>,
     /// Number of live lanes (= vectors in the block).
     pub lanes: usize,
 }
 
 /// Packed twin of [`crate::scan::apply_vector`]: loads the chain, applies
 /// the primary inputs, strobes the outputs, pulses one functional clock and
-/// captures — for up to `W::BITS` vectors in one gate-level walk.
+/// captures — for up to [`LANES`] vectors in one gate-level walk.
 ///
 /// # Panics
 ///
-/// Panics if more than `W::BITS` vectors are given or a vector's lengths
+/// Panics if more than [`LANES`] vectors are given or a vector's lengths
 /// do not match the circuit.
-pub fn apply_vectors<W: Word>(
+pub fn apply_vectors(
     circuit: &Circuit,
-    state: &mut WideState<W>,
+    state: &mut PackedState,
     vectors: &[ScanVector],
-) -> WideResponse<W> {
-    apply_block(circuit, state, &WideBlock::pack(circuit, vectors))
+) -> PackedResponse {
+    apply_block(circuit, state, &PackedBlock::pack(circuit, vectors))
 }
 
 /// Extracts one lane of a packed response as a scalar [`ScanResponse`].
@@ -736,7 +587,7 @@ pub fn apply_vectors<W: Word>(
 /// # Panics
 ///
 /// Panics if `lane` is not below the response's live lane count.
-pub fn response_lane<W: Word>(resp: &WideResponse<W>, lane: usize) -> ScanResponse {
+pub fn response_lane(resp: &PackedResponse, lane: usize) -> ScanResponse {
     assert!(
         lane < resp.lanes,
         "lane {lane} beyond {} vectors",
@@ -753,28 +604,31 @@ pub fn response_lane<W: Word>(resp: &WideResponse<W>, lane: usize) -> ScanRespon
 /// the word-parallel form of `stuck_at::differs` — an `X` in the *golden*
 /// response cannot be compared, while a faulty `X` against a known golden
 /// value can.
-fn detect_word<W: Word>(g: Packed<W>, f: Packed<W>) -> W {
-    g.known_mask()
-        .and(f.known_mask().not().or(g.val_mask().xor(f.val_mask())))
+fn detect_word(g: Packed, f: Packed) -> u64 {
+    g.known_mask() & (!f.known_mask() | (g.val_mask() ^ f.val_mask()))
 }
 
-/// Simulates one block of up to `W::BITS` vectors against every fault and
+/// Simulates one block of up to [`LANES`] vectors against every fault and
 /// returns each fault's detection lane mask (bit *i* set = vector *i*
 /// detects the fault), folded straight off the simulation state — no
 /// per-fault response allocation. The golden response is computed once
-/// per call.
-fn detect_masks<W: Word>(
+/// per call. `state` is scratch: it is reset before the golden run and
+/// before every fault, so each simulation starts from exactly the state
+/// [`PackedState::for_circuit`] builds.
+fn detect_masks(
     circuit: &Circuit,
     block: &[ScanVector],
     faults: &[StuckAtFault],
-) -> Vec<W> {
-    let packed = WideBlock::<W>::pack(circuit, block);
-    let golden = apply_block(circuit, &mut WideState::for_circuit(circuit), &packed);
+    state: &mut PackedState,
+) -> Vec<u64> {
+    let packed = PackedBlock::pack(circuit, block);
+    state.reset();
+    let golden = apply_block(circuit, state, &packed);
     faults
         .iter()
         .map(|f| {
             rt::obs::hot_add(rt::obs::Hot::PpsfpFaultSims, 1);
-            let mut state = WideState::<W>::for_circuit(circuit);
+            state.reset();
             state.inject(f.net, f.value());
             // Inline replay of `apply_block` that folds the detection masks
             // straight off the state.
@@ -782,38 +636,32 @@ fn detect_masks<W: Word>(
             for (&net, &w) in circuit.inputs().iter().zip(&packed.pi) {
                 state.write_external(net, w);
             }
-            eval(circuit, &mut state);
-            let mut m = W::ZERO;
+            eval(circuit, state);
+            let mut m = 0;
             for (g, &net) in golden.po.iter().zip(circuit.outputs()) {
-                m = m.or(detect_word(*g, state.net(net)));
+                m |= detect_word(*g, state.net(net));
             }
             // What the flip-flops would capture is the settled `d` values;
             // the launch eval above already settled them, so no further eval
             // is needed (a full `tick` would only propagate net state this
             // kernel is about to drop).
             for (g, ff) in golden.capture.iter().zip(circuit.dffs()) {
-                m = m.or(detect_word(*g, state.net(ff.d)));
+                m |= detect_word(*g, state.net(ff.d));
             }
-            m.and(W::mask(golden.lanes))
+            m & lane_mask(golden.lanes)
         })
         .collect()
 }
 
-/// PPSFP fault simulation: packs `vectors` into word-wide blocks and
+/// PPSFP fault simulation: packs `vectors` into 64-pattern blocks and
 /// fault-simulates each block against the still-undetected faults only
 /// (**fault dropping** — a fault detected in an earlier block is never
 /// simulated again). Returns one detection flag per fault, in `faults`
-/// order. Runs on the calling thread.
+/// order. Runs on the calling thread, on one [`PackedState`] reused for
+/// every simulation of the call.
 ///
-/// The plane width is picked from the pattern count: 512 lanes
-/// (`[u64; 8]`) above 128 patterns, 256 lanes (`[u64; 4]`) above 64,
-/// `u64` otherwise. Detection flags are width-independent — each
-/// pattern's detecting power depends only on the circuit and the pattern,
-/// never on which block it shares — so the dispatch is purely a
-/// performance choice; [`ppsfp_detect_wide`] pins the width explicitly.
-///
-/// Each fault's flag also depends only on the circuit and the vectors,
-/// never on which other faults share the call (dropping is a per-block
+/// Each fault's flag depends only on the circuit and the vectors, never
+/// on which other faults share the call (dropping is a per-block
 /// performance device, not a result dependency). Concatenating the flags
 /// of calls over consecutive sub-slices of a fault universe is therefore
 /// byte-identical to one call over the whole universe, which is what lets
@@ -828,39 +676,23 @@ pub fn ppsfp_detect(
     vectors: &[ScanVector],
     faults: &[StuckAtFault],
 ) -> Vec<bool> {
-    if vectors.len() > 2 * LANES {
-        ppsfp_detect_wide::<[u64; 8]>(circuit, vectors, faults)
-    } else if vectors.len() > LANES {
-        ppsfp_detect_wide::<[u64; 4]>(circuit, vectors, faults)
-    } else {
-        ppsfp_detect_wide::<u64>(circuit, vectors, faults)
-    }
-}
-
-/// [`ppsfp_detect`] at an explicit plane width `W` instead of the
-/// pattern-count dispatch — the conformance oracle and the width-sweep
-/// bench drive every width through this entry point.
-pub fn ppsfp_detect_wide<W: Word>(
-    circuit: &Circuit,
-    vectors: &[ScanVector],
-    faults: &[StuckAtFault],
-) -> Vec<bool> {
     let _span = rt::obs::span("dsim.ppsfp");
     rt::obs::count("dsim.ppsfp.calls", 1);
     rt::obs::count("dsim.ppsfp.faults", faults.len() as u64);
     let mut detected = vec![false; faults.len()];
     let mut live: Vec<usize> = (0..faults.len()).collect();
-    for block in vectors.chunks(W::BITS) {
+    let mut state = PackedState::for_circuit(circuit);
+    for block in vectors.chunks(LANES) {
         if live.is_empty() {
             break;
         }
         rt::obs::count("dsim.ppsfp.blocks", 1);
         rt::obs::count("dsim.ppsfp.patterns", block.len() as u64);
         let live_faults: Vec<StuckAtFault> = live.iter().map(|&i| faults[i]).collect();
-        let masks = detect_masks::<W>(circuit, block, &live_faults);
+        let masks = detect_masks(circuit, block, &live_faults, &mut state);
         let mut next_live = Vec::with_capacity(live.len());
         for (&fi, &mask) in live.iter().zip(&masks) {
-            if mask.any() {
+            if mask != 0 {
                 detected[fi] = true;
             } else {
                 next_live.push(fi);
@@ -893,17 +725,17 @@ mod tests {
     #[test]
     fn packed_ops_match_scalar_truth_tables() {
         for a in ALL {
-            let pa = Packed::<u64>::splat(a);
+            let pa = Packed::splat(a);
             assert_eq!(pa.not().lane(0), a.not(), "not {a:?}");
             for b in ALL {
-                let pb = Packed::<u64>::splat(b);
+                let pb = Packed::splat(b);
                 assert_eq!(pa.and(pb).lane(13), a.and(b), "and {a:?} {b:?}");
                 assert_eq!(pa.or(pb).lane(13), a.or(b), "or {a:?} {b:?}");
                 assert_eq!(pa.xor(pb).lane(13), a.xor(b), "xor {a:?} {b:?}");
                 for s in ALL {
-                    let ps = Packed::<u64>::splat(s);
+                    let ps = Packed::splat(s);
                     assert_eq!(
-                        Packed::<u64>::mux(ps, pa, pb).lane(63),
+                        Packed::mux(ps, pa, pb).lane(63),
                         Logic::mux(s, a, b),
                         "mux {s:?} {a:?} {b:?}"
                     );
@@ -913,62 +745,15 @@ mod tests {
     }
 
     #[test]
-    fn wide_ops_match_scalar_truth_tables() {
-        // The same exhaustive sweep at 256 and 512 lanes, probing lanes in
-        // every limb.
-        fn sweep<W: Word>() {
-            let probes = [0, 63, 64, W::BITS / 2, W::BITS - 1];
-            for a in ALL {
-                let pa = Packed::<W>::splat(a);
-                for b in ALL {
-                    let pb = Packed::<W>::splat(b);
-                    for &i in &probes {
-                        assert_eq!(pa.and(pb).lane(i), a.and(b), "and {a:?} {b:?} lane {i}");
-                        assert_eq!(pa.or(pb).lane(i), a.or(b), "or {a:?} {b:?} lane {i}");
-                        assert_eq!(pa.xor(pb).lane(i), a.xor(b), "xor {a:?} {b:?} lane {i}");
-                        for s in ALL {
-                            let ps = Packed::<W>::splat(s);
-                            assert_eq!(
-                                Packed::mux(ps, pa, pb).lane(i),
-                                Logic::mux(s, a, b),
-                                "mux {s:?} {a:?} {b:?} lane {i}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        sweep::<[u64; 4]>();
-        sweep::<[u64; 8]>();
-    }
-
-    #[test]
-    fn word_masks_and_bits() {
-        assert_eq!(<[u64; 4]>::BITS, 256);
-        assert_eq!(<[u64; 8]>::BITS, 512);
-        assert_eq!(<[u64; 4]>::mask(0), [0; 4]);
-        assert_eq!(<[u64; 4]>::mask(256), [u64::MAX; 4]);
-        assert_eq!(<[u64; 4]>::mask(999), [u64::MAX; 4]);
-        assert_eq!(<[u64; 4]>::mask(65), [u64::MAX, 1, 0, 0]);
-        assert_eq!(<[u64; 4]>::mask(64), [u64::MAX, 0, 0, 0]);
-        let mut w = [0u64; 4];
-        w.set_bit(64);
-        assert!(w.bit(64));
-        assert!(!w.bit(63));
-        assert!(w.any());
-        assert!(!<[u64; 4]>::ZERO.any());
-    }
-
-    #[test]
     fn canonical_invariant_holds_through_ops() {
-        let mixed = Packed::<u64>::from_lanes(&[Zero, One, X, One, X, Zero]);
+        let mixed = Packed::from_lanes(&[Zero, One, X, One, X, Zero]);
         let ops = [
             mixed.not(),
-            mixed.and(Packed::<u64>::X),
-            mixed.or(Packed::<u64>::X),
-            mixed.xor(Packed::<u64>::splat(One)),
-            Packed::<u64>::mux(Packed::<u64>::X, mixed, mixed.not()),
-            Packed::<u64>::from_planes(u64::MAX, 0b1010),
+            mixed.and(Packed::X),
+            mixed.or(Packed::X),
+            mixed.xor(Packed::splat(One)),
+            Packed::mux(Packed::X, mixed, mixed.not()),
+            Packed::from_planes(u64::MAX, 0b1010),
         ];
         for w in ops {
             assert_eq!(w.val_mask() & !w.known_mask(), 0, "{w:?}");
@@ -978,31 +763,20 @@ mod tests {
     #[test]
     fn lanes_roundtrip() {
         let lanes = [One, Zero, X, One, X, Zero, One];
-        let w = Packed::<u64>::from_lanes(&lanes);
+        let w = Packed::from_lanes(&lanes);
         for (i, &l) in lanes.iter().enumerate() {
             assert_eq!(w.lane(i), l);
         }
         // Unused lanes default to X.
         assert_eq!(w.lane(lanes.len()), X);
         assert_eq!(w.lane(63), X);
-        // And the same across limb boundaries at width 256.
-        let mut wide_lanes = vec![X; 130];
-        wide_lanes[0] = One;
-        wide_lanes[64] = Zero;
-        wide_lanes[129] = One;
-        let w = Packed::<[u64; 4]>::from_lanes(&wide_lanes);
-        assert_eq!(w.lane(0), One);
-        assert_eq!(w.lane(64), Zero);
-        assert_eq!(w.lane(129), One);
-        assert_eq!(w.lane(130), X);
-        assert_eq!(w.lane(255), X);
     }
 
     #[test]
     fn splat_and_masks() {
-        assert_eq!(Packed::<u64>::splat(One).one_mask(), u64::MAX);
-        assert_eq!(Packed::<u64>::splat(Zero).zero_mask(), u64::MAX);
-        assert_eq!(Packed::<u64>::X.known_mask(), 0);
+        assert_eq!(Packed::splat(One).one_mask(), u64::MAX);
+        assert_eq!(Packed::splat(Zero).zero_mask(), u64::MAX);
+        assert_eq!(Packed::X.known_mask(), 0);
         assert_eq!(lane_mask(0), 0);
         assert_eq!(lane_mask(3), 0b111);
         assert_eq!(lane_mask(64), u64::MAX);
@@ -1014,34 +788,11 @@ mod tests {
         let rc = crate::blocks::ring_counter::RingCounter::new(4);
         let c = rc.circuit();
         let vectors = random_vectors(c, 50, 3); // partial final... single partial block
-        let resp = apply_vectors(c, &mut WideState::<u64>::for_circuit(c), &vectors);
+        let resp = apply_vectors(c, &mut PackedState::for_circuit(c), &vectors);
         for (i, v) in vectors.iter().enumerate() {
             let scalar = apply_vector(c, &mut SimState::for_circuit(c), v);
             assert_eq!(response_lane(&resp, i), scalar, "lane {i}");
         }
-    }
-
-    #[test]
-    fn wide_responses_match_scalar_per_lane() {
-        // 130 vectors fill one partial [u64; 4] block (and a very partial
-        // [u64; 8] block): every live lane must reproduce the scalar
-        // response, and the dead lanes stay X.
-        let rc = crate::blocks::ring_counter::RingCounter::new(4);
-        let c = rc.circuit();
-        let vectors = random_vectors(c, 130, 3);
-        fn check<W: Word>(c: &Circuit, vectors: &[ScanVector]) {
-            let resp = apply_vectors::<W>(c, &mut WideState::for_circuit(c), vectors);
-            for (i, v) in vectors.iter().enumerate() {
-                let scalar = apply_vector(c, &mut SimState::for_circuit(c), v);
-                assert_eq!(response_lane(&resp, i), scalar, "lane {i}");
-            }
-            let dead = W::mask(vectors.len()).not();
-            for w in resp.po.iter().chain(&resp.capture) {
-                assert!(!w.known_mask().and(dead).any(), "dead lane known: {w:?}");
-            }
-        }
-        check::<[u64; 4]>(c, &vectors);
-        check::<[u64; 8]>(c, &vectors);
     }
 
     #[test]
@@ -1052,15 +803,15 @@ mod tests {
         let y = c.net("y");
         c.gate(GateKind::And, &[a, b], y);
         c.output(y);
-        let mut s = WideState::<u64>::for_circuit(&c);
+        let mut s = PackedState::for_circuit(&c);
         s.inject(y, One);
-        s.set_input(&c, a, Packed::<u64>::splat(Zero));
-        s.set_input(&c, b, Packed::<u64>::from_lanes(&[Zero, One, X]));
+        s.set_input(&c, a, Packed::splat(Zero));
+        s.set_input(&c, b, Packed::from_lanes(&[Zero, One, X]));
         eval(&c, &mut s);
-        assert_eq!(s.net(y), Packed::<u64>::splat(One), "sa1 wins in all lanes");
+        assert_eq!(s.net(y), Packed::splat(One), "sa1 wins in all lanes");
         s.clear_fault();
         eval(&c, &mut s);
-        assert_eq!(s.net(y), Packed::<u64>::splat(Zero));
+        assert_eq!(s.net(y), Packed::splat(Zero));
     }
 
     #[test]
@@ -1074,10 +825,10 @@ mod tests {
         let vectors = random_vectors(c, 8 * BLOCK, 21);
         let faults = enumerate_faults(c);
         for f in faults.iter().take(6) {
-            let mut ev = WideState::<u64>::for_circuit(c);
+            let mut ev = PackedState::for_circuit(c);
             let mut sw: Vec<SimState> = (0..BLOCK).map(|_| SimState::for_circuit(c)).collect();
             for block_vectors in vectors.chunks(BLOCK) {
-                let block = WideBlock::pack(c, block_vectors);
+                let block = PackedBlock::pack(c, block_vectors);
                 ev.inject(f.net, f.value());
                 let got = apply_block(c, &mut ev, &block);
                 for (k, (v, s)) in block_vectors.iter().zip(&mut sw).enumerate() {
@@ -1145,23 +896,32 @@ mod tests {
     }
 
     #[test]
-    fn every_width_reports_identical_detection_flags() {
+    fn block_boundaries_match_scalar_detection_flags() {
+        // Pattern counts on both sides of every 64-pattern block boundary
+        // up to nine blocks: fault dropping between blocks and the partial
+        // final block must not change a single flag. Random vectors detect
+        // every fault in the first block, so each count also runs a
+        // late-detect set (one vector repeated, a fresh one last) that
+        // keeps faults live into the final block.
         let rc = crate::blocks::ring_counter::RingCounter::new(4);
         let c = rc.circuit();
         let faults = enumerate_faults(c);
-        // Pattern counts straddling every width's block boundary.
-        for count in [1, 63, 64, 65, 130, 255, 256, 257, 511, 512, 513] {
-            let vectors = random_vectors(c, count, 9);
-            let narrow = ppsfp_detect_wide::<u64>(c, &vectors, &faults);
-            let mid = ppsfp_detect_wide::<[u64; 4]>(c, &vectors, &faults);
-            let wide = ppsfp_detect_wide::<[u64; 8]>(c, &vectors, &faults);
-            assert_eq!(narrow, mid, "{count} vectors, 64 vs 256");
-            assert_eq!(narrow, wide, "{count} vectors, 64 vs 512");
-            assert_eq!(
-                ppsfp_detect(c, &vectors, &faults),
-                narrow,
-                "{count} vectors, dispatched"
-            );
+        for count in [1, 63, 64, 65, 127, 128, 129, 256, 257, 513] {
+            let random = random_vectors(c, count, 9);
+            let mut late = vec![random[0].clone(); count - 1];
+            late.push(random_vectors(c, 1, 10).remove(0));
+            for (shape, vectors) in [("random", random), ("late-detect", late)] {
+                let scalar = crate::stuck_at::scan_coverage_scalar(c, &vectors);
+                let want: Vec<bool> = faults
+                    .iter()
+                    .map(|f| !scalar.undetected().contains(f))
+                    .collect();
+                assert_eq!(
+                    ppsfp_detect(c, &vectors, &faults),
+                    want,
+                    "{count} {shape} vectors"
+                );
+            }
         }
     }
 
@@ -1226,7 +986,8 @@ mod tests {
             net: a,
             stuck_high: true,
         }];
-        let masks = detect_masks::<u64>(&c, &[v.clone(), v.clone(), v], &faults);
+        let mut state = PackedState::for_circuit(&c);
+        let masks = detect_masks(&c, &[v.clone(), v.clone(), v], &faults, &mut state);
         assert_eq!(masks, vec![0b111]);
     }
 
@@ -1241,20 +1002,6 @@ mod tests {
             pi: vec![Zero],
             load: vec![],
         };
-        let _ = pack_vectors::<u64>(&c, &vec![v; 65]);
-    }
-
-    #[test]
-    #[should_panic(expected = "vectors per block")]
-    fn oversized_wide_block_panics() {
-        let mut c = Circuit::new("buf");
-        let a = c.input("a");
-        let y = c.net("y");
-        c.gate(GateKind::Buf, &[a], y);
-        let v = ScanVector {
-            pi: vec![Zero],
-            load: vec![],
-        };
-        let _ = pack_vectors::<[u64; 4]>(&c, &vec![v; 257]);
+        let _ = pack_vectors(&c, &vec![v; 65]);
     }
 }

@@ -30,7 +30,7 @@
 //! detection coincides exactly with
 //! [`crate::transition::launch_capture_response`] replayed on the
 //! sequential circuit — the contract `conform`'s `TimeExpansionOracle`
-//! checks at scalar and packed widths.
+//! checks with both the scalar and the packed simulator.
 //!
 //! # Examples
 //!

@@ -119,14 +119,12 @@ fn differs(golden: &ScanResponse, faulty: &ScanResponse) -> bool {
 /// reports coverage. Detection = any pattern whose faulty response differs
 /// from the golden response at a known-value position.
 ///
-/// Runs on the bit-parallel PPSFP kernel ([`crate::bitpar`]) on the
-/// calling thread: the plane width is picked from the pattern count (64
-/// patterns per `u64` word, 256 or 512 per wide word for larger sets —
-/// see [`crate::bitpar::ppsfp_detect`]), with fault dropping across
-/// pattern blocks. The result is bit-identical to [`scan_coverage_scalar`]
-/// — including the `undetected` fault order — at any width and block
-/// partitioning; the `conform` crate's packed-vs-scalar oracle enforces
-/// this.
+/// Runs on the bit-parallel PPSFP kernel
+/// ([`crate::bitpar::ppsfp_detect`]) on the calling thread: 64 patterns
+/// per `u64` word, with fault dropping across pattern blocks. The result
+/// is bit-identical to [`scan_coverage_scalar`] — including the
+/// `undetected` fault order — at any block partitioning; the `conform`
+/// crate's packed-vs-scalar oracle enforces this.
 pub fn scan_coverage(circuit: &Circuit, vectors: &[ScanVector]) -> StuckAtCoverage {
     let faults = enumerate_faults(circuit);
     let flags = crate::bitpar::ppsfp_detect(circuit, vectors, &faults);

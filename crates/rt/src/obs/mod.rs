@@ -77,32 +77,30 @@ pub use trace::{chrome_trace_json, chrome_trace_json_named, pin_epoch, Span, Spa
 pub enum Hot {
     /// Scalar `Circuit::eval` invocations.
     ScalarEvalCalls = 0,
-    /// Scalar Gauss–Seidel relaxation passes across all evals.
+    /// Scalar evaluation passes: one per levelized `Circuit::eval`, plus
+    /// every sweep pass of the reference-only `Circuit::eval_sweep`.
     ScalarEvalPasses = 1,
     /// Scalar gate writes that produced an X (unknown) value.
     ScalarEvalXWrites = 2,
-    /// Packed (64-lane) eval invocations.
+    /// Packed (64-lane) eval invocations, each one levelized pass.
     PackedEvalCalls = 3,
-    /// Packed Gauss–Seidel relaxation passes.
-    PackedEvalPasses = 4,
     /// Bits moved through scalar scan-chain shifts.
-    ScanShiftBits = 5,
+    ScanShiftBits = 4,
     /// Per-fault packed simulations inside the PPSFP kernel.
-    PpsfpFaultSims = 6,
+    PpsfpFaultSims = 5,
     /// Gates the packed event-driven evaluator skipped (fan-in unchanged).
-    PackedEventsSkipped = 7,
+    PackedEventsSkipped = 6,
     /// Gates the scalar event-driven evaluator skipped (fan-in unchanged).
-    ScalarEventsSkipped = 8,
+    ScalarEventsSkipped = 7,
 }
 
-const HOT_SLOTS: usize = 9;
+const HOT_SLOTS: usize = 8;
 
 const HOT_NAMES: [&str; HOT_SLOTS] = [
     "dsim.eval.calls",
     "dsim.eval.passes",
     "dsim.eval.x_writes",
     "dsim.packed.eval_calls",
-    "dsim.packed.eval_passes",
     "dsim.scan.shift_bits",
     "dsim.ppsfp.fault_sims",
     "dsim.packed.events_skipped",
@@ -435,6 +433,8 @@ mod tests {
         for (slot, name) in [
             (Hot::ScalarEvalCalls, "dsim.eval.calls"),
             (Hot::ScalarEvalXWrites, "dsim.eval.x_writes"),
+            (Hot::PackedEvalCalls, "dsim.packed.eval_calls"),
+            (Hot::ScanShiftBits, "dsim.scan.shift_bits"),
             (Hot::ScalarEventsSkipped, "dsim.eval.events_skipped"),
         ] {
             let ((), m, _) = observe(|| hot_add(slot, 1));

@@ -2,11 +2,11 @@
 //! against the scalar reference (in-tree `rt::check` harness): random
 //! sequential circuits and X-injected vector sets, with the packed corner
 //! cases the conformance suite cannot sweep — partial final words (pattern
-//! counts that are not a multiple of the plane width, at 64, 256 and 512
-//! lanes), single-lane blocks, all-`X` planes, and the rejection of
-//! combinational feedback by both evaluators.
+//! counts that are not a multiple of the 64-lane plane), single-lane
+//! blocks, all-`X` planes, and the rejection of combinational feedback by
+//! both evaluators.
 
-use dsim::bitpar::{self, Word, LANES};
+use dsim::bitpar::{self, lane_mask, LANES};
 use dsim::circuit::{Circuit, GateKind, NetId, SimState, StructureError};
 use dsim::logic::Logic;
 use dsim::scan::{apply_vector, ScanVector};
@@ -86,35 +86,6 @@ fn random_x_vectors(rng: &mut Draws, circuit: &Circuit, count: usize) -> Vec<Sca
 /// and without a partial final word.
 const WORD_EDGE_COUNTS: [usize; 6] = [1, 63, 64, 65, 128, 130];
 
-/// The 1/63/64/65 analogues at a 256-lane plane, plus the limb boundaries
-/// inside one wide word (a partial first limb and a partial last limb).
-const WIDE_EDGE_COUNTS_256: [usize; 7] = [1, 63, 64, 65, 255, 256, 257];
-
-/// The 1/63/64/65 analogues at a 512-lane plane.
-const WIDE_EDGE_COUNTS_512: [usize; 7] = [1, 255, 256, 257, 511, 512, 513];
-
-/// Lane-for-lane response equivalence at one plane width: every packed
-/// block, sliced back into scalar lanes, reproduces the scalar
-/// `apply_vector` responses exactly, including `X` positions.
-fn assert_lane_equivalence<W: Word>(c: &Circuit, vectors: &[ScanVector]) {
-    for (bi, block) in vectors.chunks(W::BITS).enumerate() {
-        let mut packed = bitpar::WideState::<W>::for_circuit(c);
-        let resp = bitpar::apply_vectors(c, &mut packed, block);
-        assert_eq!(resp.lanes, block.len(), "block {bi} lane count");
-        for (lane, v) in block.iter().enumerate() {
-            let mut scalar = SimState::for_circuit(c);
-            let want = apply_vector(c, &mut scalar, v);
-            assert_eq!(
-                bitpar::response_lane(&resp, lane),
-                want,
-                "width {}: block {bi} lane {lane} of {} vectors diverged",
-                W::BITS,
-                vectors.len(),
-            );
-        }
-    }
-}
-
 /// Lane-for-lane response equivalence: every packed block, sliced back into
 /// scalar lanes, reproduces the scalar `apply_vector` responses exactly —
 /// including `X` positions — at every word-boundary pattern count.
@@ -124,21 +95,20 @@ fn packed_responses_match_scalar_lane_for_lane() {
         let c = random_sequential_circuit(rng);
         let count = WORD_EDGE_COUNTS[rng.below(WORD_EDGE_COUNTS.len())];
         let vectors = random_x_vectors(rng, &c, count);
-        assert_lane_equivalence::<u64>(&c, &vectors);
-    });
-}
-
-/// The same lane-for-lane equivalence at the wide plane widths, at their
-/// own word-boundary pattern counts — partial final words, partial final
-/// *limbs*, and single-lane wide blocks.
-#[test]
-fn wide_responses_match_scalar_lane_for_lane() {
-    check_cases("wide_responses_match_scalar_lane_for_lane", 12, |rng| {
-        let c = random_sequential_circuit(rng);
-        let n256 = WIDE_EDGE_COUNTS_256[rng.below(WIDE_EDGE_COUNTS_256.len())];
-        assert_lane_equivalence::<[u64; 4]>(&c, &random_x_vectors(rng, &c, n256));
-        let n512 = WIDE_EDGE_COUNTS_512[rng.below(WIDE_EDGE_COUNTS_512.len())];
-        assert_lane_equivalence::<[u64; 8]>(&c, &random_x_vectors(rng, &c, n512));
+        for (bi, block) in vectors.chunks(LANES).enumerate() {
+            let mut packed = bitpar::PackedState::for_circuit(&c);
+            let resp = bitpar::apply_vectors(&c, &mut packed, block);
+            assert_eq!(resp.lanes, block.len(), "block {bi} lane count");
+            for (lane, v) in block.iter().enumerate() {
+                let mut scalar = SimState::for_circuit(&c);
+                let want = apply_vector(&c, &mut scalar, v);
+                assert_eq!(
+                    bitpar::response_lane(&resp, lane),
+                    want,
+                    "block {bi} lane {lane} of {count} vectors diverged",
+                );
+            }
+        }
     });
 }
 
@@ -187,12 +157,9 @@ fn panic_message(f: impl FnOnce()) -> String {
 
 /// Feedback rejection: a cyclic circuit fails `Circuit::check` at the
 /// latch's first gate, and neither the scalar evaluator nor the packed one
-/// at 64, 256 or 512 lanes runs on it — each panics with that error.
+/// runs on it — each panics with that error.
 #[test]
 fn feedback_circuits_are_rejected_at_every_width() {
-    fn packed_eval<W: Word>(c: &Circuit) {
-        bitpar::eval(c, &mut bitpar::WideState::<W>::for_circuit(c));
-    }
     check_cases("feedback_circuits_are_rejected_at_every_width", 12, |rng| {
         let (c, q) = random_feedback_circuit(rng);
         assert_eq!(
@@ -207,9 +174,10 @@ fn feedback_circuits_are_rejected_at_every_width() {
             panic_message(|| c.eval(&mut SimState::for_circuit(&c))),
             want
         );
-        assert_eq!(panic_message(|| packed_eval::<u64>(&c)), want);
-        assert_eq!(panic_message(|| packed_eval::<[u64; 4]>(&c)), want);
-        assert_eq!(panic_message(|| packed_eval::<[u64; 8]>(&c)), want);
+        assert_eq!(
+            panic_message(|| bitpar::eval(&c, &mut bitpar::PackedState::for_circuit(&c))),
+            want
+        );
     });
 }
 
@@ -244,7 +212,7 @@ fn all_x_planes_match_scalar_and_detect_nothing() {
         };
         let vectors = vec![v; LANES + 1];
         for block in vectors.chunks(LANES) {
-            let mut packed = bitpar::WideState::<u64>::for_circuit(&c);
+            let mut packed = bitpar::PackedState::for_circuit(&c);
             let resp = bitpar::apply_vectors(&c, &mut packed, block);
             let mut scalar = SimState::for_circuit(&c);
             let want = apply_vector(&c, &mut scalar, &vectors[0]);
@@ -258,51 +226,25 @@ fn all_x_planes_match_scalar_and_detect_nothing() {
     });
 }
 
-/// Dead-lane X-closure at one width: no unused lane of a partial block may
-/// turn into a known value anywhere in the response.
-fn assert_dead_lanes_x<W: Word>(c: &Circuit, vectors: &[ScanVector]) {
-    let mut packed = bitpar::WideState::<W>::for_circuit(c);
-    let resp = bitpar::apply_vectors(c, &mut packed, vectors);
-    let live = W::mask(vectors.len());
-    for w in resp.po.iter().chain(&resp.capture) {
-        assert_eq!(
-            w.known_mask().and(live.not()),
-            W::ZERO,
-            "a dead lane became known: {w:?} with {} live lanes at width {}",
-            vectors.len(),
-            W::BITS,
-        );
-    }
-}
-
 /// The packed word for a partial block keeps its dead lanes at `X` from
-/// stimulus to response: packing `n < width` vectors never lets an unused
+/// stimulus to response: packing `n < 64` vectors never lets an unused
 /// lane turn into a known value that could leak into coverage or
 /// detection — through the event-driven skips as much as through actual
-/// gate evaluation, at every plane width.
+/// gate evaluation.
 #[test]
 fn dead_lanes_stay_unknown_through_simulation() {
     check_cases("dead_lanes_stay_unknown_through_simulation", 24, |rng| {
         let c = random_sequential_circuit(rng);
         let count = rng.range_usize(1, LANES); // always a partial word
         let vectors = random_x_vectors(rng, &c, count);
-        assert_dead_lanes_x::<u64>(&c, &vectors);
+        let mut packed = bitpar::PackedState::for_circuit(&c);
+        let resp = bitpar::apply_vectors(&c, &mut packed, &vectors);
+        for w in resp.po.iter().chain(&resp.capture) {
+            assert_eq!(
+                w.known_mask() & !lane_mask(count),
+                0,
+                "a dead lane became known: {w:?} with {count} live lanes",
+            );
+        }
     });
-}
-
-/// Dead-lane X-closure at the wide widths, with the partial boundary
-/// landing both inside a limb and exactly on limb edges.
-#[test]
-fn wide_dead_lanes_stay_unknown_through_simulation() {
-    check_cases(
-        "wide_dead_lanes_stay_unknown_through_simulation",
-        12,
-        |rng| {
-            let c = random_sequential_circuit(rng);
-            let n256 = rng.range_usize(1, 4 * LANES);
-            assert_dead_lanes_x::<[u64; 4]>(&c, &random_x_vectors(rng, &c, n256));
-            let n512 = rng.range_usize(4 * LANES, 8 * LANES);
-            assert_dead_lanes_x::<[u64; 8]>(&c, &random_x_vectors(rng, &c, n512));
-        },
-    );
 }
