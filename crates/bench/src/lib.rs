@@ -227,14 +227,7 @@ pub mod obs_pipeline {
                     let _span = rt::obs::span("pipeline.fuzz_smoke");
                     let chain = ChainB::new(4);
                     let baseline = random_vectors(chain.circuit(), 4, 41);
-                    fuzz(
-                        chain.circuit(),
-                        &baseline,
-                        &FuzzConfig {
-                            threads,
-                            ..FuzzConfig::smoke(0xC0FFEE)
-                        },
-                    )
+                    fuzz(chain.circuit(), &baseline, &FuzzConfig::smoke(0xC0FFEE))
                 };
                 (digital, analog, report.accepted)
             });

@@ -89,7 +89,6 @@ pub(super) fn fuzz_coverage() -> String {
         seed: 0xFACADE,
         generations: 12,
         candidates_per_generation: 32,
-        threads: rt::par::threads(),
     };
     let mut csv = Csv::new(&[
         "chain",

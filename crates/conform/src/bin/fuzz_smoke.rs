@@ -2,10 +2,10 @@
 //!
 //! Fixed seed, fully offline, a couple of seconds: fuzzes the stitched
 //! clock-control chain (chain B) from a deliberately small ATPG
-//! baseline, asserts the run is byte-identical at 1 and 4 worker
-//! threads, that coverage strictly grows over the baseline, that the
-//! corpus survives a save/load roundtrip under `results/corpus/`, and
-//! that the cheap differential oracles agree on the fuzzed corpus
+//! baseline, asserts that coverage strictly grows over the baseline,
+//! that the corpus survives a save/load roundtrip under
+//! `results/corpus/`, and that the cheap differential oracles agree on
+//! the fuzzed corpus
 //! (including the instrumented-vs-plain PPSFP oracle, so the tier-1 gate
 //! also pins "observability does not perturb results", and the
 //! checkpoint-resume oracle, so it also pins "a killed campaign resumes
@@ -39,39 +39,25 @@ fn main() {
     // enough to leave activation points for the fuzzer to find.
     let baseline = random_vectors(circuit, 4, 41);
 
-    let cfg = FuzzConfig::smoke(0xC0FFEE);
-    let single = fuzz(circuit, &baseline, &cfg);
-    let pooled = fuzz(
-        circuit,
-        &baseline,
-        &FuzzConfig {
-            threads: 4,
-            ..cfg.clone()
-        },
-    );
-    assert_eq!(
-        single.corpus, pooled.corpus,
-        "fuzz corpus depends on the thread count"
-    );
-    assert_eq!(single.coverage, pooled.coverage);
+    let report = fuzz(circuit, &baseline, &FuzzConfig::smoke(0xC0FFEE));
     assert!(
-        single.gain() > 0,
+        report.gain() > 0,
         "fuzzer found no new activation points over the ATPG baseline"
     );
 
     let path = Path::new("results/corpus/chain_b_smoke.corpus");
-    corpus::save(path, &single.corpus).expect("corpus save");
+    corpus::save(path, &report.corpus).expect("corpus save");
     let reloaded = corpus::load(path).expect("corpus load");
-    assert_eq!(reloaded, single.corpus, "corpus roundtrip");
+    assert_eq!(reloaded, report.corpus, "corpus roundtrip");
 
     // The fuzzed corpus doubles as differential-oracle stimulus. Its
     // length is whatever the fuzzer accepted — almost never a multiple of
     // 64 — so the packed-vs-scalar oracle exercises a partial final word.
-    let scan_oracle = ScanVsFunctionalOracle::new(circuit.clone(), single.corpus.clone());
+    let scan_oracle = ScanVsFunctionalOracle::new(circuit.clone(), report.corpus.clone());
     let transition_oracle =
-        LogicVsTransitionOracle::new(circuit.clone(), two_pattern_tests(&single.corpus));
-    let packed_oracle = PackedVsScalarOracle::new(circuit.clone(), single.corpus.clone());
-    let obs_oracle = InstrumentedPpsfpOracle::new(circuit.clone(), single.corpus.clone());
+        LogicVsTransitionOracle::new(circuit.clone(), two_pattern_tests(&report.corpus));
+    let packed_oracle = PackedVsScalarOracle::new(circuit.clone(), report.corpus.clone());
+    let obs_oracle = InstrumentedPpsfpOracle::new(circuit.clone(), report.corpus.clone());
     // Kill-and-resume at the acceptance sweep of 1/2/4/7 worker threads:
     // the campaign is behavioral (no per-pattern simulation), so the full
     // sweep stays well inside the smoke-gate time budget.
@@ -100,11 +86,11 @@ fn main() {
         format!(
             "baseline={} accepted={} coverage={}/{} gain={} executions={}",
             baseline.len(),
-            single.accepted,
-            single.coverage.points(),
-            single.coverage.total(),
-            single.gain(),
-            single.executions,
+            report.accepted,
+            report.coverage.points(),
+            report.coverage.total(),
+            report.gain(),
+            report.executions,
         ),
     );
 }

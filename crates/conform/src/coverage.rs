@@ -165,22 +165,9 @@ fn block_observation(circuit: &Circuit, block: &[ScanVector]) -> (Vec<u64>, Vec<
 /// [`vector_coverage`] over the set (unused lanes are `X` and activate
 /// nothing).
 pub fn batch_footprints(circuit: &Circuit, vectors: &[ScanVector]) -> Vec<NodeCoverage> {
-    batch_footprints_with(1, circuit, vectors)
-}
-
-/// [`batch_footprints`] with an explicit worker-thread count (blocks fan
-/// out across workers; the result is identical at any thread count).
-pub fn batch_footprints_with(
-    threads: usize,
-    circuit: &Circuit,
-    vectors: &[ScanVector],
-) -> Vec<NodeCoverage> {
-    let blocks: Vec<&[ScanVector]> = vectors.chunks(LANES).collect();
-    let observed = rt::par::parallel_map_with(threads, &blocks, |block| {
-        (block.len(), block_observation(circuit, block))
-    });
-    observed
-        .into_iter()
+    vectors
+        .chunks(LANES)
+        .map(|block| (block.len(), block_observation(circuit, block)))
         .flat_map(|(lanes, (seen0, seen1))| {
             (0..lanes)
                 .map(|k| NodeCoverage {

@@ -13,11 +13,10 @@
 //! Candidate `k` of generation `g` is derived from the substream
 //! `Rng::seed_from_stream(seed, g·cpg + k)` and mutates the corpus as it
 //! stood at the *start* of the generation; footprints are evaluated on the
-//! packed simulator ([`dsim::bitpar`]) in 64-candidate blocks — fanned
-//! across workers (order-preserving, pure per block) and merged
-//! sequentially in candidate order. The resulting corpus is therefore
-//! **byte-identical at any thread count** — same seed, same corpus,
-//! 1 worker or 16.
+//! packed simulator ([`dsim::bitpar`]) in 64-candidate blocks and merged
+//! in candidate order. The resulting corpus is therefore a pure function
+//! of the circuit, the baseline and the configuration — same seed, same
+//! corpus.
 //!
 //! # Examples
 //!
@@ -29,8 +28,8 @@
 //! let chain = ChainB::new(4);
 //! let baseline = random_vectors(chain.circuit(), 4, 7);
 //! let a = fuzz(chain.circuit(), &baseline, &FuzzConfig::smoke(1));
-//! let b = fuzz(chain.circuit(), &baseline, &FuzzConfig { threads: 4, ..FuzzConfig::smoke(1) });
-//! assert_eq!(a.corpus, b.corpus, "thread count must not matter");
+//! let b = fuzz(chain.circuit(), &baseline, &FuzzConfig::smoke(1));
+//! assert_eq!(a.corpus, b.corpus, "same seed, same corpus");
 //! ```
 
 use dsim::circuit::Circuit;
@@ -39,7 +38,7 @@ use dsim::scan::ScanVector;
 use link::prbs::Prbs;
 use rt::rng::Rng;
 
-use crate::coverage::{batch_footprints_with, set_coverage, vector_coverage, NodeCoverage};
+use crate::coverage::{batch_footprints, set_coverage, vector_coverage, NodeCoverage};
 
 /// Fuzzer run parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,8 +49,6 @@ pub struct FuzzConfig {
     pub generations: usize,
     /// Candidates derived and evaluated per generation.
     pub candidates_per_generation: usize,
-    /// Worker threads for footprint evaluation (result-invariant).
-    pub threads: usize,
 }
 
 impl FuzzConfig {
@@ -62,7 +59,6 @@ impl FuzzConfig {
             seed,
             generations: 6,
             candidates_per_generation: 24,
-            threads: 1,
         }
     }
 }
@@ -94,8 +90,8 @@ impl FuzzReport {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.threads == 0`, or if a baseline vector's `pi`/`load`
-/// lengths do not match the circuit.
+/// Panics if a baseline vector's `pi`/`load` lengths do not match the
+/// circuit.
 pub fn fuzz(circuit: &Circuit, baseline: &[ScanVector], cfg: &FuzzConfig) -> FuzzReport {
     let mut coverage = set_coverage(circuit, baseline);
     let baseline_points = coverage.points();
@@ -124,10 +120,9 @@ pub fn fuzz(circuit: &Circuit, baseline: &[ScanVector], cfg: &FuzzConfig) -> Fuz
             })
             .collect();
         let vectors: Vec<ScanVector> = candidates.iter().map(|(v, _)| v.clone()).collect();
-        // Packed evaluation: 64 candidates per gate-level walk, blocks
-        // fanned across workers; footprints come back in candidate order
-        // regardless of thread count.
-        let footprints = batch_footprints_with(cfg.threads, circuit, &vectors);
+        // Packed evaluation: 64 candidates per gate-level walk;
+        // footprints come back in candidate order.
+        let footprints = batch_footprints(circuit, &vectors);
         executions += candidates.len();
         let mut admitted_this_gen = 0u64;
         for ((cand, op), footprint) in candidates.iter().zip(&footprints) {

@@ -13,8 +13,7 @@
 //! * [`coverage`] — toggle / node-activation coverage instrumentation
 //!   over `dsim` circuits (the fuzzer's fitness signal),
 //! * [`fuzz`] — a coverage-guided scan-vector fuzzer, seeded from
-//!   `rt::rng` substreams and parallelized with `rt::par` so a run is
-//!   byte-identical at any thread count,
+//!   `rt::rng` substreams so a run is a pure function of its seed,
 //! * [`corpus`] — plain-text persistence for fuzz corpora under
 //!   `results/corpus/`.
 //!

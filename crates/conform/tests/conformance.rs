@@ -232,29 +232,6 @@ fn packed_footprints_match_scalar_footprints() {
 }
 
 #[test]
-fn fuzz_corpus_is_thread_count_invariant() {
-    let chain = ChainB::new(4);
-    let baseline = random_vectors(chain.circuit(), 4, 41);
-    let cfg = FuzzConfig::smoke(0xC0FFEE);
-    let single = fuzz(chain.circuit(), &baseline, &cfg);
-    for threads in [2, 4, 7] {
-        let pooled = fuzz(
-            chain.circuit(),
-            &baseline,
-            &FuzzConfig {
-                threads,
-                ..cfg.clone()
-            },
-        );
-        assert_eq!(
-            single.corpus, pooled.corpus,
-            "diverged at {threads} threads"
-        );
-        assert_eq!(single.coverage, pooled.coverage);
-    }
-}
-
-#[test]
 fn fuzzer_strictly_increases_coverage_over_the_atpg_baseline() {
     let chain = ChainB::new(4);
     let baseline = random_vectors(chain.circuit(), 4, 41);

@@ -296,8 +296,9 @@ impl TierVerdict {
 /// its faults resolve to, in order of first appearance, each class's size,
 /// and every fault's class index.
 ///
-/// This is the behavioral analogue of stuck-at fault collapsing
-/// (`dsim::collapse`). Every tier verdict is a pure function of
+/// This is the behavioral analogue of stuck-at equivalence collapsing,
+/// where faults that no test can tell apart share one representative.
+/// Every tier verdict is a pure function of
 /// `(DesignParams, AnalogEffect)`, so one simulation per class decides
 /// every fault in it. Faults are grouped by [`AnalogEffect::key`], which
 /// merges bit-identical effects only. The paper's 603 faults form 75

@@ -20,7 +20,6 @@
 //! * [`ablation`] — per-element removal of the DFT observation circuitry,
 //! * [`chain_a`] / [`chain_b`] — both scan chains stitched as single
 //!   gate-level circuits executing the paper's §II procedures,
-//! * [`diagnosis`] — tier-signature fault diagnosis,
 //! * [`mismatch`] — Monte-Carlo validation of the 15 mV programmed offset,
 //! * [`quality`] — Williams–Brown shipped-defect (DPPM) economics,
 //! * [`multilane`] — multi-receiver test-time scheduling,
@@ -63,7 +62,6 @@ pub mod campaign;
 pub mod chain_a;
 pub mod chain_b;
 pub mod dc_test;
-pub mod diagnosis;
 pub mod mismatch;
 pub mod multilane;
 pub mod overhead;

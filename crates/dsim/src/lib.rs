@@ -17,7 +17,6 @@
 //! * [`atpg`] — exhaustive, seeded-random and weighted pattern generation,
 //! * [`podem`] — deterministic PODEM test generation with untestability
 //!   proofs,
-//! * [`collapse`] — structural stuck-at fault collapsing,
 //! * [`transition`] — the launch-on-capture transition (delay) fault
 //!   model behind the paper's coarse-path delay-coverage claim,
 //! * [`verilog`] — a structural gate-level Verilog frontend (tokenizer,
@@ -26,7 +25,6 @@
 //! * [`expand`] — broad-side time expansion: the two-timeframe
 //!   combinational model that turns [`podem`] into a transition ATPG
 //!   for arbitrary netlists,
-//! * [`waves`] — digital waveform recording and VCD export,
 //! * [`blocks`] — the paper's digital blocks as gate netlists (ring
 //!   counter, switch matrix, divider, lock detector, control FSM,
 //!   Alexander phase detector).
@@ -54,7 +52,6 @@ pub mod atpg;
 pub mod bitpar;
 pub mod blocks;
 pub mod circuit;
-pub mod collapse;
 pub mod expand;
 pub mod logic;
 pub mod podem;
@@ -62,4 +59,3 @@ pub mod scan;
 pub mod stuck_at;
 pub mod transition;
 pub mod verilog;
-pub mod waves;

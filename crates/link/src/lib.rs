@@ -13,7 +13,6 @@
 //! * [`synchronizer`] — the coarse/fine clock recovery loop (Fig. 1),
 //!   whose lock-acquisition trace is the paper's Fig. 2, with
 //!   environmental-drift tracking,
-//! * [`crossing`] — the §II half-cycle domain-crossing rule,
 //! * [`eye`] — eye-diagram accumulation and ASCII rendering,
 //! * [`ber`] — analytic BER bathtubs and timing margins,
 //! * [`prbs`] — LFSR PRBS stimulus (ITU-T O.150),
@@ -50,7 +49,6 @@
 pub mod ber;
 pub mod channel;
 pub mod config;
-pub mod crossing;
 pub mod dll_bist;
 pub mod eye;
 pub mod farm;

@@ -23,7 +23,7 @@
 //! # Examples
 //!
 //! ```
-//! let squares = rt::par::parallel_map(&[1u64, 2, 3, 4], |&x| x * x);
+//! let squares = rt::par::parallel_map_with(2, &[1u64, 2, 3, 4], |&x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
@@ -36,16 +36,6 @@ pub fn threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Maps `f` over `items` with the default thread count, preserving order.
-pub fn parallel_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    parallel_map_with(threads(), items, f)
 }
 
 /// Maps `f` over `items` on up to `threads` workers, preserving order.
@@ -110,28 +100,19 @@ where
 }
 
 /// Maps `f` over the index range `0..n` with the default thread count,
-/// preserving order. The indexed twin of [`parallel_map`] for loops that
-/// have no input slice (Monte-Carlo chunks, sweep grids).
+/// preserving order. The indexed twin of [`parallel_map_with`] for loops
+/// that have no input slice (Monte-Carlo chunks, sweep grids).
+///
+/// # Panics
+///
+/// Propagates the first panic raised by `f`.
 pub fn parallel_map_indexed<U, F>(n: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    parallel_map_indexed_with(threads(), n, f)
-}
-
-/// Maps `f` over `0..n` on up to `threads` workers, preserving order.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, or propagates the first panic raised by `f`.
-pub fn parallel_map_indexed_with<U, F>(threads: usize, n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
     let indices: Vec<usize> = (0..n).collect();
-    parallel_map_with(threads, &indices, |&i| f(i))
+    parallel_map_with(threads(), &indices, |&i| f(i))
 }
 
 #[cfg(test)]
@@ -204,9 +185,9 @@ mod tests {
 
     #[test]
     fn indexed_variant_agrees_with_slice_variant() {
-        let by_index = parallel_map_indexed_with(3, 50, |i| i * i);
+        let by_index = parallel_map_indexed(50, |i| i * i);
         let items: Vec<usize> = (0..50).collect();
-        let by_slice = parallel_map_with(3, &items, |&i| i * i);
+        let by_slice = parallel_map_with(threads(), &items, |&i| i * i);
         assert_eq!(by_index, by_slice);
     }
 

@@ -1,15 +1,11 @@
 //! Waveform debugging tour: export the lock acquisition as a
-//! GTKWave-compatible VCD, record the gate-level ring counter's nets, and
-//! render the receive eye as ASCII — the three inspection surfaces of the
-//! simulator.
+//! GTKWave-compatible VCD and render the receive eye as ASCII — the two
+//! inspection surfaces of the link simulator.
 //!
 //! ```text
 //! cargo run -p dft --example waveform_debugging
 //! ```
 
-use dsim::blocks::ring_counter::RingCounter;
-use dsim::circuit::SimState;
-use dsim::waves::WaveRecorder;
 use link::config::LinkConfig;
 use link::synchronizer::{RunConfig, Synchronizer};
 use link::LowSwingLink;
@@ -37,26 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out.locked
     );
 
-    // 2. Digital: record the ring counter rotating and export a VCD.
-    let ring = RingCounter::new(10);
-    let mut rec = WaveRecorder::new(ring.circuit(), ring.q());
-    let mut s = SimState::for_circuit(ring.circuit());
-    ring.preload(&mut s, Some(0));
-    ring.set_controls(&mut s, true, true);
-    for _ in 0..25 {
-        ring.circuit().tick(&mut s);
-        rec.sample(&s);
-    }
-    let dvcd = rec.to_vcd("ring_counter", p.ui().ps().round() as u64 * 16);
-    let digital_path = std::env::temp_dir().join("lowswing_ring.vcd");
-    std::fs::write(&digital_path, &dvcd)?;
-    println!(
-        "digital VCD: {} ({} bytes, one-hot walked 25 steps)",
-        digital_path.display(),
-        dvcd.len()
-    );
-
-    // 3. The eye, as ASCII art.
+    // 2. The eye, as ASCII art.
     let mut link = LowSwingLink::new(LinkConfig::paper())?;
     let mut rng = Rng::seed_from_u64(4);
     let bits: Vec<bool> = (0..512).map(|_| rng.next_bool()).collect();

@@ -10,7 +10,12 @@
 # where a target is renamed or removed and a README/GUIDE command
 # silently stops working. Every `results/<file>` path must be a
 # git-tracked file (globs allowed) or a .gitignored output, so docs
-# cannot point at artifacts nothing writes any more.
+# cannot point at artifacts nothing writes any more. Every
+# `crate::module::...` path into a workspace crate must resolve: each
+# segment names a `pub mod` of the module before it, down to the first
+# one that is not a module, which must be an item declared (or `pub
+# use`d) in that module, so a doc cannot name a module that was deleted
+# or renamed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +38,44 @@ have() {
     local x
     for x in "$@"; do [[ $x == "$needle" ]] && return 0; done
     return 1
+}
+
+# Library crates by the name code uses, and their source roots.
+declare -A crate_root=(
+    [rt]=crates/rt/src/lib.rs [msim]=crates/msim/src/lib.rs
+    [link]=crates/link/src/lib.rs [dft]=crates/core/src/lib.rs
+    [dsim]=crates/dsim/src/lib.rs [conform]=crates/conform/src/lib.rs
+    [serve]=crates/serve/src/lib.rs [bench]=crates/bench/src/lib.rs
+)
+
+# resolve_path <crate::a::b::...>: succeeds if the path names a real
+# module chain ending in a module or in an item of the last module.
+resolve_path() {
+    local -a seg
+    IFS=: read -ra seg <<<"${1//::/:}"
+    local file=${crate_root[${seg[0]}]} name dir i
+    for ((i = 1; i < ${#seg[@]}; i++)); do
+        name=${seg[i]}
+        if grep -qE "^[[:space:]]*pub mod $name[[:space:]]*\{" "$file"; then
+            return 0 # an inline module: its body is not walked
+        elif grep -qE "^[[:space:]]*pub mod $name;" "$file"; then
+            case $file in
+                */lib.rs | */mod.rs) dir=$(dirname "$file") ;;
+                *) dir=${file%.rs} ;;
+            esac
+            if [[ -f $dir/$name.rs ]]; then
+                file=$dir/$name.rs
+            else
+                file=$dir/$name/mod.rs
+            fi
+        else
+            # Not a module: an item declared or re-exported here.
+            grep -qE "\b(fn|struct|enum|trait|const|static|type|union|macro_rules!)[[:space:]]+$name\b" "$file" \
+                && return 0
+            tr '\n' ' ' <"$file" | grep -oE 'pub use [^;]*;' | grep -qw "$name"
+            return
+        fi
+    done
 }
 
 fail=0
@@ -70,6 +113,15 @@ for doc in "${docs[@]}"; do
         echo "check_docs: $doc references 'cargo bench', but no crate has a bench target" >&2
         fail=1
     fi
+
+    # `crate::module` paths into the workspace's library crates.
+    while read -r path; do
+        if ! resolve_path "$path"; then
+            echo "check_docs: $doc references '$path', which names no module or item" >&2
+            fail=1
+        fi
+    done < <(grep -oE "(^|[^A-Za-z0-9_:])($(IFS='|'; echo "${!crate_root[*]}"))::[A-Za-z0-9_]+(::[A-Za-z0-9_]+)*" "$doc" \
+                 | sed -E 's/^[^a-z]//' | sort -u)
 
     # `results/<file>` paths (not URL routes such as `/results/<id>`).
     # ROADMAP.md names the artifacts its open items will add, so it is

@@ -18,8 +18,8 @@ cargo test -q --offline
 echo "==> cargo check perfbench (benchmark harness)"
 CARGO_TARGET_DIR=.bench_build cargo check -q --release --offline --manifest-path perfbench/Cargo.toml
 
-# Bounded conformance fuzz smoke: fixed seed, thread-count invariance
-# check and oracle sweep over the fuzzed corpus. The release binary is
+# Bounded conformance fuzz smoke: fixed seed, coverage gain over the
+# baseline and oracle sweep over the fuzzed corpus. The release binary is
 # already built by the step above, so this finishes in well under 2 s.
 # OBS=1 exercises the structured logger path (silent by default).
 echo "==> fuzz smoke (conform)"

@@ -1,11 +1,11 @@
 //! Failure-injection integration tests: specific named structural faults
 //! driven end-to-end through the full flow, asserting the exact tier
-//! signature and diagnosis the architecture predicts for each.
+//! verdicts the architecture predicts for each, and that the fault
+//! campaign records the same verdicts.
 
 use dft::bist::Bist;
-use dft::campaign::FaultCampaign;
+use dft::campaign::{FaultCampaign, TierVerdict};
 use dft::dc_test::DcTest;
-use dft::diagnosis::{Signature, SignatureDictionary};
 use dft::scan_test::ScanTest;
 use msim::effects::resolve_effect;
 use msim::fault::{Fault, FaultKind, MosFault};
@@ -27,9 +27,9 @@ impl Tiers {
         }
     }
 
-    fn signature(&self, p: &DesignParams, fault: &Fault) -> Signature {
+    fn verdict(&self, p: &DesignParams, fault: &Fault) -> TierVerdict {
         let e = resolve_effect(fault, p);
-        Signature {
+        TierVerdict {
             dc: self.dc.detects(&e),
             scan: self.scan.detects(&e),
             bist: self.bist.detects(&e),
@@ -57,10 +57,10 @@ fn tx_input_gate_open_fails_everything() {
         FaultKind::Mos(MosFault::GateOpen),
         0,
     );
-    let sig = Tiers::new(&p).signature(&p, &f);
+    let sig = Tiers::new(&p).verdict(&p, &f);
     assert_eq!(
         sig,
-        Signature {
+        TierVerdict {
             dc: true,
             scan: true,
             bist: true
@@ -81,7 +81,7 @@ fn termination_tg_drain_open_is_scan_only_entry() {
         FaultKind::Mos(MosFault::DrainOpen),
         0,
     );
-    let sig = Tiers::new(&p).signature(&p, &f);
+    let sig = Tiers::new(&p).verdict(&p, &f);
     assert!(!sig.dc, "must be DC-invisible");
     assert!(sig.scan, "must be caught while toggling");
 }
@@ -96,10 +96,10 @@ fn weak_source_ds_short_is_bist_only() {
         FaultKind::Mos(MosFault::DrainSourceShort),
         0,
     );
-    let sig = Tiers::new(&p).signature(&p, &f);
+    let sig = Tiers::new(&p).verdict(&p, &f);
     assert_eq!(
         sig,
-        Signature {
+        TierVerdict {
             dc: false,
             scan: false,
             bist: true
@@ -116,7 +116,7 @@ fn window_comparator_stuck_is_scan_territory() {
         FaultKind::Mos(MosFault::DrainOpen),
         0,
     );
-    let sig = Tiers::new(&p).signature(&p, &f);
+    let sig = Tiers::new(&p).verdict(&p, &f);
     assert!(!sig.dc);
     assert!(sig.scan, "window stuck must be caught by the capture FFs");
 }
@@ -130,10 +130,10 @@ fn vcdl_dead_stage_is_bist_only() {
         FaultKind::Mos(MosFault::DrainOpen),
         0,
     );
-    let sig = Tiers::new(&p).signature(&p, &f);
+    let sig = Tiers::new(&p).verdict(&p, &f);
     assert_eq!(
         sig,
-        Signature {
+        TierVerdict {
             dc: false,
             scan: false,
             bist: true
@@ -150,7 +150,7 @@ fn ffe_cap_short_caught_at_dc() {
         FaultKind::CapShort,
         0,
     );
-    let sig = Tiers::new(&p).signature(&p, &f);
+    let sig = Tiers::new(&p).verdict(&p, &f);
     assert!(sig.dc, "a shorted series capacitor is a gross DC defect");
 }
 
@@ -165,23 +165,45 @@ fn diode_gd_short_escapes_everything() {
         FaultKind::Mos(MosFault::GateDrainShort),
         0,
     );
-    let sig = Tiers::new(&p).signature(&p, &f);
-    assert!(!sig.any(), "structurally invisible fault must escape");
+    let sig = Tiers::new(&p).verdict(&p, &f);
+    assert_eq!(
+        sig,
+        TierVerdict {
+            dc: false,
+            scan: false,
+            bist: false
+        },
+        "structurally invisible fault must escape"
+    );
 }
 
 #[test]
-fn injected_signatures_agree_with_the_dictionary() {
-    // Every signature measured above must be a populated entry of the
-    // campaign-built dictionary pointing at the right block.
+fn injected_verdicts_match_the_campaign_records() {
+    // The campaign decides each fault through its effect class; the
+    // verdict it records must equal the one measured on the fault alone.
     let p = DesignParams::paper();
     let result = FaultCampaign::new(&p).run();
-    let dict = SignatureDictionary::from_campaign(&result);
     let tiers = Tiers::new(&p);
     let cases = [
+        (
+            BlockKind::TxDriver,
+            DeviceRole::TxInputPlus,
+            FaultKind::Mos(MosFault::GateOpen),
+        ),
+        (
+            BlockKind::Termination,
+            DeviceRole::TermTgNmos,
+            FaultKind::Mos(MosFault::DrainOpen),
+        ),
         (
             BlockKind::WeakChargePump,
             DeviceRole::CpSourceP,
             FaultKind::Mos(MosFault::DrainSourceShort),
+        ),
+        (
+            BlockKind::WindowComparator,
+            DeviceRole::CmpInputPlus,
+            FaultKind::Mos(MosFault::DrainOpen),
         ),
         (
             BlockKind::Vcdl,
@@ -190,17 +212,27 @@ fn injected_signatures_agree_with_the_dictionary() {
         ),
         (
             BlockKind::TxDriver,
-            DeviceRole::TxInputPlus,
-            FaultKind::Mos(MosFault::GateOpen),
+            DeviceRole::FfeCapMain,
+            FaultKind::CapShort,
+        ),
+        (
+            BlockKind::TxDriver,
+            DeviceRole::TxBiasMirror,
+            FaultKind::Mos(MosFault::GateDrainShort),
         ),
     ];
     for (block, role, kind) in cases {
         let f = find_fault(block, role, kind, 0);
-        let sig = tiers.signature(&p, &f);
-        let d = dict.diagnose(sig);
-        assert!(
-            d.candidates.iter().any(|(b, _)| *b == block),
-            "{block}/{role} not among candidates for {sig}"
+        let measured = tiers.verdict(&p, &f);
+        let rec = result
+            .records()
+            .iter()
+            .find(|r| r.fault == f)
+            .unwrap_or_else(|| panic!("{block}/{role} {kind} has no campaign record"));
+        assert_eq!(
+            (rec.dc, rec.scan, rec.bist),
+            (measured.dc, measured.scan, measured.bist),
+            "{block}/{role} {kind}: campaign record disagrees with the injected verdict"
         );
     }
 }

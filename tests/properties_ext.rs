@@ -1,17 +1,14 @@
 //! Extended property-based tests (in-tree `rt::check` harness): the
-//! test-generation machinery (PODEM, fault collapsing, exhaustive fault
-//! simulation) cross-validated against each other on randomly generated
-//! circuits, plus invariants of the PRBS, BER and crossing extensions.
+//! test-generation machinery (PODEM, exhaustive fault simulation)
+//! cross-validated against each other on randomly generated circuits,
+//! plus invariants of the PRBS and BER extensions.
 
 use dsim::atpg::exhaustive_vectors;
 use dsim::circuit::{Circuit, GateKind, NetId};
-use dsim::collapse::collapse_faults;
 use dsim::podem::generate_test;
 use dsim::stuck_at::{enumerate_faults, scan_coverage};
 use link::ber::BerModel;
-use link::crossing::CrossingPlan;
 use link::prbs::Prbs;
-use msim::params::DesignParams;
 use rt::check::{check_cases, Draws};
 
 /// Draws a random combinational circuit: 2–4 primary inputs, 2–7 gates,
@@ -79,49 +76,6 @@ fn podem_untestable_faults_really_are() {
     });
 }
 
-/// Collapsing soundness: all members of an equivalence class have
-/// identical detection outcomes under exhaustive patterns.
-#[test]
-fn collapse_classes_are_true_equivalences() {
-    check_cases("collapse_classes_are_true_equivalences", 64, |rng| {
-        let c = random_circuit(rng);
-        let all = exhaustive_vectors(&c).expect("small circuit");
-        let cov = scan_coverage(&c, &all);
-        let undetected = cov.undetected();
-        for class in collapse_faults(&c) {
-            let outcomes: Vec<bool> = class
-                .members
-                .iter()
-                .map(|f| !undetected.contains(f))
-                .collect();
-            assert!(
-                outcomes.windows(2).all(|w| w[0] == w[1]),
-                "class {:?} members diverge",
-                class.representative
-            );
-        }
-    });
-}
-
-/// The detected-fault count from the collapsed list equals the full list
-/// (collapse loses no coverage information).
-#[test]
-fn collapse_preserves_coverage_measure() {
-    check_cases("collapse_preserves_coverage_measure", 64, |rng| {
-        let c = random_circuit(rng);
-        let all = exhaustive_vectors(&c).expect("small circuit");
-        let cov = scan_coverage(&c, &all);
-        let full_detected = cov.detected();
-        let classes = collapse_faults(&c);
-        let class_detected: usize = classes
-            .iter()
-            .filter(|cl| !cov.undetected().contains(&cl.representative))
-            .map(|cl| cl.members.len())
-            .sum();
-        assert_eq!(full_detected, class_detected);
-    });
-}
-
 /// PRBS generators repeat with the full maximal-length period for the
 /// lengths where the `x^n + x^(n-1) + 1` trinomial is primitive, from any
 /// nonzero seed.
@@ -162,23 +116,5 @@ fn bathtub_symmetry_and_monotonicity() {
             assert!(r >= last - 1e-15, "not monotone at offset {d}");
             last = r;
         }
-    });
-}
-
-/// The domain-crossing plan always yields a margin of at least
-/// `0.5 - vcdl_range` for any coarse word and legal VCDL range.
-#[test]
-fn crossing_margin_lower_bound() {
-    check_cases("crossing_margin_lower_bound", 256, |rng| {
-        let word = rng.below(10);
-        let range = rng.range_f64(0.101, 0.3);
-        let mut p = DesignParams::paper();
-        p.vcdl_range_ui = range;
-        let plan = CrossingPlan::from_coarse_word(&p, word);
-        assert!(
-            plan.setup_margin_ui >= 0.5 - range - 1e-9,
-            "word {word}, range {range}: margin {}",
-            plan.setup_margin_ui
-        );
     });
 }
