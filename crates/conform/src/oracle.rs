@@ -405,13 +405,6 @@ impl CampaignSnapshotOracle {
             tolerance: 0.10,
         }
     }
-
-    /// Overrides the golden snapshot and tolerance.
-    pub fn with_snapshot(mut self, snapshot: CoverageSnapshot, tolerance: f64) -> Self {
-        self.snapshot = snapshot;
-        self.tolerance = tolerance;
-        self
-    }
 }
 
 impl DiffOracle for CampaignSnapshotOracle {

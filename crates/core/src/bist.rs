@@ -121,11 +121,6 @@ impl Bist {
         }
     }
 
-    /// The run configuration.
-    pub fn run_config(&self) -> &RunConfig {
-        &self.run
-    }
-
     /// Eye-margin multiplier a data-path effect imposes at speed: vertical
     /// eye loss consumes horizontal margin roughly proportionally.
     fn margin_factor(&self, effect: &AnalogEffect) -> f64 {

@@ -70,7 +70,7 @@ use crate::scan_test::ScanTest;
 pub struct CampaignExec {
     /// Worker threads (must be > 0).
     pub threads: usize,
-    /// Retry budget and virtual-time backoff for panicking shards.
+    /// Retry budget for panicking shards.
     pub retry: RetryPolicy,
     /// Checkpoint file (conventionally under `results/checkpoints/`,
     /// which is gitignored); `None` disables checkpointing.
@@ -425,9 +425,6 @@ impl EffectClasses {
 /// of uneven BIST cost, while a kill loses about a tenth of the classes.
 const CLASS_SHARD_SIZE: usize = 8;
 
-/// Base seed for the behavioral campaign's shard substreams.
-const FAULT_SHARD_SEED: u64 = 0xFA01;
-
 /// The behavioral campaign's shard job: one contiguous run of effect
 /// classes through all three test tiers, one simulation per class.
 /// Checkpoint payloads are one flags byte per class
@@ -543,7 +540,6 @@ impl FaultCampaign {
             universe_len as u64,
             class_count as u64,
             CLASS_SHARD_SIZE as u64,
-            FAULT_SHARD_SEED,
             u64::from(exec::crc32(format!("{:?}", self.p).as_bytes())),
         ])
     }
@@ -574,7 +570,7 @@ impl FaultCampaign {
             scan: ScanTest::new(&self.p),
             bist: Bist::new(&self.p),
         };
-        let shards = exec::plan(classes.len(), CLASS_SHARD_SIZE, FAULT_SHARD_SEED);
+        let shards = exec::plan(classes.len(), CLASS_SHARD_SIZE);
         let fp = self.fingerprint(universe.len(), classes.len());
         let report = policy.run(fp, &shards, &job);
         // Completed shards' verdicts arrive concatenated in plan order;
@@ -617,9 +613,6 @@ impl FaultCampaign {
 /// scheduling knob (it does feed the fingerprint, invalidating old
 /// checkpoints).
 const NETLIST_SHARD_SIZE: usize = 128;
-
-/// Base seed for the netlist campaign's shard substreams.
-const NETLIST_SHARD_SEED: u64 = 0x2E76; // ".v"
 
 /// Seed for the netlist campaign's random stuck-at pattern set.
 const NETLIST_VECTOR_SEED: u64 = 41;
@@ -972,7 +965,7 @@ impl NetlistCampaign {
     /// ever mixes fault models.
     pub fn shards(&self) -> Vec<Shard> {
         let segments = [self.stuck.len(), self.transition.faults.len()];
-        exec::plan_segmented(&segments, NETLIST_SHARD_SIZE, NETLIST_SHARD_SEED)
+        exec::plan_segmented(&segments, NETLIST_SHARD_SIZE)
     }
 
     /// The checkpoint fingerprint: the shard plan, the campaign name, the
@@ -985,7 +978,6 @@ impl NetlistCampaign {
         exec::fingerprint(&[
             u64::from(exec::CHECKPOINT_VERSION),
             NETLIST_SHARD_SIZE as u64,
-            NETLIST_SHARD_SEED,
             crc(self.name.as_bytes()),
             crc(structure.as_bytes()),
             crc(format!("{:?}", self.vectors).as_bytes()),
@@ -1456,7 +1448,7 @@ mod tests {
             u64::from(exec::CHECKPOINT_VERSION),
             universe_len as u64,
             64,
-            FAULT_SHARD_SEED,
+            0xFA01, // the per-fault layout's shard seed word
             u64::from(exec::crc32(format!("{p:?}").as_bytes())),
         ]);
         let frames: Vec<exec::Frame> = (0..c.shard_count())

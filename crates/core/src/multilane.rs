@@ -13,11 +13,6 @@
 //! * **BIST** — each lane locks autonomously, so all lanes run
 //!   concurrently; the 2 µs budget is paid once, not per lane (the whole
 //!   point of built-in self test).
-//! * **Crosstalk tier** (optional, beyond the paper) — an at-speed
-//!   victim/aggressor scenario ([`CrosstalkScenario`]) that replays the
-//!   PRBS pattern with neighbors switching through the lane-to-lane
-//!   coupling capacitance, catching marginal comparators that pass with
-//!   quiet neighbors (see [`link::farm`]).
 //!
 //! # Examples
 //!
@@ -34,7 +29,6 @@
 //! assert_eq!(parallel.bist_time(), TestSchedule::new(&p, 1, true).bist_time());
 //! ```
 
-use link::farm::{CellRecord, FarmCell, BITS_PER_CELL};
 use msim::params::DesignParams;
 use msim::units::Sec;
 
@@ -61,74 +55,6 @@ impl LaneChains {
     }
 }
 
-/// The at-speed victim/aggressor scenario of the optional crosstalk
-/// tier: every lane takes the victim role once per round while its
-/// neighbors replay the aggressor PRBS.
-///
-/// # Examples
-///
-/// ```
-/// use dft::multilane::CrosstalkScenario;
-///
-/// let x = CrosstalkScenario::new(16, 0.06);
-/// // Three-coloring of a linear bus: each lane is a victim in one of
-/// // three rounds while both its neighbors aggress.
-/// assert_eq!(x.victim_rounds(), 3);
-/// // A lone lane has no neighbors — the tier is a no-op.
-/// assert_eq!(CrosstalkScenario::new(1, 0.06).victim_rounds(), 0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrosstalkScenario {
-    /// Lanes in the bus.
-    pub lanes: usize,
-    /// Neighbor coupling factor (coupling capacitance per aggressor as
-    /// a fraction of a lane's total shunt capacitance).
-    pub coupling: f64,
-}
-
-impl CrosstalkScenario {
-    /// Builds the scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0` or `coupling` is negative or non-finite.
-    pub fn new(lanes: usize, coupling: f64) -> CrosstalkScenario {
-        assert!(lanes > 0, "at least one lane");
-        assert!(
-            coupling.is_finite() && coupling >= 0.0,
-            "coupling must be finite and non-negative"
-        );
-        CrosstalkScenario { lanes, coupling }
-    }
-
-    /// PRBS replay rounds needed so every lane is a victim while both
-    /// its neighbors switch: a 3-coloring of the linear bus (fewer for
-    /// degenerate buses, zero for a lone lane).
-    pub fn victim_rounds(&self) -> usize {
-        if self.lanes == 1 {
-            0
-        } else {
-            self.lanes.min(3)
-        }
-    }
-
-    /// Evaluates the scenario on one grid cell at this bus's lane count
-    /// and coupling: the full coupled-vs-quiet mismatch census from
-    /// [`link::farm`].
-    pub fn evaluate(&self, cell: &FarmCell, seed: u64) -> CellRecord {
-        let mut cell = *cell;
-        cell.lanes = self.lanes;
-        cell.coupling = self.coupling;
-        cell.evaluate(seed)
-    }
-
-    /// Whether the scenario activates failures the quiet-neighbor test
-    /// misses on this cell — the reason to pay for the extra tier.
-    pub fn activates(&self, cell: &FarmCell, seed: u64) -> bool {
-        self.evaluate(cell, seed).xtalk_activated() > 0
-    }
-}
-
 /// A test-time schedule for an `n`-lane deployment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TestSchedule {
@@ -136,7 +62,6 @@ pub struct TestSchedule {
     lanes: usize,
     parallel_scan: bool,
     chains: LaneChains,
-    xtalk: Option<CrosstalkScenario>,
 }
 
 impl TestSchedule {
@@ -153,20 +78,7 @@ impl TestSchedule {
             lanes,
             parallel_scan,
             chains: LaneChains::paper(),
-            xtalk: None,
         }
-    }
-
-    /// Adds the optional at-speed crosstalk tier at this schedule's
-    /// lane count.
-    pub fn with_crosstalk(mut self, coupling: f64) -> TestSchedule {
-        self.xtalk = Some(CrosstalkScenario::new(self.lanes, coupling));
-        self
-    }
-
-    /// The crosstalk tier, if enabled.
-    pub fn crosstalk(&self) -> Option<&CrosstalkScenario> {
-        self.xtalk.as_ref()
     }
 
     /// Lane count.
@@ -199,22 +111,9 @@ impl TestSchedule {
         self.p.ui() * self.p.bist_lock_budget as f64
     }
 
-    /// Crosstalk tier: one PRBS replay of [`BITS_PER_CELL`] bits per
-    /// pattern per victim round, all victims of a round concurrent.
-    /// Zero when the tier is disabled or the bus has one lane.
-    pub fn xtalk_time(&self) -> Sec {
-        match &self.xtalk {
-            None => Sec::ZERO,
-            Some(x) => {
-                let bits = x.victim_rounds() * self.chains.patterns * BITS_PER_CELL;
-                self.p.ui() * bits as f64
-            }
-        }
-    }
-
     /// Total flow time.
     pub fn total(&self) -> Sec {
-        self.dc_time() + self.scan_time() + self.bist_time() + self.xtalk_time()
+        self.dc_time() + self.scan_time() + self.bist_time()
     }
 }
 
@@ -269,51 +168,5 @@ mod tests {
     #[should_panic(expected = "at least one lane")]
     fn zero_lanes_rejected() {
         let _ = TestSchedule::new(&p(), 0, false);
-    }
-
-    #[test]
-    fn crosstalk_tier_defaults_off_and_costs_nothing() {
-        let plain = TestSchedule::new(&p(), 8, true);
-        assert!(plain.crosstalk().is_none());
-        assert_eq!(plain.xtalk_time(), Sec::ZERO);
-        let x = TestSchedule::new(&p(), 8, true).with_crosstalk(0.06);
-        assert!(x.crosstalk().is_some());
-        assert!(x.xtalk_time().value() > 0.0);
-        assert_eq!(x.total(), plain.total() + x.xtalk_time());
-    }
-
-    #[test]
-    fn crosstalk_rounds_saturate_at_three() {
-        assert_eq!(CrosstalkScenario::new(1, 0.1).victim_rounds(), 0);
-        assert_eq!(CrosstalkScenario::new(2, 0.1).victim_rounds(), 2);
-        assert_eq!(CrosstalkScenario::new(3, 0.1).victim_rounds(), 3);
-        assert_eq!(CrosstalkScenario::new(64, 0.1).victim_rounds(), 3);
-        // At-speed replay rounds don't grow with the bus: the tier stays
-        // cheap at fabric scale.
-        let small = TestSchedule::new(&p(), 4, true).with_crosstalk(0.1);
-        let large = TestSchedule::new(&p(), 256, true).with_crosstalk(0.1);
-        assert_eq!(small.xtalk_time(), large.xtalk_time());
-    }
-
-    #[test]
-    fn crosstalk_scenario_activates_faults_a_quiet_bus_misses() {
-        use link::farm::{FarmAxes, FarmGrid};
-        let mut axes = FarmAxes::paper_point();
-        axes.sigmas_mv = vec![8.0];
-        let cell = FarmGrid::new(axes, 7).unwrap().cell(0);
-        let noisy = CrosstalkScenario::new(4, 0.08);
-        assert!(noisy.activates(&cell, 0xABCD), "coupled bus must activate");
-        let quiet = CrosstalkScenario::new(4, 0.0);
-        assert!(
-            !quiet.activates(&cell, 0xABCD),
-            "no coupling, no activation"
-        );
-        assert!(!CrosstalkScenario::new(1, 0.08).activates(&cell, 0xABCD));
-    }
-
-    #[test]
-    #[should_panic(expected = "coupling must be finite")]
-    fn negative_coupling_rejected() {
-        let _ = CrosstalkScenario::new(4, -0.1);
     }
 }

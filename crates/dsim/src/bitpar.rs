@@ -946,6 +946,44 @@ mod tests {
     }
 
     #[test]
+    fn permuted_fault_order_permutes_the_flags() {
+        // Each flag is a function of its own fault: a permutation of the
+        // fault list must return the same permutation of the flags, so
+        // no simulation state may leak from one fault into the next.
+        // Eight random vectors leave some faults undetected, so a leak
+        // has flags to flip (with 64 or more, every fault is detected).
+        // The late-detect input (one vector 960 times, then eight random
+        // ones) keeps faults live through 16 blocks of fault dropping.
+        let compile = |src| crate::verilog::compile(src).expect("reference netlist compiles");
+        let chain_b = compile(include_str!("../../../tests/data/chain_b4_net.v"));
+        let b01 = compile(include_str!("../../../tests/data/b01_net.v"));
+        let mut late = vec![random_vectors(&b01, 1, 3).remove(0); 960];
+        late.extend(random_vectors(&b01, 8, 4));
+        let mut rng = rt::rng::Rng::seed_from_u64(0x5EED);
+        for (name, c, vectors) in [
+            ("chain B", &chain_b, random_vectors(&chain_b, 8, 1)),
+            ("b01", &b01, random_vectors(&b01, 8, 2)),
+            ("b01 late-detect", &b01, late),
+        ] {
+            let faults = enumerate_faults(c);
+            let flags = ppsfp_detect(c, &vectors, &faults);
+            assert!(
+                flags.contains(&true) && flags.contains(&false),
+                "{name}: the flags must be mixed"
+            );
+            for _ in 0..3 {
+                let mut order: Vec<usize> = (0..faults.len()).collect();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.below(i + 1));
+                }
+                let permuted: Vec<StuckAtFault> = order.iter().map(|&i| faults[i]).collect();
+                let want: Vec<bool> = order.iter().map(|&i| flags[i]).collect();
+                assert_eq!(ppsfp_detect(c, &vectors, &permuted), want, "{name}");
+            }
+        }
+    }
+
+    #[test]
     fn empty_vectors_detect_nothing() {
         let rc = crate::blocks::ring_counter::RingCounter::new(3);
         let faults = enumerate_faults(rc.circuit());

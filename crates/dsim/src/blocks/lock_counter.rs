@@ -101,11 +101,6 @@ impl LockCounter {
         self.reset
     }
 
-    /// Saturation flag output net.
-    pub fn saturated_net(&self) -> NetId {
-        self.saturated
-    }
-
     /// Clears the counter state.
     pub fn reset_state(&self, state: &mut SimState) {
         state.load_ffs(&vec![Logic::Zero; self.q.len()]);

@@ -130,25 +130,19 @@ impl BerModel {
     }
 
     /// The bathtub curve: `points` samples of `(phase, BER)` across one UI
-    /// centered on the eye. Dense curves (>= 1024 points, the experiment
-    /// binaries' sweeps) are fanned across cores; each point is an
-    /// independent closed-form evaluation, so the output is identical to
-    /// the sequential sweep.
+    /// centered on the eye, each an independent closed-form evaluation.
     ///
     /// # Panics
     ///
     /// Panics if `points < 2`.
     pub fn bathtub(&self, points: usize) -> Vec<(f64, f64)> {
         assert!(points >= 2, "a curve needs at least two points");
-        let point = |i: usize| {
-            let phi = self.center_ui - 0.5 + i as f64 / (points - 1) as f64;
-            (phi, self.ber_at(phi))
-        };
-        if points >= 1024 {
-            rt::par::parallel_map_indexed(points, point)
-        } else {
-            (0..points).map(point).collect()
-        }
+        (0..points)
+            .map(|i| {
+                let phi = self.center_ui - 0.5 + i as f64 / (points - 1) as f64;
+                (phi, self.ber_at(phi))
+            })
+            .collect()
     }
 
     /// The timing margin (total open span, in UI) at a target BER:
@@ -378,8 +372,7 @@ mod tests {
 
     #[test]
     fn dense_bathtub_matches_pointwise_evaluation() {
-        // The parallel path (>= 1024 points) must agree bit-for-bit with
-        // direct evaluation.
+        // Every sample agrees bit-for-bit with direct evaluation.
         let m = BerModel::new(0.37, 0.3, 0.045);
         let curve = m.bathtub(2048);
         assert_eq!(curve.len(), 2048);

@@ -596,10 +596,10 @@ impl LinkFarm {
     }
 
     /// The deterministic shard plan: cells cut into
-    /// [`FARM_SHARD_SIZE`]-cell shards, seeded by the grid fingerprint.
-    /// A function of the grid only — never of the thread count.
+    /// [`FARM_SHARD_SIZE`]-cell shards. A function of the grid size
+    /// only — never of the thread count.
     pub fn plan(&self) -> Vec<Shard> {
-        exec::plan(self.grid.total(), FARM_SHARD_SIZE, self.grid.fingerprint())
+        exec::plan(self.grid.total(), FARM_SHARD_SIZE)
     }
 
     /// The sweep's content address (the grid fingerprint) — keys the

@@ -66,11 +66,6 @@ impl Prbs {
         Prbs::new(15, 14, (1 << 15) - 1)
     }
 
-    /// PRBS23: `x^23 + x^18 + 1`, period 8388607.
-    pub fn prbs23() -> Prbs {
-        Prbs::new(23, 18, (1 << 23) - 1)
-    }
-
     /// Sequence period `2^length - 1`.
     pub fn period(&self) -> u64 {
         (1u64 << self.length) - 1

@@ -252,14 +252,6 @@ impl Synchronizer {
         self
     }
 
-    /// Sets the starting control voltage.
-    pub fn with_initial_vc(mut self, vc: Volt) -> Synchronizer {
-        if self.vc_pinned.is_none() {
-            self.vc = vc;
-        }
-        self
-    }
-
     /// Current sampling instant in UI (phase + VCDL delay, wrapped).
     pub fn sampling_tau_ui(&self) -> f64 {
         fract(self.dll.phase_ui(self.phase) + self.vcdl.delay_ui(self.vc))

@@ -104,12 +104,6 @@ impl Waveform {
         self.dt
     }
 
-    /// Time of the first sample.
-    #[inline]
-    pub fn start_time(&self) -> Sec {
-        self.t0
-    }
-
     /// Time of sample `i`.
     #[inline]
     pub fn time_at(&self, i: usize) -> Sec {

@@ -286,12 +286,6 @@ impl Ohm {
     pub fn from_kohm(k: f64) -> Ohm {
         Ohm(k * 1e3)
     }
-
-    /// Returns the value in kilohms.
-    #[inline]
-    pub fn kohm(self) -> f64 {
-        self.0 * 1e-3
-    }
 }
 
 impl Hertz {

@@ -7,10 +7,9 @@
 //! defenses while preserving the workspace determinism contract:
 //!
 //! * **Shard planning** ([`plan`], [`plan_segmented`]) — the work is cut
-//!   into fixed-size shards keyed by item range and an RNG substream
-//!   seed. The plan is a function of the *problem size only*, never of
-//!   the thread count, so records concatenated in shard order are
-//!   byte-identical at any parallelism.
+//!   into fixed-size shards keyed by item range. The plan is a function
+//!   of the *problem size only*, never of the thread count, so records
+//!   concatenated in shard order are byte-identical at any parallelism.
 //! * **Checkpointing** ([`Checkpoint`], [`encode_checkpoint`],
 //!   [`decode_checkpoint`]) — each completed shard's records are
 //!   appended to a versioned, length-prefixed binary file with a CRC32
@@ -21,10 +20,9 @@
 //!   executor holds every shard's state; every shard attempt runs
 //!   under [`crate::obs::quarantine`]: a panic is caught, the attempt's
 //!   partial telemetry is discarded (so retried runs stay byte-identical
-//!   to untroubled ones), and the shard is retried up to a bounded
-//!   budget with exponential backoff in **deterministic virtual time**
-//!   ([`RetryPolicy`]). A shard that exhausts its budget degrades the
-//!   run to a partial [`ExecReport`] carrying an explicit
+//!   to untroubled ones), and the shard is requeued up to a bounded
+//!   retry budget ([`RetryPolicy`]). A shard that exhausts its budget
+//!   degrades the run to a partial [`ExecReport`] carrying an explicit
 //!   [`ShardFailure`] manifest instead of aborting the process.
 //! * **Fault injection** ([`Sabotage`]) — a seeded chaos knob that
 //!   panics a chosen shard a chosen number of times, used by the
@@ -43,7 +41,7 @@
 //!     }
 //! }
 //!
-//! let shards = plan(10, 4, 7);
+//! let shards = plan(10, 4);
 //! let report = run_shards(2, &RetryPolicy::none(), None, &shards, &Doubler);
 //! assert!(report.is_complete());
 //! assert_eq!(report.records, (0..10).map(|i| 2 * i).collect::<Vec<u64>>());
@@ -61,8 +59,7 @@ use crate::rng::Rng;
 // Shard planning
 // ---------------------------------------------------------------------------
 
-/// One deterministic unit of campaign work: a contiguous item range plus
-/// the RNG substream seed any randomized work inside the shard must use.
+/// One deterministic unit of campaign work: a contiguous item range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shard {
     /// Position in the plan (also the checkpoint frame key).
@@ -71,9 +68,6 @@ pub struct Shard {
     pub start: usize,
     /// Number of items covered.
     pub len: usize,
-    /// Decorrelated substream seed for randomized shard work, derived
-    /// from the plan's base seed and the shard index only.
-    pub seed: u64,
 }
 
 impl Shard {
@@ -83,12 +77,6 @@ impl Shard {
     }
 }
 
-fn shard_seed(base_seed: u64, index: usize) -> u64 {
-    // One draw from the substream keyed by the shard index; decorrelated
-    // exactly like the fixed-chunk Monte-Carlo loops.
-    Rng::seed_from_stream(base_seed, index as u64).next_u64()
-}
-
 /// Cuts `total` items into shards of at most `shard_size` items. The cut
 /// points depend on `total` and `shard_size` only — never on the thread
 /// count — so a plan is reproducible across machines and runs.
@@ -96,8 +84,8 @@ fn shard_seed(base_seed: u64, index: usize) -> u64 {
 /// # Panics
 ///
 /// Panics if `shard_size == 0`.
-pub fn plan(total: usize, shard_size: usize, base_seed: u64) -> Vec<Shard> {
-    plan_segmented(&[total], shard_size, base_seed)
+pub fn plan(total: usize, shard_size: usize) -> Vec<Shard> {
+    plan_segmented(&[total], shard_size)
 }
 
 /// Like [`plan`], but over several back-to-back segments (e.g. one per
@@ -105,15 +93,13 @@ pub fn plan(total: usize, shard_size: usize, base_seed: u64) -> Vec<Shard> {
 /// maps to exactly one segment. `start` offsets are global (cumulative
 /// across segments), shard indices run plan-wide.
 ///
-/// Zero-length segments are inert: they emit no (empty) shard and — since
-/// every substream seed is keyed by the *emitted* shard index, not the
-/// segment position — they do not shift the seeds of any shard after
-/// them. `[0, n, 0, m]` plans identically to `[n, m]`.
+/// Zero-length segments are inert: they emit no (empty) shard, so
+/// `[0, n, 0, m]` plans identically to `[n, m]`.
 ///
 /// # Panics
 ///
 /// Panics if `shard_size == 0`.
-pub fn plan_segmented(segments: &[usize], shard_size: usize, base_seed: u64) -> Vec<Shard> {
+pub fn plan_segmented(segments: &[usize], shard_size: usize) -> Vec<Shard> {
     assert!(shard_size > 0, "shard size must be positive");
     let mut shards = Vec::new();
     let mut offset = 0usize;
@@ -121,12 +107,10 @@ pub fn plan_segmented(segments: &[usize], shard_size: usize, base_seed: u64) -> 
         let mut pos = 0usize;
         while pos < seg {
             let len = shard_size.min(seg - pos);
-            let index = shards.len();
             shards.push(Shard {
-                index,
+                index: shards.len(),
                 start: offset + pos,
                 len,
-                seed: shard_seed(base_seed, index),
             });
             pos += len;
         }
@@ -465,51 +449,25 @@ impl Checkpoint {
 // Retry policy + fault injection
 // ---------------------------------------------------------------------------
 
-/// Bounded retry with exponential backoff in **virtual time**: backoff
-/// is accounted in deterministic ticks (doubling per attempt, capped),
-/// not wall-clock sleeps, so a retried run remains byte-identical and
-/// fast while still exercising the scheduling arithmetic a production
-/// deployment would map onto real delays.
+/// Bounded retry: a panicking shard is requeued behind the rest of the
+/// plan until it has used its retry budget. Retries are immediate — a
+/// shard body is a pure function of the shard, so waiting would change
+/// nothing but the wall clock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries allowed per shard after its first attempt.
     pub max_retries: u32,
-    /// Backoff after the first failure, in virtual ticks.
-    pub base_ticks: u64,
-    /// Upper bound on a single backoff interval.
-    pub max_ticks: u64,
 }
 
 impl RetryPolicy {
     /// No retries: a shard failure is final.
     pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 0,
-            base_ticks: 0,
-            max_ticks: 0,
-        }
+        RetryPolicy::retries(0)
     }
 
-    /// Up to `n` retries with 1-tick base backoff doubling to a 64-tick
-    /// cap.
+    /// Up to `n` retries per shard.
     pub fn retries(n: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_retries: n,
-            base_ticks: 1,
-            max_ticks: 64,
-        }
-    }
-
-    /// Backoff before retry number `retry` (1-based), in virtual ticks:
-    /// `base · 2^(retry−1)`, saturating, capped at `max_ticks`.
-    pub fn backoff_ticks(&self, retry: u32) -> u64 {
-        if retry == 0 || self.base_ticks == 0 {
-            return 0;
-        }
-        let doubled = self
-            .base_ticks
-            .saturating_mul(1u64.checked_shl(retry - 1).unwrap_or(u64::MAX));
-        doubled.min(self.max_ticks)
+        RetryPolicy { max_retries: n }
     }
 }
 
@@ -661,8 +619,6 @@ pub struct ExecSummary {
     pub retried: usize,
     /// Shards that exhausted the retry budget.
     pub failed: usize,
-    /// Virtual backoff time accumulated by retries, in ticks.
-    pub backoff_ticks: u64,
 }
 
 /// The outcome of [`run_shards`]: completed records in shard order plus
@@ -772,7 +728,7 @@ impl<T> Executor<T> {
     }
 
     /// Records a failed attempt of a taken shard: `true` when the retry
-    /// budget queues it again (with virtual backoff accounted), `false`
+    /// budget queues it again, `false`
     /// when it is now a [`ShardFailure`].
     ///
     /// # Panics
@@ -785,7 +741,6 @@ impl<T> Executor<T> {
         let attempts = failed + 1;
         if attempts <= self.retry.max_retries {
             self.summary.retried += 1;
-            self.summary.backoff_ticks += self.retry.backoff_ticks(attempts);
             self.slots[index] = Slot::Open(attempts);
             self.queue.push_back(index);
             return true;
@@ -922,7 +877,6 @@ pub fn run_shards<J: ShardJob>(
     crate::obs::count("exec.shards.completed", report.summary.completed as u64);
     crate::obs::count("exec.shards.retried", report.summary.retried as u64);
     crate::obs::count("exec.shards.failed", report.summary.failed as u64);
-    crate::obs::count("exec.backoff_ticks", report.summary.backoff_ticks);
     report
 }
 
@@ -948,8 +902,8 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    /// A deterministic job: records derive from the shard's substream
-    /// seed and item indices only, and round-trip through 8-byte words.
+    /// A deterministic job: records derive from the shard index and item
+    /// indices only, and round-trip through 8-byte words.
     struct SeededJob;
 
     impl ShardJob for SeededJob {
@@ -958,7 +912,7 @@ mod tests {
         fn run(&self, shard: &Shard) -> Vec<u64> {
             crate::obs::count("job.shards", 1);
             crate::obs::count("job.items", shard.len as u64);
-            let mut rng = Rng::seed_from_u64(shard.seed);
+            let mut rng = Rng::seed_from_u64(shard.index as u64);
             shard.range().map(|i| rng.next_u64() ^ i as u64).collect()
         }
 
@@ -989,7 +943,7 @@ mod tests {
 
     #[test]
     fn plan_covers_every_item_once() {
-        let shards = plan(103, 16, 5);
+        let shards = plan(103, 16);
         assert_eq!(shards.len(), 7);
         let mut next = 0usize;
         for (i, s) in shards.iter().enumerate() {
@@ -999,25 +953,12 @@ mod tests {
             next += s.len;
         }
         assert_eq!(next, 103);
-        assert!(plan(0, 16, 5).is_empty());
-    }
-
-    #[test]
-    fn plan_seeds_are_decorrelated_and_stable() {
-        let a = plan(64, 8, 42);
-        let b = plan(64, 8, 42);
-        assert_eq!(a, b, "same inputs, same plan");
-        let seeds: Vec<u64> = a.iter().map(|s| s.seed).collect();
-        let mut unique = seeds.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), seeds.len(), "duplicate shard seeds");
-        assert_ne!(plan(64, 8, 43)[0].seed, a[0].seed, "seed ignored");
+        assert!(plan(0, 16).is_empty());
     }
 
     #[test]
     fn segmented_plan_respects_boundaries() {
-        let shards = plan_segmented(&[10, 3, 0, 7], 4, 9);
+        let shards = plan_segmented(&[10, 3, 0, 7], 4);
         let lens: Vec<usize> = shards.iter().map(|s| s.len).collect();
         assert_eq!(lens, vec![4, 4, 2, 3, 4, 3]);
         let starts: Vec<usize> = shards.iter().map(|s| s.start).collect();
@@ -1036,19 +977,19 @@ mod tests {
     #[test]
     fn zero_length_segments_are_inert() {
         // Regression: empty segments must neither emit empty shards nor
-        // shift the RNG substream seeds of the segments after them.
+        // shift the indices of the shards after them.
         for (padded, plain) in [
             (vec![0, 10, 0, 7], vec![10, 7]),
             (vec![0, 0, 10, 7, 0], vec![10, 7]),
             (vec![0, 1, 0, 0, 64, 0], vec![1, 64]),
         ] {
-            let with_zeros = plan_segmented(&padded, 4, 9);
-            let without = plan_segmented(&plain, 4, 9);
+            let with_zeros = plan_segmented(&padded, 4);
+            let without = plan_segmented(&plain, 4);
             assert_eq!(with_zeros, without, "{padded:?} vs {plain:?}");
             assert!(with_zeros.iter().all(|s| s.len > 0), "empty shard emitted");
         }
-        assert_eq!(plan_segmented(&[0, 0, 0], 4, 9), Vec::new());
-        assert_eq!(plan_segmented(&[], 4, 9), Vec::new());
+        assert_eq!(plan_segmented(&[0, 0, 0], 4), Vec::new());
+        assert_eq!(plan_segmented(&[], 4), Vec::new());
     }
 
     #[test]
@@ -1252,7 +1193,7 @@ mod tests {
     fn checkpoint_file_roundtrip_and_tail_truncation() {
         let path = temp_ck("roundtrip");
         let job = SeededJob;
-        let shards = plan(20, 4, 3);
+        let shards = plan(20, 4);
         {
             let mut ck = Checkpoint::open(&path, 77).expect("open");
             assert!(ck.frames().is_empty());
@@ -1292,7 +1233,7 @@ mod tests {
 
     #[test]
     fn run_shards_is_thread_count_invariant() {
-        let shards = plan(57, 8, 11);
+        let shards = plan(57, 8);
         let job = SeededJob;
         let baseline = run_shards(1, &RetryPolicy::none(), None, &shards, &job);
         assert!(baseline.is_complete());
@@ -1305,7 +1246,7 @@ mod tests {
 
     #[test]
     fn one_shot_panic_with_retry_recovers_byte_identically() {
-        let shards = plan(40, 8, 21);
+        let shards = plan(40, 8);
         let ((), straight_metrics, _) = crate::obs::observe(|| {
             let straight = run_shards(2, &RetryPolicy::none(), None, &shards, &SeededJob);
             let once = Sabotage::once(2);
@@ -1320,7 +1261,6 @@ mod tests {
                 assert!(recovered.is_complete(), "retry must recover the shard");
                 assert_eq!(recovered.records, straight.records, "records drifted");
                 assert_eq!(recovered.summary.retried, 1);
-                assert!(recovered.summary.backoff_ticks > 0);
             });
             // The failed attempt's partial telemetry was discarded, so the
             // deterministic job counters match an untroubled run exactly.
@@ -1339,7 +1279,7 @@ mod tests {
 
     #[test]
     fn exhausted_budget_degrades_to_a_manifest() {
-        let shards = plan(30, 10, 9);
+        let shards = plan(30, 10);
         let always = Sabotage::times(1, u32::MAX);
         let sab = Sabotaged {
             job: &SeededJob,
@@ -1368,7 +1308,7 @@ mod tests {
 
     #[test]
     fn interrupted_run_resumes_byte_identically() {
-        let shards = plan(48, 6, 33);
+        let shards = plan(48, 6);
         let straight = run_shards(3, &RetryPolicy::none(), None, &shards, &SeededJob);
         for threads in [1, 2, 4, 7] {
             let path = temp_ck(&format!("resume-{threads}"));
@@ -1449,7 +1389,7 @@ mod tests {
     fn hand_driven_executor_matches_run_shards() {
         // 11 shards. Shard 3 panics twice and recovers on its last
         // retry; shard 7 never recovers.
-        let shards = plan(61, 6, 17);
+        let shards = plan(61, 6);
         let retry = RetryPolicy::retries(2);
         let fp = fingerprint(&[61, 6, 17]);
         let run = |threads: Option<usize>, ck: Option<&mut Checkpoint>| {
@@ -1536,7 +1476,7 @@ mod tests {
                 }
             })
         }
-        let shards = plan(40, 8, 5);
+        let shards = plan(40, 8);
         let straight = run_shards(1, &RetryPolicy::none(), None, &shards, &SeededJob);
         for by_hand in [false, true] {
             // Shards 0 and 1 panic once each: one retry per shard
@@ -1566,22 +1506,6 @@ mod tests {
             assert_eq!(report.incomplete[0].attempts, 2);
             assert_eq!(report.summary.completed, shards.len() - 1);
         }
-    }
-
-    #[test]
-    fn retry_policy_backoff_is_exponential_and_capped() {
-        let p = RetryPolicy {
-            max_retries: 10,
-            base_ticks: 3,
-            max_ticks: 20,
-        };
-        assert_eq!(p.backoff_ticks(0), 0);
-        assert_eq!(p.backoff_ticks(1), 3);
-        assert_eq!(p.backoff_ticks(2), 6);
-        assert_eq!(p.backoff_ticks(3), 12);
-        assert_eq!(p.backoff_ticks(4), 20, "capped");
-        assert_eq!(p.backoff_ticks(90), 20, "shift overflow saturates");
-        assert_eq!(RetryPolicy::none().backoff_ticks(1), 0);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   the minimal sequence that still fails ([`check::replay`] re-runs it),
 //! * [`exec`] — resumable, panic-isolated shard execution: deterministic
 //!   shard planning, a CRC-checked length-prefixed checkpoint codec with
-//!   kill-and-resume byte-identity, bounded retry with exponential
-//!   backoff in virtual time, and seeded fault injection
-//!   ([`exec::Sabotage`]) to prove the recovery paths,
+//!   kill-and-resume byte-identity, bounded retry of panicking shards,
+//!   and seeded fault injection ([`exec::Sabotage`]) to prove the
+//!   recovery paths,
 //! * [`obs`] — a zero-dependency observability layer: deterministic
 //!   counters/gauges/log-bucketed histograms (byte-identical at any
 //!   thread count, snapshotted to the tracked `results/metrics.json`),

@@ -183,11 +183,6 @@ pub fn take_metrics() -> Metrics {
     })
 }
 
-/// Drains the span events accumulated on this thread.
-pub fn take_events() -> Vec<SpanEvent> {
-    AMBIENT.with(|c| std::mem::take(&mut c.borrow_mut().events))
-}
-
 /// A worker thread's drained observability state, ready to be absorbed
 /// by the thread that spawned it (see [`drain_worker`]/[`absorb_worker`]).
 #[derive(Debug, Default)]

@@ -60,9 +60,6 @@ const FARM_MAX_AXIS: usize = 32;
 /// Sweep points per BER shard.
 const BER_SHARD_SIZE: usize = 256;
 
-/// Base seed for BER sweep shard substreams.
-const BER_SHARD_SEED: u64 = 0xBE11;
-
 /// The circuit a campaign job runs over.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CircuitSpec {
@@ -499,7 +496,7 @@ impl JobSpec {
                 sigma_ui,
                 points,
             } => (
-                exec::plan(*points as usize, BER_SHARD_SIZE, BER_SHARD_SEED),
+                exec::plan(*points as usize, BER_SHARD_SIZE),
                 Box::new(BerJob {
                     model: BerModel::new(*center_ui, *half_width_ui, *sigma_ui),
                     points: *points as usize,

@@ -36,5 +36,5 @@ pub mod json;
 pub mod sched;
 pub mod server;
 
-pub use sched::{Admission, SchedConfig, Scheduler};
+pub use sched::{Admission, Scheduler};
 pub use server::{ServeConfig, Server};

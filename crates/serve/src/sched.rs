@@ -36,8 +36,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -47,34 +47,7 @@ use rt::obs::{flight, Metrics, SpanEvent};
 
 use crate::jobs::{JobSpec, PreparedJob};
 use crate::json;
-
-/// Scheduler configuration (embedded in [`crate::server::ServeConfig`]).
-#[derive(Debug, Clone, Default)]
-pub struct SchedConfig {
-    /// Worker threads in the shared pool (0 → one per core).
-    pub workers: usize,
-    /// Admission bound: unfinished jobs beyond this are rejected with
-    /// 429 (0 → 64).
-    pub queue_limit: usize,
-    /// Directory for `.req`/`.ck`/`.res` job state; `None` disables
-    /// persistence (pure in-memory cache).
-    pub state_dir: Option<PathBuf>,
-    /// Watchdog: a shard is *slow* once its wall clock exceeds
-    /// `max(stall_floor, 4 × rolling per-kind average)` and *stalled*
-    /// at 4× the slow threshold (zero → 30 s). The floor keeps the
-    /// watchdog quiet while the first shards of a kind calibrate the
-    /// average.
-    pub stall_floor: Duration,
-    /// How often the watchdog rescans in-flight shards (zero → 250 ms).
-    pub watchdog_poll: Duration,
-    /// Test hook: while `true`, workers park before starting any shard
-    /// — lets tests pin jobs in the queue to exercise admission
-    /// control deterministically.
-    pub shard_hold: Option<Arc<AtomicBool>>,
-    /// Test hook: artificial per-shard delay, for catching a job
-    /// mid-flight in kill/restart tests.
-    pub shard_delay: Duration,
-}
+use crate::server::ServeConfig;
 
 /// Verdict of [`Scheduler::submit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,7 +220,7 @@ struct Shared {
     /// in-flight units currently past their slow / stalled threshold.
     slow: AtomicI64,
     stalled: AtomicI64,
-    cfg: SchedConfig,
+    cfg: ServeConfig,
 }
 
 /// The scheduler handle: submit jobs, poll progress, fetch results,
@@ -259,16 +232,17 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Starts the worker pool and, when a state directory is
-    /// configured, re-admits every persisted job that has not finished
-    /// (restart recovery bypasses the admission bound — a restart must
-    /// never drop accepted work).
+    /// Starts the worker pool of `cfg` (its scheduling fields; the
+    /// address and acceptor count are the server's) and, when a state
+    /// directory is configured, re-admits every persisted job that has
+    /// not finished (restart recovery bypasses the admission bound — a
+    /// restart must never drop accepted work).
     ///
     /// # Errors
     ///
     /// Returns the I/O error if the state directory cannot be created;
     /// no thread has been started then.
-    pub fn start(cfg: SchedConfig) -> io::Result<Scheduler> {
+    pub fn start(cfg: ServeConfig) -> io::Result<Scheduler> {
         let workers = if cfg.workers == 0 {
             rt::par::threads()
         } else {

@@ -37,7 +37,7 @@ use rt::obs::{export, flight, Metrics};
 use crate::http::{self, Request};
 use crate::jobs::JobSpec;
 use crate::json::{self, Value};
-use crate::sched::{Admission, SchedConfig, Scheduler};
+use crate::sched::{Admission, Scheduler};
 
 /// Per-connection socket read/write timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
@@ -51,19 +51,26 @@ pub struct ServeConfig {
     pub acceptors: usize,
     /// Worker threads in the shared campaign pool (0 → one per core).
     pub workers: usize,
-    /// Admission bound on unfinished jobs (0 → 64).
+    /// Admission bound: unfinished jobs beyond this are rejected with
+    /// 429 (0 → 64).
     pub queue_limit: usize,
-    /// Job state directory for checkpointed restart; `None` keeps all
-    /// state in memory.
+    /// Directory for `.req`/`.ck`/`.res` job state for checkpointed
+    /// restart; `None` keeps all state in memory.
     pub state_dir: Option<PathBuf>,
-    /// Stall-watchdog floor: a shard is never flagged slow before this
-    /// much wall clock (0 → 30 s). See [`SchedConfig::stall_floor`].
+    /// Stall-watchdog floor: a shard is *slow* once its wall clock
+    /// exceeds `max(stall_floor, 4 × rolling per-kind average)` and
+    /// *stalled* at 4× the slow threshold (0 → 30 s). The floor keeps
+    /// the watchdog quiet while the first shards of a kind calibrate
+    /// the average.
     pub stall_floor: Duration,
     /// Stall-watchdog rescan period (0 → 250 ms).
     pub watchdog_poll: Duration,
-    /// Test hook: park workers before each unit of work while `true`.
+    /// Test hook: while `true`, workers park before each unit of work
+    /// — lets tests pin jobs in the queue to exercise admission control
+    /// deterministically.
     pub shard_hold: Option<Arc<AtomicBool>>,
-    /// Test hook: artificial per-shard delay.
+    /// Test hook: artificial per-shard delay, for catching a job
+    /// mid-flight in kill/restart tests.
     pub shard_delay: Duration,
 }
 
@@ -105,18 +112,11 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let started = Instant::now();
-        let sched = Arc::new(Scheduler::start(SchedConfig {
-            workers: cfg.workers,
-            queue_limit: cfg.queue_limit,
-            state_dir: cfg.state_dir.clone(),
-            stall_floor: cfg.stall_floor,
-            watchdog_poll: cfg.watchdog_poll,
-            shard_hold: cfg.shard_hold.clone(),
-            shard_delay: cfg.shard_delay,
-        })?);
+        let acceptor_count = cfg.acceptors.max(1);
+        let sched = Arc::new(Scheduler::start(cfg)?);
         let stop = Arc::new(AtomicBool::new(false));
         let mut acceptors = Vec::new();
-        for i in 0..cfg.acceptors.max(1) {
+        for i in 0..acceptor_count {
             let listener = listener.try_clone()?;
             let sched = Arc::clone(&sched);
             let stop = Arc::clone(&stop);

@@ -15,7 +15,10 @@
 # segment names a `pub mod` of the module before it, down to the first
 # one that is not a module, which must be an item declared (or `pub
 # use`d) in that module, so a doc cannot name a module that was deleted
-# or renamed.
+# or renamed. Every backticked `Type::member` (optionally called, as in
+# `Type::member(1)`) must name a struct, enum or trait declared in a
+# workspace crate and a fn or const declared in that crate, or a variant
+# of that enum, so a doc cannot name a method or constant that is gone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -78,6 +81,24 @@ resolve_path() {
     done
 }
 
+# resolve_member <Type> <member>: succeeds if some library crate
+# declares `Type` as a struct, enum or trait and declares `member` as a
+# fn or const, or as a variant of the enum `Type`.
+resolve_member() {
+    local ty=$1 member=$2 src
+    for src in crates/*/src; do
+        grep -rqE "\b(struct|enum|trait)[[:space:]]+$ty\b" "$src" || continue
+        grep -rqE "\b(fn|const)[[:space:]]+$member\b" "$src" && return 0
+        # Enum variants: lines of the enum body up to its closing brace.
+        find "$src" -name '*.rs' -exec awk -v ty="$ty" -v m="$member" '
+            $0 ~ "enum[[:space:]]+" ty "[[:space:]<{]" { inside = 1; next }
+            inside && /^[[:space:]]*}[[:space:]]*$/ { inside = 0 }
+            inside && $0 ~ "^[[:space:]]+" m "[[:space:]]*([,({]|$)" { found = 1 }
+            END { exit !found }' {} \; -print | grep -q . && return 0
+    done
+    return 1
+}
+
 fail=0
 for doc in "${docs[@]}"; do
     [[ -f $doc ]] || { echo "check_docs: missing doc file $doc" >&2; fail=1; continue; }
@@ -122,6 +143,15 @@ for doc in "${docs[@]}"; do
         fi
     done < <(grep -oE "(^|[^A-Za-z0-9_:])($(IFS='|'; echo "${!crate_root[*]}"))::[A-Za-z0-9_]+(::[A-Za-z0-9_]+)*" "$doc" \
                  | sed -E 's/^[^a-z]//' | sort -u)
+
+    # `Type::member` references (whole backtick spans, or calls).
+    while read -r ref; do
+        if ! resolve_member "${ref%%::*}" "${ref##*::}"; then
+            echo "check_docs: $doc references '$ref', which names no declared type member" >&2
+            fail=1
+        fi
+    done < <(grep -oE '`[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*[`(]' "$doc" \
+                 | sed -E 's/^`//; s/[`(]$//' | sort -u)
 
     # `results/<file>` paths (not URL routes such as `/results/<id>`).
     # ROADMAP.md names the artifacts its open items will add, so it is
