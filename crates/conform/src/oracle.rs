@@ -28,7 +28,8 @@
 //!   tier once per effect class, against a per-fault reference that
 //!   resolves every fault and runs the tiers on it directly: records and
 //!   `campaign.fault.*` counters identical at every probed thread count,
-//!   and fewer classes than faults (or the check is vacuous),
+//!   and fewer classes than faults and fewer BIST replays than executions
+//!   (or the check is vacuous),
 //! * [`TimeExpansionOracle`] — broad-side transition ATPG
 //!   (`dsim::expand`): detection of every transition fault in the
 //!   two-timeframe gadget model (scalar simulation and the packed PPSFP
@@ -751,10 +752,13 @@ impl DiffOracle for CheckpointResumeOracle {
 /// campaign simulates each tier once per distinct effect and fans the
 /// verdicts out, so at every probed thread count its records must equal,
 /// fault for fault and bit for bit, a reference that resolves every fault
-/// and calls the DC, scan and BIST tiers on it directly. The run's
-/// `campaign.fault.*` counters must match the reference's per-fault
-/// counts, and the check is vacuous (an error) unless the campaign
-/// reports fewer `campaign.effect_classes` than faults simulated.
+/// and calls the DC, scan and BIST tiers on it directly, with a fresh
+/// [`Bist`] per fault so no lock outcome is reused on the reference side.
+/// The run's `campaign.fault.*` counters must match the reference's
+/// per-fault counts, and the check is vacuous (an error) unless the
+/// campaign reports fewer `campaign.effect_classes` than faults simulated
+/// and replays fewer synchronizer cycles (`bist.sync_cycles`) than its
+/// BIST executions would from scratch.
 #[derive(Debug, Clone)]
 pub struct EffectCollapseOracle {
     params: DesignParams,
@@ -772,10 +776,10 @@ impl EffectCollapseOracle {
     }
 
     /// The per-fault reference: every fault resolved and run through the
-    /// three tiers on its own.
+    /// three tiers on its own, the BIST without a memo.
     fn reference(&self, campaign: &FaultCampaign) -> Vec<FaultRecord> {
         let p = &self.params;
-        let (dc, scan, bist) = (DcTest::new(p), ScanTest::new(p), Bist::new(p));
+        let (dc, scan) = (DcTest::new(p), ScanTest::new(p));
         campaign
             .universe()
             .iter()
@@ -786,7 +790,7 @@ impl EffectCollapseOracle {
                     effect,
                     dc: dc.detects(&effect),
                     scan: scan.detects(&effect),
-                    bist: bist.detects(&effect),
+                    bist: Bist::new(p).detects(&effect),
                 }
             })
             .collect()
@@ -822,6 +826,14 @@ impl DiffOracle for EffectCollapseOracle {
                 return Err(fail(format!(
                     "{classes} effect classes for {simulated} simulated faults — \
                      nothing was collapsed, the check is vacuous"
+                )));
+            }
+            let replayed = counter("bist.sync_cycles");
+            let from_scratch = counter("bist.executions") * RunConfig::paper_bist().cycles as usize;
+            if replayed >= from_scratch {
+                return Err(fail(format!(
+                    "{replayed} synchronizer cycles replayed, {from_scratch} if every BIST \
+                     execution replayed — no lock outcome was reused, the check is vacuous"
                 )));
             }
             if result.records().len() != reference.len() {

@@ -17,6 +17,14 @@
 //! it once, on its first execution, and replays it in every lock run
 //! after that (see [`link::synchronizer::Stimulus`]).
 //!
+//! A [`Bist`] also makes one replay per distinct loop. The lock outcome
+//! depends only on the built synchronizer (initial phase included) and
+//! the eye half-width, so effects that build the same loop share one
+//! replay. Most of the paper's data-path margin effects, every bias shift
+//! and every balance drift leave the loop healthy: the campaign's 96
+//! executions replay 57 loops. The charge-balance node never feeds the
+//! loop, so each execution reads `Vp` from its own effect's node.
+//!
 //! # Examples
 //!
 //! ```
@@ -32,10 +40,12 @@
 //! assert!(bist.detects(&AnalogEffect::CpBalanceDrift { dv: Volt::from_mv(400.0) }));
 //! ```
 
+use std::cell::OnceCell;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use link::synchronizer::{LockOutcome, RunConfig, Stimulus, Synchronizer};
+use msim::blocks::charge_pump::BalanceNode;
 use msim::blocks::comparator::{WindowComparator, WindowDecision};
 use msim::blocks::vcdl::Vcdl;
 use msim::effects::AnalogEffect;
@@ -76,19 +86,73 @@ impl BistVerdict {
     }
 }
 
+/// One lock loop as the memo keys it: the synchronizer built for an
+/// effect (initial phase included, balance node neutral) and the eye
+/// half-width it samples. The rest of the run configuration and the
+/// stimulus are the same for every execution of one [`Bist`].
+struct LoopKey {
+    sync: Synchronizer,
+    eye_half_width_ui: f64,
+    /// The `Debug` text of the two fields above, made the first time a
+    /// match needs it.
+    text: OnceCell<String>,
+}
+
+impl LoopKey {
+    fn new(sync: Synchronizer, eye_half_width_ui: f64) -> LoopKey {
+        LoopKey {
+            sync,
+            eye_half_width_ui,
+            text: OnceCell::new(),
+        }
+    }
+
+    /// Bit-for-bit equality, the way [`AnalogEffect::key`] matches
+    /// effects. `==` alone never matches a NaN but takes `-0.0` for
+    /// `+0.0`; the `Debug` text, which writes every float in its shortest
+    /// round-trip digits with its sign, tells the two zeros apart. Only
+    /// keys that are already `==` pay for the text.
+    fn matches(&self, other: &LoopKey) -> bool {
+        self.sync == other.sync
+            && self.eye_half_width_ui == other.eye_half_width_ui
+            && self.text() == other.text()
+    }
+
+    fn text(&self) -> &str {
+        self.text
+            .get_or_init(|| format!("{:?} {:?}", self.sync, self.eye_half_width_ui))
+    }
+}
+
 /// The BIST tier.
 ///
 /// The run's [`Stimulus`] depends only on its `(seed, cycles)`, so it is
 /// drawn once per `Bist`, lazily on the first execution (never in
-/// [`Bist::new`]), and every execution after that replays it. Sharing one
-/// `Bist` across threads shares the stimulus. Equality and `Debug` see
-/// only the design point and the run configuration, never whether the
-/// stimulus has been drawn yet.
-#[derive(Clone)]
+/// [`Bist::new`]), and every execution after that replays it.
+///
+/// A `Bist` makes one replay per distinct loop: it keeps the lock
+/// outcome of every loop it has replayed, and an execution whose loop
+/// (synchronizer and eye half-width, bit for bit) is already there reuses
+/// that outcome. Sharing one `Bist` across threads shares the stimulus and
+/// the outcomes; exactly one thread replays each loop. Clones start with
+/// no outcomes, and equality and `Debug` see only the design point and
+/// the run configuration, never what has been drawn or replayed.
 pub struct Bist {
     p: DesignParams,
     run: RunConfig,
     stimulus: OnceLock<Stimulus>,
+    loops: Mutex<Vec<(LoopKey, Arc<OnceLock<LockOutcome>>)>>,
+}
+
+impl Clone for Bist {
+    fn clone(&self) -> Bist {
+        Bist {
+            p: self.p.clone(),
+            run: self.run.clone(),
+            stimulus: self.stimulus.clone(),
+            loops: Mutex::default(),
+        }
+    }
 }
 
 impl PartialEq for Bist {
@@ -118,6 +182,7 @@ impl Bist {
             p: p.clone(),
             run,
             stimulus: OnceLock::new(),
+            loops: Mutex::default(),
         }
     }
 
@@ -171,12 +236,59 @@ impl Bist {
         sync
     }
 
+    /// The effect's own charge-balance node, the one the CP-BIST
+    /// comparator watches.
+    fn balance_node(&self, effect: &AnalogEffect) -> BalanceNode {
+        let node = BalanceNode::new(self.p.vp_nominal);
+        match *effect {
+            AnalogEffect::CpBalanceDrift { dv } => node.with_drift(dv),
+            _ => node,
+        }
+    }
+
+    /// The lock outcome of `sync` under `rc`, replayed once per distinct
+    /// loop: every later execution of the same loop, on any thread, gets
+    /// the first one's outcome, `vp` included. The balance node never
+    /// feeds the loop, so the key leaves it neutral. A replay that panics
+    /// leaves its cell empty, so the next execution of that loop replays
+    /// it again.
+    fn lock_outcome(&self, mut sync: Synchronizer, rc: &RunConfig) -> LockOutcome {
+        let key = LoopKey::new(
+            sync.clone().with_balance_drift(Volt::ZERO),
+            rc.eye_half_width_ui,
+        );
+        let cell = {
+            // The list is only ever searched or pushed to, so a panic
+            // while another thread held the lock left it whole.
+            let mut loops = self.loops.lock().unwrap_or_else(PoisonError::into_inner);
+            match loops.iter().find(|(k, _)| k.matches(&key)) {
+                Some((_, cell)) => Arc::clone(cell),
+                None => {
+                    let cell = Arc::default();
+                    loops.push((key, Arc::clone(&cell)));
+                    cell
+                }
+            }
+        };
+        cell.get_or_init(|| {
+            let stimulus = self.stimulus.get_or_init(|| Stimulus::draw(&self.run));
+            let outcome = sync.replay(rc, stimulus, None);
+            // The synchronizer cycles replayed: the work unit of the lock
+            // loop, so BIST time reads per cycle as well as per replay.
+            rt::obs::count("bist.sync_cycles", rc.cycles);
+            outcome
+        })
+        .clone()
+    }
+
     fn execute_from(&self, effect: &AnalogEffect, initial_phase: usize) -> BistVerdict {
-        let mut sync = self.build(effect).with_initial_phase(initial_phase);
+        let sync = self.build(effect).with_initial_phase(initial_phase);
         let mut rc = self.run.clone();
         rc.eye_half_width_ui *= self.margin_factor(effect);
-        let stimulus = self.stimulus.get_or_init(|| Stimulus::draw(&self.run));
-        let outcome = sync.replay(&rc, stimulus, None);
+        let mut outcome = self.lock_outcome(sync, &rc);
+        // The memo's `vp` is that of whichever effect replayed the loop
+        // first; this execution reads its own effect's node.
+        outcome.vp = self.balance_node(effect).settled();
 
         let cp_window = WindowComparator::centered(self.p.vp_nominal, self.p.cp_bist_window);
         let vp_flagged = cp_window.evaluate(outcome.vp) != WindowDecision::Inside;
@@ -187,11 +299,9 @@ impl Bist {
         let data_clean = outcome.errors_after_lock <= DATA_ERROR_TOLERANCE;
 
         // Deterministic lock-acquisition metrics: every BIST execution in
-        // a campaign reports how the synchronizer behaved.
+        // a campaign reports how the synchronizer behaved, replayed or
+        // not.
         rt::obs::count("bist.executions", 1);
-        // The synchronizer cycles replayed: the work unit of the lock
-        // loop, so BIST time reads per cycle as well as per execution.
-        rt::obs::count("bist.sync_cycles", rc.cycles);
         rt::obs::count("bist.locked_in_budget", u64::from(locked_in_budget));
         rt::obs::count("bist.vp_flagged", u64::from(vp_flagged));
         rt::obs::count(
@@ -236,8 +346,12 @@ impl Bist {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::AssertUnwindSafe;
+
     use super::*;
+    use crate::campaign::{EffectClasses, FaultCampaign};
     use msim::effects::{Pump, PumpDir, WindowSide};
+    use rt::rng::Rng;
 
     fn bist() -> Bist {
         Bist::new(&DesignParams::paper())
@@ -263,6 +377,12 @@ mod tests {
         assert!(!bist().detects(&AnalogEffect::CpBalanceDrift {
             dv: Volt::from_mv(60.0)
         }));
+        // The drift reads on Vp alone: the loop still locks.
+        let v = bist().execute(&AnalogEffect::CpBalanceDrift {
+            dv: Volt::from_mv(-200.0),
+        });
+        assert!((v.outcome.vp.value() - 0.4).abs() < 1e-9, "{v:?}");
+        assert!(v.outcome.locked && v.vp_flagged, "{v:?}");
     }
 
     #[test]
@@ -345,25 +465,185 @@ mod tests {
         let _ = v.pass();
     }
 
+    /// Every field of a verdict, floats as bits.
+    type VerdictBits = (
+        bool,
+        Option<u64>,
+        u64,
+        u64,
+        u64,
+        u64,
+        usize,
+        u64,
+        bool,
+        bool,
+        bool,
+        bool,
+    );
+
+    fn bits(v: &BistVerdict) -> VerdictBits {
+        let o = &v.outcome;
+        (
+            o.locked,
+            o.lock_cycle,
+            o.corrections,
+            o.data_errors,
+            o.errors_after_lock,
+            o.final_vc.value().to_bits(),
+            o.final_phase,
+            o.vp.value().to_bits(),
+            v.vp_flagged,
+            v.lock_detector_saturated,
+            v.locked_in_budget,
+            v.data_clean,
+        )
+    }
+
+    /// One effect of every class of the paper's fault universe.
+    fn paper_effect_classes(p: &DesignParams) -> Vec<AnalogEffect> {
+        let universe = FaultCampaign::new(p).universe();
+        EffectClasses::of(&universe, p).effects().to_vec()
+    }
+
+    /// Replayed synchronizer cycles counted while `f` runs.
+    fn sync_cycles<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let (out, m, _) = rt::obs::observe(f);
+        (out, m.counter("bist.sync_cycles").unwrap_or(0))
+    }
+
     #[test]
     fn executed_bist_equals_a_fresh_one() {
         let p = DesignParams::paper();
         let used = Bist::new(&p);
         let fresh_debug = format!("{used:?}");
-        let first = used.execute(&AnalogEffect::None);
+        let effects = [
+            AnalogEffect::None,
+            AnalogEffect::CpBalanceDrift {
+                dv: Volt::from_mv(400.0),
+            },
+            AnalogEffect::SwingScale { factor: 0.5 },
+            AnalogEffect::ClockDegraded { severity: 0.7 },
+        ];
+        let first: Vec<BistVerdict> = effects.iter().map(|e| used.execute(e)).collect();
         assert_eq!(used, Bist::new(&p));
         assert_eq!(Bist::new(&p), used);
         assert_eq!(format!("{used:?}"), fresh_debug);
-        // Replaying the drawn stimulus gives the same verdict again, and
-        // the same as a clone and a fresh tier.
-        assert_eq!(used.execute(&AnalogEffect::None), first);
-        assert_eq!(used.clone().execute(&AnalogEffect::None), first);
-        assert_eq!(Bist::new(&p).execute(&AnalogEffect::None), first);
+        // Executing again reuses every lock outcome and replays nothing;
+        // a clone starts with no outcomes and replays. All three give
+        // the verdicts of a fresh tier, bit for bit.
+        let clone = used.clone();
+        let (again, replayed) = sync_cycles(|| effects.map(|e| used.execute(&e)));
+        assert_eq!(replayed, 0);
+        let (cloned, replayed) = sync_cycles(|| effects.map(|e| clone.execute(&e)));
+        assert!(replayed > 0);
+        for (i, e) in effects.iter().enumerate() {
+            let fresh = Bist::new(&p).execute(e);
+            for v in [&first[i], &again[i], &cloned[i]] {
+                assert_eq!(bits(v), bits(&fresh), "{e:?}");
+            }
+        }
         let other_seed = RunConfig {
             seed: 7,
             ..RunConfig::paper_bist()
         };
         assert_ne!(used, Bist::with_run(&p, other_seed));
+    }
+
+    #[test]
+    fn shared_memo_matches_a_fresh_bist_in_any_order() {
+        // The memo oracle: every paper effect class from both initial
+        // phases, in three seeded orders, through one shared Bist, must
+        // give the verdict of a fresh (memo-free) Bist, bit for bit.
+        let p = DesignParams::paper();
+        let phases = [0, p.dll_phases / 2];
+        let calls: Vec<(AnalogEffect, usize)> = paper_effect_classes(&p)
+            .into_iter()
+            .flat_map(|e| phases.map(|phase| (e, phase)))
+            .collect();
+        let fresh: Vec<VerdictBits> = calls
+            .iter()
+            .map(|(e, phase)| bits(&Bist::new(&p).execute_from(e, *phase)))
+            .collect();
+        let shared = Bist::new(&p);
+        for seed in [1, 2, 3] {
+            let mut order: Vec<usize> = (0..calls.len()).collect();
+            let mut rng = Rng::seed_from_u64(seed);
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.below(i + 1));
+            }
+            for i in order {
+                let (e, phase) = &calls[i];
+                let got = bits(&shared.execute_from(e, *phase));
+                assert_eq!(got, fresh[i], "{e:?} from phase {phase}, order {seed}");
+            }
+        }
+        // Not vacuous: the classes share loops, so the memo holds fewer
+        // loops than there were distinct calls.
+        let loops = shared.loops.lock().unwrap().len();
+        assert!(
+            loops < calls.len(),
+            "{loops} loops for {} calls",
+            calls.len()
+        );
+    }
+
+    #[test]
+    fn memo_keys_match_bit_for_bit() {
+        let p = DesignParams::paper();
+        let key = |severity: f64, eye_half_width_ui: f64| {
+            let sync = Bist::new(&p).build(&AnalogEffect::ClockDegraded { severity });
+            LoopKey::new(sync, eye_half_width_ui)
+        };
+        assert!(key(0.5, 0.3).matches(&key(0.5, 0.3)));
+        assert!(!key(0.5, 0.3).matches(&key(0.7, 0.3)));
+        assert!(!key(0.5, 0.3).matches(&key(0.5, 0.15)));
+        assert!(!key(0.0, 0.3).matches(&key(-0.0, 0.3)));
+        assert!(!key(0.5, 0.0).matches(&key(0.5, -0.0)));
+        assert!(!key(f64::NAN, 0.3).matches(&key(f64::NAN, 0.3)));
+        assert!(!key(0.5, f64::NAN).matches(&key(0.5, f64::NAN)));
+    }
+
+    #[test]
+    fn poisoned_memo_lock_still_serves() {
+        let shared = bist();
+        let first = shared.execute(&AnalogEffect::None);
+        let poison = std::panic::catch_unwind(|| {
+            rt::check::quiet(|| {
+                let _guard = shared.loops.lock();
+                panic!("poisoning the memo lock");
+            })
+        });
+        assert!(poison.is_err() && shared.loops.is_poisoned());
+        let (again, replayed) = sync_cycles(|| shared.execute(&AnalogEffect::None));
+        assert_eq!(bits(&again), bits(&first));
+        assert_eq!(replayed, 0);
+        let degraded = AnalogEffect::ClockDegraded { severity: 0.7 };
+        assert_eq!(
+            bits(&shared.execute(&degraded)),
+            bits(&bist().execute(&degraded))
+        );
+    }
+
+    #[test]
+    fn panicked_replay_leaves_its_loop_to_be_replayed_again() {
+        // A divider ratio of zero makes every replay panic.
+        let p = DesignParams {
+            divider_ratio: 0,
+            ..DesignParams::paper()
+        };
+        let bist = Bist::new(&p);
+        for _ in 0..2 {
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                rt::check::quiet(|| bist.execute(&AnalogEffect::None))
+            }));
+            assert!(run.is_err());
+        }
+        let loops = bist.loops.lock().unwrap();
+        assert_eq!(loops.len(), 1);
+        assert!(
+            loops[0].1.get().is_none(),
+            "a panicked replay left an outcome"
+        );
     }
 
     #[test]

@@ -1407,8 +1407,9 @@ mod tests {
     #[test]
     fn shared_bist_stimulus_keeps_records_and_metrics_thread_invariant() {
         // Every worker thread replays the one stimulus of the campaign's
-        // Bist; records and every captured metric must not depend on how
-        // many threads drew or replayed it.
+        // Bist and shares its lock outcomes; records and every captured
+        // metric must not depend on how many threads drew, replayed or
+        // reused them.
         let c = FaultCampaign::new(&DesignParams::paper());
         let (seq, seq_metrics, _) = rt::obs::observe(|| c.run_on(1));
         for threads in [2, 4, 7] {
@@ -1420,8 +1421,9 @@ mod tests {
         // whose synchronizer drew its stimulus inline in every run.
         let counter = |k: &str| seq_metrics.counter(k);
         assert_eq!(counter("bist.executions"), Some(96));
-        // 8000 replayed synchronizer cycles per execution.
-        assert_eq!(counter("bist.sync_cycles"), Some(96 * 8000));
+        // 8000 synchronizer cycles per replay, and one replay per distinct
+        // loop: 57 of the 96 executions build a loop no earlier one did.
+        assert_eq!(counter("bist.sync_cycles"), Some(57 * 8000));
         assert_eq!(counter("bist.lock_failures"), Some(37));
         assert_eq!(counter("bist.locked_in_budget"), Some(59));
         assert_eq!(counter("bist.lock_detector_saturated"), Some(9));

@@ -22,7 +22,7 @@
 //! data-transition bit per cycle — never depends on loop state, only on
 //! the run's `(seed, cycles)`. It is a value, [`Stimulus`]:
 //! [`Synchronizer::run`] draws it and replays it, and a caller that runs
-//! many loops under one seed (the BIST tier, once per effect class) draws
+//! many loops under one seed (the BIST tier, once per distinct loop) draws
 //! it once and hands it to [`Synchronizer::replay`] every time.
 //!
 //! # Examples
