@@ -40,7 +40,6 @@
 //! assert!(bist.detects(&AnalogEffect::CpBalanceDrift { dv: Volt::from_mv(400.0) }));
 //! ```
 
-use std::cell::OnceCell;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -50,7 +49,7 @@ use msim::blocks::comparator::{WindowComparator, WindowDecision};
 use msim::blocks::vcdl::Vcdl;
 use msim::effects::AnalogEffect;
 use msim::params::DesignParams;
-use msim::units::Volt;
+use msim::units::{BitKey, Volt};
 
 use crate::scan_test::{cp_faults_from_effect, window_from_effect};
 
@@ -93,34 +92,29 @@ impl BistVerdict {
 struct LoopKey {
     sync: Synchronizer,
     eye_half_width_ui: f64,
-    /// The `Debug` text of the two fields above, made the first time a
-    /// match needs it.
-    text: OnceCell<String>,
+    /// The [`BitKey`] words of the two fields above.
+    bits: Vec<u64>,
 }
 
 impl LoopKey {
     fn new(sync: Synchronizer, eye_half_width_ui: f64) -> LoopKey {
+        let mut bits = Vec::new();
+        sync.push_bits(&mut bits);
+        eye_half_width_ui.push_bits(&mut bits);
         LoopKey {
             sync,
             eye_half_width_ui,
-            text: OnceCell::new(),
+            bits,
         }
     }
 
     /// Bit-for-bit equality, the way [`AnalogEffect::key`] matches
     /// effects. `==` alone never matches a NaN but takes `-0.0` for
-    /// `+0.0`; the `Debug` text, which writes every float in its shortest
-    /// round-trip digits with its sign, tells the two zeros apart. Only
-    /// keys that are already `==` pay for the text.
+    /// `+0.0`; the key words tell the two zeros apart.
     fn matches(&self, other: &LoopKey) -> bool {
         self.sync == other.sync
             && self.eye_half_width_ui == other.eye_half_width_ui
-            && self.text() == other.text()
-    }
-
-    fn text(&self) -> &str {
-        self.text
-            .get_or_init(|| format!("{:?} {:?}", self.sync, self.eye_half_width_ui))
+            && self.bits == other.bits
     }
 }
 

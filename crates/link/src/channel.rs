@@ -9,8 +9,19 @@
 //! The tridiagonal system is factored once per `(dt, coupling)` with the
 //! Thomas algorithm's forward elimination and back-substituted per step.
 //!
-//! One [`RcLine`] models one arm; the differential interconnect in
-//! [`crate::LowSwingLink`] instantiates two.
+//! One Thomas kernel, [`RcLadders`], advances `L` independent ladders of
+//! equal segment count in lockstep. Its state is stored node-major, one
+//! `[f64; L]` per node, and each lane keeps its own line parameters,
+//! step size, coupling and factorization. A ladder's back-substitution
+//! is a chain of dependent divides, so one ladder alone waits on the
+//! divider's latency; `L` ladders issue `L` independent divides per node
+//! and fill its pipeline. Every lane runs the same floating-point
+//! operations in the same order as a lone ladder, so lockstep changes no
+//! result bit.
+//!
+//! [`RcLine`] is the one-lane case: one arm of the link. The
+//! differential interconnect in [`crate::LowSwingLink`] instantiates two;
+//! the link farm bundles the arms of several eyes ([`crate::farm`]).
 //!
 //! # Examples
 //!
@@ -30,33 +41,40 @@
 //! ```
 
 use msim::units::{Farad, Hertz, Ohm, Sec, Volt};
+use std::array;
 
-/// One arm of the distributed-RC interconnect.
+/// `L` independent arms of the distributed-RC interconnect with equal
+/// segment counts, stepped together by one Thomas sweep.
 ///
-/// Equality is physical: two lines compare equal when their parameters
-/// and node voltages do, whatever their cached factorization or work
+/// Equality is physical: two bundles compare equal when their parameters
+/// and node voltages do, whatever their cached factorizations or work
 /// counters.
 #[derive(Debug, Clone)]
-pub struct RcLine {
-    /// Series resistance per segment (ohms).
-    r_seg: f64,
-    /// Shunt capacitance per segment (farads).
-    c_seg: f64,
-    /// Termination resistance to the termination bias (ohms);
+pub struct RcLadders<const L: usize> {
+    /// Series resistance per segment (ohms), per lane.
+    r_seg: [f64; L],
+    /// Shunt capacitance per segment (farads), per lane.
+    c_seg: [f64; L],
+    /// Termination resistance to the termination bias (ohms), per lane;
     /// `f64::INFINITY` for an open (unterminated) line.
-    r_term: f64,
-    /// Termination bias voltage the line is returned to.
-    v_term: Volt,
-    /// Node voltages along the line.
-    nodes: Vec<f64>,
-    /// The backward-Euler matrix of the last `(dt, coupling)`, eliminated.
-    factored: Factored,
-    /// Steps taken over the line's lifetime.
-    steps: u64,
+    r_term: [f64; L],
+    /// Termination bias voltage each lane is returned to.
+    v_term: [f64; L],
+    /// Node voltages along the ladders, node-major.
+    nodes: Vec<[f64; L]>,
+    /// Each lane's backward-Euler matrix of its last `(dt, coupling)`,
+    /// eliminated.
+    factored: Factored<L>,
+    /// Steps each lane has taken over its lifetime.
+    steps: [u64; L],
 }
 
-impl PartialEq for RcLine {
-    fn eq(&self, other: &RcLine) -> bool {
+/// One arm of the distributed-RC interconnect: the one-lane
+/// [`RcLadders`].
+pub type RcLine = RcLadders<1>;
+
+impl<const L: usize> PartialEq for RcLadders<L> {
+    fn eq(&self, other: &RcLadders<L>) -> bool {
         self.r_seg == other.r_seg
             && self.c_seg == other.c_seg
             && self.r_term == other.r_term
@@ -65,47 +83,204 @@ impl PartialEq for RcLine {
     }
 }
 
-/// The Thomas forward elimination of `(C/dt + C_c/dt + G)`, which depends
-/// on the step only through `dt` and the coupling capacitance.
-#[derive(Debug, Clone, Default)]
-struct Factored {
-    /// Bits of `(c_seg/dt, c_c_seg/dt)` the elimination was built for.
-    key: Option<(u64, u64)>,
+/// Each lane's Thomas forward elimination of `(C/dt + C_c/dt + G)`,
+/// which depends on the step only through `dt` and the coupling
+/// capacitance, with the per-segment coefficients it was built from.
+/// Node-major, like the node voltages.
+#[derive(Debug, Clone)]
+struct Factored<const L: usize> {
+    /// Bits of `(dt, c_couple)` each lane's elimination was built for.
+    key: [Option<(u64, u64)>; L],
+    /// Segment conductance `1/r_seg`.
+    g: [f64; L],
+    /// Termination conductance `1/r_term` (0 for an open line).
+    g_term: [f64; L],
+    /// Per-segment coupling capacitance over the step, `C_c/n/dt`.
+    ccdt: [f64; L],
+    /// The capacitive part of the diagonal, `C/dt + C_c/dt`.
+    load: [f64; L],
     /// Elimination multipliers `w[i] = sub[i] / diag[i-1]` (`w[0]` unused).
-    w: Vec<f64>,
+    w: Vec<[f64; L]>,
     /// The eliminated diagonal.
-    diag: Vec<f64>,
+    diag: Vec<[f64; L]>,
     /// Right-hand-side buffer, overwritten every step.
-    rhs: Vec<f64>,
-    /// Times the elimination was (re)built.
-    builds: u64,
+    rhs: Vec<[f64; L]>,
+    /// Times each lane's elimination was (re)built.
+    builds: [u64; L],
 }
 
-impl Factored {
-    /// Rebuilds the elimination unless it is already the one for
-    /// `(cdt, ccdt)`.
-    fn ensure(&mut self, n: usize, cdt: f64, ccdt: f64, g: f64, g_term: f64) {
-        let key = (cdt.to_bits(), ccdt.to_bits());
-        if self.key == Some(key) {
+impl<const L: usize> Factored<L> {
+    fn new(n: usize) -> Factored<L> {
+        Factored {
+            key: [None; L],
+            g: [0.0; L],
+            g_term: [0.0; L],
+            ccdt: [0.0; L],
+            load: [0.0; L],
+            w: vec![[0.0; L]; n],
+            diag: vec![[0.0; L]; n],
+            rhs: vec![[0.0; L]; n],
+            builds: [0; L],
+        }
+    }
+
+    /// Rebuilds lane `l`'s elimination unless it is already the one for
+    /// `(dt, c_couple)`; `(r_seg, c_seg, r_term)` are the lane's line.
+    fn ensure(&mut self, l: usize, dt: Sec, c_couple: Farad, line: (f64, f64, f64)) {
+        let key = (dt.value().to_bits(), c_couple.value().to_bits());
+        if self.key[l] == Some(key) {
             return;
         }
-        self.key = Some(key);
-        self.builds += 1;
-        self.w.resize(n, 0.0);
-        self.diag.resize(n, 0.0);
-        self.rhs.resize(n, 0.0);
+        self.key[l] = Some(key);
+        self.builds[l] += 1;
+        let n = self.diag.len();
+        let (r_seg, c_seg, r_term) = line;
+        let g = 1.0 / r_seg;
+        let g_term = if r_term.is_finite() {
+            1.0 / r_term
+        } else {
+            0.0
+        };
+        let cdt = c_seg / dt.value();
+        let ccdt = c_couple.value() / n as f64 / dt.value();
+        self.g[l] = g;
+        self.g_term[l] = g_term;
+        self.ccdt[l] = ccdt;
+        self.load[l] = cdt + ccdt;
         // Tridiagonal coefficients: sub = sup = -g, diag as below.
         let (sub, sup) = (-g, -g);
         for i in 0..n {
             let g_right = if i + 1 < n { g } else { g_term };
             // The coupling cap also loads the node.
-            self.diag[i] = cdt + ccdt + g + g_right;
+            self.diag[i][l] = cdt + ccdt + g + g_right;
         }
         for i in 1..n {
-            let w = sub / self.diag[i - 1];
-            self.w[i] = w;
-            self.diag[i] -= w * sup;
+            let w = sub / self.diag[i - 1][l];
+            self.w[i][l] = w;
+            self.diag[i][l] -= w * sup;
         }
+    }
+}
+
+/// One step's inputs for every lane of an [`RcLadders`]: the near-end
+/// drive `vin`, the step `dt`, and an *aggressor* wire capacitively
+/// coupled to every node — `c_couple` is the total coupling capacitance
+/// along the lane and `(va_now, va_prev)` the aggressor's voltage at the
+/// end and start of the step.
+#[derive(Debug, Clone, Copy)]
+pub struct Drive<const L: usize> {
+    /// Near-end drive voltage.
+    pub vin: [Volt; L],
+    /// Step size.
+    pub dt: [Sec; L],
+    /// Aggressor voltage at the end of the step.
+    pub va_now: [Volt; L],
+    /// Aggressor voltage at the start of the step.
+    pub va_prev: [Volt; L],
+    /// Total coupling capacitance to the aggressor.
+    pub c_couple: [Farad; L],
+}
+
+impl<const L: usize> RcLadders<L> {
+    /// Bundles `L` lines into one lockstep kernel. Each lane takes its
+    /// line's parameters and node voltages; its step and factorization
+    /// counts start from zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `L` is zero or the lines' segment counts differ.
+    pub fn bundle(lines: [RcLine; L]) -> RcLadders<L> {
+        let n = lines[0].segments();
+        assert!(
+            lines.iter().all(|line| line.segments() == n),
+            "bundled ladders need equal segment counts"
+        );
+        RcLadders {
+            r_seg: array::from_fn(|l| lines[l].r_seg[0]),
+            c_seg: array::from_fn(|l| lines[l].c_seg[0]),
+            r_term: array::from_fn(|l| lines[l].r_term[0]),
+            v_term: array::from_fn(|l| lines[l].v_term[0]),
+            nodes: (0..n)
+                .map(|i| array::from_fn(|l| lines[l].nodes[i][0]))
+                .collect(),
+            factored: Factored::new(n),
+            steps: [0; L],
+        }
+    }
+
+    /// Number of segments (every lane has the same).
+    pub fn segments(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Steps each lane has taken over its lifetime (both step kinds).
+    pub fn steps(&self) -> [u64; L] {
+        self.steps
+    }
+
+    /// Times each lane factored its backward-Euler matrix: once per
+    /// change of `(dt, coupling)` between consecutive steps.
+    pub fn factorizations(&self) -> [u64; L] {
+        self.factored.builds
+    }
+
+    /// Advances every lane by its own `dt` with its near end driven to
+    /// its `vin` and its aggressor coupled in. Returns the far-end
+    /// voltages.
+    ///
+    /// Backward Euler: each lane solves `(C/dt + C_c/dt + G) v⁺ =
+    /// (C/dt + C_c/dt) v + b`, where `G` is the tridiagonal conductance
+    /// matrix of the ladder and crosstalk injects `C_c/dt · (va_now −
+    /// va_prev)` of displacement current per node. A lane re-factors its
+    /// matrix, and recomputes the per-segment coefficients the matrix is
+    /// built from, only when its `dt` or `c_couple` differs from its
+    /// previous step's. Otherwise a step is one forward and one back
+    /// sweep over the right-hand side, done for all lanes node by node.
+    pub fn step_lanes(&mut self, drive: &Drive<L>) -> [Volt; L] {
+        let n = self.nodes.len();
+        for l in 0..L {
+            let line = (self.r_seg[l], self.c_seg[l], self.r_term[l]);
+            self.factored
+                .ensure(l, drive.dt[l], drive.c_couple[l], line);
+            self.steps[l] += 1;
+        }
+        let Factored {
+            g,
+            g_term,
+            ccdt,
+            load,
+            w,
+            diag,
+            rhs,
+            ..
+        } = &mut self.factored;
+        let inject: [f64; L] =
+            array::from_fn(|l| ccdt[l] * (drive.va_now[l].value() - drive.va_prev[l].value()));
+        let sup: [f64; L] = array::from_fn(|l| -g[l]);
+        for (r, v) in rhs.iter_mut().zip(&self.nodes) {
+            for l in 0..L {
+                r[l] = load[l] * v[l] + inject[l];
+            }
+        }
+        for l in 0..L {
+            rhs[0][l] += g[l] * drive.vin[l].value();
+            rhs[n - 1][l] += g_term[l] * self.v_term[l];
+        }
+        for i in 1..n {
+            let prev = rhs[i - 1];
+            for l in 0..L {
+                rhs[i][l] -= w[i][l] * prev[l];
+            }
+        }
+        let mut next: [f64; L] = array::from_fn(|l| rhs[n - 1][l] / diag[n - 1][l]);
+        self.nodes[n - 1] = next;
+        for i in (0..n - 1).rev() {
+            for l in 0..L {
+                next[l] = (rhs[i][l] - sup[l] * next[l]) / diag[i][l];
+            }
+            self.nodes[i] = next;
+        }
+        array::from_fn(|l| Volt(self.nodes[n - 1][l]))
     }
 }
 
@@ -127,13 +302,13 @@ impl RcLine {
             "line parameters must be positive"
         );
         RcLine {
-            r_seg: r_total.value() / segments as f64,
-            c_seg: c_total.value() / segments as f64,
-            r_term: r_term.value(),
-            v_term: Volt::ZERO,
-            nodes: vec![0.0; segments],
-            factored: Factored::default(),
-            steps: 0,
+            r_seg: [r_total.value() / segments as f64],
+            c_seg: [c_total.value() / segments as f64],
+            r_term: [r_term.value()],
+            v_term: [0.0],
+            nodes: vec![[0.0]; segments],
+            factored: Factored::new(segments),
+            steps: [0],
         }
     }
 
@@ -144,41 +319,25 @@ impl RcLine {
     /// Panics under the same conditions as [`RcLine::new`].
     pub fn unterminated(r_total: Ohm, c_total: Farad, segments: usize) -> RcLine {
         let mut line = RcLine::new(r_total, c_total, segments, Ohm(1.0));
-        line.r_term = f64::INFINITY;
+        line.r_term = [f64::INFINITY];
         line
     }
 
     /// Sets the termination bias (the receiver's Vcm) and presets the line
     /// to it.
     pub fn set_termination_bias(&mut self, v: Volt) {
-        self.v_term = v;
+        self.v_term = [v.value()];
         self.preset(v);
     }
 
     /// Presets every node to `v` (steady state of a DC input `v = v_term`).
     pub fn preset(&mut self, v: Volt) {
-        self.nodes.fill(v.value());
-    }
-
-    /// Number of segments.
-    pub fn segments(&self) -> usize {
-        self.nodes.len()
+        self.nodes.fill([v.value()]);
     }
 
     /// Far-end (receiver-side) voltage.
     pub fn output(&self) -> Volt {
-        Volt(*self.nodes.last().expect("line has at least one segment"))
-    }
-
-    /// Steps taken over the line's lifetime (both step kinds).
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Times the line factored its backward-Euler matrix: once per change
-    /// of `(dt, coupling)` between consecutive steps.
-    pub fn factorizations(&self) -> u64 {
-        self.factored.builds
+        Volt(self.nodes.last().expect("line has at least one segment")[0])
     }
 
     /// Advances the line by `dt` with the near end driven to `vin`.
@@ -195,9 +354,10 @@ impl RcLine {
     /// divider formed by the line and the termination (1.0 when
     /// unterminated).
     pub fn dc_gain(&self) -> f64 {
-        if self.r_term.is_finite() {
-            let r_line = self.r_seg * self.nodes.len() as f64;
-            self.r_term / (self.r_term + r_line)
+        let [r_term] = self.r_term;
+        if r_term.is_finite() {
+            let r_line = self.r_seg[0] * self.nodes.len() as f64;
+            r_term / (r_term + r_line)
         } else {
             1.0
         }
@@ -208,9 +368,7 @@ impl RcLine {
     /// along the line and `(va_now, va_prev)` the aggressor's voltage at
     /// the end and start of the step. Crosstalk injects
     /// `C_c/dt · (va_now − va_prev)` of displacement current per node.
-    /// The matrix is re-factored only when `dt` or `c_couple` differs
-    /// from the previous step's; otherwise a step is one forward and one
-    /// back sweep over the right-hand side.
+    /// This is [`RcLadders::step_lanes`] with one lane.
     ///
     /// A victim of the paper's *differential* link sees the aggressor on
     /// both arms (common mode) and rejects it; a single-ended wire takes
@@ -240,35 +398,14 @@ impl RcLine {
         va_prev: Volt,
         c_couple: Farad,
     ) -> Volt {
-        let n = self.nodes.len();
-        let g = 1.0 / self.r_seg;
-        let g_term = if self.r_term.is_finite() {
-            1.0 / self.r_term
-        } else {
-            0.0
-        };
-        let cdt = self.c_seg / dt.value();
-        let cc_seg = c_couple.value() / n as f64;
-        let ccdt = cc_seg / dt.value();
-        let inject = ccdt * (va_now.value() - va_prev.value());
-        self.factored.ensure(n, cdt, ccdt, g, g_term);
-        self.steps += 1;
-
-        let Factored { w, diag, rhs, .. } = &mut self.factored;
-        let sup = -g;
-        for (r, v) in rhs.iter_mut().zip(&self.nodes) {
-            *r = (cdt + ccdt) * v + inject;
-        }
-        rhs[0] += g * vin.value();
-        rhs[n - 1] += g_term * self.v_term.value();
-        for i in 1..n {
-            rhs[i] -= w[i] * rhs[i - 1];
-        }
-        self.nodes[n - 1] = rhs[n - 1] / diag[n - 1];
-        for i in (0..n - 1).rev() {
-            self.nodes[i] = (rhs[i] - sup * self.nodes[i + 1]) / diag[i];
-        }
-        self.output()
+        let [out] = self.step_lanes(&Drive {
+            vin: [vin],
+            dt: [dt],
+            va_now: [va_now],
+            va_prev: [va_prev],
+            c_couple: [c_couple],
+        });
+        out
     }
 
     /// Simulated impulse response: the line is pulsed for one `dt` and
@@ -276,7 +413,7 @@ impl RcLine {
     pub fn impulse_response(&mut self, dt: Sec, n: usize) -> Vec<f64> {
         self.preset(Volt::ZERO);
         let v_term = self.v_term;
-        self.v_term = Volt::ZERO;
+        self.v_term = [0.0];
         let mut h = Vec::with_capacity(n);
         for k in 0..n {
             let vin = if k == 0 { Volt(1.0) } else { Volt::ZERO };
@@ -343,7 +480,7 @@ impl RcLine {
     pub fn step_delay_50(&mut self, dt: Sec, max_steps: usize) -> Option<Sec> {
         self.preset(Volt::ZERO);
         let v_term = self.v_term;
-        self.v_term = Volt::ZERO;
+        self.v_term = [0.0];
         let target = 0.5 * self.dc_gain();
         let mut result = None;
         for k in 0..max_steps {
@@ -384,13 +521,18 @@ mod tests {
         aggressor: Option<(Volt, Volt, Farad)>,
     ) -> Volt {
         let n = line.nodes.len();
-        let g = 1.0 / line.r_seg;
-        let g_term = if line.r_term.is_finite() {
-            1.0 / line.r_term
+        let [r_seg] = line.r_seg;
+        let [c_seg] = line.c_seg;
+        let [r_term] = line.r_term;
+        let [v_term] = line.v_term;
+        let v: Vec<f64> = line.nodes.iter().map(|[v]| *v).collect();
+        let g = 1.0 / r_seg;
+        let g_term = if r_term.is_finite() {
+            1.0 / r_term
         } else {
             0.0
         };
-        let cdt = line.c_seg / dt.value();
+        let cdt = c_seg / dt.value();
         let (ccdt, inject) = match aggressor {
             Some((va_now, va_prev, c_couple)) => {
                 let ccdt = c_couple.value() / n as f64 / dt.value();
@@ -406,10 +548,10 @@ mod tests {
             let g_right = if i + 1 < n { g } else { g_term };
             if aggressor.is_some() {
                 diag[i] = cdt + ccdt + g + g_right;
-                rhs[i] = (cdt + ccdt) * line.nodes[i] + inject;
+                rhs[i] = (cdt + ccdt) * v[i] + inject;
             } else {
                 diag[i] = cdt + g + g_right;
-                rhs[i] = cdt * line.nodes[i];
+                rhs[i] = cdt * v[i];
             }
             if i == 0 {
                 rhs[i] += g * vin.value();
@@ -419,7 +561,7 @@ mod tests {
             if i + 1 < n {
                 sup[i] = -g;
             } else {
-                rhs[i] += g_term * line.v_term.value();
+                rhs[i] += g_term * v_term;
             }
         }
         for i in 1..n {
@@ -427,15 +569,15 @@ mod tests {
             diag[i] -= w * sup[i - 1];
             rhs[i] -= w * rhs[i - 1];
         }
-        line.nodes[n - 1] = rhs[n - 1] / diag[n - 1];
+        line.nodes[n - 1] = [rhs[n - 1] / diag[n - 1]];
         for i in (0..n - 1).rev() {
-            line.nodes[i] = (rhs[i] - sup[i] * line.nodes[i + 1]) / diag[i];
+            line.nodes[i] = [(rhs[i] - sup[i] * line.nodes[i + 1][0]) / diag[i]];
         }
         line.output()
     }
 
     fn assert_bits_equal(cached: &RcLine, reference: &RcLine, what: &str) {
-        for (i, (a, b)) in cached.nodes.iter().zip(&reference.nodes).enumerate() {
+        for (i, ([a], [b])) in cached.nodes.iter().zip(&reference.nodes).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "{what}: node {i}: {a} vs {b}");
         }
     }
@@ -476,9 +618,151 @@ mod tests {
                     assert_bits_equal(&cached, &reference, &what);
                     va_prev = va;
                 }
-                assert_eq!(cached.steps(), 3000);
+                assert_eq!(cached.steps(), [3000]);
             }
         }
+    }
+
+    /// Eight lines that differ lane by lane: length, termination (every
+    /// third open) and bias.
+    fn mixed_lines(segments: usize) -> [RcLine; 8] {
+        array::from_fn(|l| {
+            let r = Ohm::from_kohm(0.5 + 0.4 * l as f64);
+            let c = Farad::from_pf(0.2 + 0.15 * l as f64);
+            let mut line = if l % 3 == 2 {
+                RcLine::unterminated(r, c, segments)
+            } else {
+                RcLine::new(r, c, segments, r)
+            };
+            line.set_termination_bias(Volt(0.55 + 0.01 * l as f64));
+            line
+        })
+    }
+
+    /// One step's drive for eight lanes: step `k` of a run in which each
+    /// lane alternates `ui/os` and `ui` like [`crate::LowSwingLink`] at
+    /// its own rate, switches its coupling in runs of its own length,
+    /// and sees random aggressor edges.
+    fn mixed_drive(rng: &mut rt::rng::Rng, k: usize, va_prev: [Volt; 8]) -> Drive<8> {
+        Drive {
+            vin: array::from_fn(|_| Volt(0.6 + 0.03 * rng.gaussian())),
+            dt: array::from_fn(|l| {
+                let ui = 200.0 + 50.0 * l as f64;
+                Sec::from_ps(if k.is_multiple_of(l + 3) {
+                    ui
+                } else {
+                    ui / 8.0
+                })
+            }),
+            va_now: array::from_fn(|_| Volt(if rng.next_bool() { 1.2 } else { 0.0 })),
+            va_prev,
+            c_couple: array::from_fn(|l| {
+                Farad::from_ff([0.0, 40.0, 100.0][(k / (50 + 7 * l) + l) % 3])
+            }),
+        }
+    }
+
+    #[test]
+    fn every_lane_of_a_bundle_is_bit_identical_to_a_lone_reference_line() {
+        let mut rng = rt::rng::Rng::seed_from_u64(29);
+        for segments in [1, 2, 6, 10] {
+            let lines = mixed_lines(segments);
+            let mut lone = lines.clone();
+            let mut bundle = RcLadders::bundle(lines);
+            let mut va_prev = [Volt(0.6); 8];
+            for k in 0..1500 {
+                let drive = mixed_drive(&mut rng, k, va_prev);
+                let out = bundle.step_lanes(&drive);
+                for (l, line) in lone.iter_mut().enumerate() {
+                    let aggressor = (drive.va_now[l], drive.va_prev[l], drive.c_couple[l]);
+                    let want = reference_step(line, drive.vin[l], drive.dt[l], Some(aggressor));
+                    let what = format!("segments {segments} lane {l} step {k}");
+                    assert_eq!(out[l].value().to_bits(), want.value().to_bits(), "{what}");
+                    for (i, (node, [v])) in bundle.nodes.iter().zip(&line.nodes).enumerate() {
+                        assert_eq!(node[l].to_bits(), v.to_bits(), "{what}: node {i}");
+                    }
+                }
+                va_prev = drive.va_now;
+            }
+            assert_eq!(bundle.steps(), [1500; 8]);
+            // Each lane re-factors only when its own (dt, coupling) moves.
+            assert!(bundle.factorizations().iter().all(|&b| b > 2 && b < 1500));
+        }
+    }
+
+    #[test]
+    fn padding_lanes_leave_the_real_lanes_untouched() {
+        // Lanes 0..3 are real; lanes 3..8 are padding, once copies of a
+        // real lane and once other lines driven with garbage.
+        let mut rng = rt::rng::Rng::seed_from_u64(30);
+        let real = mixed_lines(6);
+        let mut copies = RcLadders::bundle(array::from_fn(|l| real[l.min(2)].clone()));
+        let mut garbage = RcLadders::bundle(array::from_fn(|l| {
+            if l < 3 {
+                real[l].clone()
+            } else {
+                RcLine::unterminated(Ohm(1e-3), Farad(1e-20), 6)
+            }
+        }));
+        let mut va_prev = [Volt(0.6); 8];
+        for k in 0..600 {
+            let drive = mixed_drive(&mut rng, k, va_prev);
+            let mut wild = drive;
+            for l in 3..8 {
+                wild.vin[l] = Volt(f64::NAN);
+                wild.dt[l] = Sec(1e-30 * (k + 1) as f64);
+                wild.c_couple[l] = Farad(f64::MAX);
+            }
+            let a = copies.step_lanes(&drive);
+            let b = garbage.step_lanes(&wild);
+            for l in 0..3 {
+                assert_eq!(
+                    a[l].value().to_bits(),
+                    b[l].value().to_bits(),
+                    "lane {l} step {k}"
+                );
+            }
+            va_prev = drive.va_now;
+        }
+        for (i, (a, b)) in copies.nodes.iter().zip(&garbage.nodes).enumerate() {
+            for l in 0..3 {
+                assert_eq!(a[l].to_bits(), b[l].to_bits(), "node {i} lane {l}");
+            }
+        }
+        assert_eq!(copies.steps()[..3], garbage.steps()[..3]);
+        assert_eq!(copies.factorizations()[..3], garbage.factorizations()[..3]);
+    }
+
+    #[test]
+    fn a_bundled_line_continues_where_it_stopped() {
+        // Bundling carries a stepped line's nodes over: a line stepped
+        // alone, then bundled, matches one stepped alone all along.
+        let dt = Sec::from_ps(25.0);
+        let mut alone = paper_line_with(6);
+        alone.set_termination_bias(Volt(0.6));
+        for _ in 0..40 {
+            alone.step(Volt(0.63), dt);
+        }
+        let mut bundle = RcLadders::bundle([alone.clone(), paper_line_with(6)]);
+        for _ in 0..40 {
+            let out = alone.step(Volt(0.57), dt);
+            let both = bundle.step_lanes(&Drive {
+                vin: [Volt(0.57); 2],
+                dt: [dt; 2],
+                va_now: [Volt::ZERO; 2],
+                va_prev: [Volt::ZERO; 2],
+                c_couple: [Farad(0.0); 2],
+            });
+            assert_eq!(both[0].value().to_bits(), out.value().to_bits());
+        }
+        assert_eq!(bundle.steps(), [40, 40]);
+        assert_eq!(bundle.factorizations(), [1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal segment counts")]
+    fn a_bundle_of_mixed_segment_counts_is_rejected() {
+        let _ = RcLadders::bundle([paper_line_with(6), paper_line_with(6), paper_line_with(10)]);
     }
 
     #[test]
@@ -495,25 +779,25 @@ mod tests {
 
         let h = cached.impulse_response(dt, 400);
         reference.preset(Volt::ZERO);
-        reference.v_term = Volt::ZERO;
+        reference.v_term = [0.0];
         let h_ref: Vec<f64> = (0..400)
             .map(|k| {
                 let vin = if k == 0 { Volt(1.0) } else { Volt::ZERO };
                 reference_step(&mut reference, vin, dt, None).value()
             })
             .collect();
-        reference.v_term = Volt(0.6);
+        reference.v_term = [0.6];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&h), bits(&h_ref));
 
         let delay = cached.step_delay_50(dt, 100_000).expect("line settles");
         reference.preset(Volt::ZERO);
-        reference.v_term = Volt::ZERO;
+        reference.v_term = [0.0];
         let target = 0.5 * reference.dc_gain();
         let k = (0..100_000)
             .find(|_| reference_step(&mut reference, Volt(1.0), dt, None).value() >= target)
             .expect("reference settles");
-        reference.v_term = Volt(0.6);
+        reference.v_term = [0.6];
         assert_eq!(delay.value().to_bits(), (dt * k as f64).value().to_bits());
         assert_bits_equal(&cached, &reference, "after step_delay_50");
 
@@ -544,7 +828,7 @@ mod tests {
         }
         assert_ne!(stepped, fresh);
         stepped.preset(Volt(0.6));
-        assert!(stepped.factorizations() > fresh.factorizations());
+        assert!(stepped.factorizations()[0] > fresh.factorizations()[0]);
         assert_eq!(stepped, fresh);
     }
 
@@ -555,12 +839,12 @@ mod tests {
         for _ in 0..100 {
             line.step_with_aggressor(Volt(0.6), dt, Volt(1.2), Volt::ZERO, cc);
         }
-        assert_eq!((line.steps(), line.factorizations()), (100, 1));
+        assert_eq!((line.steps(), line.factorizations()), ([100], [1]));
         // A plain step is the zero-coupling system; a new dt refactors.
         line.step(Volt(0.6), dt);
         line.step(Volt(0.6), dt);
         line.step(Volt(0.6), Sec::from_ps(400.0));
-        assert_eq!((line.steps(), line.factorizations()), (103, 3));
+        assert_eq!((line.steps(), line.factorizations()), ([103], [3]));
     }
 
     #[test]

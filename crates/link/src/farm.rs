@@ -13,12 +13,13 @@
 //! * [`FarmCell`] — one configuration point. [`FarmCell::evaluate`]
 //!   simulates the cell's victim lane twice — neighbors quiet
 //!   (`coupling = 0`) and neighbors switching through the coupling
-//!   capacitance ([`RcLine::step_with_aggressor`]) — and scores the eye
+//!   capacitance ([`Drive::c_couple`]) — and scores the eye
 //!   opening, a first-order BER, and a mismatch Monte-Carlo detection
 //!   census ([`CellRecord`]).
 //! * [`LinkFarm`] — the whole sweep as one sharded [`rt::exec`] job:
 //!   checkpointable, panic-isolated, byte-identical at any thread count,
-//!   instrumented with an [`rt::obs`] span per grid cell.
+//!   instrumented with an [`rt::obs`] span per shard and one per bundle
+//!   of eyes (`farm.bundle.<first cell>-<last cell>`).
 //!
 //! The crosstalk mechanism is the victim's *asymmetric* exposure: the
 //! aggressor's near wire couples the full `coupling · C_total` into the
@@ -27,10 +28,16 @@
 //! differential residue survives and closes the eye. A cell with one
 //! lane has no neighbors and is immune regardless of the coupling axis.
 //!
-//! Hot path: nearly all of a cell's time (about 94 % on the tracked
-//! 1296-cell grid) is the two arms' RC ladder solve. The rest is kept
-//! out of the per-sample and per-cell loops without changing a bit of
-//! any record: the eye folds UI by UI
+//! Hot path: nearly all of a cell's time is the two arms' RC ladder
+//! solve, and one ladder's back-substitution is a chain of dependent
+//! divides. So a shard steps its eyes together: it collects them (one per
+//! quiet cell, two per cell whose neighbours switch), groups them by
+//! segment count in cell order, and advances four eyes — eight lines —
+//! per [`RcLadders`] bundle, whose independent lanes keep the divider
+//! busy ([`LinkFarm::run_shard`]). Each lane repeats a lone line's
+//! arithmetic, so no record changes by a bit, and work counters stay per
+//! eye and per cell. The rest is kept out of the per-sample and per-cell
+//! loops the same way: the eye folds UI by UI
 //! ([`EyeDiagram::from_waveform`]), and the timing margin's `Q⁻¹(1e-9)`
 //! bisection runs once per process rather than once per cell
 //! ([`FarmCell::evaluate`]).
@@ -53,7 +60,7 @@
 //! ```
 
 use crate::ber::{q_inverse, BerModel};
-use crate::channel::RcLine;
+use crate::channel::{Drive, RcLadders, RcLine};
 use crate::config::{ChannelConfig, LinkConfig};
 use crate::eye::EyeDiagram;
 use crate::tx::Transmitter;
@@ -62,6 +69,7 @@ use msim::signal::Waveform;
 use msim::units::{Farad, Hertz, Ohm, Volt};
 use rt::exec::{self, Checkpoint, ExecReport, RetryPolicy, Shard, ShardJob};
 use rt::rng::Rng;
+use std::array;
 use std::sync::OnceLock;
 
 /// Version stamp mixed into every grid fingerprint; bump whenever the
@@ -362,70 +370,22 @@ impl FarmCell {
         }
     }
 
-    /// Simulates the victim lane with its aggressors switching through
-    /// `coupling` of the line capacitance and returns the best eye
-    /// opening. `coupling = 0.0` (or a single lane) is the uncoupled
-    /// baseline. The aggressor's near wire couples the full capacitance
-    /// into the facing victim arm and [`FAR_ARM_COUPLING`] of it into
-    /// the far arm; the asymmetry is the differential disturbance.
-    /// Counts both arms' channel work as `farm.channel.steps` and
-    /// `farm.channel.factorizations`, and the alignment folds as
-    /// `farm.eye.folds`, once per eye.
-    fn eye_opening(&self, cfg: &LinkConfig, coupling: f64, rng_seed: u64) -> Volt {
-        let vcm = cfg.vcm();
-        let mut bit_rng = Rng::seed_from_stream(rng_seed, 0);
-        let bits: Vec<bool> = (0..BITS_PER_CELL).map(|_| bit_rng.next_bool()).collect();
-        let mut agg_rng = Rng::seed_from_stream(rng_seed, 1);
-        let abits: Vec<bool> = (0..BITS_PER_CELL).map(|_| agg_rng.next_bool()).collect();
-
-        let mut tx_v = Transmitter::new(vcm, cfg.params.swing, cfg.ffe_boost);
-        let mut tx_a = Transmitter::new(vcm, cfg.params.swing, cfg.ffe_boost);
-        let mk_line = || {
-            let mut line = RcLine::new(
-                cfg.channel.r_total,
-                cfg.channel.c_total,
-                cfg.channel.segments,
-                cfg.channel.r_term,
-            );
-            line.set_termination_bias(vcm);
-            line
-        };
-        let mut line_p = mk_line();
-        let mut line_m = mk_line();
-
-        let cc = coupling * cfg.channel.c_total.value() * self.aggressors() as f64;
-        let cc_near = Farad(cc);
-        let cc_far = Farad(cc * FAR_ARM_COUPLING);
-
-        let os = cfg.oversample;
-        let dt = cfg.params.ui() / os as f64;
-        let mut wave = Waveform::new(dt);
-        let mut va_prev = vcm;
-        for (&bit, &abit) in bits.iter().zip(&abits) {
-            let (vp, vm) = tx_v.drive_differential(bit);
-            let (va, _) = tx_a.drive_differential(abit);
-            for _ in 0..os {
-                let op = line_p.step_with_aggressor(vp, dt, va, va_prev, cc_near);
-                let om = line_m.step_with_aggressor(vm, dt, va, va_prev, cc_far);
-                wave.push(op - om);
-                va_prev = va;
-            }
-        }
-        rt::obs::count("farm.channel.steps", line_p.steps() + line_m.steps());
-        rt::obs::count(
-            "farm.channel.factorizations",
-            line_p.factorizations() + line_m.factorizations(),
-        );
-        rt::obs::count("farm.eye.folds", EYE_MAX_DELAY_UI as u64 + 1);
-        EyeDiagram::from_waveform(&wave, &bits, os, EYE_MAX_DELAY_UI)
-            .best()
-            .1
+    /// Whether the cell scores a second, quiet eye: its neighbours
+    /// switch through a nonzero coupling, so the coupled and uncoupled
+    /// eyes differ.
+    fn has_quiet_eye(&self) -> bool {
+        self.coupling != 0.0 && self.aggressors() > 0
     }
 
     /// Evaluates the cell: simulates the coupled and uncoupled eyes,
     /// derives the first-order BER/timing-margin records, and runs the
     /// mismatch Monte-Carlo detection census. Pure in `(self, seed)` —
     /// the executor may run it on any thread, in any order.
+    ///
+    /// This is the one-cell case of a shard's batch
+    /// ([`LinkFarm::run_shard`]): the cell's eyes are stepped in one
+    /// [`RcLadders`] bundle, its idle lanes padding, so the record equals
+    /// the one the cell gets among any batch neighbours.
     ///
     /// The timing margin is [`BerModel::timing_margin`] at the 1e-9
     /// target, bit for bit, but the target's `Q⁻¹` bisection runs once
@@ -445,15 +405,21 @@ impl FarmCell {
     /// at-speed victim/aggressor scenario activates — the paper's flow
     /// would ship it.
     pub fn evaluate(&self, seed: u64) -> CellRecord {
-        let _span = rt::obs::span(format!("farm.cell.{}", self.index));
-        let cfg = self.link_config();
-        let eye_coupled = self.eye_opening(&cfg, self.coupling, seed);
-        let eye_uncoupled = if self.coupling == 0.0 || self.aggressors() == 0 {
-            eye_coupled
-        } else {
-            self.eye_opening(&cfg, 0.0, seed)
-        };
+        let [record] = evaluate_batch(&[(*self, seed)])
+            .try_into()
+            .expect("one cell, one record");
+        record
+    }
 
+    /// Scores the cell from its two eye openings: the BER/timing-margin
+    /// records and the mismatch Monte-Carlo census.
+    fn census(
+        &self,
+        cfg: &LinkConfig,
+        seed: u64,
+        eye_coupled: Volt,
+        eye_uncoupled: Volt,
+    ) -> CellRecord {
         // First-order amplitude-to-timing mapping: the phase-domain eye
         // half-width shrinks with the vertical closure ratio.
         let ratio = if eye_uncoupled.value() > 0.0 {
@@ -505,6 +471,178 @@ impl FarmCell {
             dc_detected,
         }
     }
+}
+
+/// Eyes stepped together by one [`RcLadders`] bundle.
+const BUNDLE_EYES: usize = 4;
+
+/// Lanes of one bundle: the p and m arm of each eye.
+const BUNDLE_LINES: usize = 2 * BUNDLE_EYES;
+
+/// One eye to simulate: a cell's victim lane with its aggressors
+/// switching through `coupling` of the line capacitance.
+struct Eye<'a> {
+    cell: &'a FarmCell,
+    cfg: &'a LinkConfig,
+    coupling: f64,
+    seed: u64,
+}
+
+/// Evaluates `cells`, each with its seed, as one batch. Every cell's
+/// eyes (the coupled one, then the quiet one where neighbours switch)
+/// are grouped by segment count in cell order and stepped
+/// [`BUNDLE_EYES`] at a time; then each cell runs its census. Records
+/// come back in input order, each equal to [`FarmCell::evaluate`] of its
+/// cell alone.
+fn evaluate_batch(cells: &[(FarmCell, u64)]) -> Vec<CellRecord> {
+    let cfgs: Vec<LinkConfig> = cells.iter().map(|(cell, _)| cell.link_config()).collect();
+    let mut eyes = Vec::new();
+    for ((cell, seed), cfg) in cells.iter().zip(&cfgs) {
+        let eye = |coupling| Eye {
+            cell,
+            cfg,
+            coupling,
+            seed: *seed,
+        };
+        eyes.push(eye(cell.coupling));
+        if cell.has_quiet_eye() {
+            eyes.push(eye(0.0));
+        }
+    }
+    let mut order: Vec<usize> = (0..eyes.len()).collect();
+    order.sort_by_key(|&e| eyes[e].cell.segments);
+    let mut openings = vec![Volt::ZERO; eyes.len()];
+    for group in order.chunk_by(|&a, &b| eyes[a].cell.segments == eyes[b].cell.segments) {
+        for bundle in group.chunks(BUNDLE_EYES) {
+            let bundled: Vec<&Eye> = bundle.iter().map(|&e| &eyes[e]).collect();
+            for (&e, opening) in bundle.iter().zip(eye_openings(&bundled)) {
+                openings[e] = opening;
+            }
+        }
+    }
+    let mut openings = openings.into_iter();
+    cells
+        .iter()
+        .zip(&cfgs)
+        .map(|((cell, seed), cfg)| {
+            let coupled = openings.next().expect("every cell has a coupled eye");
+            let uncoupled = if cell.has_quiet_eye() {
+                openings.next().expect("a switching cell has a quiet eye")
+            } else {
+                coupled
+            };
+            cell.census(cfg, *seed, coupled, uncoupled)
+        })
+        .collect()
+}
+
+/// Simulates each eye's victim lane and returns its best eye opening.
+/// `coupling = 0.0` (or a single lane) is the uncoupled baseline. The
+/// aggressor's near wire couples the full capacitance into the facing
+/// victim arm and [`FAR_ARM_COUPLING`] of it into the far arm; the
+/// asymmetry is the differential disturbance.
+///
+/// Eye `e`'s arms are lanes `2e` and `2e + 1` of one [`RcLadders`]
+/// bundle; lanes past the last eye repeat its arms and are never read.
+/// Counts the eyes' channel work as `farm.channel.steps` and
+/// `farm.channel.factorizations`, and the alignment folds as
+/// `farm.eye.folds`, per eye.
+///
+/// # Panics
+///
+/// Panics unless there are 1 to [`BUNDLE_EYES`] eyes, all of one
+/// segment count.
+fn eye_openings(eyes: &[&Eye]) -> Vec<Volt> {
+    let k = eyes.len();
+    assert!(
+        (1..=BUNDLE_EYES).contains(&k),
+        "{k} eyes do not fill one bundle"
+    );
+    let _span = rt::obs::span(format!(
+        "farm.bundle.{}-{}",
+        eyes[0].cell.index,
+        eyes[k - 1].cell.index
+    ));
+    let os = CELL_OVERSAMPLE;
+    // Lanes 2e and 2e + 1 carry eye e; padding lanes repeat the last eye.
+    let eye_index = |lane: usize| (lane / 2).min(k - 1);
+    let eye_of = |lane: usize| eyes[eye_index(lane)];
+    let stream = |seed, index| {
+        let mut rng = Rng::seed_from_stream(seed, index);
+        (0..BITS_PER_CELL)
+            .map(|_| rng.next_bool())
+            .collect::<Vec<bool>>()
+    };
+    let tx = |e: &Eye| Transmitter::new(e.cfg.vcm(), e.cfg.params.swing, e.cfg.ffe_boost);
+    let dt = |e: &Eye| e.cfg.params.ui() / os as f64;
+    let bits: Vec<Vec<bool>> = eyes.iter().map(|e| stream(e.seed, 0)).collect();
+    let abits: Vec<Vec<bool>> = eyes.iter().map(|e| stream(e.seed, 1)).collect();
+    let mut tx_v: Vec<Transmitter> = eyes.iter().map(|e| tx(e)).collect();
+    let mut tx_a: Vec<Transmitter> = eyes.iter().map(|e| tx(e)).collect();
+    let mut waves: Vec<Waveform> = eyes.iter().map(|e| Waveform::new(dt(e))).collect();
+
+    let mut ladders = RcLadders::bundle(array::from_fn(|lane| {
+        let cfg = eye_of(lane).cfg;
+        let mut line = RcLine::new(
+            cfg.channel.r_total,
+            cfg.channel.c_total,
+            cfg.channel.segments,
+            cfg.channel.r_term,
+        );
+        line.set_termination_bias(cfg.vcm());
+        line
+    }));
+    let mut drive = Drive {
+        vin: [Volt::ZERO; BUNDLE_LINES],
+        dt: array::from_fn(|lane| dt(eye_of(lane))),
+        va_now: [Volt::ZERO; BUNDLE_LINES],
+        va_prev: array::from_fn(|lane| eye_of(lane).cfg.vcm()),
+        c_couple: array::from_fn(|lane| {
+            let e = eye_of(lane);
+            let cc = e.coupling * e.cfg.channel.c_total.value() * e.cell.aggressors() as f64;
+            Farad(if lane % 2 == 0 {
+                cc
+            } else {
+                cc * FAR_ARM_COUPLING
+            })
+        }),
+    };
+    for b in 0..BITS_PER_CELL {
+        let mut arms = [(Volt::ZERO, Volt::ZERO); BUNDLE_EYES];
+        let mut va = [Volt::ZERO; BUNDLE_EYES];
+        for e in 0..k {
+            arms[e] = tx_v[e].drive_differential(bits[e][b]);
+            va[e] = tx_a[e].drive_differential(abits[e][b]).0;
+        }
+        for lane in 0..BUNDLE_LINES {
+            let (vp, vm) = arms[eye_index(lane)];
+            drive.vin[lane] = if lane % 2 == 0 { vp } else { vm };
+            drive.va_now[lane] = va[eye_index(lane)];
+        }
+        for _ in 0..os {
+            let out = ladders.step_lanes(&drive);
+            for (e, wave) in waves.iter_mut().enumerate() {
+                wave.push(out[2 * e] - out[2 * e + 1]);
+            }
+            drive.va_prev = drive.va_now;
+        }
+    }
+    let lanes = 2 * k;
+    rt::obs::count("farm.channel.steps", ladders.steps()[..lanes].iter().sum());
+    rt::obs::count(
+        "farm.channel.factorizations",
+        ladders.factorizations()[..lanes].iter().sum(),
+    );
+    rt::obs::count("farm.eye.folds", (EYE_MAX_DELAY_UI as u64 + 1) * k as u64);
+    waves
+        .iter()
+        .zip(&bits)
+        .map(|(wave, bits)| {
+            EyeDiagram::from_waveform(wave, bits, os, EYE_MAX_DELAY_UI)
+                .best()
+                .1
+        })
+        .collect()
 }
 
 /// The per-cell result record.
@@ -608,18 +746,22 @@ impl LinkFarm {
         self.grid.fingerprint()
     }
 
-    /// Runs one shard: evaluates each cell under its own decorrelated
-    /// RNG substream (keyed by the grid seed and the cell index, so a
-    /// resumed or re-sharded run scores identical instances).
+    /// Runs one shard: evaluates its cells as one batch, each under its
+    /// own decorrelated RNG substream (keyed by the grid seed and the cell
+    /// index, so a resumed or re-sharded run scores identical instances).
+    /// The shard's eyes are stepped four at a time (eight lines per
+    /// [`RcLadders`] bundle), grouped by segment count; each record
+    /// equals [`FarmCell::evaluate`] of its cell alone.
     pub fn run_shard(&self, shard: &Shard) -> Vec<CellRecord> {
         let _span = rt::obs::span(format!("shard.link_farm.{}", shard.index));
-        shard
+        let cells: Vec<(FarmCell, u64)> = shard
             .range()
             .map(|i| {
                 let seed = Rng::seed_from_stream(self.grid.seed(), i as u64).next_u64();
-                self.grid.cell(i).evaluate(seed)
+                (self.grid.cell(i), seed)
             })
-            .collect()
+            .collect();
+        evaluate_batch(&cells)
     }
 
     /// Runs the whole sweep through [`rt::exec::run_shards`]: panic
@@ -784,6 +926,67 @@ pub fn detect_surface_csv(grid: &FarmGrid, records: &[CellRecord]) -> String {
 mod tests {
     use super::*;
 
+    /// The per-cell eye path the batched shard replaced: one cell's eye
+    /// stepped alone on two [`RcLine`]s. The oracle every batched eye
+    /// must match bit for bit.
+    fn eye_opening(cell: &FarmCell, cfg: &LinkConfig, coupling: f64, rng_seed: u64) -> Volt {
+        let vcm = cfg.vcm();
+        let mut bit_rng = Rng::seed_from_stream(rng_seed, 0);
+        let bits: Vec<bool> = (0..BITS_PER_CELL).map(|_| bit_rng.next_bool()).collect();
+        let mut agg_rng = Rng::seed_from_stream(rng_seed, 1);
+        let abits: Vec<bool> = (0..BITS_PER_CELL).map(|_| agg_rng.next_bool()).collect();
+
+        let mut tx_v = Transmitter::new(vcm, cfg.params.swing, cfg.ffe_boost);
+        let mut tx_a = Transmitter::new(vcm, cfg.params.swing, cfg.ffe_boost);
+        let mk_line = || {
+            let mut line = RcLine::new(
+                cfg.channel.r_total,
+                cfg.channel.c_total,
+                cfg.channel.segments,
+                cfg.channel.r_term,
+            );
+            line.set_termination_bias(vcm);
+            line
+        };
+        let mut line_p = mk_line();
+        let mut line_m = mk_line();
+
+        let cc = coupling * cfg.channel.c_total.value() * cell.aggressors() as f64;
+        let cc_near = Farad(cc);
+        let cc_far = Farad(cc * FAR_ARM_COUPLING);
+
+        let os = cfg.oversample;
+        let dt = cfg.params.ui() / os as f64;
+        let mut wave = Waveform::new(dt);
+        let mut va_prev = vcm;
+        for (&bit, &abit) in bits.iter().zip(&abits) {
+            let (vp, vm) = tx_v.drive_differential(bit);
+            let (va, _) = tx_a.drive_differential(abit);
+            for _ in 0..os {
+                let op = line_p.step_with_aggressor(vp, dt, va, va_prev, cc_near);
+                let om = line_m.step_with_aggressor(vm, dt, va, va_prev, cc_far);
+                wave.push(op - om);
+                va_prev = va;
+            }
+        }
+        EyeDiagram::from_waveform(&wave, &bits, os, EYE_MAX_DELAY_UI)
+            .best()
+            .1
+    }
+
+    /// [`FarmCell::evaluate`] as it was before shards were batched: both
+    /// eyes through [`eye_opening`], then the census.
+    fn per_cell_record(cell: &FarmCell, seed: u64) -> CellRecord {
+        let cfg = cell.link_config();
+        let coupled = eye_opening(cell, &cfg, cell.coupling, seed);
+        let uncoupled = if cell.coupling == 0.0 || cell.aggressors() == 0 {
+            coupled
+        } else {
+            eye_opening(cell, &cfg, 0.0, seed)
+        };
+        cell.census(&cfg, seed, coupled, uncoupled)
+    }
+
     fn tiny_axes() -> FarmAxes {
         FarmAxes {
             lengths_mm: vec![5.0, 10.0],
@@ -794,6 +997,129 @@ mod tests {
             lanes: vec![1, 4],
             couplings: vec![0.0, 0.3],
         }
+    }
+
+    /// A grid whose segment counts {1, 3, 6} change every eight cells,
+    /// so any run of cells longer than that mixes them.
+    fn mixed_segment_farm() -> LinkFarm {
+        let axes = FarmAxes {
+            lengths_mm: vec![3.0, 9.0, 16.0],
+            swings_mv: vec![60.0],
+            segments: vec![1, 3, 6],
+            sigmas_mv: vec![6.0],
+            rates_gbps: vec![1.0, 2.5],
+            lanes: vec![1, 4],
+            couplings: vec![0.0, 0.04],
+        };
+        LinkFarm::new(FarmGrid::new(axes, 13).unwrap())
+    }
+
+    fn bytes(records: &[CellRecord]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for r in records {
+            r.encode(&mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn batched_shards_match_the_per_cell_path_and_lone_cells() {
+        let farm = mixed_segment_farm();
+        let grid = farm.grid();
+        assert_eq!(grid.total(), 72);
+        // Shards of 1, 5 and 64 cells: the 5-cell one straddles a segment
+        // change, the 64-cell one interleaves all three segment counts,
+        // and each has a segment group whose eyes do not fill whole
+        // bundles, so padding lanes run.
+        for (index, start, len) in [(0, 3, 1), (1, 6, 5), (2, 5, 64)] {
+            let shard = Shard { index, start, len };
+            let cells: Vec<FarmCell> = shard.range().map(|i| grid.cell(i)).collect();
+            let mut groups = std::collections::BTreeMap::new();
+            for c in &cells {
+                *groups.entry(c.segments).or_insert(0) += 1 + u64::from(c.has_quiet_eye());
+            }
+            let eyes: u64 = groups.values().sum();
+            assert!(
+                groups.values().any(|e| e % BUNDLE_EYES as u64 != 0),
+                "shard {start}+{len}: {groups:?}"
+            );
+
+            let (batched, metrics, _) = rt::obs::observe(|| farm.run_shard(&shard));
+            let seeds = shard
+                .range()
+                .map(|i| Rng::seed_from_stream(grid.seed(), i as u64).next_u64());
+            let per_cell: Vec<CellRecord> = cells
+                .iter()
+                .zip(seeds.clone())
+                .map(|(c, seed)| per_cell_record(c, seed))
+                .collect();
+            let alone: Vec<CellRecord> = cells
+                .iter()
+                .zip(seeds)
+                .map(|(c, seed)| c.evaluate(seed))
+                .collect();
+            assert_eq!(bytes(&batched), bytes(&per_cell), "shard {start}+{len}");
+            assert_eq!(bytes(&alone), bytes(&per_cell), "cells {start}+{len} alone");
+
+            // Work counts are per eye and per cell; padding lanes count
+            // nothing.
+            let per_eye_steps = 2 * (BITS_PER_CELL * CELL_OVERSAMPLE) as u64;
+            let count = |name| metrics.counter(name);
+            assert_eq!(count("farm.channel.steps"), Some(eyes * per_eye_steps));
+            assert_eq!(count("farm.channel.factorizations"), Some(eyes * 2));
+            assert_eq!(count("farm.eye.folds"), Some(eyes * 5));
+            assert_eq!(count("farm.cells"), Some(len as u64));
+            assert_eq!(
+                count("farm.instances"),
+                Some((len * MISMATCH_INSTANCES) as u64)
+            );
+        }
+    }
+
+    #[test]
+    fn one_eye_per_bundle_is_the_same_eye() {
+        // The same eye alone, or among neighbours of its segment count,
+        // opens to the same bits.
+        let farm = mixed_segment_farm();
+        let grid = farm.grid();
+        let cells: Vec<(FarmCell, LinkConfig)> = [41, 43, 45, 47]
+            .iter()
+            .map(|&i| (grid.cell(i), grid.cell(i).link_config()))
+            .collect();
+        let eyes: Vec<Eye> = cells
+            .iter()
+            .map(|(cell, cfg)| Eye {
+                cell,
+                cfg,
+                coupling: cell.coupling,
+                seed: 0xE1E + cell.index as u64,
+            })
+            .collect();
+        let all: Vec<&Eye> = eyes.iter().collect();
+        let together = eye_openings(&all);
+        for (eye, got) in eyes.iter().zip(together) {
+            let [alone] = eye_openings(&[eye]).try_into().unwrap();
+            assert_eq!(got.value().to_bits(), alone.value().to_bits());
+            let want = eye_opening(eye.cell, eye.cfg, eye.coupling, eye.seed);
+            assert_eq!(got.value().to_bits(), want.value().to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "equal segment counts")]
+    fn eyes_of_different_segment_counts_never_share_a_bundle() {
+        let farm = mixed_segment_farm();
+        let grid = farm.grid();
+        let (a, b) = (grid.cell(0), grid.cell(8));
+        assert_ne!(a.segments, b.segments);
+        let (ca, cb) = (a.link_config(), b.link_config());
+        let eye = |cell, cfg| Eye {
+            cell,
+            cfg,
+            coupling: 0.0,
+            seed: 1,
+        };
+        eye_openings(&[&eye(&a, &ca), &eye(&b, &cb)]);
     }
 
     #[test]
@@ -813,8 +1139,8 @@ mod tests {
             let cfg = cell.link_config();
             // The record's two eyes, at full precision.
             let seed = Rng::seed_from_stream(grid.seed(), i as u64).next_u64();
-            let coupled = cell.eye_opening(&cfg, cell.coupling, seed);
-            let uncoupled = cell.eye_opening(&cfg, 0.0, seed);
+            let coupled = eye_opening(&cell, &cfg, cell.coupling, seed);
+            let uncoupled = eye_opening(&cell, &cfg, 0.0, seed);
             assert_eq!(coupled.mv(), rec.eye_coupled_mv, "cell {i} coupled eye");
             assert_eq!(uncoupled.mv(), rec.eye_uncoupled_mv, "cell {i} quiet eye");
             // `evaluate`'s amplitude-to-timing mapping.

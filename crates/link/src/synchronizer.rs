@@ -23,7 +23,9 @@
 //! the run's `(seed, cycles)`. It is a value, [`Stimulus`]:
 //! [`Synchronizer::run`] draws it and replays it, and a caller that runs
 //! many loops under one seed (the BIST tier, once per distinct loop) draws
-//! it once and hands it to [`Synchronizer::replay`] every time.
+//! it once and hands it to [`Synchronizer::replay`] every time. Such a
+//! caller keys its loops by [`BitKey`]: two synchronizers with equal key
+//! words are the same loop bit for bit.
 //!
 //! # Examples
 //!
@@ -46,7 +48,7 @@ use msim::blocks::dll::Dll;
 use msim::blocks::vcdl::Vcdl;
 use msim::params::DesignParams;
 use msim::sim::Trace;
-use msim::units::Volt;
+use msim::units::{BitKey, Volt};
 
 use crate::pd::{BangBangPd, PdDecision};
 
@@ -166,6 +168,38 @@ pub struct Synchronizer {
     vc_pinned: Option<Volt>,
     vc: Volt,
     phase: usize,
+}
+
+impl BitKey for Synchronizer {
+    fn push_bits(&self, key: &mut Vec<u64>) {
+        let Synchronizer {
+            p,
+            dll,
+            vcdl,
+            window,
+            weak,
+            strong,
+            balance,
+            pd: BangBangPd,
+            clock_dead,
+            clock_degradation,
+            vc_pinned,
+            vc,
+            phase,
+        } = self;
+        p.push_bits(key);
+        dll.phase_count().push_bits(key);
+        vcdl.push_bits(key);
+        window.push_bits(key);
+        weak.push_bits(key);
+        strong.push_bits(key);
+        balance.push_bits(key);
+        clock_dead.push_bits(key);
+        clock_degradation.push_bits(key);
+        vc_pinned.push_bits(key);
+        vc.push_bits(key);
+        phase.push_bits(key);
+    }
 }
 
 impl Synchronizer {

@@ -29,7 +29,7 @@
 //! ```
 
 use crate::effects::PumpDir;
-use crate::units::{Amp, Farad, Sec, Volt};
+use crate::units::{Amp, BitKey, Farad, Sec, Volt};
 
 /// Fault hooks of a charge pump.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,6 +208,47 @@ impl BalanceNode {
     }
 }
 
+impl BitKey for CpFaults {
+    fn push_bits(&self, key: &mut Vec<u64>) {
+        let CpFaults {
+            dead_up,
+            dead_down,
+            always_on,
+            up_scale,
+            down_scale,
+        } = self;
+        dead_up.push_bits(key);
+        dead_down.push_bits(key);
+        always_on.map(|dir| dir as u32).push_bits(key);
+        up_scale.push_bits(key);
+        down_scale.push_bits(key);
+    }
+}
+
+impl BitKey for ChargePump {
+    fn push_bits(&self, key: &mut Vec<u64>) {
+        let ChargePump {
+            current,
+            cap,
+            supply,
+            faults,
+            scan_mode,
+        } = self;
+        current.push_bits(key);
+        cap.push_bits(key);
+        supply.push_bits(key);
+        faults.push_bits(key);
+        scan_mode.push_bits(key);
+    }
+}
+
+impl BitKey for BalanceNode {
+    fn push_bits(&self, key: &mut Vec<u64>) {
+        let BalanceNode { nominal, drift } = self;
+        nominal.push_bits(key);
+        drift.push_bits(key);
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,7 +25,7 @@
 //! assert!(!cmp.evaluate(Volt::from_mv(10.0), Volt::ZERO));
 //! ```
 
-use crate::units::Volt;
+use crate::units::{BitKey, Volt};
 
 /// A comparator with a programmed input-referred offset.
 ///
@@ -206,6 +206,33 @@ impl WindowComparator {
     }
 }
 
+impl BitKey for Comparator {
+    fn push_bits(&self, key: &mut Vec<u64>) {
+        let Comparator {
+            offset,
+            threshold_shift,
+            stuck,
+        } = self;
+        offset.push_bits(key);
+        threshold_shift.push_bits(key);
+        stuck.push_bits(key);
+    }
+}
+
+impl BitKey for WindowComparator {
+    fn push_bits(&self, key: &mut Vec<u64>) {
+        let WindowComparator {
+            high_threshold,
+            low_threshold,
+            high,
+            low,
+        } = self;
+        high_threshold.push_bits(key);
+        low_threshold.push_bits(key);
+        high.push_bits(key);
+        low.push_bits(key);
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;

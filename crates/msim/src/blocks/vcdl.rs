@@ -23,7 +23,7 @@
 //! ```
 
 use crate::params::DesignParams;
-use crate::units::Volt;
+use crate::units::{BitKey, Volt};
 
 /// Behavioral voltage-controlled delay line.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,6 +108,22 @@ impl Vcdl {
     }
 }
 
+impl BitKey for Vcdl {
+    fn push_bits(&self, key: &mut Vec<u64>) {
+        let Vcdl {
+            range_ui,
+            vl,
+            vh,
+            range_scale,
+            stuck_frac,
+        } = self;
+        range_ui.push_bits(key);
+        vl.push_bits(key);
+        vh.push_bits(key);
+        range_scale.push_bits(key);
+        stuck_frac.push_bits(key);
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;

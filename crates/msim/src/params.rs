@@ -23,7 +23,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::units::{Amp, Farad, Hertz, Sec, Volt};
+use crate::units::{Amp, BitKey, Farad, Hertz, Sec, Volt};
 
 /// Nominal design point of the low-swing link and its synchronizer.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,6 +170,50 @@ impl DesignParams {
     }
 }
 
+impl BitKey for DesignParams {
+    fn push_bits(&self, key: &mut Vec<u64>) {
+        let DesignParams {
+            supply,
+            swing,
+            cmp_offset,
+            window_low,
+            window_high,
+            vmid,
+            vp_nominal,
+            cp_bist_window,
+            data_rate,
+            dll_phases,
+            vcdl_range_ui,
+            weak_cp_current,
+            strong_cp_current,
+            loop_cap,
+            scan_clock,
+            divider_ratio,
+            bist_lock_budget,
+        } = self;
+        for v in [
+            supply,
+            swing,
+            cmp_offset,
+            window_low,
+            window_high,
+            vmid,
+            vp_nominal,
+            cp_bist_window,
+        ] {
+            v.push_bits(key);
+        }
+        data_rate.push_bits(key);
+        dll_phases.push_bits(key);
+        vcdl_range_ui.push_bits(key);
+        weak_cp_current.push_bits(key);
+        strong_cp_current.push_bits(key);
+        loop_cap.push_bits(key);
+        scan_clock.push_bits(key);
+        divider_ratio.push_bits(key);
+        bist_lock_budget.push_bits(key);
+    }
+}
 /// A process corner for robustness sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Corner {

@@ -13,6 +13,9 @@
 //! * `Sec * Hertz -> f64` (cycle counting)
 //! * same-unit addition/subtraction and `f64` scaling for every unit
 //!
+//! [`BitKey`] gives a value an exact identity — every float by its
+//! IEEE-754 bits — for memo keys that must tell `-0.0` from `+0.0`.
+//!
 //! # Examples
 //!
 //! ```
@@ -160,7 +163,65 @@ macro_rules! unit {
                 write!(f, "{} {}", self.0, $sym)
             }
         }
+
+        impl BitKey for $name {
+            fn push_bits(&self, key: &mut Vec<u64>) {
+                self.0.push_bits(key);
+            }
+        }
     };
+}
+
+/// A value's exact identity as words: every float as its IEEE-754 bit
+/// pattern, every other field as an integer. Two values push equal words
+/// exactly when they are bit for bit the same, so `-0.0` and `+0.0` key
+/// apart where `==` calls them equal. (A NaN keys by its bits, so a
+/// caller that must never match a NaN also compares with `==`.)
+pub trait BitKey {
+    /// Appends the value's identity words to `key`.
+    fn push_bits(&self, key: &mut Vec<u64>);
+}
+
+impl BitKey for f64 {
+    fn push_bits(&self, key: &mut Vec<u64>) {
+        key.push(self.to_bits());
+    }
+}
+
+impl BitKey for bool {
+    fn push_bits(&self, key: &mut Vec<u64>) {
+        key.push(u64::from(*self));
+    }
+}
+
+impl BitKey for u32 {
+    fn push_bits(&self, key: &mut Vec<u64>) {
+        key.push(u64::from(*self));
+    }
+}
+
+impl BitKey for u64 {
+    fn push_bits(&self, key: &mut Vec<u64>) {
+        key.push(*self);
+    }
+}
+
+impl BitKey for usize {
+    fn push_bits(&self, key: &mut Vec<u64>) {
+        key.push(*self as u64);
+    }
+}
+
+impl<T: BitKey> BitKey for Option<T> {
+    fn push_bits(&self, key: &mut Vec<u64>) {
+        match self {
+            None => key.push(0),
+            Some(v) => {
+                key.push(1);
+                v.push_bits(key);
+            }
+        }
+    }
 }
 
 unit!(

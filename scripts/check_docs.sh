@@ -18,7 +18,8 @@
 # or renamed. Every backticked `Type::member` (optionally called, as in
 # `Type::member(1)`) must name a struct, enum or trait declared in a
 # workspace crate and a fn or const declared in that crate, or a variant
-# of that enum, so a doc cannot name a method or constant that is gone.
+# of that enum (a `pub type` alias counts as the type it names), so a
+# doc cannot name a method or constant that is gone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,12 +83,12 @@ resolve_path() {
 }
 
 # resolve_member <Type> <member>: succeeds if some library crate
-# declares `Type` as a struct, enum or trait and declares `member` as a
-# fn or const, or as a variant of the enum `Type`.
+# declares `Type` as a struct, enum, trait or `pub type` alias and
+# declares `member` as a fn or const, or as a variant of the enum `Type`.
 resolve_member() {
     local ty=$1 member=$2 src
     for src in crates/*/src; do
-        grep -rqE "\b(struct|enum|trait)[[:space:]]+$ty\b" "$src" || continue
+        grep -rqE "\b(struct|enum|trait|pub type)[[:space:]]+$ty\b" "$src" || continue
         grep -rqE "\b(fn|const)[[:space:]]+$member\b" "$src" && return 0
         # Enum variants: lines of the enum body up to its closing brace.
         find "$src" -name '*.rs' -exec awk -v ty="$ty" -v m="$member" '
