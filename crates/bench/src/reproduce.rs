@@ -66,15 +66,6 @@ pub struct Reproduction {
     pub trace: String,
 }
 
-/// Every tracked artifact of one reproduction run.
-///
-/// # Panics
-///
-/// Panics if any checked claim fails (see the module docs).
-pub fn artifacts() -> Vec<Artifact> {
-    run().tracked
-}
-
 /// Runs the whole paper campaign once.
 ///
 /// # Panics
@@ -646,7 +637,7 @@ mod tests {
     fn observed() -> &'static (Vec<Artifact>, rt::obs::Metrics) {
         static RUN: OnceLock<(Vec<Artifact>, rt::obs::Metrics)> = OnceLock::new();
         RUN.get_or_init(|| {
-            let (tracked, metrics, _) = rt::obs::observe(artifacts);
+            let (tracked, metrics, _) = rt::obs::observe(|| run().tracked);
             (tracked, metrics)
         })
     }

@@ -91,15 +91,6 @@ impl NodeCoverage {
         2 * self.seen0.len()
     }
 
-    /// Activated fraction in `[0, 1]` (`1.0` for a net-less circuit).
-    pub fn fraction(&self) -> f64 {
-        if self.total() == 0 {
-            1.0
-        } else {
-            self.points() as f64 / self.total() as f64
-        }
-    }
-
     /// `true` when this map activates at least one point `other` does not
     /// — the fuzzer's acceptance test.
     ///
@@ -218,7 +209,6 @@ mod tests {
         let cov = NodeCoverage::for_circuit(&c);
         assert_eq!(cov.points(), 0);
         assert_eq!(cov.total(), 2 * c.net_count());
-        assert_eq!(cov.fraction(), 0.0);
     }
 
     #[test]
@@ -230,7 +220,6 @@ mod tests {
             cov.total(),
             "exhaustive patterns toggle every net"
         );
-        assert_eq!(cov.fraction(), 1.0);
     }
 
     #[test]
@@ -273,6 +262,6 @@ mod tests {
     fn netless_circuit_is_vacuously_covered() {
         let c = Circuit::new("empty");
         let cov = NodeCoverage::for_circuit(&c);
-        assert_eq!(cov.fraction(), 1.0);
+        assert_eq!((cov.points(), cov.total()), (0, 0));
     }
 }

@@ -32,8 +32,8 @@
 //!   (or the check is vacuous),
 //! * [`TimeExpansionOracle`] — broad-side transition ATPG
 //!   (`dsim::expand`): detection of every transition fault in the
-//!   two-timeframe gadget model (scalar simulation and the packed PPSFP
-//!   kernel at 64/256/512 lanes) against
+//!   two-timeframe gadget model (scalar simulation and the 64-lane packed
+//!   PPSFP kernel) against
 //!   `launch_capture_response` replayed on the original sequential
 //!   circuit — per-test agreement, and every fault PODEM produced a test
 //!   for must actually be caught on replay.

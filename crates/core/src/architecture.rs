@@ -85,21 +85,6 @@ impl TestableLink {
         &self.params
     }
 
-    /// The functional analog blocks.
-    pub fn blocks(&self) -> &[(BlockKind, Netlist)] {
-        &self.blocks
-    }
-
-    /// The DFT test-circuitry blocks.
-    pub fn test_blocks(&self) -> &[(BlockKind, Netlist)] {
-        &self.test_blocks
-    }
-
-    /// The added-circuitry inventory (Table II).
-    pub fn overhead(&self) -> &DftOverhead {
-        &self.overhead
-    }
-
     /// The gate-level UP/DN ring counter.
     pub fn ring_counter(&self) -> &RingCounter {
         &self.ring_counter
@@ -341,7 +326,7 @@ mod tests {
     fn inventory_mentions_every_block() {
         let link = TestableLink::paper();
         let inv = link.inventory();
-        for (b, _) in link.blocks() {
+        for (b, _) in &link.blocks {
             assert!(inv.contains(b.label()), "inventory missing {b}");
         }
         assert!(inv.contains("Scan chain A"));

@@ -606,7 +606,7 @@ impl FaultCampaign {
 }
 
 /// Shard size for the netlist campaign, in faults. The PPSFP kernel
-/// evaluates up to 512 patterns per pass, so fat stuck-at shards amortize
+/// evaluates 64 patterns per pass, so fat stuck-at shards amortize
 /// its per-shard golden simulation, and the transition shards' per-fault
 /// replay is cheap enough that load balance does not suffer at this
 /// granularity. Shard stitching is result-invariant, so this is purely a
@@ -952,11 +952,6 @@ impl NetlistCampaign {
     /// The generated launch-on-capture two-pattern test set.
     pub fn tests(&self) -> &[TwoPatternTest] {
         &self.transition.tests
-    }
-
-    /// Transition faults PODEM proved out of reach on the expanded model.
-    pub fn untestable(&self) -> &[TransitionFault] {
-        &self.transition.untestable
     }
 
     /// The deterministic shard plan: the stuck-at universe then the

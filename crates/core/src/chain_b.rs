@@ -232,15 +232,6 @@ impl ChainB {
         s.load_ffs(&vec![Logic::Zero; self.circuit.dff_count()]);
         chain_continuity(&self.circuit, &mut s)
     }
-
-    /// The UPst/DNst strong-pump pulses for one divided clock, given the
-    /// captured window decision (used by the scan CP procedure).
-    pub fn pulses(&self, s: &SimState) -> (bool, bool) {
-        (
-            s.net(self.upst) == Logic::One,
-            s.net(self.dnst) == Logic::One,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -273,7 +264,8 @@ mod tests {
         chain.drive(&mut s, true, false);
         chain.circuit().tick(&mut s); // capture
         chain.circuit().eval(&mut s);
-        let (upst, dnst) = chain.pulses(&s);
+        let upst = s.net(chain.upst) == Logic::One;
+        let dnst = s.net(chain.dnst) == Logic::One;
         assert!(dnst && !upst, "above VH must pulse DNst");
     }
 

@@ -81,11 +81,6 @@ impl TestSchedule {
         }
     }
 
-    /// Lane count.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
     /// DC tier: two settle-and-strobe vectors per lane, serial. A settle
     /// window of 20 line time constants is budgeted per vector.
     pub fn dc_time(&self) -> Sec {

@@ -231,11 +231,6 @@ impl TestProgram {
         self.steps.iter().map(|s| s.duration).sum()
     }
 
-    /// Steps of one tier.
-    pub fn tier_steps(&self, tier: Tier) -> Vec<&TestStep> {
-        self.steps.iter().filter(|s| s.tier == tier).collect()
-    }
-
     /// Renders the program as a numbered text listing.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -316,8 +311,14 @@ mod tests {
         // Scan shifting is the expensive part; the BIST is just 2 us + a
         // short observation window.
         let p = prog();
-        let scan: Sec = p.tier_steps(Tier::Scan).iter().map(|s| s.duration).sum();
-        let bist: Sec = p.tier_steps(Tier::Bist).iter().map(|s| s.duration).sum();
+        let tier = |t: Tier| -> Sec {
+            p.steps
+                .iter()
+                .filter(|s| s.tier == t)
+                .map(|s| s.duration)
+                .sum()
+        };
+        let (scan, bist) = (tier(Tier::Scan), tier(Tier::Bist));
         assert!(scan.value() > bist.value());
     }
 

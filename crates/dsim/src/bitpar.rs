@@ -86,15 +86,6 @@ impl Packed {
     /// All lanes `X`.
     pub const X: Packed = Packed { val: 0, known: 0 };
 
-    /// Builds a packed word from raw planes, canonicalizing `val` so that
-    /// unknown lanes carry `0`.
-    pub fn from_planes(val: u64, known: u64) -> Packed {
-        Packed {
-            val: val & known,
-            known,
-        }
-    }
-
     /// Broadcasts one scalar value to all lanes.
     pub fn splat(v: Logic) -> Packed {
         match v {
@@ -110,18 +101,8 @@ impl Packed {
         }
     }
 
-    /// Packs up to [`LANES`] scalar values into lanes `0..lanes.len()`;
-    /// remaining lanes are `X`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`LANES`] values are given.
-    pub fn from_lanes(lanes: &[Logic]) -> Packed {
-        assert!(lanes.len() <= LANES, "more than {LANES} lanes");
-        Packed::pack_lanes(lanes.iter().copied())
-    }
-
-    /// [`Packed::from_lanes`] over an iterator of at most [`LANES`] values.
+    /// Packs up to [`LANES`] scalar values into lanes `0..n`; remaining
+    /// lanes are `X`.
     fn pack_lanes(lanes: impl Iterator<Item = Logic>) -> Packed {
         let mut val = 0;
         let mut known = 0;
@@ -526,11 +507,6 @@ impl PackedBlock {
             lanes: vectors.len(),
         }
     }
-
-    /// Live lanes (vectors in the block).
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
 }
 
 /// Applies a pre-packed block: loads the chain, applies the primary
@@ -746,14 +722,13 @@ mod tests {
 
     #[test]
     fn canonical_invariant_holds_through_ops() {
-        let mixed = Packed::from_lanes(&[Zero, One, X, One, X, Zero]);
+        let mixed = Packed::pack_lanes([Zero, One, X, One, X, Zero].into_iter());
         let ops = [
             mixed.not(),
             mixed.and(Packed::X),
             mixed.or(Packed::X),
             mixed.xor(Packed::splat(One)),
             Packed::mux(Packed::X, mixed, mixed.not()),
-            Packed::from_planes(u64::MAX, 0b1010),
         ];
         for w in ops {
             assert_eq!(w.val_mask() & !w.known_mask(), 0, "{w:?}");
@@ -763,7 +738,7 @@ mod tests {
     #[test]
     fn lanes_roundtrip() {
         let lanes = [One, Zero, X, One, X, Zero, One];
-        let w = Packed::from_lanes(&lanes);
+        let w = Packed::pack_lanes(lanes.into_iter());
         for (i, &l) in lanes.iter().enumerate() {
             assert_eq!(w.lane(i), l);
         }
@@ -806,7 +781,7 @@ mod tests {
         let mut s = PackedState::for_circuit(&c);
         s.inject(y, One);
         s.set_input(&c, a, Packed::splat(Zero));
-        s.set_input(&c, b, Packed::from_lanes(&[Zero, One, X]));
+        s.set_input(&c, b, Packed::pack_lanes([Zero, One, X].into_iter()));
         eval(&c, &mut s);
         assert_eq!(s.net(y), Packed::splat(One), "sa1 wins in all lanes");
         s.clear_fault();

@@ -80,26 +80,6 @@ impl AlexanderPd {
         &self.circuit
     }
 
-    /// Data input net.
-    pub fn din(&self) -> NetId {
-        self.din
-    }
-
-    /// Edge-sample input net.
-    pub fn edge(&self) -> NetId {
-        self.edge
-    }
-
-    /// UP output net.
-    pub fn up(&self) -> NetId {
-        self.up
-    }
-
-    /// DN output net.
-    pub fn dn(&self) -> NetId {
-        self.dn
-    }
-
     /// Combinational early/late decision for a given `(a, t, b)` sample
     /// triple, bypassing the samplers — the reference used by the
     /// behavioral synchronizer and the tests.

@@ -70,11 +70,6 @@ impl Divider {
         &self.circuit
     }
 
-    /// Counter bit nets, LSB first.
-    pub fn q(&self) -> &[NetId] {
-        &self.q
-    }
-
     /// The divided-clock output net (MSB).
     pub fn divided_clock(&self) -> NetId {
         *self.q.last().expect("divider has at least one stage")

@@ -101,16 +101,6 @@ impl ControlFsm {
         &self.circuit
     }
 
-    /// `above` (Vc > VH) input net.
-    pub fn above(&self) -> NetId {
-        self.above
-    }
-
-    /// `below` (Vc < VL) input net.
-    pub fn below(&self) -> NetId {
-        self.below
-    }
-
     /// Clears the state flip-flop.
     pub fn reset_state(&self, state: &mut SimState) {
         state.load_ffs(&[Logic::Zero]);

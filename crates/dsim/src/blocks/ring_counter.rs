@@ -69,21 +69,6 @@ impl RingCounter {
         &self.circuit
     }
 
-    /// Enable input net.
-    pub fn enable(&self) -> NetId {
-        self.enable
-    }
-
-    /// Direction input net (`1` = count up).
-    pub fn up(&self) -> NetId {
-        self.up
-    }
-
-    /// State output nets.
-    pub fn q(&self) -> &[NetId] {
-        &self.q
-    }
-
     /// Width.
     pub fn len(&self) -> usize {
         self.q.len()

@@ -68,16 +68,6 @@ impl SwitchMatrix {
         &self.circuit
     }
 
-    /// Select input nets (from the ring counter).
-    pub fn select(&self) -> &[NetId] {
-        &self.select
-    }
-
-    /// Phase input nets (from the DLL).
-    pub fn phase(&self) -> &[NetId] {
-        &self.phase
-    }
-
     /// Gated clock output net.
     pub fn output(&self) -> NetId {
         self.output

@@ -64,7 +64,6 @@ use crate::transition::{enumerate_transition_faults, TransitionFault, TwoPattern
 #[derive(Debug, Clone)]
 pub struct TimeExpansion {
     seq: Circuit,
-    expanded: Circuit,
     /// `name@frame` for every net of both frames, in expanded-model net
     /// order — formatted once and reused by every gadget model.
     frame_names: Vec<String>,
@@ -85,22 +84,10 @@ impl TimeExpansion {
                 (0..seq.net_count()).map(move |i| format!("{}@{frame}", seq.net_name(NetId(i))))
             })
             .collect();
-        let expanded = build(seq, &frame_names, None).0;
         TimeExpansion {
             seq: seq.clone(),
-            expanded,
             frame_names,
         }
-    }
-
-    /// The original sequential circuit.
-    pub fn sequential(&self) -> &Circuit {
-        &self.seq
-    }
-
-    /// The fault-free two-timeframe combinational model.
-    pub fn expanded(&self) -> &Circuit {
-        &self.expanded
     }
 
     /// The per-fault gadget model: the expanded circuit with the
@@ -284,12 +271,17 @@ mod tests {
     use crate::circuit::StructureError;
     use crate::transition::{launch_capture_response, responses_differ, transition_coverage};
 
+    /// The fault-free two-timeframe combinational model.
+    fn fault_free(te: &TimeExpansion) -> Circuit {
+        build(&te.seq, &te.frame_names, None).0
+    }
+
     #[test]
     fn expanded_shape() {
         let div = Divider::new(2);
         let seq = div.circuit();
         let te = TimeExpansion::new(seq);
-        let e = te.expanded();
+        let e = &fault_free(&te);
         assert_eq!(e.net_count(), 2 * seq.net_count());
         assert_eq!(e.inputs().len(), 2 * seq.inputs().len());
         assert_eq!(e.gate_count(), 2 * seq.gate_count() + seq.dff_count());
@@ -323,6 +315,7 @@ mod tests {
         ];
         for seq in blocks {
             let te = TimeExpansion::new(&seq);
+            let e = fault_free(&te);
             let vectors = crate::atpg::random_vectors(&seq, 16, 99);
             for w in vectors.windows(2) {
                 let t = TwoPatternTest {
@@ -331,11 +324,7 @@ mod tests {
                 };
                 let golden = launch_capture_response(&seq, &t, None);
                 let ev = te.expanded_vector(&t);
-                let resp = apply_vector(
-                    te.expanded(),
-                    &mut SimState::for_circuit(te.expanded()),
-                    &ev,
-                );
+                let resp = apply_vector(&e, &mut SimState::for_circuit(&e), &ev);
                 assert_eq!(resp.po, golden.po, "{}: po mismatch", seq.name());
                 assert_eq!(resp.capture, golden.capture, "{}: capture", seq.name());
             }

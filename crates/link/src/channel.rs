@@ -3,8 +3,9 @@
 //! Repeaterless links are RC-dominated: a long minimum-width wire behaves
 //! as a distributed RC line whose low-pass response closes the data eye —
 //! the problem the paper's capacitive feed-forward equalizer exists to
-//! solve. The model is a ladder of `n` lumped π-segments terminated into
-//! the receiver resistance, integrated with **backward Euler**, so the step
+//! solve. The model is an L-ladder of `n` lumped segments (each node,
+//! the far end included, carries a whole `c_seg` behind a whole `r_seg`)
+//! terminated into the receiver resistance, integrated with **backward Euler**, so the step
 //! size is not stability-limited by the smallest segment time constant.
 //! The tridiagonal system is factored once per `(dt, coupling)` with the
 //! Thomas algorithm's forward elimination and back-substituted per step.
@@ -27,7 +28,7 @@
 //!
 //! ```
 //! use link::channel::RcLine;
-//! use msim::units::{Farad, Hertz, Ohm, Sec, Volt};
+//! use msim::units::{Farad, Ohm, Sec, Volt};
 //!
 //! // A 2 kΩ / 1 pF line: the output settles toward a step input.
 //! let mut line = RcLine::new(Ohm::from_kohm(2.0), Farad::from_pf(1.0), 10,
@@ -40,7 +41,7 @@
 //! assert!(out.value() > 0.45, "step response must settle toward the divider level");
 //! ```
 
-use msim::units::{Farad, Hertz, Ohm, Sec, Volt};
+use msim::units::{Farad, Ohm, Sec, Volt};
 use std::array;
 
 /// `L` independent arms of the distributed-RC interconnect with equal
@@ -286,7 +287,7 @@ impl<const L: usize> RcLadders<L> {
 
 impl RcLine {
     /// Creates a line with total series resistance `r_total` and total
-    /// shunt capacitance `c_total` split across `segments` π-segments,
+    /// shunt capacitance `c_total` split across `segments` L-segments,
     /// terminated into `r_term` (referenced to 0 V until
     /// [`RcLine::set_termination_bias`] is called).
     ///
@@ -333,11 +334,6 @@ impl RcLine {
     /// Presets every node to `v` (steady state of a DC input `v = v_term`).
     pub fn preset(&mut self, v: Volt) {
         self.nodes.fill([v.value()]);
-    }
-
-    /// Far-end (receiver-side) voltage.
-    pub fn output(&self) -> Volt {
-        Volt(self.nodes.last().expect("line has at least one segment")[0])
     }
 
     /// Advances the line by `dt` with the near end driven to `vin`.
@@ -406,74 +402,6 @@ impl RcLine {
             c_couple: [c_couple],
         });
         out
-    }
-
-    /// Simulated impulse response: the line is pulsed for one `dt` and
-    /// sampled for `n` steps (the line state is reset first).
-    pub fn impulse_response(&mut self, dt: Sec, n: usize) -> Vec<f64> {
-        self.preset(Volt::ZERO);
-        let v_term = self.v_term;
-        self.v_term = [0.0];
-        let mut h = Vec::with_capacity(n);
-        for k in 0..n {
-            let vin = if k == 0 { Volt(1.0) } else { Volt::ZERO };
-            h.push(self.step(vin, dt).value());
-        }
-        self.v_term = v_term;
-        h
-    }
-
-    /// Magnitude of the line's transfer function at frequency `f`,
-    /// evaluated by a single-bin discrete Fourier transform of the
-    /// simulated impulse response.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is negative or `dt`/`n` cannot resolve it
-    /// (`f >= 1/(2 dt)`).
-    pub fn magnitude_at(&mut self, f: Hertz, dt: Sec, n: usize) -> f64 {
-        assert!(f.value() >= 0.0, "frequency must be non-negative");
-        assert!(
-            f.value() < 0.5 / dt.value(),
-            "frequency beyond the Nyquist limit of the chosen dt"
-        );
-        let h = self.impulse_response(dt, n);
-        let w = std::f64::consts::TAU * f.value() * dt.value();
-        let (mut re, mut im) = (0.0, 0.0);
-        for (k, hk) in h.iter().enumerate() {
-            re += hk * (w * k as f64).cos();
-            im -= hk * (w * k as f64).sin();
-        }
-        (re * re + im * im).sqrt()
-    }
-
-    /// The −3 dB bandwidth found by bisection on [`RcLine::magnitude_at`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use link::channel::RcLine;
-    /// use msim::units::{Farad, Ohm, Sec};
-    ///
-    /// let mut line = RcLine::new(Ohm::from_kohm(2.0), Farad::from_pf(1.0), 10,
-    ///                            Ohm::from_kohm(2.0));
-    /// let bw = line.bandwidth_3db(Sec::from_ps(25.0), 512);
-    /// // An RC-dominated 2 kΩ/1 pF wire rolls off in the hundreds of MHz.
-    /// assert!(bw.value() > 50e6 && bw.value() < 2e9, "got {bw}");
-    /// ```
-    pub fn bandwidth_3db(&mut self, dt: Sec, n: usize) -> Hertz {
-        let dc = self.magnitude_at(Hertz(0.0), dt, n);
-        let target = dc / std::f64::consts::SQRT_2;
-        let (mut lo, mut hi) = (0.0, 0.45 / dt.value());
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if self.magnitude_at(Hertz(mid), dt, n) > target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Hertz(0.5 * (lo + hi))
     }
 
     /// 0-to-50 % step delay measured by simulation, in seconds.
@@ -573,7 +501,7 @@ mod tests {
         for i in (0..n - 1).rev() {
             line.nodes[i] = [(rhs[i] - sup[i] * line.nodes[i + 1][0]) / diag[i]];
         }
-        line.output()
+        Volt(line.nodes[n - 1][0])
     }
 
     fn assert_bits_equal(cached: &RcLine, reference: &RcLine, what: &str) {
@@ -766,8 +694,8 @@ mod tests {
     }
 
     #[test]
-    fn impulse_and_delay_probes_match_the_per_step_solve() {
-        // The probes swap v_term to 0 V and back; that changes the rhs,
+    fn delay_probe_matches_the_per_step_solve() {
+        // The probe swaps v_term to 0 V and back; that changes the rhs,
         // never the factorization.
         let dt = Sec::from_ps(25.0);
         let mut cached = paper_line();
@@ -776,19 +704,6 @@ mod tests {
             cached.step(Volt(0.63), Sec::from_ps(50.0));
         }
         let mut reference = cached.clone();
-
-        let h = cached.impulse_response(dt, 400);
-        reference.preset(Volt::ZERO);
-        reference.v_term = [0.0];
-        let h_ref: Vec<f64> = (0..400)
-            .map(|k| {
-                let vin = if k == 0 { Volt(1.0) } else { Volt::ZERO };
-                reference_step(&mut reference, vin, dt, None).value()
-            })
-            .collect();
-        reference.v_term = [0.6];
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&h), bits(&h_ref));
 
         let delay = cached.step_delay_50(dt, 100_000).expect("line settles");
         reference.preset(Volt::ZERO);
@@ -806,7 +721,7 @@ mod tests {
             cached.step(Volt(0.57), dt);
             reference_step(&mut reference, Volt(0.57), dt, None);
         }
-        assert_bits_equal(&cached, &reference, "after the probes");
+        assert_bits_equal(&cached, &reference, "after the probe");
     }
 
     #[test]
@@ -911,7 +826,7 @@ mod tests {
     fn termination_bias_presets_line() {
         let mut line = paper_line();
         line.set_termination_bias(Volt(0.6));
-        assert_eq!(line.output(), Volt(0.6));
+        assert!(line.nodes.iter().all(|&[v]| v == 0.6));
         // Driving at the bias keeps it there.
         let out = line.step(Volt(0.6), Sec::from_ps(25.0));
         assert!((out.value() - 0.6).abs() < 1e-9);
@@ -999,43 +914,6 @@ mod tests {
             let vb = b.step_with_aggressor(vin, dt, Volt(0.6), Volt(0.6), Farad(1e-21));
             assert!((va - vb).abs().mv() < 0.1, "step {k}: {va} vs {vb}");
         }
-    }
-
-    #[test]
-    fn frequency_response_is_low_pass() {
-        let mut line = paper_line();
-        let dt = Sec::from_ps(10.0);
-        let dc = line.magnitude_at(Hertz(0.0), dt, 4096);
-        // DC magnitude equals the resistive divider (sum of impulse
-        // response = step response final value).
-        assert!((dc - 0.5).abs() < 1e-3, "DC magnitude {dc}");
-        // Monotone roll-off across decades.
-        let g1 = line.magnitude_at(Hertz::from_mhz(100.0), dt, 4096);
-        let g2 = line.magnitude_at(Hertz::from_ghz(1.0), dt, 4096);
-        let g3 = line.magnitude_at(Hertz::from_ghz(5.0), dt, 4096);
-        assert!(dc > g1 && g1 > g2 && g2 > g3, "{dc} {g1} {g2} {g3}");
-    }
-
-    #[test]
-    fn bandwidth_is_below_the_bit_rate() {
-        // The premise of the whole paper: the RC-dominated line's -3 dB
-        // point sits below the 2.5 Gbps Nyquist frequency (1.25 GHz), so
-        // the link needs equalization.
-        let mut line = paper_line();
-        let bw = line.bandwidth_3db(Sec::from_ps(10.0), 4096);
-        assert!(
-            bw.value() < 1.25e9,
-            "bandwidth {:.2} GHz not RC-limited",
-            bw.value() / 1e9
-        );
-        assert!(bw.value() > 5e7, "bandwidth implausibly low");
-    }
-
-    #[test]
-    #[should_panic(expected = "Nyquist")]
-    fn magnitude_beyond_nyquist_panics() {
-        let mut line = paper_line();
-        let _ = line.magnitude_at(Hertz::from_ghz(100.0), Sec::from_ps(10.0), 64);
     }
 
     #[test]

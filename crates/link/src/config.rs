@@ -27,7 +27,7 @@ pub struct ChannelConfig {
     pub r_total: Ohm,
     /// Total shunt capacitance of the wire.
     pub c_total: Farad,
-    /// Number of lumped π-segments in the model.
+    /// Number of lumped L-segments (`r_seg` then `c_seg`) in the model.
     pub segments: usize,
     /// Receiver termination resistance.
     pub r_term: Ohm,

@@ -32,7 +32,6 @@ pub struct EyeDiagram {
     oversample: usize,
     ones_min: Vec<f64>,
     zeros_max: Vec<f64>,
-    samples: usize,
 }
 
 impl EyeDiagram {
@@ -47,18 +46,12 @@ impl EyeDiagram {
             oversample,
             ones_min: vec![f64::INFINITY; oversample],
             zeros_max: vec![f64::NEG_INFINITY; oversample],
-            samples: 0,
         }
     }
 
     /// Phase bins per UI.
     pub fn oversample(&self) -> usize {
         self.oversample
-    }
-
-    /// Number of accumulated samples.
-    pub fn sample_count(&self) -> usize {
-        self.samples
     }
 
     /// Accumulates one sample of the received waveform at phase bin
@@ -74,7 +67,6 @@ impl EyeDiagram {
         } else {
             self.zeros_max[phase] = self.zeros_max[phase].max(v.value());
         }
-        self.samples += 1;
     }
 
     /// Worst-case vertical opening at a phase bin; negative when closed,
@@ -95,11 +87,6 @@ impl EyeDiagram {
             .map(|p| (p, self.opening_at(p)))
             .max_by(|a, b| a.1.value().total_cmp(&b.1.value()))
             .expect("at least two phase bins")
-    }
-
-    /// The best phase as a fraction of the UI.
-    pub fn best_phase_ui(&self) -> f64 {
-        self.best().0 as f64 / self.oversample as f64
     }
 
     /// Renders the eye mask as ASCII art: `#` marks the vertical band
@@ -196,7 +183,6 @@ impl EyeDiagram {
                         *hi = hi.max(v.value());
                     }
                 }
-                eye.samples += oversample;
             }
             let opening = eye.best().1;
             if best.as_ref().is_none_or(|(b, _)| opening > *b) {
@@ -254,7 +240,6 @@ mod tests {
             bits(&slow.zeros_max),
             "{what}: zeros"
         );
-        assert_eq!(fast.sample_count(), slow.sample_count(), "{what}: count");
         let (fp, fo) = fast.best();
         let (sp, so) = slow.best();
         assert_eq!(fp, sp, "{what}: best phase");
@@ -297,7 +282,7 @@ mod tests {
     #[test]
     fn link_eye_matches_the_per_sample_fold_on_the_paper_config() {
         let link = crate::LowSwingLink::new(crate::config::LinkConfig::paper()).unwrap();
-        let bits = crate::prbs::Prbs::prbs7().take_bits(200);
+        let bits: Vec<bool> = crate::prbs::Prbs::new(7, 6, 0x7f).take(200).collect();
         let fast = link.clone().eye(&bits);
         let wave = link.clone().transmit(&bits);
         let slow = from_waveform_per_sample(&wave, &bits, link.config().oversample, 4);
@@ -313,7 +298,6 @@ mod tests {
         eye.add(2, false, Volt::from_mv(-25.0));
         eye.add(2, false, Volt::from_mv(-5.0)); // worst zero
         assert!((eye.opening_at(2).mv() - 25.0).abs() < 1e-9);
-        assert_eq!(eye.sample_count(), 4);
     }
 
     #[test]
@@ -345,7 +329,6 @@ mod tests {
         let (phase, opening) = eye.best();
         assert_eq!(phase, 1);
         assert!((opening.mv() - 50.0).abs() < 1e-9);
-        assert!((eye.best_phase_ui() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -372,19 +355,24 @@ mod tests {
     #[test]
     fn from_waveform_ties_keep_the_earliest_delay() {
         // An undelayed alternating pattern: delays 0, 2 and 4 all see the
-        // full 60 mV eye (1 and 3 see it inverted). The delay-0 fold is the
-        // only one that keeps every sample.
+        // full 60 mV eye (1 and 3 see it inverted). Only the delay-0 fold
+        // keeps the first UI, whose phase-3 sample sags to 20 mV.
         let oversample = 8;
         let bits: Vec<bool> = (0..16).map(|i| i % 2 == 0).collect();
         let mut wave = Waveform::new(Sec::from_ps(50.0));
-        for &bit in &bits {
-            for _ in 0..oversample {
-                wave.push(Volt::from_mv(if bit { 30.0 } else { -30.0 }));
+        for (ui, &bit) in bits.iter().enumerate() {
+            for phase in 0..oversample {
+                let mv = match (ui, phase, bit) {
+                    (0, 3, _) => 20.0,
+                    (_, _, true) => 30.0,
+                    _ => -30.0,
+                };
+                wave.push(Volt::from_mv(mv));
             }
         }
         let eye = EyeDiagram::from_waveform(&wave, &bits, oversample, 4);
         assert!((eye.best().1.mv() - 60.0).abs() < 1e-9);
-        assert_eq!(eye.sample_count(), bits.len() * oversample);
+        assert!((eye.opening_at(3).mv() - 50.0).abs() < 1e-9);
     }
 
     #[test]

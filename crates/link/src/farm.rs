@@ -142,7 +142,7 @@ pub struct FarmAxes {
     pub lengths_mm: Vec<f64>,
     /// Differential swing voltages in millivolts.
     pub swings_mv: Vec<f64>,
-    /// π-segment counts of the channel model.
+    /// L-segment counts of the channel model.
     pub segments: Vec<usize>,
     /// Comparator-offset mismatch σ in millivolts.
     pub sigmas_mv: Vec<f64>,
@@ -325,7 +325,7 @@ pub struct FarmCell {
     pub length_mm: f64,
     /// Differential swing in millivolts.
     pub swing_mv: f64,
-    /// Channel π-segment count.
+    /// Channel L-segment count.
     pub segments: usize,
     /// Comparator mismatch σ in millivolts.
     pub sigma_mv: f64,
@@ -815,39 +815,6 @@ impl ShardJob for LinkFarm {
 
 fn fmt_f(v: f64) -> String {
     format!("{v:.3}")
-}
-
-/// Renders the full per-cell grid as CSV (one row per cell, fixed
-/// decimal formatting — deterministic bytes on any machine).
-pub fn grid_csv(grid: &FarmGrid, records: &[CellRecord]) -> String {
-    let mut out = String::from(
-        "cell,length_mm,swing_mv,segments,sigma_mv,rate_gbps,lanes,coupling,\
-         eye_uncoupled_mv,eye_coupled_mv,ber,margin_ui,instances,failing,\
-         failing_uncoupled,dc_detected\n",
-    );
-    for r in records {
-        let c = grid.cell(r.index as usize);
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{:.3e},{:.4},{},{},{},{}\n",
-            r.index,
-            fmt_f(c.length_mm),
-            fmt_f(c.swing_mv),
-            c.segments,
-            fmt_f(c.sigma_mv),
-            fmt_f(c.rate_gbps),
-            c.lanes,
-            fmt_f(c.coupling),
-            fmt_f(r.eye_uncoupled_mv),
-            fmt_f(r.eye_coupled_mv),
-            r.ber,
-            r.margin_ui,
-            r.instances,
-            r.failing,
-            r.failing_uncoupled,
-            r.dc_detected,
-        ));
-    }
-    out
 }
 
 /// Aggregates the eye/margin surface over wire length × coupling: the

@@ -2,16 +2,17 @@
 //!
 //! The paper's BIST runs the interconnect "with random data at speed"; in
 //! silicon that stimulus comes from an LFSR, not a software RNG. This
-//! module provides the standard ITU-T PRBS polynomials as Fibonacci LFSRs
-//! so the BIST stimulus (and its golden reference at the receiver) is a
-//! faithful, hardware-realizable sequence.
+//! module provides the standard `x^n + x^m + 1` PRBS polynomials as
+//! Fibonacci LFSRs so a stimulus (and its golden reference at the
+//! receiver) is a faithful, hardware-realizable sequence.
 //!
 //! # Examples
 //!
 //! ```
 //! use link::prbs::Prbs;
 //!
-//! let mut gen = Prbs::prbs7();
+//! // PRBS7, x^7 + x^6 + 1 (ITU-T O.150), from the all-ones seed.
+//! let mut gen = Prbs::new(7, 6, 0x7f);
 //! let bits: Vec<bool> = gen.by_ref().take(127).collect();
 //! // A PRBS7 sequence repeats with period 2^7 - 1 = 127.
 //! let again: Vec<bool> = gen.take(127).collect();
@@ -20,9 +21,8 @@
 
 /// A Fibonacci LFSR PRBS generator.
 ///
-/// Implements the standard `x^n + x^m + 1` polynomials. The all-ones seed
-/// is used by default (the all-zero state is the lock-up state and is
-/// rejected).
+/// Implements the standard `x^n + x^m + 1` polynomials. The all-zero
+/// state is the lock-up state and is rejected as a seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Prbs {
     state: u32,
@@ -56,26 +56,6 @@ impl Prbs {
         }
     }
 
-    /// PRBS7: `x^7 + x^6 + 1` (ITU-T O.150), period 127.
-    pub fn prbs7() -> Prbs {
-        Prbs::new(7, 6, (1 << 7) - 1)
-    }
-
-    /// PRBS15: `x^15 + x^14 + 1`, period 32767.
-    pub fn prbs15() -> Prbs {
-        Prbs::new(15, 14, (1 << 15) - 1)
-    }
-
-    /// Sequence period `2^length - 1`.
-    pub fn period(&self) -> u64 {
-        (1u64 << self.length) - 1
-    }
-
-    /// Current register state.
-    pub fn state(&self) -> u32 {
-        self.state
-    }
-
     /// Generates the next bit.
     pub fn next_bit(&mut self) -> bool {
         let a = (self.state >> (self.tap_a - 1)) & 1;
@@ -83,11 +63,6 @@ impl Prbs {
         let fb = a ^ b;
         self.state = ((self.state << 1) | fb) & ((1 << self.length) - 1);
         fb == 1
-    }
-
-    /// Collects `n` bits.
-    pub fn take_bits(&mut self, n: usize) -> Vec<bool> {
-        (0..n).map(|_| self.next_bit()).collect()
     }
 }
 
@@ -104,42 +79,46 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    /// PRBS7: `x^7 + x^6 + 1` (ITU-T O.150), period 127.
+    fn prbs7() -> Prbs {
+        Prbs::new(7, 6, 0x7f)
+    }
+
     #[test]
     fn prbs7_has_full_period() {
-        let mut gen = Prbs::prbs7();
+        let mut gen = prbs7();
         let mut states = HashSet::new();
         for _ in 0..127 {
-            assert!(states.insert(gen.state()), "state repeated early");
+            assert!(states.insert(gen.state), "state repeated early");
             gen.next_bit();
         }
         // After a full period the state returns to the seed.
-        assert_eq!(gen.state(), Prbs::prbs7().state());
-        assert_eq!(gen.period(), 127);
+        assert_eq!(gen.state, 0x7f);
     }
 
     #[test]
     fn prbs7_is_balanced() {
         // A maximal-length sequence has 2^(n-1) ones and 2^(n-1)-1 zeros.
-        let bits = Prbs::prbs7().take_bits(127);
+        let bits: Vec<bool> = prbs7().take(127).collect();
         let ones = bits.iter().filter(|b| **b).count();
         assert_eq!(ones, 64);
     }
 
     #[test]
     fn prbs15_period_spot_check() {
-        let mut gen = Prbs::prbs15();
-        let seed = gen.state();
+        // PRBS15: x^15 + x^14 + 1, period 32767.
+        let mut gen = Prbs::new(15, 14, 0x7fff);
         for _ in 0..32767 {
             gen.next_bit();
         }
-        assert_eq!(gen.state(), seed);
+        assert_eq!(gen.state, 0x7fff);
     }
 
     #[test]
     fn prbs7_runs_distribution() {
         // Maximal-length property: runs of length k appear 2^(n-1-k)
         // times; the longest run of ones is n, of zeros n-1.
-        let bits = Prbs::prbs7().take_bits(127 * 2);
+        let bits: Vec<bool> = prbs7().take(127 * 2).collect();
         let mut max_ones = 0;
         let mut max_zeros = 0;
         let mut run = 0i32;
@@ -163,8 +142,8 @@ mod tests {
 
     #[test]
     fn deterministic_iterator() {
-        let a: Vec<bool> = Prbs::prbs7().take(64).collect();
-        let b: Vec<bool> = Prbs::prbs7().take(64).collect();
+        let a: Vec<bool> = prbs7().take(64).collect();
+        let b: Vec<bool> = prbs7().take(64).collect();
         assert_eq!(a, b);
     }
 

@@ -58,11 +58,6 @@ impl ReceiverFrontEnd {
         }
     }
 
-    /// Programmed offset.
-    pub fn offset(&self) -> Volt {
-        self.offset
-    }
-
     /// The two DC-comparator outputs `(positive, negative)` for a given
     /// differential input at the termination.
     ///

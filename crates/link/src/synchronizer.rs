@@ -291,16 +291,6 @@ impl Synchronizer {
         fract(self.dll.phase_ui(self.phase) + self.vcdl.delay_ui(self.vc))
     }
 
-    /// Current control voltage.
-    pub fn vc(&self) -> Volt {
-        self.vc
-    }
-
-    /// Current DLL phase index.
-    pub fn phase(&self) -> usize {
-        self.phase
-    }
-
     /// Runs the loop for `rc.cycles` bit times. When `trace` is provided,
     /// records channels `vc`, `phase`, `vl` and `vh` once per UI — the
     /// data behind the paper's Fig. 2. Draws the run's [`Stimulus`] and

@@ -11,8 +11,8 @@
 //! ```
 //!
 //! with `d ∈ {−1, +1}`: the classic FIR view of capacitive pre-emphasis.
-//! The transmitter also carries the DFT half-cycle latch the paper adds for
-//! the phase-detector test (transparent in normal operation).
+//! The paper's DFT half-cycle latch for the phase-detector test is modelled
+//! at gate level only, in the chain-A scan model (`dft::chain_a`).
 //!
 //! # Examples
 //!
@@ -35,8 +35,6 @@ pub struct Transmitter {
     half_swing: Volt,
     boost: f64,
     prev: f64,
-    half_cycle_delay: bool,
-    pending: Option<bool>,
 }
 
 impl Transmitter {
@@ -55,41 +53,12 @@ impl Transmitter {
             half_swing: swing / 2.0,
             boost,
             prev: 1.0,
-            half_cycle_delay: false,
-            pending: None,
         }
-    }
-
-    /// Enables or disables the DFT half-cycle latch. When enabled, data is
-    /// delayed by half a cycle (one extra symbol slot at the behavioral
-    /// level), flipping the phase detector's UP/DN verdict during the scan
-    /// test — exactly the paper's mechanism for testing both PD paths.
-    pub fn set_half_cycle_delay(&mut self, on: bool) {
-        self.half_cycle_delay = on;
-        self.pending = None;
-    }
-
-    /// Whether the half-cycle test latch is enabled.
-    pub fn half_cycle_delay(&self) -> bool {
-        self.half_cycle_delay
-    }
-
-    /// Common-mode output level.
-    pub fn vcm(&self) -> Volt {
-        self.vcm
     }
 
     /// Drives one bit and returns the (single-ended equivalent) line input
     /// level for this UI.
     pub fn drive(&mut self, bit: bool) -> Volt {
-        let bit = if self.half_cycle_delay {
-            // Behavioral half-cycle delay: emit the previous symbol.
-            let out = self.pending.unwrap_or(bit);
-            self.pending = Some(bit);
-            out
-        } else {
-            bit
-        };
         let d = if bit { 1.0 } else { -1.0 };
         let tap = d + self.boost * (d - self.prev) / 2.0;
         self.prev = d;
@@ -103,12 +72,6 @@ impl Transmitter {
         let dev = v - self.vcm;
         (self.vcm + dev, self.vcm - dev)
     }
-
-    /// The steady-state (no transition) level for a bit.
-    pub fn dc_level(&self, bit: bool) -> Volt {
-        let d = if bit { 1.0 } else { -1.0 };
-        self.vcm + self.half_swing * d
-    }
 }
 
 #[cfg(test)]
@@ -121,9 +84,12 @@ mod tests {
 
     #[test]
     fn steady_state_levels() {
-        let tx = paper_tx();
-        assert!((tx.dc_level(true).mv() - 630.0).abs() < 1e-9);
-        assert!((tx.dc_level(false).mv() - 570.0).abs() < 1e-9);
+        // Repeating a bit leaves only the weak driver's level.
+        let mut tx = paper_tx();
+        tx.drive(true);
+        assert!((tx.drive(true).mv() - 630.0).abs() < 1e-9);
+        tx.drive(false);
+        assert!((tx.drive(false).mv() - 570.0).abs() < 1e-9);
     }
 
     #[test]
@@ -156,23 +122,6 @@ mod tests {
         assert!(p > m);
         let (p, m) = tx.drive_differential(false);
         assert!(p < m);
-    }
-
-    #[test]
-    fn half_cycle_latch_delays_by_one_symbol() {
-        let mut tx = paper_tx();
-        tx.set_half_cycle_delay(true);
-        assert!(tx.half_cycle_delay());
-        // First call: nothing pending, passes through.
-        let a = tx.drive(true);
-        // Next drives emit the previous symbol.
-        let b = tx.drive(false); // emits the pending `true`
-        assert!(
-            b >= a - Volt::from_mv(1.0),
-            "latched symbol should still be high"
-        );
-        let c = tx.drive(false); // now the `false` emerges (with transition boost)
-        assert!(c < Volt(0.6));
     }
 
     #[test]

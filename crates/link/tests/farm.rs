@@ -2,8 +2,19 @@
 //! thread counts, checkpoint kill/resume, and the pinned demonstration
 //! that the crosstalk coupling axis changes detection and BER records.
 
-use link::farm::{grid_csv, FarmAxes, FarmGrid, LinkFarm, FARM_SHARD_SIZE, RECORD_BYTES};
+use link::farm::{CellRecord, FarmAxes, FarmGrid, LinkFarm, FARM_SHARD_SIZE, RECORD_BYTES};
 use rt::exec::{Checkpoint, RetryPolicy, Sabotage, Sabotaged, ShardJob};
+
+/// The records as checkpoint bytes: every float by its IEEE-754 bits, so
+/// two sweeps compare equal only when they are bit for bit the same
+/// (`==` on `f64` calls `-0.0` and `0.0` equal).
+fn encoded(records: &[CellRecord]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(records.len() * RECORD_BYTES);
+    for r in records {
+        r.encode(&mut out);
+    }
+    out
+}
 
 /// A ≥1000-cell grid kept cheap for debug-mode CI: few segments, short
 /// bit streams come from the farm itself.
@@ -29,18 +40,13 @@ fn thousand_cell_sweep_is_byte_identical_at_any_thread_count() {
     let baseline = farm.run(1, &RetryPolicy::none(), None);
     assert!(baseline.is_complete());
     assert_eq!(baseline.records.len(), farm.grid().total());
-    let csv = grid_csv(farm.grid(), &baseline.records);
+    let bytes = encoded(&baseline.records);
     for threads in [2, 4, 7] {
         let report = farm.run(threads, &RetryPolicy::none(), None);
         assert!(report.is_complete());
-        assert_eq!(
-            report.records, baseline.records,
-            "records diverge at {threads} threads"
-        );
-        assert_eq!(
-            grid_csv(farm.grid(), &report.records),
-            csv,
-            "CSV bytes diverge at {threads} threads"
+        assert!(
+            encoded(&report.records) == bytes,
+            "record bytes diverge at {threads} threads"
         );
     }
 }
@@ -82,10 +88,9 @@ fn interrupted_sweep_resumes_byte_identically_from_checkpoint() {
     let report = farm.run(4, &RetryPolicy::none(), Some(&mut ck));
     assert!(report.is_complete());
     assert_eq!(report.summary.resumed, plan.len() - 1);
-    assert_eq!(report.records, reference.records);
-    assert_eq!(
-        grid_csv(farm.grid(), &report.records),
-        grid_csv(farm.grid(), &reference.records)
+    assert!(
+        encoded(&report.records) == encoded(&reference.records),
+        "resumed record bytes diverge from a clean run"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

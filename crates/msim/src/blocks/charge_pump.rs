@@ -110,16 +110,6 @@ impl ChargePump {
         self.scan_mode = on;
     }
 
-    /// Whether the pump is in scan mode.
-    pub fn scan_mode(&self) -> bool {
-        self.scan_mode
-    }
-
-    /// Nominal pump current.
-    pub fn current(&self) -> Amp {
-        self.current
-    }
-
     /// Installed fault hooks.
     pub fn faults(&self) -> &CpFaults {
         &self.faults
@@ -200,11 +190,6 @@ impl BalanceNode {
     /// The settled node voltage.
     pub fn settled(&self) -> Volt {
         self.nominal + self.drift
-    }
-
-    /// Nominal node voltage.
-    pub fn nominal(&self) -> Volt {
-        self.nominal
     }
 }
 
@@ -322,7 +307,6 @@ mod tests {
         assert!((at_speed.mv() - 620.0).abs() < 1e-6);
         // In scan mode the source is just a switch: nominal slew — masked.
         pump.set_scan_mode(true);
-        assert!(pump.scan_mode());
         let in_scan = pump.step(Volt(0.6), true, false, p.ui());
         assert!((in_scan.mv() - 601.0).abs() < 1e-6);
     }
@@ -350,6 +334,5 @@ mod tests {
         assert_eq!(n.settled(), Volt(0.6));
         let d = n.with_drift(Volt::from_mv(-200.0));
         assert!((d.settled().value() - 0.4).abs() < 1e-12);
-        assert_eq!(d.nominal(), Volt(0.6));
     }
 }

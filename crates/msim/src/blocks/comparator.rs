@@ -61,19 +61,9 @@ impl Comparator {
         self
     }
 
-    /// Programmed offset.
-    pub fn offset(&self) -> Volt {
-        self.offset
-    }
-
     /// Effective threshold including any fault-injected shift.
     pub fn effective_offset(&self) -> Volt {
         self.offset + self.threshold_shift
-    }
-
-    /// Whether the output is pinned by a fault.
-    pub fn is_stuck(&self) -> bool {
-        self.stuck.is_some()
     }
 
     /// Evaluates the comparator.
@@ -94,18 +84,6 @@ pub enum WindowDecision {
     Inside,
     /// Input above the upper threshold.
     AboveHigh,
-}
-
-impl WindowDecision {
-    /// The raw `(above_high, below_low)` comparator outputs that the scan
-    /// capture flip-flops record.
-    pub fn outputs(self) -> (bool, bool) {
-        match self {
-            WindowDecision::BelowLow => (false, true),
-            WindowDecision::Inside => (false, false),
-            WindowDecision::AboveHigh => (true, false),
-        }
-    }
 }
 
 /// Two comparators forming a window `[low, high]`.
@@ -173,27 +151,6 @@ impl WindowComparator {
         self
     }
 
-    /// Lower threshold (without fault shifts).
-    pub fn low_threshold(&self) -> Volt {
-        self.low_threshold
-    }
-
-    /// Upper threshold (without fault shifts).
-    pub fn high_threshold(&self) -> Volt {
-        self.high_threshold
-    }
-
-    /// Effective upper threshold including fault shifts.
-    pub fn effective_high(&self) -> Volt {
-        self.high_threshold + self.high.effective_offset()
-    }
-
-    /// Effective lower threshold including fault shifts (a positive shift
-    /// moves it down).
-    pub fn effective_low(&self) -> Volt {
-        self.low_threshold - self.low.effective_offset()
-    }
-
     /// Evaluates the window decision for input `v`.
     pub fn evaluate(&self, v: Volt) -> WindowDecision {
         let above = self.high.evaluate(v, self.high_threshold);
@@ -252,7 +209,6 @@ mod tests {
         let lo = Comparator::new(Volt::ZERO).with_stuck(false);
         assert!(hi.evaluate(Volt(-1.0), Volt(1.0)));
         assert!(!lo.evaluate(Volt(1.0), Volt(-1.0)));
-        assert!(hi.is_stuck());
     }
 
     #[test]
@@ -270,13 +226,6 @@ mod tests {
         assert_eq!(w.evaluate(Volt(0.6)), WindowDecision::Inside);
         assert_eq!(w.evaluate(Volt(0.9)), WindowDecision::AboveHigh);
         assert_eq!(w.evaluate(Volt(0.3)), WindowDecision::BelowLow);
-    }
-
-    #[test]
-    fn window_decision_outputs_encode_00_01_10() {
-        assert_eq!(WindowDecision::Inside.outputs(), (false, false));
-        assert_eq!(WindowDecision::AboveHigh.outputs(), (true, false));
-        assert_eq!(WindowDecision::BelowLow.outputs(), (false, true));
     }
 
     #[test]
@@ -306,7 +255,7 @@ mod tests {
         // +100 mV shift on the high side widens the window upward.
         let w = WindowComparator::new(Volt(0.4), Volt(0.8)).with_high_shift(Volt::from_mv(100.0));
         assert_eq!(w.evaluate(Volt(0.85)), WindowDecision::Inside);
-        assert!((w.effective_high().value() - 0.9).abs() < 1e-12);
+        assert_eq!(w.evaluate(Volt(0.91)), WindowDecision::AboveHigh);
 
         // -100 mV shift narrows it.
         let w = WindowComparator::new(Volt(0.4), Volt(0.8)).with_high_shift(Volt::from_mv(-100.0));
@@ -315,6 +264,6 @@ mod tests {
         // Lower-side shift: positive moves the effective low threshold down.
         let w = WindowComparator::new(Volt(0.4), Volt(0.8)).with_low_shift(Volt::from_mv(100.0));
         assert_eq!(w.evaluate(Volt(0.35)), WindowDecision::Inside);
-        assert!((w.effective_low().value() - 0.3).abs() < 1e-12);
+        assert_eq!(w.evaluate(Volt(0.29)), WindowDecision::BelowLow);
     }
 }

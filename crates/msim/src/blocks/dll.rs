@@ -51,11 +51,6 @@ impl Dll {
         index as f64 / self.phases as f64
     }
 
-    /// One phase step in UI.
-    pub fn step_ui(&self) -> f64 {
-        1.0 / self.phases as f64
-    }
-
     /// The next phase index in the given direction, wrapping around.
     pub fn next_phase(&self, index: usize, up: bool) -> usize {
         if up {
@@ -76,7 +71,6 @@ mod tests {
         for i in 0..10 {
             assert!((dll.phase_ui(i) - i as f64 * 0.1).abs() < 1e-12);
         }
-        assert!((dll.step_ui() - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -10,10 +10,8 @@
 //! * [`charge_pump`] — weak/strong charge pumps with the charge-balancing
 //!   arm (Fig. 8),
 //! * [`vcdl`] — the fine-loop voltage-controlled delay line,
-//! * [`dll`] — the 10-phase DLL reference,
-//! * [`bias`] — voltage-divider bias generators.
+//! * [`dll`] — the 10-phase DLL reference.
 
-pub mod bias;
 pub mod charge_pump;
 pub mod comparator;
 pub mod dll;

@@ -72,26 +72,6 @@ impl Vcdl {
         self
     }
 
-    /// Nominal tuning range in UI (without fault scaling).
-    pub fn range_ui(&self) -> f64 {
-        self.range_ui
-    }
-
-    /// Effective tuning range in UI including fault scaling. Zero when the
-    /// delay is stuck.
-    pub fn effective_range_ui(&self) -> f64 {
-        if self.stuck_frac.is_some() {
-            0.0
-        } else {
-            self.range_ui * self.range_scale
-        }
-    }
-
-    /// Whether the delay is frozen by a fault.
-    pub fn is_stuck(&self) -> bool {
-        self.stuck_frac.is_some()
-    }
-
     /// Delay in UI for control voltage `vc`.
     ///
     /// Linear between the window thresholds, saturating outside them — the
@@ -132,6 +112,12 @@ mod tests {
         Vcdl::from_params(&DesignParams::paper())
     }
 
+    /// The delay swing across the paper's control window `[VL, VH]`.
+    fn window_range_ui(v: &Vcdl) -> f64 {
+        let p = DesignParams::paper();
+        v.delay_ui(p.window_high) - v.delay_ui(p.window_low)
+    }
+
     #[test]
     fn linear_between_thresholds() {
         let v = paper_vcdl();
@@ -150,24 +136,23 @@ mod tests {
     fn range_exceeds_phase_step() {
         let p = DesignParams::paper();
         let v = Vcdl::from_params(&p);
-        assert!(v.effective_range_ui() > p.phase_step_ui());
+        assert!(window_range_ui(&v) > p.phase_step_ui());
     }
 
     #[test]
     fn range_scale_fault_shrinks_range() {
         let p = DesignParams::paper();
         let v = paper_vcdl().with_range_scale(0.5);
-        assert!((v.effective_range_ui() - 0.065).abs() < 1e-12);
+        assert!((window_range_ui(&v) - 0.065).abs() < 1e-12);
         // Now below one phase step: dead zones will open.
-        assert!(v.effective_range_ui() < p.phase_step_ui());
+        assert!(window_range_ui(&v) < p.phase_step_ui());
         assert!((v.delay_ui(p.window_high) - 0.065).abs() < 1e-12);
     }
 
     #[test]
     fn stuck_fault_freezes_delay() {
         let v = paper_vcdl().with_stuck(0.5);
-        assert!(v.is_stuck());
-        assert_eq!(v.effective_range_ui(), 0.0);
+        assert_eq!(window_range_ui(&v), 0.0);
         let d1 = v.delay_ui(Volt(0.0));
         let d2 = v.delay_ui(Volt(1.2));
         assert_eq!(d1, d2);

@@ -17,8 +17,8 @@
 //! * [`params`] — the paper's design point (1.2 V, 2.5 Gbps, 60 mV swing,
 //!   10-phase DLL, …),
 //! * [`blocks`] — behavioral models with fault hooks (comparators, charge
-//!   pumps, VCDL, DLL, bias generators),
-//! * [`sim`] — fixed-step simulation clock and trace recording,
+//!   pumps, VCDL, DLL),
+//! * [`sim`] — multi-channel trace recording,
 //! * [`vcd`] — GTKWave-compatible VCD export of traces.
 //!
 //! Higher layers build on this substrate: the `link` crate assembles the

@@ -380,22 +380,6 @@ pub enum Device {
 }
 
 impl Device {
-    /// Instance name.
-    pub fn name(&self) -> &str {
-        match self {
-            Device::Mos(m) => m.name(),
-            Device::Capacitor(c) => c.name(),
-        }
-    }
-
-    /// Circuit role.
-    pub fn role(&self) -> DeviceRole {
-        match self {
-            Device::Mos(m) => m.role(),
-            Device::Capacitor(c) => c.role(),
-        }
-    }
-
     /// Instance index.
     pub fn instance(&self) -> u8 {
         match self {
@@ -447,11 +431,6 @@ impl Netlist {
         }
     }
 
-    /// Block name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Adds a MOS device and returns its id.
     pub fn add_mos(&mut self, m: Mos) -> DeviceId {
         self.devices.push(Device::Mos(m));
@@ -462,11 +441,6 @@ impl Netlist {
     pub fn add_capacitor(&mut self, c: Capacitor) -> DeviceId {
         self.devices.push(Device::Capacitor(c));
         DeviceId(self.devices.len() - 1)
-    }
-
-    /// Device by id.
-    pub fn device(&self, id: DeviceId) -> Option<&Device> {
-        self.devices.get(id.0)
     }
 
     /// All devices in insertion order.
@@ -584,14 +558,6 @@ impl Netlist {
             .map(|(name, _)| name.to_owned())
             .collect()
     }
-
-    /// Devices with the given role.
-    pub fn devices_with_role(&self, role: DeviceRole) -> Vec<DeviceId> {
-        self.iter()
-            .filter(|(_, d)| d.role() == role)
-            .map(|(id, _)| id)
-            .collect()
-    }
 }
 
 /// Identifies an analog block of the link.
@@ -684,40 +650,10 @@ mod tests {
             DeviceRole::CmpInputPlus,
         ));
         let c = nl.add_capacitor(Capacitor::new("C1", 100e-15, DeviceRole::CouplingCap));
+        assert_eq!((m, c), (DeviceId(0), DeviceId(1)));
         assert_eq!(nl.len(), 2);
         assert_eq!(nl.mos_count(), 1);
         assert_eq!(nl.capacitor_count(), 1);
-        assert_eq!(nl.device(m).unwrap().name(), "M1");
-        assert_eq!(nl.device(c).unwrap().role(), DeviceRole::CouplingCap);
-        assert!(nl.device(DeviceId(99)).is_none());
-    }
-
-    #[test]
-    fn devices_with_role() {
-        let mut nl = Netlist::new("tx");
-        nl.add_mos(Mos::new(
-            "M1",
-            MosType::Nmos,
-            1.0,
-            0.13,
-            DeviceRole::TxInputPlus,
-        ));
-        nl.add_mos(Mos::new(
-            "M2",
-            MosType::Nmos,
-            1.0,
-            0.13,
-            DeviceRole::TxInputMinus,
-        ));
-        nl.add_mos(Mos::new(
-            "M3",
-            MosType::Nmos,
-            2.0,
-            0.13,
-            DeviceRole::TxInputPlus,
-        ));
-        let ids = nl.devices_with_role(DeviceRole::TxInputPlus);
-        assert_eq!(ids, vec![DeviceId(0), DeviceId(2)]);
     }
 
     #[test]

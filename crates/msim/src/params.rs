@@ -106,23 +106,6 @@ impl DesignParams {
         self.swing / 2.0
     }
 
-    /// Width of the coarse-loop control-voltage window `VH - VL`.
-    pub fn window_width(&self) -> Volt {
-        self.window_high - self.window_low
-    }
-
-    /// Control-voltage slew rate of the weak charge pump.
-    pub fn weak_slew(&self) -> Volt {
-        // ΔV per UI of continuous pumping.
-        self.weak_cp_current * self.ui() / self.loop_cap
-    }
-
-    /// Control-voltage slew rate of the strong charge pump per divided
-    /// clock period.
-    pub fn strong_step(&self) -> Volt {
-        self.strong_cp_current * (self.ui() * self.divider_ratio as f64) / self.loop_cap
-    }
-
     /// Checks the paper's design rules.
     ///
     /// # Errors
@@ -330,11 +313,6 @@ mod tests {
         assert!((p.ui().ps() - 400.0).abs() < 1e-9);
         assert!((p.phase_step_ui() - 0.1).abs() < 1e-12);
         assert!((p.dc_test_input().mv() - 30.0).abs() < 1e-9);
-        assert!((p.window_width().value() - 0.4).abs() < 1e-12);
-        // 5 uA * 400 ps / 2 pF = 1 mV per UI.
-        assert!((p.weak_slew().mv() - 1.0).abs() < 1e-9);
-        // 60 uA * 6.4 ns / 2 pF = 192 mV per divided clock.
-        assert!((p.strong_step().mv() - 192.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,24 +1,21 @@
-//! Fixed-step simulation driver and multi-channel trace recorder.
+//! Multi-channel trace recorder.
 //!
 //! The link-level simulations (lock acquisition, eye accumulation, BIST)
-//! advance in fixed time steps. [`SimClock`] owns the time axis; [`Trace`]
-//! records named waveforms sharing that axis and renders them as CSV for
-//! the figure-regeneration binaries (e.g. Fig. 2 of the paper: `Vc`, `VL`,
-//! `VH` and the selected DLL phase versus time).
+//! advance in fixed time steps. [`Trace`] records named waveforms sharing
+//! one time axis and renders them as CSV for the figure-regeneration
+//! binaries (e.g. Fig. 2 of the paper: `Vc`, `VL`, `VH` and the selected
+//! DLL phase versus time).
 //!
 //! # Examples
 //!
 //! ```
-//! use msim::sim::{SimClock, Trace};
+//! use msim::sim::Trace;
 //! use msim::units::{Sec, Volt};
 //!
-//! let mut clock = SimClock::new(Sec::from_ps(400.0));
-//! let mut trace = Trace::new(clock.dt());
+//! let mut trace = Trace::new(Sec::from_ps(400.0));
 //! for _ in 0..4 {
 //!     trace.record("vc", Volt(0.6));
-//!     clock.advance();
 //! }
-//! assert!((clock.now().ns() - 1.6).abs() < 1e-9);
 //! assert_eq!(trace.channel("vc").unwrap().len(), 4);
 //! ```
 
@@ -26,46 +23,6 @@ use std::collections::BTreeMap;
 
 use crate::signal::Waveform;
 use crate::units::{Sec, Volt};
-
-/// A fixed-step simulation clock.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimClock {
-    dt: Sec,
-    step: u64,
-}
-
-impl SimClock {
-    /// Creates a clock advancing by `dt` per step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not strictly positive.
-    pub fn new(dt: Sec) -> SimClock {
-        assert!(dt.value() > 0.0, "simulation step must be positive");
-        SimClock { dt, step: 0 }
-    }
-
-    /// Step interval.
-    pub fn dt(&self) -> Sec {
-        self.dt
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> Sec {
-        self.dt * self.step as f64
-    }
-
-    /// Number of completed steps.
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
-    /// Advances one step and returns the new time.
-    pub fn advance(&mut self) -> Sec {
-        self.step += 1;
-        self.now()
-    }
-}
 
 /// A set of named waveforms sharing one time axis.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,22 +104,6 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_advances() {
-        let mut c = SimClock::new(Sec::from_ps(400.0));
-        assert_eq!(c.now(), Sec::ZERO);
-        c.advance();
-        c.advance();
-        assert_eq!(c.step_count(), 2);
-        assert!((c.now().ps() - 800.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "simulation step must be positive")]
-    fn zero_step_panics() {
-        let _ = SimClock::new(Sec::ZERO);
-    }
 
     #[test]
     fn trace_records_channels() {

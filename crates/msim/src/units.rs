@@ -58,12 +58,6 @@ macro_rules! unit {
                 $name(self.0.max(other.0))
             }
 
-            /// Returns the smaller of `self` and `other`.
-            #[inline]
-            pub fn min(self, other: $name) -> $name {
-                $name(self.0.min(other.0))
-            }
-
             /// Clamps `self` into `[lo, hi]`.
             ///
             /// # Panics
@@ -73,12 +67,6 @@ macro_rules! unit {
             pub fn clamp(self, lo: $name, hi: $name) -> $name {
                 assert!(lo.0 <= hi.0, "clamp bounds inverted");
                 $name(self.0.clamp(lo.0, hi.0))
-            }
-
-            /// Returns `true` if the value is finite (not NaN or infinite).
-            #[inline]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
             }
         }
 
@@ -282,22 +270,10 @@ impl Sec {
         Sec(ns * 1e-9)
     }
 
-    /// Constructs a time from microseconds.
-    #[inline]
-    pub fn from_us(us: f64) -> Sec {
-        Sec(us * 1e-6)
-    }
-
     /// Returns the value in picoseconds.
     #[inline]
     pub fn ps(self) -> f64 {
         self.0 * 1e12
-    }
-
-    /// Returns the value in nanoseconds.
-    #[inline]
-    pub fn ns(self) -> f64 {
-        self.0 * 1e9
     }
 
     /// Returns the value in microseconds.
@@ -313,12 +289,6 @@ impl Amp {
     pub fn from_ua(ua: f64) -> Amp {
         Amp(ua * 1e-6)
     }
-
-    /// Returns the value in microamps.
-    #[inline]
-    pub fn ua(self) -> f64 {
-        self.0 * 1e6
-    }
 }
 
 impl Farad {
@@ -332,12 +302,6 @@ impl Farad {
     #[inline]
     pub fn from_pf(pf: f64) -> Farad {
         Farad(pf * 1e-12)
-    }
-
-    /// Returns the value in femtofarads.
-    #[inline]
-    pub fn ff(self) -> f64 {
-        self.0 * 1e15
     }
 }
 
@@ -463,19 +427,19 @@ mod tests {
     #[test]
     fn rc_time_constant() {
         let tau = Ohm::from_kohm(1.0) * Farad::from_pf(1.0);
-        assert!((tau.ns() - 1.0).abs() < 1e-9);
+        assert!((tau.ps() - 1000.0).abs() < 1e-6);
     }
 
     #[test]
     fn cycle_counting() {
-        let cycles = Sec::from_us(2.0) * Hertz::from_ghz(2.5);
+        let cycles = Sec::from_ns(2000.0) * Hertz::from_ghz(2.5);
         assert!((cycles - 5000.0).abs() < 1e-6);
     }
 
     #[test]
     fn period_of_frequency() {
         let p = Hertz::from_mhz(100.0).period();
-        assert!((p.ns() - 10.0).abs() < 1e-9);
+        assert!((p.ps() - 10_000.0).abs() < 1e-6);
     }
 
     #[test]
@@ -489,7 +453,6 @@ mod tests {
         let v = Volt(0.9).clamp(Volt(0.0), Volt(0.5));
         assert_eq!(v, Volt(0.5));
         assert_eq!(Volt(0.1).max(Volt(0.2)), Volt(0.2));
-        assert_eq!(Volt(0.1).min(Volt(0.2)), Volt(0.1));
         assert_eq!(Volt(-0.3).abs(), Volt(0.3));
     }
 

@@ -100,13 +100,6 @@ pub fn snapshot() -> Vec<FlightEvent> {
     ring.events.iter().cloned().collect()
 }
 
-/// Empties the ring (sequence numbers keep counting). Intended for
-/// tests that need a quiet baseline.
-pub fn clear() {
-    let mut ring = ring().lock().unwrap_or_else(|e| e.into_inner());
-    ring.events.clear();
-}
-
 /// Renders a snapshot as a JSON object — `{"events": [...]}` with
 /// microsecond timestamps matching the Chrome-trace convention — the
 /// `GET /debug/flight` body and the panic-dump file format.

@@ -135,29 +135,6 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Inclusive `(lo, hi)` bounds on the `q`-quantile (`0.0..=1.0`), or
-    /// `None` when empty.
-    ///
-    /// The true quantile of the recorded multiset — `sorted[⌈q·n⌉ − 1]`
-    /// (first element for `q = 0`) — always lies within the returned
-    /// bounds; the bounds are additionally clipped to the exact observed
-    /// `[min, max]`.
-    pub fn percentile_bounds(&self, q: f64) -> Option<(u64, u64)> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let (lo, hi) = bucket_bounds(i);
-                return Some((lo.max(self.min), hi.min(self.max)));
-            }
-        }
-        unreachable!("rank is clamped to the total count");
-    }
-
     /// Non-empty buckets as `(index, count)` pairs, in index order.
     pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
         self.counts
@@ -456,30 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_at_extreme_values_and_quantiles() {
-        let mut h = Histogram::new();
-        for v in [0u64, 1, u64::MAX] {
-            h.record(v);
-        }
-        // q = 0 targets the first observation, q = 1 the last; bounds are
-        // clipped to the exact observed min/max so the edges are tight.
-        let (lo, hi) = h.percentile_bounds(0.0).unwrap();
-        assert_eq!((lo, hi), (0, 0), "q=0 must pin the exact min");
-        let (lo, hi) = h.percentile_bounds(1.0).unwrap();
-        assert!(lo > 1, "q=1 bounds must sit above the smaller observations");
-        assert_eq!(hi, u64::MAX, "q=1 must reach the max");
-        let (lo, hi) = h.percentile_bounds(0.5).unwrap();
-        assert!(lo <= 1 && 1 <= hi, "median 1 outside [{lo}, {hi}]");
-        // A single extreme observation: every quantile is that value.
-        let mut solo = Histogram::new();
-        solo.record(u64::MAX);
-        for q in [0.0, 0.5, 1.0] {
-            let (lo, hi) = solo.percentile_bounds(q).unwrap();
-            assert_eq!((lo, hi), (u64::MAX, u64::MAX), "q={q}");
-        }
-    }
-
-    #[test]
     fn merge_associativity_holds_at_the_edges() {
         // Deliberately edge-valued parts (0, 1, u64::MAX and bucket
         // boundaries) rather than random draws: overflow or min/max
@@ -547,33 +500,8 @@ mod tests {
     }
 
     #[test]
-    fn percentile_bounds_contain_sorted_vec_reference() {
-        check("percentile_vs_sorted_vec", |d| {
-            let n = d.range_usize(1, 200);
-            let mut values: Vec<u64> = (0..n)
-                .map(|_| d.next_u64() >> d.range_usize(0, 63))
-                .collect();
-            let mut h = Histogram::new();
-            for &v in &values {
-                h.record(v);
-            }
-            values.sort_unstable();
-            for &q in &[0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-                let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-                let reference = values[rank - 1];
-                let (lo, hi) = h.percentile_bounds(q).expect("non-empty");
-                assert!(
-                    lo <= reference && reference <= hi,
-                    "q={q}: reference {reference} outside [{lo}, {hi}]"
-                );
-            }
-        });
-    }
-
-    #[test]
     fn empty_histogram_has_no_percentiles() {
         let h = Histogram::new();
-        assert_eq!(h.percentile_bounds(0.5), None);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
     }

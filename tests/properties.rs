@@ -12,7 +12,6 @@ use link::pd::BangBangPd;
 use msim::blocks::charge_pump::ChargePump;
 use msim::blocks::comparator::{WindowComparator, WindowDecision};
 use msim::blocks::vcdl::Vcdl;
-use msim::signal::Waveform;
 use msim::units::{Amp, Farad, Ohm, Sec, Volt};
 use rt::check::{check, check_cases, vec_of};
 
@@ -37,48 +36,6 @@ fn wrap_error_mod_invariant() {
         let a = BangBangPd::wrap_error(tau, target);
         let b = BangBangPd::wrap_error(tau + k, target);
         assert!((a - b).abs() < 1e-9, "{a} vs {b} at shift {k}");
-    });
-}
-
-/// Waveform threshold crossings strictly alternate rising/falling.
-#[test]
-fn crossings_alternate() {
-    check("crossings_alternate", |rng| {
-        let samples = vec_of(rng, 2, 200, |r| r.range_f64(-1.0, 1.0));
-        let mut w = Waveform::new(Sec::from_ps(10.0));
-        for s in &samples {
-            w.push(Volt(*s));
-        }
-        let crossings = w.crossings(Volt(0.0));
-        for pair in crossings.windows(2) {
-            assert_ne!(pair[0].rising, pair[1].rising);
-        }
-        // Crossing times are monotonically increasing and inside the span.
-        for pair in crossings.windows(2) {
-            assert!(pair[0].time < pair[1].time);
-        }
-        for c in &crossings {
-            assert!(c.time >= Sec::ZERO && c.time <= w.duration());
-        }
-    });
-}
-
-/// Linear interpolation never leaves the range of its bracketing samples.
-#[test]
-fn interpolation_bounded() {
-    check("interpolation_bounded", |rng| {
-        let samples = vec_of(rng, 2, 50, |r| r.range_f64(-1.0, 1.0));
-        let frac = rng.range_f64(0.0, 0.999);
-        let mut w = Waveform::new(Sec::from_ps(10.0));
-        for s in &samples {
-            w.push(Volt(*s));
-        }
-        let t = w.duration() * frac;
-        if let Some(v) = w.sample_at(t) {
-            let lo = w.min().unwrap();
-            let hi = w.max().unwrap();
-            assert!(v >= lo - Volt(1e-12) && v <= hi + Volt(1e-12));
-        }
     });
 }
 

@@ -88,7 +88,7 @@ fn prbs_maximal_length_properties() {
         let mask = (1u32 << length) - 1;
         let seed = (seed & mask).max(1);
         let mut gen = Prbs::new(length, tap, seed);
-        let period = gen.period() as usize;
+        let period = mask as usize; // 2^n - 1
         let first: Vec<bool> = gen.by_ref().take(period).collect();
         let second: Vec<bool> = gen.take(period).collect();
         assert_eq!(first, second);
