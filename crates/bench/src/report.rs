@@ -15,6 +15,16 @@ pub fn percent(fraction: f64) -> String {
     format!("{:.1} %", fraction * 100.0)
 }
 
+/// Formats a value for a table cell: integers bare, anything else to
+/// three decimals.
+pub fn number(v: f64) -> String {
+    if v.fract() == 0.0 {
+        format!("{v:.0}")
+    } else {
+        format!("{v:.3}")
+    }
+}
+
 /// Renders a GitHub-flavoured markdown table: a header row, a `|---|`
 /// rule and one line per row, cells unpadded.
 ///

@@ -10,22 +10,21 @@
 //! `results/REPRODUCTION_REPORT.md`. All of it is deterministic and
 //! tracked; only the pipeline's wall-clock Chrome trace is not.
 //!
-//! Each claim the experiments check is an assert here, so a regression
-//! aborts the `reproduce` binary instead of writing a file: the lock
-//! budget and correction bound, zero false failures at 3 mV mismatch σ,
-//! a seed spread under one point, the reuse checks behind the shared
-//! campaign, and farm and netlist completeness.
+//! The paper's claims are the rows of [`dft::claims`], measured from the
+//! shared campaign, the lock sweep, the Monte-Carlo sweep and the seed
+//! sweep and written as the report's "Paper claims" section; a failing
+//! row aborts the `reproduce` binary instead of writing a file. So do
+//! the run's own checks: the reuse checks behind the shared campaign, and
+//! farm and netlist completeness.
 
 use dft::ablation::{ablated_campaign, DftOptions};
 use dft::architecture::TestableLink;
-use dft::bist::Bist;
-use dft::campaign::{CampaignResult, EffectClasses, FaultCampaign, TierVerdict};
-use dft::dc_test::DcTest;
-use dft::mismatch::MonteCarlo;
+use dft::campaign::{CampaignResult, FaultCampaign};
+use dft::claims::{self, row_id, Claim, MISMATCH_SIGMA_MV, SEEDS};
+use dft::mismatch::{MismatchResult, MonteCarlo};
 use dft::multilane::TestSchedule;
 use dft::overhead::{DftOverhead, Entity};
 use dft::quality::quality_ladder;
-use dft::scan_test::ScanTest;
 use dft::test_program::TestProgram;
 use link::synchronizer::{LockOutcome, RunConfig, Synchronizer};
 use msim::fault::FaultKind;
@@ -34,7 +33,7 @@ use msim::sim::Trace;
 use rt::obs::{chrome_trace_json_named, trace::default_thread_names};
 
 use crate::obs_pipeline;
-use crate::report::{markdown_table, percent};
+use crate::report::{markdown_table, number, percent};
 use crate::Csv;
 
 mod analog;
@@ -47,15 +46,6 @@ pub type Artifact = (&'static str, String);
 
 /// Comparator offsets of the DC-tier ablation, in mV (the paper's is 15).
 const OFFSETS_MV: [f64; 5] = [5.0, 10.0, 15.0, 20.0, 25.0];
-
-/// BIST data seeds of the stability sweep; the first is the paper's.
-const SEEDS: [u64; 5] = [0x1057, 1, 42, 2016, 0xDEAD];
-
-/// Paper Table I coverage per [`FaultKind::ALL`] row.
-const TABLE1_PAPER: [f64; 7] = [0.878, 0.939, 0.939, 0.939, 1.0, 1.0, 1.0];
-
-/// Paper Table II count per [`Entity::ALL`] row.
-const TABLE2_PAPER: [usize; 8] = [7, 4, 2, 1, 2, 1, 2, 6];
 
 /// One reproduction run: the tracked artifacts and the wall-clock trace.
 #[derive(Debug)]
@@ -70,7 +60,7 @@ pub struct Reproduction {
 ///
 /// # Panics
 ///
-/// Panics if any checked claim fails (see the module docs).
+/// Panics if a claims row or a run check fails (see the module docs).
 pub fn run() -> Reproduction {
     let obs = obs_pipeline::instrumented_run(rt::par::threads());
     let trace = chrome_trace_json_named(
@@ -80,22 +70,31 @@ pub fn run() -> Reproduction {
     );
     let p = DesignParams::paper();
     let paper = &obs.campaign;
-    let locks = lock_sweep(&p);
+    let locks = claims::lock_sweep(&p);
+    let mismatch_sweep = MonteCarlo::sweep(
+        &p,
+        &[1.0, 2.0, MISMATCH_SIGMA_MV, 5.0, 7.5, 10.0, 15.0],
+        claims::MISMATCH_TRIALS,
+    );
+    let seed_runs = claims::seed_sweep(&p, paper);
+    let rows = claims::claims(&p, paper, &locks, &mismatch_sweep, &seed_runs);
+    let failed = claims::failing(&rows);
+    assert!(failed.is_empty(), "paper claims fail: {failed:#?}");
     let (fig2_csv, fig2_vcd) = fig2(&p);
     let (farm_section, farm_eye, farm_detect) = analog::link_farm();
     let (bathtub_section, bathtub_csv) = analog::bathtub();
 
     let sections = [
-        ladder(paper),
-        table1(paper),
-        table2(),
-        lock_section(&p, &locks),
+        ladder(&rows, paper),
+        table1(&rows, paper),
+        table2(&rows),
+        lock_section(&p, &rows, &locks),
         tier_sets(paper),
         fig1(),
         digital::coverage(),
         shipped_quality(paper),
         corners(paper),
-        seeds(&p, paper),
+        seeds(&rows, &seed_runs),
         offsets(paper),
         dft_elements(&p, paper),
         analog::fine_loop(&p),
@@ -106,6 +105,7 @@ pub fn run() -> Reproduction {
         multilane(&p),
         analog::power(&p),
         farm_section,
+        claims_section(&rows),
     ];
     let report = format!(
         "# Reproduction report\n\n\
@@ -118,13 +118,13 @@ pub fn run() -> Reproduction {
     let tracked = vec![
         ("metrics.json", obs.metrics.to_json()),
         ("REPRODUCTION_REPORT.md", report),
-        ("table1_fault_coverage.csv", table1_csv(paper)),
+        ("table1_fault_coverage.csv", table1_csv(&rows, paper)),
         ("bist_lock_time.csv", lock_csv(&p, &locks)),
         ("fig2_lock_acquisition.csv", fig2_csv),
         ("fig2_lock_acquisition.vcd", fig2_vcd),
         ("bathtub.csv", bathtub_csv),
         ("eye_ablation.csv", analog::eye_ablation()),
-        ("mismatch_monte_carlo.csv", mismatch(&p)),
+        ("mismatch_monte_carlo.csv", mismatch_csv(&mismatch_sweep)),
         ("link_farm_eye.csv", farm_eye),
         ("link_farm_detect.csv", farm_detect),
         ("fuzz_coverage.csv", digital::fuzz_coverage()),
@@ -149,16 +149,30 @@ fn campaign_at(p: &DesignParams, paper: &CampaignResult) -> CampaignResult {
     }
 }
 
-fn ladder(paper: &CampaignResult) -> String {
-    let measured = ladder_cells(paper);
-    let rows: Vec<Vec<&str>> = [
-        ("DC test", "50.4 %"),
-        ("+ scan", "74.3 %"),
-        ("+ BIST", "94.8 %"),
+/// Claims row `id`.
+fn row<'a>(claims: &'a [Claim], id: &str) -> &'a Claim {
+    claims
+        .iter()
+        .find(|c| c.id == id)
+        .unwrap_or_else(|| panic!("no claims row {id}"))
+}
+
+/// The paper value of claims row `id`.
+fn paper_value(claims: &[Claim], id: &str) -> f64 {
+    row(claims, id)
+        .paper
+        .unwrap_or_else(|| panic!("claims row {id} has no paper value"))
+}
+
+fn ladder(claims: &[Claim], paper: &CampaignResult) -> String {
+    let rows: Vec<Vec<String>> = [
+        ("DC test", "ladder.dc"),
+        ("+ scan", "ladder.dc_scan"),
+        ("+ BIST", "ladder.total"),
     ]
     .iter()
-    .zip(&measured)
-    .map(|(&(tier, paper), m)| vec![tier, paper, m.as_str()])
+    .zip(ladder_cells(paper))
+    .map(|(&(tier, id), m)| vec![tier.to_string(), percent(paper_value(claims, id)), m])
     .collect();
     section(
         "Section IV coverage ladder",
@@ -170,15 +184,14 @@ fn detected(r: &CampaignResult) -> usize {
     r.total() - r.undetected().len()
 }
 
-fn table1(paper: &CampaignResult) -> String {
+fn table1(claims: &[Claim], paper: &CampaignResult) -> String {
     let mut rows: Vec<Vec<String>> = FaultKind::ALL
         .iter()
-        .zip(TABLE1_PAPER)
-        .map(|(&kind, paper_cov)| {
+        .map(|&kind| {
             let (total, detected) = paper.by_kind(kind);
             vec![
                 kind.label().to_string(),
-                percent(paper_cov),
+                percent(paper_value(claims, &row_id("table1", kind.label()))),
                 percent(paper.coverage_of_kind(kind)),
                 format!("{detected}/{total}"),
             ]
@@ -186,7 +199,7 @@ fn table1(paper: &CampaignResult) -> String {
         .collect();
     rows.push(vec![
         "**Total**".into(),
-        "**94.8 %**".into(),
+        format!("**{}**", percent(paper_value(claims, "ladder.total"))),
         format!("**{}**", percent(paper.coverage_total())),
         format!("{}/{}", detected(paper), paper.total()),
     ]);
@@ -194,13 +207,16 @@ fn table1(paper: &CampaignResult) -> String {
     section("Table I — coverage by fault type", &table)
 }
 
-fn table1_csv(paper: &CampaignResult) -> String {
+fn table1_csv(claims: &[Claim], paper: &CampaignResult) -> String {
     let mut csv = Csv::new(&["defect", "paper", "measured", "detected", "total"]);
-    for (&kind, paper_cov) in FaultKind::ALL.iter().zip(TABLE1_PAPER) {
+    for kind in FaultKind::ALL {
         let (total, detected) = paper.by_kind(kind);
         csv.row(&[
             kind.label().to_string(),
-            format!("{paper_cov:.3}"),
+            format!(
+                "{:.3}",
+                paper_value(claims, &row_id("table1", kind.label()))
+            ),
             format!("{:.3}", paper.coverage_of_kind(kind)),
             detected.to_string(),
             total.to_string(),
@@ -208,7 +224,7 @@ fn table1_csv(paper: &CampaignResult) -> String {
     }
     csv.row(&[
         "Total".to_string(),
-        "0.948".to_string(),
+        format!("{:.3}", paper_value(claims, "ladder.total")),
         format!("{:.3}", paper.coverage_total()),
         detected(paper).to_string(),
         paper.total().to_string(),
@@ -216,36 +232,21 @@ fn table1_csv(paper: &CampaignResult) -> String {
     csv.as_str().to_string()
 }
 
-fn table2() -> String {
-    let o = DftOverhead::paper();
+fn table2(claims: &[Claim]) -> String {
     let rows: Vec<Vec<String>> = Entity::ALL
         .iter()
-        .zip(TABLE2_PAPER)
-        .map(|(&e, n)| vec![e.label().to_string(), n.to_string(), o.count(e).to_string()])
+        .map(|e| {
+            let id = row_id("table2", e.label());
+            let cells = [paper_value(claims, &id), row(claims, &id).measured];
+            let mut row = vec![e.label().to_string()];
+            row.extend(cells.map(number));
+            row
+        })
         .collect();
     section(
         "Table II — DFT overhead",
         &markdown_table(&["entity", "paper", "measured"], &rows),
     )
-}
-
-/// The healthy link's lock from every initial DLL phase (Fig. 2, §III),
-/// checked against the paper's lock budget and correction bound.
-fn lock_sweep(p: &DesignParams) -> Vec<LockOutcome> {
-    let outcomes: Vec<LockOutcome> = (0..p.dll_phases)
-        .map(|phase0| {
-            Synchronizer::new(p)
-                .with_initial_phase(phase0)
-                .run(&RunConfig::paper_bist(), None)
-        })
-        .collect();
-    let worst = worst_lock(&outcomes);
-    assert!(worst.0 <= p.bist_lock_budget, "lock budget violated");
-    assert!(
-        worst.1 <= (p.dll_phases / 2 + 1) as u64,
-        "more coarse corrections than half the DLL phases"
-    );
-    outcomes
 }
 
 /// Lock cycles of a run (`u64::MAX` if it never locked).
@@ -260,7 +261,7 @@ fn worst_lock(outcomes: &[LockOutcome]) -> (u64, u64) {
     })
 }
 
-fn lock_section(p: &DesignParams, outcomes: &[LockOutcome]) -> String {
+fn lock_section(p: &DesignParams, claims: &[Claim], outcomes: &[LockOutcome]) -> String {
     let rows: Vec<Vec<String>> = outcomes
         .iter()
         .enumerate()
@@ -276,14 +277,17 @@ fn lock_section(p: &DesignParams, outcomes: &[LockOutcome]) -> String {
     let (cycles, corrections) = worst_lock(outcomes);
     let body = format!(
         "{}\nWorst case {} cycles ({:.2} µs) and {} corrections against the\n\
-         paper's 5000-cycle (2 µs) budget and half-the-phases (5) bound.\n",
+         paper's {}-cycle ({} µs) budget and half-the-phases ({}) bound.\n",
         markdown_table(
             &["start phase", "lock cycles", "lock µs", "corrections"],
             &rows
         ),
         cycles,
         cycles as f64 * p.ui().us(),
-        corrections
+        corrections,
+        p.bist_lock_budget,
+        paper_value(claims, "lock.budget"),
+        p.dll_phases / 2
     );
     section("Fig. 2 / §III — lock acquisition", &body)
 }
@@ -424,48 +428,15 @@ fn corners(paper: &CampaignResult) -> String {
     section("Process corners", &body)
 }
 
-/// The campaign with the BIST driven by PRBS `seed`: the shared paper
-/// result for the paper's own seed, a re-decided campaign otherwise.
-fn campaign_with_seed(p: &DesignParams, seed: u64, paper: &CampaignResult) -> CampaignResult {
-    if seed == RunConfig::paper_bist().seed {
-        return paper.clone();
-    }
-    let (dc, scan) = (DcTest::new(p), ScanTest::new(p));
-    let bist = Bist::with_run(
-        p,
-        RunConfig {
-            seed,
-            ..RunConfig::paper_bist()
-        },
-    );
-    let universe = FaultCampaign::new(p).universe();
-    EffectClasses::of(&universe, p).decide(&universe, |effect| TierVerdict {
-        dc: dc.detects(effect),
-        scan: scan.detects(effect),
-        bist: bist.detects(effect),
-    })
-}
-
-fn seeds(p: &DesignParams, paper: &CampaignResult) -> String {
+fn seeds(claims: &[Claim], results: &[CampaignResult]) -> String {
     assert_eq!(
         RunConfig::paper_bist().seed,
         SEEDS[0],
         "the default-seed row must be the paper campaign"
     );
-    let results: Vec<CampaignResult> = SEEDS
-        .iter()
-        .map(|&seed| campaign_with_seed(p, seed, paper))
-        .collect();
-    let totals = results.iter().map(CampaignResult::coverage_total);
-    let spread =
-        totals.clone().fold(f64::NEG_INFINITY, f64::max) - totals.fold(f64::INFINITY, f64::min);
-    assert!(
-        spread < 0.01,
-        "coverage moved a point or more with the seed"
-    );
     let rows: Vec<Vec<String>> = SEEDS
         .iter()
-        .zip(&results)
+        .zip(results)
         .map(|(seed, r)| {
             let mut row = vec![format!("{seed:#x}")];
             row.extend(ladder_cells(r));
@@ -478,7 +449,7 @@ fn seeds(p: &DesignParams, paper: &CampaignResult) -> String {
          construction.\n\n{}\nTotal-coverage spread across seeds: {:.2} points.\n",
         SEEDS[0],
         markdown_table(&["seed", "DC", "DC+scan", "total"], &rows),
-        spread * 100.0
+        row(claims, "seeds.spread").measured * 100.0
     );
     section("BIST data seeds", &body)
 }
@@ -565,16 +536,9 @@ fn dft_elements(p: &DesignParams, paper: &CampaignResult) -> String {
     section("DFT element ablation", &body)
 }
 
-fn mismatch(p: &DesignParams) -> String {
-    let sweep = MonteCarlo::sweep(p, &[1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0], 20_000);
-    let (sigma, realistic) = &sweep[2];
-    assert_eq!(*sigma, 3.0);
-    assert_eq!(
-        realistic.false_failures, 0,
-        "healthy dies false-fail at 3 mV mismatch sigma"
-    );
+fn mismatch_csv(sweep: &[(f64, MismatchResult)]) -> String {
     let mut csv = Csv::new(&["sigma_mv", "false_failure_rate", "escape_rate"]);
-    for (sigma, r) in &sweep {
+    for (sigma, r) in sweep {
         csv.row(&[
             sigma.to_string(),
             format!("{:.6}", r.false_failure_rate()),
@@ -624,6 +588,37 @@ fn multilane(p: &DesignParams) -> String {
         )
     );
     section("Multi-lane test time", &body)
+}
+
+/// The claims table: every row with its paper value, measured value,
+/// bound and the reason for the bound. A run that writes it has checked
+/// every row.
+fn claims_section(claims: &[Claim]) -> String {
+    let rows: Vec<Vec<String>> = claims
+        .iter()
+        .map(|c| {
+            vec![
+                format!("`{}`", c.id),
+                c.section.to_string(),
+                c.quote.to_string(),
+                c.paper.map_or("—".to_string(), number),
+                number(c.measured),
+                c.how.to_string(),
+                c.bound.to_string(),
+                c.reason.to_string(),
+            ]
+        })
+        .collect();
+    let body = format!(
+        "Every claim checked against the paper, one row each (`dft::claims`).\n\
+         Coverages are fractions (0.5 is 50 %); `reproduce` aborts if a\n\
+         row breaks its bound.\n\n{}",
+        markdown_table(
+            &["row", "§", "claim", "paper", "measured", "how", "bound", "reason"],
+            &rows
+        )
+    );
+    section("Paper claims", &body)
 }
 
 #[cfg(test)]

@@ -11,8 +11,6 @@
 //! * [`BehavioralVsGateOracle`] — the behavioral phase-domain
 //!   synchronizer against a gate-level replay of its window-comparator
 //!   decisions through `dft::chain_b`,
-//! * [`CampaignSnapshotOracle`] — the full fault campaign against the
-//!   paper's golden coverage snapshot under tolerance,
 //! * [`PackedVsScalarOracle`] — the bit-parallel packed simulator
 //!   (`dsim::bitpar`) against the scalar reference: scan responses,
 //!   stuck-at coverage records, coverage footprints, and the event-driven
@@ -70,7 +68,7 @@ use dsim::transition::{
     enumerate_transition_faults, launch_capture_response, responses_differ, TwoPatternTest,
 };
 use link::synchronizer::{decisions_from_trace, RunConfig, Synchronizer};
-use msim::effects::{resolve_effect, AnalogEffect};
+use msim::effects::resolve_effect;
 use msim::params::DesignParams;
 use msim::sim::Trace;
 
@@ -357,109 +355,6 @@ impl DiffOracle for BehavioralVsGateOracle {
                     ),
                 });
             }
-        }
-        Ok(())
-    }
-}
-
-/// Golden coverage snapshot the campaign is checked against.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoverageSnapshot {
-    /// DC-tier coverage.
-    pub dc: f64,
-    /// Cumulative DC + scan coverage.
-    pub dc_scan: f64,
-    /// Cumulative DC + scan + BIST coverage.
-    pub total: f64,
-}
-
-impl CoverageSnapshot {
-    /// The paper's Section IV ladder: 50.4 % → 74.3 % → 94.8 %.
-    pub fn paper() -> CoverageSnapshot {
-        CoverageSnapshot {
-            dc: 0.504,
-            dc_scan: 0.743,
-            total: 0.948,
-        }
-    }
-}
-
-/// Fault-free vs faulted campaigns against the golden snapshot: the
-/// aggregate coverage ladder must sit within tolerance of the paper's
-/// numbers, faults resolving to no behavioral effect must never be
-/// detected, and the scan/BIST fault sets must intersect without either
-/// containing the other (the paper's tier-set relation).
-#[derive(Debug, Clone)]
-pub struct CampaignSnapshotOracle {
-    params: DesignParams,
-    snapshot: CoverageSnapshot,
-    tolerance: f64,
-}
-
-impl CampaignSnapshotOracle {
-    /// An oracle against the paper snapshot with a 0.10 tolerance (the
-    /// netlist granularity differs from the paper's in the decimals).
-    pub fn new(params: &DesignParams) -> CampaignSnapshotOracle {
-        CampaignSnapshotOracle {
-            params: params.clone(),
-            snapshot: CoverageSnapshot::paper(),
-            tolerance: 0.10,
-        }
-    }
-}
-
-impl DiffOracle for CampaignSnapshotOracle {
-    fn name(&self) -> &'static str {
-        "campaign-snapshot"
-    }
-
-    fn check(&self) -> Result<(), Divergence> {
-        let result = FaultCampaign::new(&self.params).run();
-        let got = CoverageSnapshot {
-            dc: result.coverage_dc(),
-            dc_scan: result.coverage_dc_scan(),
-            total: result.coverage_total(),
-        };
-        for (name, got, want) in [
-            ("dc", got.dc, self.snapshot.dc),
-            ("dc+scan", got.dc_scan, self.snapshot.dc_scan),
-            ("total", got.total, self.snapshot.total),
-        ] {
-            if (got - want).abs() > self.tolerance {
-                return Err(Divergence {
-                    oracle: self.name(),
-                    detail: format!(
-                        "{name} coverage {got:.3} outside {want:.3} ± {:.3}",
-                        self.tolerance
-                    ),
-                });
-            }
-        }
-        // A fault with no behavioral effect has nothing to detect; a tier
-        // claiming it would be hallucinating coverage.
-        for r in result.records() {
-            if matches!(r.effect, AnalogEffect::None) && r.detected() {
-                return Err(Divergence {
-                    oracle: self.name(),
-                    detail: format!("effect-free fault {} reported detected", r.fault),
-                });
-            }
-        }
-        // The paper: scan and BIST fault sets intersect, neither contains
-        // the other.
-        if result.scan_only().is_empty()
-            || result.bist_only().is_empty()
-            || result.scan_and_bist().is_empty()
-        {
-            return Err(Divergence {
-                oracle: self.name(),
-                detail: format!(
-                    "tier-set relation broken: scan-only {}, bist-only {}, both {}",
-                    result.scan_only().len(),
-                    result.bist_only().len(),
-                    result.scan_and_bist().len()
-                ),
-            });
         }
         Ok(())
     }

@@ -6,9 +6,9 @@
 use conform::coverage::{batch_footprints, set_coverage, vector_coverage};
 use conform::fuzz::{fuzz, FuzzConfig};
 use conform::oracle::{
-    check_all, BehavioralVsGateOracle, CampaignSnapshotOracle, DiffOracle, EffectCollapseOracle,
-    InstrumentedPpsfpOracle, LogicVsTransitionOracle, PackedVsScalarOracle, ScanVsFunctionalOracle,
-    SeededMutant, TimeExpansionOracle,
+    check_all, BehavioralVsGateOracle, DiffOracle, EffectCollapseOracle, InstrumentedPpsfpOracle,
+    LogicVsTransitionOracle, PackedVsScalarOracle, ScanVsFunctionalOracle, SeededMutant,
+    TimeExpansionOracle,
 };
 use dft::chain_b::ChainB;
 use dsim::atpg::random_vectors;
@@ -66,12 +66,6 @@ fn seeded_mutant_is_caught_by_the_oracle() {
         .with_mutant(SeededMutant::FlippedComparatorPolarity);
     let divergence = oracle.check().expect_err("mutant must be caught");
     assert_eq!(divergence.oracle, "behavioral-vs-gate");
-}
-
-#[test]
-fn campaign_matches_the_paper_snapshot() {
-    let oracle = CampaignSnapshotOracle::new(&DesignParams::paper());
-    assert!(oracle.check().is_ok(), "{:?}", oracle.check());
 }
 
 #[test]

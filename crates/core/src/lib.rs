@@ -17,6 +17,9 @@
 //!   94.8 % cumulative),
 //! * [`campaign`] — the structural fault campaign aggregating Table I and
 //!   the coverage ladder,
+//! * [`claims`] — the paper's claims as one table of rows, each with its
+//!   paper value, measured value and bound, checked by `reproduce` and
+//!   `tests/paper_claims.rs`,
 //! * [`ablation`] — per-element removal of the DFT observation circuitry,
 //! * [`chain_a`] / [`chain_b`] — both scan chains stitched as single
 //!   gate-level circuits executing the paper's §II procedures,
@@ -61,6 +64,7 @@ pub mod bist;
 pub mod campaign;
 pub mod chain_a;
 pub mod chain_b;
+pub mod claims;
 pub mod dc_test;
 pub mod mismatch;
 pub mod multilane;

@@ -151,7 +151,8 @@ mod tests {
     #[test]
     fn paper_margin_holds_at_realistic_mismatch() {
         // 3 mV sigma: the healthy 15 mV margin is 5 sigma away.
-        let mc = MonteCarlo::new(&DesignParams::paper(), Volt::from_mv(3.0));
+        let sigma = Volt::from_mv(crate::claims::MISMATCH_SIGMA_MV);
+        let mc = MonteCarlo::new(&DesignParams::paper(), sigma);
         let r = mc.run(5000, 1);
         assert_eq!(r.false_failures, 0, "paper claim violated");
         // The 20 mV fault leaves 10 mV; the 5 mV detection margin is

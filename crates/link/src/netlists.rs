@@ -628,11 +628,14 @@ mod tests {
 
     #[test]
     fn test_circuitry_marked() {
-        for (b, _) in test_circuit_netlists() {
-            assert!(b.is_test_circuitry());
-        }
+        let test: Vec<BlockKind> = test_circuit_netlists().iter().map(|(b, _)| *b).collect();
+        assert_eq!(
+            test,
+            [BlockKind::DcTestComparator, BlockKind::CpBistComparator]
+        );
+        assert!(test.iter().all(|b| b.is_test_circuitry()));
         for (b, _) in functional_netlists() {
-            assert!(!b.is_test_circuitry());
+            assert!(!b.is_test_circuitry(), "{b} misclassified");
         }
     }
 

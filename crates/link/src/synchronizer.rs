@@ -37,7 +37,6 @@
 //! let mut sync = Synchronizer::new(&p);
 //! let outcome = sync.run(&RunConfig::paper_bist(), None);
 //! assert!(outcome.locked, "a healthy link must lock");
-//! assert!(outcome.corrections <= p.dll_phases as u64 / 2 + 1);
 //! ```
 
 use rt::rng::Rng;
@@ -500,9 +499,8 @@ mod tests {
         let p = paper();
         let mut sync = Synchronizer::new(&p);
         let out = sync.run(&RunConfig::paper_bist(), None);
+        // The lock budget and correction bound are `dft::claims` rows.
         assert!(out.locked);
-        assert!(out.lock_cycle.unwrap() <= p.bist_lock_budget);
-        assert!(out.corrections <= p.dll_phases as u64 / 2);
         assert_eq!(out.errors_after_lock, 0);
         // Locked sampling point sits at the eye center.
         let tau = sync.sampling_tau_ui();
@@ -517,11 +515,6 @@ mod tests {
             let mut sync = Synchronizer::new(&p).with_initial_phase(phase0);
             let out = sync.run(&RunConfig::paper_bist(), None);
             assert!(out.locked, "failed to lock from phase {phase0}");
-            assert!(
-                out.corrections <= p.dll_phases as u64 / 2 + 1,
-                "phase {phase0}: {} corrections",
-                out.corrections
-            );
         }
     }
 

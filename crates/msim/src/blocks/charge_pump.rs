@@ -110,11 +110,6 @@ impl ChargePump {
         self.scan_mode = on;
     }
 
-    /// Installed fault hooks.
-    pub fn faults(&self) -> &CpFaults {
-        &self.faults
-    }
-
     /// Net current delivered into the loop filter for the given control
     /// inputs (positive raises `Vc`).
     pub fn net_current(&self, up: bool, dn: bool) -> Amp {

@@ -593,17 +593,6 @@ pub enum BlockKind {
 }
 
 impl BlockKind {
-    /// All functional blocks (the paper's fault universe).
-    pub const FUNCTIONAL: [BlockKind; 7] = [
-        BlockKind::TxDriver,
-        BlockKind::Termination,
-        BlockKind::RxBias,
-        BlockKind::WindowComparator,
-        BlockKind::WeakChargePump,
-        BlockKind::StrongChargePump,
-        BlockKind::Vcdl,
-    ];
-
     /// Whether this block is DFT test circuitry (excluded from the
     /// functional fault universe).
     pub fn is_test_circuitry(self) -> bool {
@@ -666,15 +655,6 @@ mod tests {
     #[should_panic(expected = "capacitance must be positive")]
     fn zero_capacitor_panics() {
         let _ = Capacitor::new("C", 0.0, DeviceRole::CouplingCap);
-    }
-
-    #[test]
-    fn block_kind_partition() {
-        for b in BlockKind::FUNCTIONAL {
-            assert!(!b.is_test_circuitry(), "{b} misclassified");
-        }
-        assert!(BlockKind::DcTestComparator.is_test_circuitry());
-        assert!(BlockKind::CpBistComparator.is_test_circuitry());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Public-function caller gate: every `pub fn` of a library crate is
-# reached by some program, or it is a listed test API.
+# Public-item caller gate: every `pub fn` and `pub const` of a library
+# crate is reached by some program, or it is a listed test API.
 #
 # A program is any lib, bin or example target of the workspace, or the
 # benchmark harness (perfbench/). Tests and doctests do not count: a
@@ -9,26 +9,28 @@
 #
 # The analysis runs on a copy of the sources under target/pub-callers/
 # (the repository itself is never edited), one library crate at a time:
-#   1. every `pub fn` in the crate's library sources becomes
-#      `pub(in crate) fn` (crate-private, and a spelling no source uses,
-#      so it marks the functions that were public);
+#   1. every `pub fn` and `pub const` (`pub const fn` included) in the
+#      crate's library sources becomes `pub(in crate) fn` or
+#      `pub(in crate) const` (crate-private, and a spelling no source
+#      uses, so it marks the items that were public);
 #   2. `cargo check` builds the workspace's lib, bin and example targets
-#      and perfbench. Every function another target cannot compile
-#      without ("method `f` is private", ...) is made `pub` again, by
-#      name, and the build repeats until it succeeds;
-#   3. rustc's dead_code warnings then name each formerly public
-#      function that no program reaches. Each must be listed in
+#      and perfbench. Each privacy error ("method `f` is private", ...)
+#      points at the definition it needs; that one definition is made
+#      `pub` again, and the build repeats until it succeeds;
+#   3. rustc's dead_code warnings then name each formerly public item
+#      that no program reaches. Each must be listed in
 #      scripts/pub_test_api.txt as `crate::module::Type::name # reason`,
-#      or the gate fails. A listed function that the analysis does not
-#      flag (deleted, renamed or now called) fails it too, so the list
-#      stays exact.
+#      or the gate fails. A listed item that the analysis does not flag
+#      (deleted, renamed or now called) fails it too, so the list stays
+#      exact.
 #
-# Limits: the restore goes by name, so a dead function that shares its
-# name with a live one in the same crate (two `len`s, say) passes. A
-# function that a `pub use` re-exports counts as called. A function
+# Limits: an item that a `pub use` re-exports counts as called, and the
+# re-export's error names no definition, so it restores by name. An item
 # generated by a macro is named by the macro's `impl $type` (so
-# `msim::units::$name::value`), restored for every expansion at once,
-# and flagged only when no expansion is called.
+# `msim::units::$name::value`), restored for every expansion at once
+# (the definition rustc points at is the macro's line), and flagged only
+# when no expansion is called. `pub static`, types and traits are not
+# checked.
 #
 # Usage: scripts/check_pub_callers.sh [crate ...]   (default: every crate)
 #
@@ -50,7 +52,7 @@ root = Path.cwd()
 work = root / "target" / "pub-callers"
 copy = work / "src"
 target = work / "target"
-MARK = "pub(in crate) fn "
+MARK = "pub(in crate) "
 ALLOW = root / "scripts" / "pub_test_api.txt"
 
 
@@ -134,10 +136,10 @@ def build():
 
 
 def item_path(lib, d, file, line_no):
-    """`crate::module::Type::name` of the fn declared at `file:line_no`."""
+    """`crate::module::Type::name` of the item declared at `file:line_no`."""
     lines = file.read_text().splitlines()
     line = lines[line_no - 1]
-    name = re.search(r"pub\(in crate\) fn (\w+)", line).group(1)
+    name = re.search(r"pub\(in crate\) (?:const )?(?:fn )?(\w+)", line).group(1)
     rel = file.relative_to(copy / d / "src").with_suffix("")
     mods = [p for p in rel.parts if p not in ("lib", "mod")]
     indent = len(line) - len(line.lstrip())
@@ -170,12 +172,23 @@ def item_path(lib, d, file, line_no):
     return "::".join([lib, *mods, *ty, name])
 
 
+def definition_sites(error):
+    """`(file, line)` of each definition a privacy error points at: a
+    secondary span ("private method defined here") or a note's span
+    ("the function `f` is defined here")."""
+    spans = [sp for sp in error["spans"] if not sp["is_primary"]]
+    for child in error["children"]:
+        if "defined here" in child["message"]:
+            spans += child["spans"]
+    return {((copy / sp["file_name"]).resolve(), sp["line_start"]) for sp in spans}
+
+
 def analyse(pkg, lib, d):
     sources = lib_sources(d)
     original = {f: f.read_text() for f in sources}
     public = 0
     for f, text in original.items():
-        marked, n = re.subn(r"(?m)^(\s*)pub fn ", r"\1" + MARK, text)
+        marked, n = re.subn(r"(?m)^(\s*)pub (fn|const) ", r"\1" + MARK + r"\2 ", text)
         public += n
         write_if_changed(f, marked.encode())
     restored = set()
@@ -184,23 +197,27 @@ def analyse(pkg, lib, d):
             errors, warnings = build()
             if not errors:
                 break
-            names = set()
+            sites = set()
             for e in errors:
                 m = re.search(r"`(\w+)` is (?:private|only public within the crate)", e["message"])
                 if not m:
                     fail(f"{pkg}: unexpected error while restoring callers:\n{e['rendered']}")
-                names.add(m.group(1))
+                found = {site for site in definition_sites(e) if site[0] in original}
+                # A `pub use` names no definition: restore by name.
+                sites |= found or {(f, n) for f, text in original.items()
+                                   for n, line in enumerate(text.split("\n"), 1)
+                                   if re.match(rf"\s*pub (?:const )?(?:fn )?{m.group(1)}\b", line)}
             progress = False
-            for f in sources:
-                text = f.read_text()
-                for name in names:
-                    text, n = re.subn(rf"(?m)^(\s*)pub\(in crate\) fn {name}\b", rf"\1pub fn {name}", text)
-                    if n:
-                        restored.add(name)
-                        progress = True
-                write_if_changed(f, text.encode())
+            for f, line_no in sorted(sites):
+                lines = f.read_text().split("\n")
+                line = lines[line_no - 1]
+                if MARK in line:
+                    lines[line_no - 1] = line.replace(MARK, "pub ", 1)
+                    write_if_changed(f, "\n".join(lines).encode())
+                    restored.add((f, line_no))
+                    progress = True
             if not progress:
-                fail(f"{pkg}: cannot restore {sorted(names)}:\n"
+                fail(f"{pkg}: cannot restore a definition for:\n"
                      + "\n".join(e["rendered"] for e in errors))
         dead = set()
         # A macro-generated function warns once per dead expansion; it is
@@ -269,7 +286,7 @@ def main(wanted):
             print(f"check_pub_callers: {ALLOW.name}:{listed[p]}: {p} is listed but not "
                   "flagged (deleted, renamed or now called): drop the line", file=sys.stderr)
             bad = True
-        print(f"check_pub_callers: {lib}: {public} pub fns, {restored} names called by programs, "
+        print(f"check_pub_callers: {lib}: {public} pub fns and consts, {restored} called by programs, "
               f"{len(dead)} reached by no program ({time.monotonic() - t0:.1f} s)")
     if bad:
         fail("FAILED")

@@ -35,21 +35,6 @@ fn parallel_campaign_is_byte_identical_to_sequential() {
     assert_eq!(campaign.run(), sequential);
 }
 
-/// The coverage ladder of the paper (§IV: 50.4 % → 74.3 % → 94.8 %)
-/// holds on the parallel path — parallelization must not change a single
-/// detection verdict.
-#[test]
-fn coverage_ladder_survives_parallel_execution() {
-    let r = FaultCampaign::new(&DesignParams::paper()).run_on(4);
-    let dc = r.coverage_dc();
-    let scan = r.coverage_dc_scan();
-    let total = r.coverage_total();
-    assert!((0.40..=0.60).contains(&dc), "DC coverage {dc}");
-    assert!((0.65..=0.85).contains(&scan), "DC+scan coverage {scan}");
-    assert!((0.88..=0.99).contains(&total), "total coverage {total}");
-    assert!(dc < scan && scan < total);
-}
-
 /// Two Monte-Carlo mismatch runs with the same seed agree exactly, and
 /// the result does not depend on how many threads the chunks landed on.
 #[test]

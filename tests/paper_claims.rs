@@ -1,250 +1,112 @@
-//! Integration tests asserting every quantitative and structural claim of
-//! the paper's evaluation, end to end across all four crates.
+//! The paper's claims, checked end to end across all four crates: every
+//! row of the `dft::claims` table, measured as `reproduce` measures it.
+//! Each test below names the rows behind one claim; the table holds the
+//! quotes, the paper values and the bounds.
 //!
 //! Paper: Kadayinti & Sharma, "Testable Design of Repeaterless Low Swing
 //! On-Chip Interconnect", DATE 2016.
 
 use std::sync::OnceLock;
 
-use dft::architecture::TestableLink;
-use dft::bist::Bist;
-use dft::campaign::{CampaignResult, FaultCampaign};
-use dft::dc_test::DcTest;
-use dft::overhead::{DftOverhead, Entity};
-use dft::scan_test::ScanTest;
-use link::synchronizer::{RunConfig, Synchronizer};
-use msim::effects::{resolve_effect, AnalogEffect};
-use msim::fault::{FaultKind, MosFault};
-use msim::netlist::{BlockKind, DeviceRole};
+use dft::campaign::FaultCampaign;
+use dft::claims::{self, Claim, MISMATCH_SIGMA_MV, MISMATCH_TRIALS};
+use dft::mismatch::MonteCarlo;
 use msim::params::DesignParams;
 
-fn campaign() -> &'static CampaignResult {
-    static RESULT: OnceLock<CampaignResult> = OnceLock::new();
-    RESULT.get_or_init(|| FaultCampaign::new(&DesignParams::paper()).run())
+/// The claims table, measured once.
+fn rows() -> &'static [Claim] {
+    static ROWS: OnceLock<Vec<Claim>> = OnceLock::new();
+    ROWS.get_or_init(|| {
+        let p = DesignParams::paper();
+        let campaign = FaultCampaign::new(&p).run();
+        let locks = claims::lock_sweep(&p);
+        let mismatch = MonteCarlo::sweep(&p, &[MISMATCH_SIGMA_MV], MISMATCH_TRIALS);
+        let seeds = claims::seed_sweep(&p, &campaign);
+        claims::claims(&p, &campaign, &locks, &mismatch, &seeds)
+    })
 }
 
-/// §IV: "two DC tests ... can detect 50.4% of the structural faults".
-#[test]
-fn claim_dc_tier_near_half_coverage() {
-    let dc = campaign().coverage_dc();
-    assert!(
-        (0.45..=0.57).contains(&dc),
-        "DC coverage {dc:.3} too far from the paper's 0.504"
-    );
-}
-
-/// §IV: "Scan test ... enhances the coverage to 74.3%".
-#[test]
-fn claim_scan_tier_near_three_quarters() {
-    let scan = campaign().coverage_dc_scan();
-    assert!(
-        (0.70..=0.82).contains(&scan),
-        "DC+scan coverage {scan:.3} too far from the paper's 0.743"
-    );
-}
-
-/// §IV / abstract: "BIST ... improves the fault coverage to 94.8%".
-#[test]
-fn claim_bist_tier_near_ninety_five() {
-    let total = campaign().coverage_total();
-    assert!(
-        (0.92..=0.97).contains(&total),
-        "total coverage {total:.3} too far from the paper's 0.948"
-    );
-}
-
-/// Table I rows: shorts are fully covered, opens are not, gate open is the
-/// weakest row and the ordering matches the paper.
-#[test]
-fn claim_table_one_row_ordering() {
-    let r = campaign();
-    let cov = |k: FaultKind| r.coverage_of_kind(k);
-    assert_eq!(cov(FaultKind::Mos(MosFault::GateSourceShort)), 1.0);
-    assert_eq!(cov(FaultKind::Mos(MosFault::DrainSourceShort)), 1.0);
-    assert_eq!(cov(FaultKind::CapShort), 1.0);
-    let gate_open = cov(FaultKind::Mos(MosFault::GateOpen));
-    assert!(
-        gate_open < 0.92,
-        "gate open {gate_open:.3} should be lowest"
-    );
-    assert!((0.82..0.92).contains(&gate_open));
-    for k in [
-        FaultKind::Mos(MosFault::DrainOpen),
-        FaultKind::Mos(MosFault::SourceOpen),
-        FaultKind::Mos(MosFault::GateDrainShort),
-    ] {
-        assert!(
-            (0.90..1.0).contains(&cov(k)),
-            "{k} coverage {:.3} out of the paper band",
-            cov(k)
-        );
-        assert!(cov(k) > gate_open);
-    }
-}
-
-/// §I: "The fault sets covered by the scan test and BIST are intersecting
-/// but not subsets of each other, which means to achieve 94.8% coverage
-/// both tests are required."
-#[test]
-fn claim_tiers_are_incomparable_sets() {
-    let r = campaign();
-    assert!(!r.scan_only().is_empty());
-    assert!(!r.bist_only().is_empty());
-    assert!(!r.scan_and_bist().is_empty());
-    // Both tests required: removing either drops coverage.
-    let with_all = r.coverage_total();
-    let without_bist = r.coverage_dc_scan();
-    let without_scan =
-        r.records().iter().filter(|rec| rec.dc || rec.bist).count() as f64 / r.total() as f64;
-    assert!(without_bist < with_all);
-    assert!(without_scan < with_all);
-}
-
-/// §II.A: the transmission-gate drain open "results in a dynamic mismatch.
-/// This is not detectable at DC" — but the clocked window comparator with
-/// a toggling pattern catches it.
-#[test]
-fn claim_dynamic_mismatch_scan_only() {
-    let p = DesignParams::paper();
-    let u = TestableLink::paper().fault_universe();
-    let f = u
-        .iter()
-        .find(|f| {
-            f.block == BlockKind::Termination
-                && f.role == DeviceRole::TermTgNmos
-                && f.kind == FaultKind::Mos(MosFault::DrainOpen)
-        })
-        .copied()
-        .expect("TG drain open in universe");
-    let e = resolve_effect(&f, &p);
-    assert!(!DcTest::new(&p).detects(&e), "must be invisible at DC");
-    assert!(
-        ScanTest::new(&p).detects(&e),
-        "must be caught while toggling"
-    );
-}
-
-/// §III: the scan conversion "masks a drain source short fault in the
-/// current source transistors. The BIST with the lock detector can detect
-/// such faults."
-#[test]
-fn claim_current_source_ds_short_masked_then_caught() {
-    let p = DesignParams::paper();
-    let u = TestableLink::paper().fault_universe();
-    for block in [BlockKind::WeakChargePump, BlockKind::StrongChargePump] {
-        for role in [DeviceRole::CpSourceP, DeviceRole::CpSinkN] {
-            let f = u
-                .iter()
-                .find(|f| {
-                    f.block == block
-                        && f.role == role
-                        && f.kind == FaultKind::Mos(MosFault::DrainSourceShort)
-                })
-                .copied()
-                .expect("source DS short in universe");
-            let e = resolve_effect(&f, &p);
-            assert!(!DcTest::new(&p).detects(&e), "{block}/{role}: DC-blind");
-            assert!(
-                !ScanTest::new(&p).detects(&e),
-                "{block}/{role}: must be masked in scan"
-            );
-            assert!(
-                Bist::new(&p).detects(&e),
-                "{block}/{role}: BIST must catch it"
-            );
+/// Asserts that the rows named by `ids` exist and hold; an id ending in
+/// `.` names every row of that group.
+fn holds(ids: &[&str]) {
+    for id in ids {
+        let group: Vec<&Claim> = rows()
+            .iter()
+            .filter(|c| c.id == *id || (id.ends_with('.') && c.id.starts_with(id)))
+            .collect();
+        assert!(!group.is_empty(), "no claims row {id}");
+        for row in group {
+            assert!(row.holds(), "{row:?}");
         }
     }
 }
 
-/// §III: "From any initial condition, the number of coarse corrections
-/// needed can be no more than half the number of DLL phases" and the
-/// receiver "is expected to lock within 2 µs".
+#[test]
+fn every_claim_holds() {
+    let failed = claims::failing(rows());
+    assert!(failed.is_empty(), "{failed:#?}");
+}
+
+#[test]
+fn claim_dc_tier_near_half_coverage() {
+    holds(&["ladder.dc"]);
+}
+
+#[test]
+fn claim_scan_tier_near_three_quarters() {
+    holds(&["ladder.dc_scan", "ladder.rise"]);
+}
+
+#[test]
+fn claim_bist_tier_near_ninety_five() {
+    holds(&["ladder.total", "ladder.rise"]);
+}
+
+#[test]
+fn claim_table_one_row_ordering() {
+    holds(&["table1."]);
+}
+
+#[test]
+fn claim_tiers_are_incomparable_sets() {
+    holds(&["tiers.incomparable"]);
+}
+
+#[test]
+fn claim_dynamic_mismatch_scan_only() {
+    holds(&["dynamic.tg_drain_open"]);
+}
+
+#[test]
+fn claim_current_source_ds_short_masked_then_caught() {
+    holds(&["masking.source_ds_short"]);
+}
+
 #[test]
 fn claim_lock_budget_from_any_initial_condition() {
-    let p = DesignParams::paper();
-    for phase0 in 0..p.dll_phases {
-        let mut sync = Synchronizer::new(&p).with_initial_phase(phase0);
-        let out = sync.run(&RunConfig::paper_bist(), None);
-        assert!(out.locked, "phase {phase0} failed to lock");
-        assert!(
-            out.lock_cycle.unwrap() <= p.bist_lock_budget,
-            "phase {phase0} exceeded the 2 us budget"
-        );
-        assert!(
-            out.corrections <= (p.dll_phases / 2) as u64,
-            "phase {phase0}: {} corrections > half the phases",
-            out.corrections
-        );
-    }
+    holds(&["lock.budget", "lock.corrections"]);
 }
 
-/// Table II: the DFT overhead matches the paper exactly.
 #[test]
 fn claim_table_two_overhead_exact() {
-    let o = DftOverhead::paper();
-    let expected: [(Entity, usize); 8] = [
-        (Entity::FlipFlop, 7),
-        (Entity::ComparatorDc, 4),
-        (Entity::Comparator100MHz, 2),
-        (Entity::DLatch, 1),
-        (Entity::Mux2, 2),
-        (Entity::SaturatingCounter3, 1),
-        (Entity::ControlSignal, 2),
-        (Entity::LogicGate, 6),
-    ];
-    for (entity, n) in expected {
-        assert_eq!(o.count(entity), n, "{entity} count");
-    }
+    holds(&["table2."]);
 }
 
-/// §IV: the digital blocks reach 100 % stuck-at coverage with scan.
 #[test]
 fn claim_digital_blocks_fully_covered() {
-    use dsim::atpg::random_vectors;
-    use dsim::stuck_at::scan_coverage;
-    let link = TestableLink::paper();
-    let blocks: [(&str, &dsim::circuit::Circuit, usize); 6] = [
-        ("ring counter", link.ring_counter().circuit(), 128),
-        ("switch matrix", link.switch_matrix().circuit(), 512),
-        ("divider", link.divider().circuit(), 64),
-        // Pattern counts re-pinned for the in-tree xoshiro256++ streams
-        // (the rand 0.8 StdRng streams needed 64 here).
-        ("lock detector", link.lock_detector().circuit(), 128),
-        ("control FSM", link.control_fsm().circuit(), 32),
-        ("Alexander PD", link.phase_detector().circuit(), 64),
-    ];
-    for (i, (name, circuit, patterns)) in blocks.into_iter().enumerate() {
-        let cov = scan_coverage(circuit, &random_vectors(circuit, patterns, i as u64 + 1));
-        assert!(
-            (cov.coverage() - 1.0).abs() < 1e-12,
-            "{name}: {:?} undetected",
-            cov.undetected()
-        );
-    }
+    holds(&["digital.stuck_at"]);
 }
 
-/// §I: "The circuits do not alter the critical path of the design" — the
-/// only data-path insertion is the transparent latch, which the paper
-/// absorbs into the line buffer; everything else hangs off the side.
 #[test]
 fn claim_no_critical_path_elements_beyond_the_latch() {
-    let o = DftOverhead::paper();
-    let in_data_path: Vec<_> = o
-        .items()
-        .iter()
-        .filter(|i| i.entity == Entity::DLatch)
-        .collect();
-    assert_eq!(in_data_path.len(), 1);
-    assert!(in_data_path[0].purpose.contains("transparent"));
+    holds(&["table2.d_latch", "table2.data_path_latch"]);
 }
 
-/// A healthy link passes every tier (no false failures).
 #[test]
 fn claim_no_false_failures() {
-    let p = DesignParams::paper();
-    let e = AnalogEffect::None;
-    assert!(!DcTest::new(&p).detects(&e));
-    assert!(!ScanTest::new(&p).detects(&e));
-    let v = Bist::new(&p).execute(&e);
-    assert!(v.pass(), "{v:?}");
+    holds(&[
+        "healthy.passes",
+        "healthy.effect_free",
+        "mismatch.false_failures",
+    ]);
 }
