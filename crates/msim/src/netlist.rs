@@ -658,6 +658,23 @@ mod tests {
     }
 
     #[test]
+    fn block_kind_partition() {
+        for b in [
+            BlockKind::TxDriver,
+            BlockKind::Termination,
+            BlockKind::RxBias,
+            BlockKind::WindowComparator,
+            BlockKind::WeakChargePump,
+            BlockKind::StrongChargePump,
+            BlockKind::Vcdl,
+        ] {
+            assert!(!b.is_test_circuitry(), "{b} misclassified");
+        }
+        assert!(BlockKind::DcTestComparator.is_test_circuitry());
+        assert!(BlockKind::CpBistComparator.is_test_circuitry());
+    }
+
+    #[test]
     fn mos_and_cap_views() {
         let m = Device::Mos(Mos::new(
             "M1",
