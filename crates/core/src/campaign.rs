@@ -1105,10 +1105,12 @@ impl ShardJob for NetlistCampaign {
         } else {
             let local = shard.start - self.stuck.len();
             let t = &*self.transition;
-            t.faults[local..local + shard.len]
-                .iter()
-                .map(|&fault| transition_detected(&self.circuit, &t.tests, &t.goldens, fault))
-                .collect()
+            transition_detected(
+                &self.circuit,
+                &t.tests,
+                &t.goldens,
+                &t.faults[local..local + shard.len],
+            )
         };
         // Shard-plan functions only, so the metric totals are
         // thread-count invariant.

@@ -11,6 +11,13 @@
 //! A slow net misses the capture edge, so its captured value equals the
 //! *initial* value instead of the final one.
 //!
+//! [`launch_capture_response`] is the rule for one fault and one test.
+//! The fault simulator, [`transition_detected`], applies it to a whole
+//! fault slice at once: the fault-free initialization and launch do not
+//! depend on the fault, so each test simulates them once, and only the
+//! faults whose net the launch moves in their slow direction replay the
+//! capture cycle.
+//!
 //! # Examples
 //!
 //! ```
@@ -112,39 +119,52 @@ pub fn launch_capture_response(
     test: &TwoPatternTest,
     fault: Option<TransitionFault>,
 ) -> TwoPatternResponse {
-    // V1: initialization pattern settles every net to its pre-launch
-    // value v0.
+    let (init, mut state) = launch(circuit, test);
+    // A slow net whose launch edge is the faulted direction still shows
+    // v0 at the capture edge.
+    if let Some(f) = fault {
+        let v0 = init.net(f.net);
+        if launches_slow_edge(f, v0, state.net(f.net)) {
+            state.inject(f.net, v0);
+            circuit.eval(&mut state);
+        }
+    }
+    strobe_and_capture(circuit, state)
+}
+
+/// The fault-free half of a launch-on-capture test: the state after the
+/// initialization pattern settles every net to its pre-launch value
+/// `v0`, and the state after the launch edge (the flip-flops capture
+/// V1's data, then the launch primary inputs apply and nets move
+/// `v0 -> v1`).
+fn launch(circuit: &Circuit, test: &TwoPatternTest) -> (SimState, SimState) {
     let mut state = SimState::for_circuit(circuit);
     state.load_ffs(&test.init.load);
     for (&net, &val) in circuit.inputs().iter().zip(&test.init.pi) {
         state.set_input(circuit, net, val);
     }
     circuit.eval(&mut state);
-    let v0 = fault.map(|f| state.net(f.net));
-
-    // Launch edge: the flip-flops capture V1's data, then the launch
-    // primary inputs apply; nets transition v0 -> v1.
+    let init = state.clone();
     circuit.tick(&mut state);
     for (&net, &val) in circuit.inputs().iter().zip(&test.launch.pi) {
         state.set_input(circuit, net, val);
     }
     circuit.eval(&mut state);
+    (init, state)
+}
 
-    // A slow net whose launch edge is the faulted direction still shows
-    // v0 at the capture edge.
-    if let (Some(f), Some(v0)) = (fault, v0) {
-        let v1 = state.net(f.net);
-        let launches_slow_edge = match (v0, v1) {
-            (Logic::Zero, Logic::One) => f.slow_to_rise,
-            (Logic::One, Logic::Zero) => !f.slow_to_rise,
-            _ => false,
-        };
-        if launches_slow_edge {
-            state.inject(f.net, v0);
-            circuit.eval(&mut state);
-        }
+/// Whether the launch moves `f`'s net `v0 -> v1` in its slow direction.
+/// Otherwise the fault is not excited and the response is the golden one.
+fn launches_slow_edge(f: TransitionFault, v0: Logic, v1: Logic) -> bool {
+    match (v0, v1) {
+        (Logic::Zero, Logic::One) => f.slow_to_rise,
+        (Logic::One, Logic::Zero) => !f.slow_to_rise,
+        _ => false,
     }
-    // Strobe and capture.
+}
+
+/// Strobes the primary outputs at the capture edge, then captures.
+fn strobe_and_capture(circuit: &Circuit, mut state: SimState) -> TwoPatternResponse {
     let po = state.read_outputs(circuit);
     circuit.tick(&mut state);
     TwoPatternResponse {
@@ -195,19 +215,46 @@ pub fn responses_differ(golden: &TwoPatternResponse, faulty: &TwoPatternResponse
     cmp(&golden.po, &faulty.po) || cmp(&golden.capture, &faulty.capture)
 }
 
-/// Whether any test detects `fault`: the first test whose faulty
+/// Which of `faults` some test detects: whether a test's faulty
 /// launch-on-capture replay [differs](responses_differ) from its golden
-/// response. `goldens[i]` is the fault-free response to `tests[i]`.
+/// response, flag by flag in `faults` order. `goldens[i]` is the
+/// fault-free response to `tests[i]`.
+///
+/// Each test's fault-free initialization and launch are simulated once
+/// and shared by every fault not yet detected. A fault whose net the
+/// launch does not move in its slow direction answers with the golden
+/// response, so only the excited faults replay the capture cycle, each
+/// from a copy of the launch state. The flags equal
+/// [`launch_capture_response`] per fault and test under
+/// [`responses_differ`].
 pub fn transition_detected(
     circuit: &Circuit,
     tests: &[TwoPatternTest],
     goldens: &[TwoPatternResponse],
-    fault: TransitionFault,
-) -> bool {
-    tests
-        .iter()
-        .zip(goldens)
-        .any(|(t, g)| responses_differ(g, &launch_capture_response(circuit, t, Some(fault))))
+    faults: &[TransitionFault],
+) -> Vec<bool> {
+    let mut detected = vec![false; faults.len()];
+    let mut left = faults.len();
+    for (test, golden) in tests.iter().zip(goldens) {
+        if left == 0 {
+            break;
+        }
+        let (init, launched) = launch(circuit, test);
+        for (flag, &f) in detected.iter_mut().zip(faults) {
+            let v0 = init.net(f.net);
+            if *flag || !launches_slow_edge(f, v0, launched.net(f.net)) {
+                continue;
+            }
+            let mut state = launched.clone();
+            state.inject(f.net, v0);
+            circuit.eval(&mut state);
+            if responses_differ(golden, &strobe_and_capture(circuit, state)) {
+                *flag = true;
+                left -= 1;
+            }
+        }
+    }
+    detected
 }
 
 /// Fault-simulates the transition universe against the test set.
@@ -216,15 +263,14 @@ pub fn transition_coverage(circuit: &Circuit, tests: &[TwoPatternTest]) -> Trans
         .iter()
         .map(|t| launch_capture_response(circuit, t, None))
         .collect();
-    let mut detected = 0;
-    let mut undetected = Vec::new();
-    for fault in enumerate_transition_faults(circuit) {
-        if transition_detected(circuit, tests, &goldens, fault) {
-            detected += 1;
-        } else {
-            undetected.push(fault);
-        }
-    }
+    let faults = enumerate_transition_faults(circuit);
+    let flags = transition_detected(circuit, tests, &goldens, &faults);
+    let detected = flags.iter().filter(|&&d| d).count();
+    let undetected = faults
+        .into_iter()
+        .zip(flags)
+        .filter_map(|(fault, d)| (!d).then_some(fault))
+        .collect();
     TransitionCoverage {
         detected,
         undetected,

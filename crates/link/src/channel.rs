@@ -8,17 +8,21 @@
 //! terminated into the receiver resistance, integrated with **backward Euler**, so the step
 //! size is not stability-limited by the smallest segment time constant.
 //! The tridiagonal system is factored once per `(dt, coupling)` with the
-//! Thomas algorithm's forward elimination and back-substituted per step.
+//! Thomas algorithm's forward elimination. A step is then one forward
+//! sweep, which builds each node's right-hand side and eliminates it
+//! against the previous node's in the same pass, and one back sweep.
 //!
 //! One Thomas kernel, [`RcLadders`], advances `L` independent ladders of
 //! equal segment count in lockstep. Its state is stored node-major, one
 //! `[f64; L]` per node, and each lane keeps its own line parameters,
-//! step size, coupling and factorization. A ladder's back-substitution
-//! is a chain of dependent divides, so one ladder alone waits on the
-//! divider's latency; `L` ladders issue `L` independent divides per node
-//! and fill its pipeline. Every lane runs the same floating-point
-//! operations in the same order as a lone ladder, so lockstep changes no
-//! result bit.
+//! step size, coupling and factorization. Both sweeps are chains of
+//! dependent operations — the back sweep a chain of divides — so one
+//! ladder alone waits on their latency; `L` ladders issue `L`
+//! independent operations per node and fill the pipelines. The forward
+//! sweep carries the previous node's value in a local, so its chain
+//! never waits on a store and reload of the buffer. Every lane runs the
+//! same floating-point operations in the same order as a lone per-step
+//! Thomas solve, so lockstep changes no result bit.
 //!
 //! [`RcLine`] is the one-lane case: one arm of the link. The
 //! differential interconnect in [`crate::LowSwingLink`] instantiates two;
@@ -236,7 +240,11 @@ impl<const L: usize> RcLadders<L> {
     /// matrix, and recomputes the per-segment coefficients the matrix is
     /// built from, only when its `dt` or `c_couple` differs from its
     /// previous step's. Otherwise a step is one forward and one back
-    /// sweep over the right-hand side, done for all lanes node by node.
+    /// sweep, done for all lanes node by node. The forward sweep forms
+    /// each node's right-hand side `load·v + inject`, adds the near-end
+    /// drive at node 0 and the termination at node `n − 1`, then
+    /// eliminates it against the previous node's, in that order; the
+    /// back sweep solves from the far node to node 0.
     pub fn step_lanes(&mut self, drive: &Drive<L>) -> [Volt; L] {
         let n = self.nodes.len();
         for l in 0..L {
@@ -258,30 +266,41 @@ impl<const L: usize> RcLadders<L> {
         let inject: [f64; L] =
             array::from_fn(|l| ccdt[l] * (drive.va_now[l].value() - drive.va_prev[l].value()));
         let sup: [f64; L] = array::from_fn(|l| -g[l]);
-        for (r, v) in rhs.iter_mut().zip(&self.nodes) {
-            for l in 0..L {
-                r[l] = load[l] * v[l] + inject[l];
+        // The boundary terms come before the elimination at every node,
+        // as in the per-step solve, so each lane's bits match it; at one
+        // segment node 0 takes both.
+        let mut x_prev = [0.0; L];
+        for (i, ((r, v), wi)) in rhs.iter_mut().zip(&self.nodes).zip(w.iter()).enumerate() {
+            let mut x: [f64; L] = array::from_fn(|l| load[l] * v[l] + inject[l]);
+            if i == 0 {
+                for l in 0..L {
+                    x[l] += g[l] * drive.vin[l].value();
+                }
             }
-        }
-        for l in 0..L {
-            rhs[0][l] += g[l] * drive.vin[l].value();
-            rhs[n - 1][l] += g_term[l] * self.v_term[l];
-        }
-        for i in 1..n {
-            let prev = rhs[i - 1];
-            for l in 0..L {
-                rhs[i][l] -= w[i][l] * prev[l];
+            if i == n - 1 {
+                for l in 0..L {
+                    x[l] += g_term[l] * self.v_term[l];
+                }
             }
-        }
-        let mut next: [f64; L] = array::from_fn(|l| rhs[n - 1][l] / diag[n - 1][l]);
-        self.nodes[n - 1] = next;
-        for i in (0..n - 1).rev() {
-            for l in 0..L {
-                next[l] = (rhs[i][l] - sup[l] * next[l]) / diag[i][l];
+            if i > 0 {
+                for l in 0..L {
+                    x[l] -= wi[l] * x_prev[l];
+                }
             }
-            self.nodes[i] = next;
+            *r = x;
+            x_prev = x;
         }
-        array::from_fn(|l| Volt(self.nodes[n - 1][l]))
+        // Back sweep from the far node, whose value is `x_prev / diag`.
+        let (far, near) = self.nodes.split_last_mut().expect("at least one segment");
+        let mut next: [f64; L] = array::from_fn(|l| x_prev[l] / diag[n - 1][l]);
+        *far = next;
+        for ((node, r), d) in near.iter_mut().zip(&rhs[..n - 1]).zip(&diag[..n - 1]).rev() {
+            for l in 0..L {
+                next[l] = (r[l] - sup[l] * next[l]) / d[l];
+            }
+            *node = next;
+        }
+        array::from_fn(|l| Volt(far[l]))
     }
 }
 
@@ -615,6 +634,47 @@ mod tests {
             assert_eq!(bundle.steps(), [1500; 8]);
             // Each lane re-factors only when its own (dt, coupling) moves.
             assert!(bundle.factorizations().iter().all(|&b| b > 2 && b < 1500));
+        }
+    }
+
+    #[test]
+    fn every_boundary_shape_matches_the_per_step_solve() {
+        // One segment makes node 0 the far node, so both boundary terms
+        // land on it; two make the first eliminated node the far node.
+        // Bundles mix terminated and open lanes; lone lines cover the
+        // one-lane kernel at each count, terminated and open.
+        let mut rng = rt::rng::Rng::seed_from_u64(32);
+        for segments in 1..=12 {
+            let lines = mixed_lines(segments);
+            let mut lone = lines.clone();
+            let mut bundle = RcLadders::bundle(lines);
+            let mut singles = [lone[0].clone(), lone[2].clone()];
+            let mut single_refs = singles.clone();
+            let mut va_prev = [Volt(0.6); 8];
+            for k in 0..400 {
+                let drive = mixed_drive(&mut rng, k, va_prev);
+                let out = bundle.step_lanes(&drive);
+                for (l, line) in lone.iter_mut().enumerate() {
+                    let aggressor = (drive.va_now[l], drive.va_prev[l], drive.c_couple[l]);
+                    let want = reference_step(line, drive.vin[l], drive.dt[l], Some(aggressor));
+                    let what = format!("segments {segments} lane {l} step {k}");
+                    assert_eq!(out[l].value().to_bits(), want.value().to_bits(), "{what}");
+                    for (i, (node, [v])) in bundle.nodes.iter().zip(&line.nodes).enumerate() {
+                        assert_eq!(node[l].to_bits(), v.to_bits(), "{what}: node {i}");
+                    }
+                }
+                for (l, (single, reference)) in singles.iter_mut().zip(&mut single_refs).enumerate()
+                {
+                    let (vin, dt, cc) = (drive.vin[l], drive.dt[l], drive.c_couple[l]);
+                    let (va, va_prev) = (drive.va_now[l], drive.va_prev[l]);
+                    let a = single.step_with_aggressor(vin, dt, va, va_prev, cc);
+                    let b = reference_step(reference, vin, dt, Some((va, va_prev, cc)));
+                    let what = format!("segments {segments} lone line {l} step {k}");
+                    assert_eq!(a.value().to_bits(), b.value().to_bits(), "{what}");
+                    assert_bits_equal(single, reference, &what);
+                }
+                va_prev = drive.va_now;
+            }
         }
     }
 

@@ -28,16 +28,19 @@
 //! differential residue survives and closes the eye. A cell with one
 //! lane has no neighbors and is immune regardless of the coupling axis.
 //!
-//! Hot path: nearly all of a cell's time is the two arms' RC ladder
-//! solve, and one ladder's back-substitution is a chain of dependent
-//! divides. So a shard steps its eyes together: it collects them (one per
-//! quiet cell, two per cell whose neighbours switch), groups them by
-//! segment count in cell order, and advances four eyes — eight lines —
-//! per [`RcLadders`] bundle, whose independent lanes keep the divider
-//! busy ([`LinkFarm::run_shard`]). Each lane repeats a lone line's
-//! arithmetic, so no record changes by a bit, and work counters stay per
-//! eye and per cell. The rest is kept out of the per-sample and per-cell
-//! loops the same way: the eye folds UI by UI
+//! Hot path: most of a cell's time is the two arms' RC ladder solve, and
+//! one ladder's sweeps are chains of dependent operations. So a shard
+//! steps its eyes together: it collects them (one per quiet cell, two per
+//! cell whose neighbours switch), groups them by segment count in cell
+//! order, and advances four eyes — eight lines — per [`RcLadders`]
+//! bundle, whose independent lanes keep the pipelines busy
+//! ([`LinkFarm::run_shard`]), one fused forward and one back sweep per
+//! step. On the tracked 1296-cell grid swept on one thread (release
+//! build, 2-vCPU VM), the bundle steps with their waveform pushes take
+//! about 71 % of the sweep. Each
+//! lane repeats a lone line's arithmetic, so no record changes by a bit,
+//! and work counters stay per eye and per cell. The rest is kept out of
+//! the per-sample and per-cell loops the same way: the eye folds UI by UI
 //! ([`EyeDiagram::from_waveform`]), and the timing margin's `Q⁻¹(1e-9)`
 //! bisection runs once per process rather than once per cell
 //! ([`FarmCell::evaluate`]).

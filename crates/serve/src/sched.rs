@@ -25,13 +25,15 @@
 //! ## Restart contract
 //!
 //! With a state directory, each admitted job persists its canonical
-//! spec (`<fp>.req`) and streams completed shards into a CRC-framed
-//! [`rt::exec::Checkpoint`] (`<fp>.ck`). A restarted scheduler rescans
-//! the directory, re-admits every spec without a whole `.res` (one that
-//! parses and names its fingerprint; results are written to a temporary
-//! file and renamed into place, and a torn one is deleted), and resumes
-//! from the checkpoint's valid prefix — re-running only what was in
-//! flight when the process died.
+//! spec (`<fp>.req`) before its admission is answered and streams
+//! completed shards into a CRC-framed [`rt::exec::Checkpoint`]
+//! (`<fp>.ck`). Spec and result files are created off the scheduler
+//! lock, so cache hits never wait on the file system. A restarted
+//! scheduler rescans the directory, re-admits every spec without a
+//! whole `.res` (one that parses and names its fingerprint; results are
+//! written to a temporary file and renamed into place, and a torn one is
+//! deleted), and resumes from the checkpoint's valid prefix — re-running
+//! only what was in flight when the process died.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
@@ -376,15 +378,23 @@ impl Scheduler {
             );
             return Admission::Busy;
         }
-        if let Some(dir) = &self.shared.cfg.state_dir {
-            // Persist the canonical spec first, so a crash between
-            // admission and completion is recoverable.
-            let _ = fs::write(dir.join(format!("{fp:016x}.req")), spec.canonical());
-        }
         flight::record("admit", format!("job {fp:016x} kind {}", spec.kind()));
+        let req = self
+            .shared
+            .cfg
+            .state_dir
+            .as_ref()
+            .map(|dir| (dir.join(format!("{fp:016x}.req")), spec.canonical()));
         state.admit(fp, spec);
         drop(state);
         self.shared.work.notify_one();
+        // Persist the canonical spec before the caller answers 202, so a
+        // crash after admission is recoverable. Creating a file can take
+        // longer than a cache hit's whole request, so it happens off the
+        // lock that every other request takes.
+        if let Some((path, canonical)) = req {
+            let _ = fs::write(path, canonical);
+        }
         Admission::Accepted { fp, fresh: true }
     }
 
@@ -727,7 +737,9 @@ fn run_setup(shared: &Shared, worker: usize, fp: u64, spec: &JobSpec) {
             job.metrics.merge(&metrics);
             job.run = Some(run);
             if finished {
-                finish_job(shared, state, fp);
+                let body = finish_job(shared, state, fp);
+                drop(guard);
+                persist_result(shared, fp, &body);
             } else {
                 state.rotation.push_back(fp);
                 shared.work.notify_all();
@@ -787,7 +799,9 @@ fn run_shard(shared: &Shared, worker: usize, fp: u64, prep: &PreparedJob, shard:
             job.metrics.merge(&metrics);
             job.trace.append(&mut events);
             if run.exec.is_finished() {
-                finish_job(shared, state, fp);
+                let body = finish_job(shared, state, fp);
+                drop(guard);
+                persist_result(shared, fp, &body);
             }
         }
         Err(message) => {
@@ -806,10 +820,11 @@ fn run_shard(shared: &Shared, worker: usize, fp: u64, prep: &PreparedJob, shard:
     }
 }
 
-/// Finalizes a complete job under the lock: body, cache entry, `.res`
-/// persistence, queue accounting. The shard payloads are released once
-/// the body exists.
-fn finish_job(shared: &Shared, state: &mut State, fp: u64) {
+/// Finalizes a complete job under the lock: body, cache entry, queue
+/// accounting. The shard payloads are released once the body exists.
+/// Returns the body for [`persist_result`], which the caller runs after
+/// releasing the lock.
+fn finish_job(shared: &Shared, state: &mut State, fp: u64) -> Arc<Vec<u8>> {
     let job = state.jobs.get_mut(&fp).expect("finishing job exists");
     let run = job.run.as_mut().expect("finished jobs are prepared");
     let payloads: Vec<Vec<u8>> = run
@@ -817,22 +832,30 @@ fn finish_job(shared: &Shared, state: &mut State, fp: u64) {
         .outputs_mut()
         .map(|d| std::mem::take(&mut d.payload))
         .collect();
-    let body = run.prep.finalize(fp, &payloads);
+    let body = Arc::new(run.prep.finalize(fp, &payloads).into_bytes());
     run.ck = None;
-    if let Some(dir) = &shared.cfg.state_dir {
-        // Write-then-rename: a kill mid-write leaves a `.res.tmp`, never
-        // a torn `.res`.
-        let tmp = dir.join(format!("{fp:016x}.res.tmp"));
-        if fs::write(&tmp, &body).is_ok() {
-            let _ = fs::rename(&tmp, dir.join(format!("{fp:016x}.res")));
-        }
-    }
-    job.result = Some(Arc::new(body.into_bytes()));
+    job.result = Some(Arc::clone(&body));
     job.status = Status::Done;
     state.unfinished -= 1;
     state.stats.completed += 1;
     flight::record("job_done", format!("job {fp:016x}"));
     shared.work.notify_all();
+    body
+}
+
+/// Writes a finished job's body as its `.res`, off the scheduler lock:
+/// creating files can take longer than a cache hit's whole request.
+/// Until the rename lands, a restart recomputes the job from its `.req`
+/// and checkpoint, which gives the same bytes.
+fn persist_result(shared: &Shared, fp: u64, body: &[u8]) {
+    if let Some(dir) = &shared.cfg.state_dir {
+        // Write-then-rename: a kill mid-write leaves a `.res.tmp`, never
+        // a torn `.res`.
+        let tmp = dir.join(format!("{fp:016x}.res.tmp"));
+        if fs::write(&tmp, body).is_ok() {
+            let _ = fs::rename(&tmp, dir.join(format!("{fp:016x}.res")));
+        }
+    }
 }
 
 /// The persisted body of job `fp`, if `<fp>.res` holds a whole one: it

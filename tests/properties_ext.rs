@@ -1,15 +1,25 @@
 //! Extended property-based tests (in-tree `rt::check` harness): the
 //! test-generation machinery (PODEM, exhaustive fault simulation)
 //! cross-validated against each other on randomly generated circuits,
-//! plus invariants of the PRBS and BER extensions.
+//! the batched transition fault simulator against the per-fault
+//! launch-on-capture rule, plus invariants of the PRBS and BER
+//! extensions.
 
-use dsim::atpg::exhaustive_vectors;
+use dft::chain_a::ChainA;
+use dft::chain_b::ChainB;
+use dsim::atpg::{exhaustive_vectors, random_vectors};
 use dsim::circuit::{Circuit, GateKind, NetId};
+use dsim::expand::TimeExpansion;
 use dsim::podem::generate_test;
 use dsim::stuck_at::{enumerate_faults, scan_coverage};
+use dsim::transition::{
+    enumerate_transition_faults, launch_capture_response, responses_differ, transition_detected,
+    two_pattern_tests, TwoPatternResponse, TwoPatternTest,
+};
 use link::ber::BerModel;
 use link::prbs::Prbs;
 use rt::check::{check_cases, Draws};
+use rt::rng::Rng;
 
 /// Draws a random combinational circuit: 2–4 primary inputs, 2–7 gates,
 /// each gate wired to previously created nets (the in-tree equivalent of
@@ -74,6 +84,104 @@ fn podem_untestable_faults_really_are() {
             }
         }
     });
+}
+
+/// Holds [`transition_detected`] to the per-fault rule on `circuit`: one
+/// [`launch_capture_response`] replay per fault and test, compared with
+/// the golden response by [`responses_differ`]. The batched flags must
+/// match over the whole universe, over a permutation of it, and fault by
+/// fault. Returns how many faults the tests detect.
+fn assert_batched_transition_flags(
+    circuit: &Circuit,
+    tests: &[TwoPatternTest],
+    rng: &mut Draws,
+) -> usize {
+    let goldens: Vec<TwoPatternResponse> = tests
+        .iter()
+        .map(|t| launch_capture_response(circuit, t, None))
+        .collect();
+    let faults = enumerate_transition_faults(circuit);
+    let want: Vec<bool> = faults
+        .iter()
+        .map(|&f| {
+            tests
+                .iter()
+                .zip(&goldens)
+                .any(|(t, g)| responses_differ(g, &launch_capture_response(circuit, t, Some(f))))
+        })
+        .collect();
+    let name = circuit.name();
+    assert_eq!(
+        transition_detected(circuit, tests, &goldens, &faults),
+        want,
+        "{name}"
+    );
+
+    let mut order: Vec<usize> = (0..faults.len()).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.below(i + 1));
+    }
+    let permuted: Vec<_> = order.iter().map(|&i| faults[i]).collect();
+    let want_permuted: Vec<bool> = order.iter().map(|&i| want[i]).collect();
+    assert_eq!(
+        transition_detected(circuit, tests, &goldens, &permuted),
+        want_permuted,
+        "{name}: permuted fault order"
+    );
+
+    for (&fault, &w) in faults.iter().zip(&want) {
+        assert_eq!(
+            transition_detected(circuit, tests, &goldens, &[fault]),
+            [w],
+            "{name}: {fault} alone"
+        );
+    }
+    want.iter().filter(|&&d| d).count()
+}
+
+/// The batched transition detector agrees with the per-fault rule on the
+/// paper's gate-level chains and the vendored `b01` benchmark, under both
+/// the PODEM launch-on-capture set and paired random vectors.
+#[test]
+fn batched_transition_flags_match_the_per_fault_rule_on_real_netlists() {
+    let b01 = dsim::verilog::compile(
+        &std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/data/b01_net.v"
+        ))
+        .expect("vendored benchmark netlist"),
+    )
+    .expect("b01 compiles");
+    let circuits = [
+        ChainA::new().circuit().clone(),
+        ChainB::new(4).circuit().clone(),
+        b01,
+    ];
+    let mut rng = Draws::fresh(Rng::seed_from_u64(32));
+    for circuit in &circuits {
+        let (podem, _) = TimeExpansion::new(circuit).generate_all();
+        let random = two_pattern_tests(&random_vectors(circuit, 48, 7));
+        for tests in [podem, random] {
+            let detected = assert_batched_transition_flags(circuit, &tests, &mut rng);
+            assert!(detected > 0, "{}: nothing detected", circuit.name());
+        }
+    }
+}
+
+/// The same agreement on random circuits and random pattern pairs.
+#[test]
+fn batched_transition_flags_match_the_per_fault_rule_on_random_circuits() {
+    check_cases(
+        "batched_transition_flags_match_the_per_fault_rule",
+        64,
+        |rng| {
+            let c = random_circuit(rng);
+            let count = rng.range_usize(2, 12);
+            let seed = rng.next_u64();
+            let tests = two_pattern_tests(&random_vectors(&c, count, seed));
+            assert_batched_transition_flags(&c, &tests, rng);
+        },
+    );
 }
 
 /// PRBS generators repeat with the full maximal-length period for the
